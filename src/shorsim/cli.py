@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from .arithmetic import ArithParams, build_modexp, resource_estimate
-from .gates import RegisterLayout, network_to_text, validate_network
+from .gates import (Network, RegisterLayout, apply_network_batch, network_to_text,
+                    validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
 from .pipeline import ExperimentConfig, ideal_distribution, run_experiment
-from .simulator import Distribution, ExponentialDecay, StaticDecay
+from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, NoiseSchedule,
+                        SparseState, StaticDecay, run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,6 +70,8 @@ def parse_config(argv: list[str],
                 setattr(args, key, value)
     if args.p1 is not None and args.gamma is not None:
         build_parser().error("--p1 and --gamma are mutually exclusive")
+    if not 0 <= args.events <= MAX_EVENTS:
+        build_parser().error(f"--events must lie in 0..{MAX_EVENTS}")
     if args.p1 is not None:
         law = StaticDecay(args.p1)
     else:
@@ -149,10 +153,8 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ed_mean = np.mean([rep.ed.table for rep in report.repetitions], axis=0)
     ned = Distribution(ned_mean, "ned")
     ed = Distribution(ed_mean, "ed")
-    exact = None
-    if isinstance(report.x, int):
-        exact = ideal_distribution(cfg.n, report.x, cfg.q).table
     if args.format == "gnuplot":
+        exact = ideal_distribution(cfg.n, report.x, cfg.q).table
         emit_distribution(ned, ed, "gnuplot", None, exact=exact,
                           r2_slice=args.r2_slice, out_path=args.out)
     elif args.out:
@@ -209,7 +211,24 @@ def _cmd_verify() -> int:
         in_wires=list(layout.reg1), out_wires=list(layout.reg2),
         zero_wires=layout.work_qubits)
     check("exponentiation network matches modpow for all a < 130", not bad)
+    rng = np.random.default_rng(130)
+    values = np.concatenate([np.arange(130, dtype=np.int64) << layout.reg1.start,
+                             rng.integers(0, 1 << net.qubit_count, 1000)])
+    fused = _second_run(net, values)
+    check("fused pass equals apply_network_batch on a < 130 and 1,000 random "
+          "basis strings", net.compiled().blocks is not None
+          and np.array_equal(fused, apply_network_batch(values, net)))
     return 1 if failures else 0
+
+
+def _second_run(net: Network, values: np.ndarray) -> np.ndarray:
+    """Basis strings after the second noise-free run() of ``net``, the first
+    one that goes through fused blocks."""
+    amp = np.full(len(values), len(values) ** -0.5, dtype=np.complex128)
+    state = SparseState(net.qubit_count, 0, values, np.zeros_like(values), amp)
+    no_events = NoiseSchedule([], StaticDecay(1.0))
+    run(state, net, no_events)
+    return run(state, net, no_events).comp
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,8 +8,10 @@ integers with qubit 0 as the least significant bit.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +78,14 @@ class Network:
     def reversed(self) -> Network:
         """The mirror network (exact inverse permutation); checkpoints dropped."""
         return Network(reversed(self.gates), self.qubit_count)
+
+    def compiled(self) -> CompiledNetwork:
+        """The validated masks of this network, built on first use and cached."""
+        cached = self.__dict__.get("_compiled")
+        if cached is None:
+            cached = CompiledNetwork(self)
+            object.__setattr__(self, "_compiled", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -208,6 +218,149 @@ def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.
     for c, t in zip(ctrl.tolist(), tgt.tolist()):
         out ^= ((out & c) == c) * t
     return out
+
+
+FUSE_WIRES = 14  # wires per fused block; at most 16, as tables are uint16
+_LITTLE = sys.byteorder == "little"
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # value -> its 8 bits
+
+
+@dataclass(frozen=True, eq=False)
+class FusedBlock:
+    """Gates ``start .. stop-1`` of a network as one permutation lookup.
+
+    The block's k <= FUSE_WIRES wires get local indices, targets first.
+    ``gather`` holds (byte offset, 256-entry table) pairs that map each byte
+    of a basis string holding block wires to their local bits; ``table``
+    maps the local input to the local XOR delta; ``scatter`` maps each byte
+    of that delta back to global bits.
+    """
+
+    start: int
+    stop: int
+    table: np.ndarray
+    gather: tuple[tuple[int, np.ndarray], ...]
+    scatter: tuple[tuple[int, np.ndarray], ...]
+
+    def apply(self, comp: np.ndarray) -> None:
+        """Run the block on a contiguous int64 array of basis strings, in place."""
+        raw = comp.view(np.uint8)
+        (byte, tab), *rest = self.gather
+        local = tab[raw[byte::8]]
+        for byte, tab in rest:
+            local |= tab[raw[byte::8]]
+        delta = self.table[local].view(np.uint8)
+        for byte, tab in self.scatter:
+            comp ^= tab[delta[byte::2]]
+
+
+@lru_cache(maxsize=None)
+def _identity_planes(k: int) -> tuple[int, ...]:
+    """Bit plane j over all 2^k local inputs i: bit i of plane j is bit j of i."""
+    inputs = np.arange(1 << k)
+    return tuple(int.from_bytes(np.packbits((inputs >> j) & 1, bitorder="little")
+                                .tobytes(), "little") for j in range(k))
+
+
+def _block_table(local_gates: Sequence[tuple[tuple[int, ...], int]],
+                 k: int) -> np.ndarray:
+    """XOR delta of a local gate list for every local input.
+
+    Each wire is a 2^k-bit plane held in one Python int, so a gate costs one
+    AND per extra control and one XOR over all inputs at once.
+    """
+    identity = _identity_planes(k)
+    size = 1 << k
+    planes = list(identity)
+    for controls, target in local_gates:
+        cond = planes[controls[0]] if controls else (1 << size) - 1
+        for c in controls[1:]:
+            cond &= planes[c]
+        planes[target] ^= cond
+    table = np.zeros(size, dtype=np.uint16)
+    for j, (plane, start) in enumerate(zip(planes, identity)):
+        if plane != start:
+            moved = (plane ^ start).to_bytes(max(1, size >> 3), "little")
+            bits = np.unpackbits(np.frombuffer(moved, dtype=np.uint8),
+                                 bitorder="little")[:size]
+            table |= bits.astype(np.uint16) << j
+    return table
+
+
+class CompiledNetwork:
+    """A network's masks, validated once, and later its fused blocks.
+
+    The mask arrays ``ctrl`` and ``tgt`` drive the gate-by-gate kernel.
+    The first ``plan()`` returns None, so a network run once never pays for
+    fusion; the second builds the fused blocks, and every later one returns
+    them.
+    """
+
+    def __init__(self, net: Network):
+        self.ctrl, self.tgt = compile_masks(net)
+        self.gates = net.gates
+        self.cuts = {chk.position for chk in net.checkpoints}
+        self.blocks: list[FusedBlock] | None = None
+        self.plans = 0
+
+    def plan(self) -> list[FusedBlock] | None:
+        self.plans += 1
+        if self.blocks is None and self.plans > 1:
+            self.blocks = self.fuse()
+        return self.blocks
+
+    def spans(self) -> list[tuple[int, int]]:
+        """Maximal runs of gates touching <= FUSE_WIRES wires, also cut at
+        every checkpoint position."""
+        spans, start, wires = [], 0, set()
+        for g, gate in enumerate(self.gates):
+            touched = wires | gate.controls | {gate.target}
+            if g > start and (g in self.cuts or len(touched) > FUSE_WIRES):
+                spans.append((start, g))
+                start, touched = g, gate.controls | {gate.target}
+            wires = touched
+        if start < len(self.gates):
+            spans.append((start, len(self.gates)))
+        return spans
+
+    def fuse(self) -> list[FusedBlock]:
+        """One block per span; equal local gate lists share one table."""
+        tables: dict[tuple, np.ndarray] = {}
+        byte_tables: dict[tuple, np.ndarray] = {}
+
+        def byte_table(weights: tuple[int, ...], dtype) -> np.ndarray:
+            key = (weights, dtype)
+            if key not in byte_tables:
+                byte_tables[key] = (_BYTE_BITS @ np.array(weights, dtype=np.int64)
+                                    ).astype(dtype)
+            return byte_tables[key]
+
+        blocks = []
+        for start, stop in self.spans():
+            run = self.gates[start:stop]
+            order = list(dict.fromkeys(g.target for g in run))
+            targets = len(order)
+            order += sorted({c for g in run for c in g.controls} - set(order))
+            local = {w: i for i, w in enumerate(order)}
+            key = tuple((tuple(sorted(local[c] for c in g.controls)),
+                         local[g.target]) for g in run)
+            if key not in tables:
+                tables[key] = _block_table(key, len(order))
+            gather = []
+            for byte in sorted({w >> 3 for w in order}):
+                weights = tuple(1 << local[w] if w in local else 0
+                                for w in range(8 * byte, 8 * byte + 8))
+                gather.append((byte if _LITTLE else 7 - byte,
+                               byte_table(weights, np.uint16)))
+            scatter = []
+            for byte in range((targets + 7) >> 3):
+                chunk = order[8 * byte:min(8 * byte + 8, targets)]
+                weights = tuple(1 << w for w in chunk) + (0,) * (8 - len(chunk))
+                scatter.append((byte if _LITTLE else 1 - byte,
+                                byte_table(weights, np.int64)))
+            blocks.append(FusedBlock(start, stop, tables[key], tuple(gather),
+                                     tuple(scatter)))
+        return blocks
 
 
 def validate_network(net: Network, layout: RegisterLayout | None = None) -> list[str]:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from shorsim import oracles, pipeline
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
 
@@ -46,6 +47,16 @@ class TestParseConfig:
     def test_unparsable_value_rejected(self):
         with pytest.raises(SystemExit):
             parse_config(["run", "--q", "lots"])
+
+    @pytest.mark.parametrize("events", ["64", "-1"])
+    def test_event_count_outside_the_record_is_a_usage_error(self, events):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run", "--events", events])
+        assert exc.value.code == 2
+
+    def test_sixty_three_events_accepted(self):
+        cfg, _ = parse_config(["run", "--events", "63"])
+        assert cfg.n_events == 63
 
     def test_random_base_passes_through(self):
         cfg, _ = parse_config(["run", "--x", "random"])
@@ -133,6 +144,21 @@ class TestMain:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().startswith("r1,r2,p_ned,p_ed\n")
 
+    def test_csv_run_skips_the_oracle_table(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("oracle table computed for a CSV run")
+        monkeypatch.setattr(oracles, "outcome_table_oracle", refuse)
+        monkeypatch.setattr(pipeline, "outcome_table_oracle", refuse)
+        out = tmp_path / "a.csv"
+        assert main(["run", "--n", "15", "--x", "7", "--q", "16", "--events",
+                     "1", "--p1", "0.5", "--out", str(out)]) == 0
+        assert out.read_text().startswith("r1,r2,p_ned,p_ed\n")
+
+    def test_events_beyond_the_record_exit_with_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--events", "64"])
+        assert exc.value.code == 2
+
     def test_run_gnuplot_end_to_end(self, tmp_path):
         prefix = tmp_path / "fig"
         code = main(["run", "--n", "15", "--x", "7", "--q", "16", "--events",
@@ -161,6 +187,7 @@ class TestMain:
         result = self.run_cli("verify")
         assert result.returncode == 0
         assert "FAIL" not in result.stdout
+        assert "PASS  fused pass equals apply_network_batch" in result.stdout
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

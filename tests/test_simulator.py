@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from shorsim import (RegisterLayout, apply_decay, distribution_ed,
-                     distribution_ned, dump_state, fourier_first_register,
-                     init_state, inverse_fourier_first_register, run,
-                     sample_schedule)
+from shorsim import (Gate, Network, RegisterLayout, apply_decay,
+                     apply_network_batch, distribution_ed, distribution_ned,
+                     dump_state, fourier_first_register, gates, init_state,
+                     inverse_fourier_first_register, run, sample_schedule,
+                     simulator)
+from shorsim.gates import Checkpoint
 from shorsim.oracles import outcome_table_oracle
-from shorsim.simulator import (DecayEvent, ExponentialDecay, NoiseSchedule,
-                               SparseState, StaticDecay, WatchdogClocks)
+from shorsim.simulator import (MAX_EVENTS, DecayEvent, ExponentialDecay,
+                               NoiseSchedule, SparseState, StaticDecay,
+                               WatchdogClocks)
 
 STATIC_HALF = StaticDecay(0.5)
+GAMMA = ExponentialDecay(2.5)
 
 
 def single_component(qubit_count, comp, env=0, env_count=0, amp=1.0):
@@ -21,6 +25,12 @@ def single_component(qubit_count, comp, env=0, env_count=0, amp=1.0):
                        np.array([comp], dtype=np.int64),
                        np.array([env], dtype=np.int64),
                        np.array([amp], dtype=np.complex128))
+
+
+def fresh_copy(net):
+    """An equal network with no cached compiled form: its first run() is
+    the gate-by-gate reference."""
+    return Network(net.gates, net.qubit_count, net.checkpoints)
 
 
 class TestInitState:
@@ -82,6 +92,11 @@ class TestApplyDecay:
         out = apply_decay(apply_decay(state, 0, 0.3), 2, 0.8)
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
+    def test_full_environment_record_rejected(self):
+        state = single_component(1, 0b1, env_count=MAX_EVENTS)
+        with pytest.raises(ValueError, match="at most 63"):
+            apply_decay(state, 0, 0.5)
+
     def test_mirror_polarity_splits_ground_state(self):
         state = single_component(1, 0b0)
         out = apply_decay(state, 0, 0.5, flip_from=0)
@@ -139,6 +154,40 @@ class TestRun:
             assert record.p2 == pytest.approx(1 - record.p1)
 
 
+class TestRunBoundary:
+    """Bad schedules fail at entry, before the network is even compiled."""
+
+    def test_sixty_four_events_rejected_before_any_gate(self, factoring_15):
+        _, layout, net = factoring_15
+        fresh = fresh_copy(net)
+        sched = NoiseSchedule([DecayEvent((i + 1) / 66, 0) for i in range(64)],
+                              STATIC_HALF)
+        with pytest.raises(ValueError, match="limit of 63"):
+            run(init_state(130, layout), fresh, sched)
+        assert "_compiled" not in fresh.__dict__
+
+    def test_recorded_events_count_toward_the_limit(self):
+        state = single_component(1, 0, env_count=60)
+        sched = NoiseSchedule([DecayEvent(0.1 * (i + 1), 0) for i in range(4)],
+                              STATIC_HALF)
+        with pytest.raises(ValueError, match="60 recorded plus 4"):
+            run(state, Network([Gate((), 0)], 1), sched)
+
+    def test_sixty_three_events_fit(self):
+        # the qubit stays in its ground state, so no event splits anything
+        sched = NoiseSchedule([DecayEvent((i + 1) / 64, 0) for i in range(63)],
+                              STATIC_HALF)
+        out = run(single_component(1, 0), Network([], 1), sched)
+        assert out.env_count == 63 and out.component_count == 1
+
+    def test_event_qubit_outside_the_state_rejected(self, factoring_15):
+        _, layout, net = factoring_15
+        sched = NoiseSchedule([DecayEvent(0.2, 3), DecayEvent(0.5, 40)],
+                              STATIC_HALF)
+        with pytest.raises(ValueError, match="qubit 40 outside state width 26"):
+            run(init_state(130, layout), net, sched)
+
+
 class TestWatchdog:
     def test_decay_probability_never_larger_with_watchdog(self, factoring_15):
         _, layout, net = factoring_15
@@ -186,6 +235,146 @@ class TestWatchdog:
         with pytest.raises(ValueError):
             run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF),
                 watchdog="maybe")
+
+
+@pytest.fixture(scope="module")
+def fused_15(factoring_15):
+    """The n=15 network after two runs, so that every later run is fused."""
+    _, layout, net = factoring_15
+    net = fresh_copy(net)
+    for _ in range(2):
+        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+    assert net.compiled().blocks is not None
+    return layout, net
+
+
+def event_at(position, total, qubit):
+    """An event that fires just before gate ``position``."""
+    return DecayEvent((position - 0.5) / total, qubit)
+
+
+def assert_paths_agree(state, net, sched, watchdog="off", **kw):
+    """The fused run of ``net`` equals the gate-by-gate run of a fresh copy:
+    snapshot byte for byte, event records and watchdog clocks."""
+    outs = []
+    for target in (fresh_copy(net), net):
+        log, clocks = [], WatchdogClocks.zeros(state.qubit_count)
+        out = run(state, target, sched, watchdog, clocks, event_log=log, **kw)
+        outs.append((dump_state(out), log, clocks.last_reset.tolist()))
+    assert outs[0] == outs[1]
+    return outs[1]
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("watchdog, law, seed", [
+        ("off", STATIC_HALF, 0), ("off", GAMMA, 1), ("on", GAMMA, 1),
+        ("strict", STATIC_HALF, 2)])
+    def test_matches_the_gate_by_gate_pass(self, fused_15, watchdog, law, seed):
+        layout, net = fused_15
+        sched = sample_schedule(10, layout.qubit_count, seed, law)
+        assert_paths_agree(init_state(130, layout), net, sched, watchdog,
+                           verify_norm=True)
+
+    def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, fused_15):
+        _, net = fused_15
+        blocks = net.compiled().blocks
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == len(net.gates)
+        starts = {b.start for b in blocks}
+        assert {c.position for c in net.checkpoints
+                if c.position < len(net.gates)} <= starts
+        for b in blocks:
+            wires = set()
+            for gate in net.gates[b.start:b.stop]:
+                wires |= gate.controls | {gate.target}
+            assert len(wires) <= gates.FUSE_WIRES
+        assert len({id(b.table) for b in blocks}) < len(blocks)
+
+    @pytest.mark.parametrize("watchdog, law", [
+        ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
+    def test_events_on_block_boundaries_and_inside_one_block(self, fused_15,
+                                                             watchdog, law):
+        layout, net = fused_15
+        blocks = net.compiled().blocks
+        total = len(net.gates)
+        mid = blocks[len(blocks) // 2]
+        assert mid.stop - mid.start > 8
+        positions = [1,  # inside the first block, just after gate 0
+                     blocks[3].start, blocks[3].stop, blocks[40].start,
+                     mid.start + 3, mid.start + 7,  # two inside one block
+                     total]
+        events = [event_at(p, total, qb) for p, qb in
+                  zip(positions, [0, 13, 20, 5, 17, 18, 3])]
+        assert [math.ceil(ev.time * total) for ev in events] == positions
+        _, log, _ = assert_paths_agree(init_state(130, layout), net,
+                                       NoiseSchedule(events, law), watchdog,
+                                       verify_norm=True)
+        assert len(log) == len(events)
+
+    def test_norm_checked_after_every_event_block_and_gate(self, fused_15,
+                                                           monkeypatch):
+        layout, net = fused_15
+        blocks = net.compiled().blocks
+        total = len(net.gates)
+        inside = blocks[5]
+        sched = NoiseSchedule([event_at(blocks[2].start, total, 14),
+                               event_at(inside.start + 2, total, 15)],
+                              STATIC_HALF)
+        where = []
+        monkeypatch.setattr(simulator, "_check_norm",
+                            lambda amp, label: where.append(label))
+        run(init_state(130, layout), net, sched, verify_norm=True)
+        gate_checks = inside.stop - inside.start
+        assert len(where) == 2 + (len(blocks) - 1) + gate_checks
+        assert sum(label.startswith("decay") for label in where) == 2
+        assert f"gate {inside.start}" in where
+        assert f"gates {blocks[0].start}..{blocks[0].stop - 1}" in where
+
+    def test_norm_drift_detected_on_both_paths(self, fused_15):
+        layout, net = fused_15
+        state = init_state(130, layout)
+        state.amp *= 2.0
+        for target in (fresh_copy(net), net):
+            with pytest.raises(AssertionError, match="norm drifted"):
+                run(state, target, NoiseSchedule([], STATIC_HALF),
+                    verify_norm=True)
+
+    def test_network_run_once_holds_no_fused_tables(self, factoring_15):
+        _, layout, net = factoring_15
+        net = fresh_copy(net)
+        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        assert net.compiled().blocks is None
+        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        assert net.compiled().blocks is not None
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("with_checkpoints", [False, True])
+    def test_random_small_networks(self, seed, with_checkpoints, monkeypatch):
+        monkeypatch.setattr(gates, "FUSE_WIRES", 4)  # several blocks per network
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(4, 11))
+        gate_list = []
+        for _ in range(int(rng.integers(20, 60))):
+            wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
+            gate_list.append(Gate(wires[1:].tolist(), int(wires[0])))
+        checkpoints = []
+        if with_checkpoints:
+            for pos in sorted(rng.choice(len(gate_list) + 1, size=4, replace=False)):
+                qubits = rng.choice(width, size=2, replace=False).tolist()
+                checkpoints.append(Checkpoint(int(pos), qubits))
+        net = Network(gate_list, width, checkpoints)
+        values = np.arange(1 << width, dtype=np.int64)
+        state = SparseState(width, 0, values, np.zeros_like(values),
+                            np.full(len(values), len(values) ** -0.5,
+                                    dtype=np.complex128))
+        no_events = NoiseSchedule([], StaticDecay(1.0))
+        for _ in range(2):
+            out = run(state, net, no_events)
+        assert len(net.compiled().blocks) > 1
+        assert np.array_equal(out.comp, apply_network_batch(values, net))
+        sched = sample_schedule(3, width, seed, STATIC_HALF)
+        for watchdog in ("off", "on", "strict"):
+            assert_paths_agree(state, net, sched, watchdog)
 
 
 class TestFourier:
