@@ -57,7 +57,8 @@ def parse_config(argv: list[str],
     """Turn `run` arguments (plus optional JSON defaults) into a config.
 
     The config file, when given, provides values under the same names as the
-    flags (``r2_slice`` for ``--r2-slice``); explicit flags win.
+    flags (``r2_slice`` for ``--r2-slice``); explicit flags win, and any
+    other key is a usage error.
     """
     argv = list(argv)
     if not argv or argv[0] != "run":
@@ -65,7 +66,10 @@ def parse_config(argv: list[str],
     args = build_parser().parse_args(argv)
     if config_file is not None:
         given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+        flags = set(vars(args)) - {"command"}
         for key, value in json.loads(Path(config_file).read_text()).items():
+            if key not in flags:
+                build_parser().error(f"config file key {key!r} is not a run flag")
             if f"--{key.replace('_', '-')}" not in given:
                 setattr(args, key, value)
     if args.p1 is not None and args.gamma is not None:

@@ -9,16 +9,22 @@ applied analytically as a size-q discrete Fourier transform.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Network, RegisterLayout
+from .gates import FusedBlock, Network, RegisterLayout
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
+# A fused block lookup takes as long as 3 to 17 single gates at 130 to 40,000
+# components (N=15 network, 2-vCPU Xeon VM); run() counts it as this middle
+# value when it picks a path through a block with events inside.  Any value
+# gives the same output.
+TABLE_GATES = 8
 
 
 @dataclass
@@ -26,7 +32,9 @@ class SparseState:
     """Amplitude map keyed by (computer basis string, environment record).
 
     ``env_count`` is the number of decay interactions so far; environment
-    records are integers whose bit j stores the outcome of event j.
+    records are integers whose bit j stores the outcome of event j.  Each
+    (comp, env) key appears at most once; the first-register transforms
+    raise ``ValueError`` on a repeated key.
     """
 
     qubit_count: int
@@ -234,11 +242,17 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     ``Network`` object also fuses its gates into blocks, maximal runs of
     consecutive gates touching at most 14 wires, cut at every checkpoint
     position so that projections and clock resets fall between blocks.  From
-    then on each block is one table lookup; a block with an event strictly
-    inside it runs gate by gate.  The output is bit-identical either way.
-    At most 63 decay events fit the environment record, and every event
-    qubit must lie inside the state; both are checked before any gate.
-    ``verify_norm`` checks the norm after every event, block and gate.
+    then on each block is one table lookup.  A block with events strictly
+    inside it runs from its nearer end, by the cheapest of three exact paths
+    (gates are self-inverse permutations): forward gate by gate; forward to
+    the last inner event, the prefix undone in reverse, then the table; or
+    the table, the suffix undone in reverse back to the first inner event,
+    then forward.  Events and checkpoints fire only at their own positions.
+    The output is bit-identical whichever path runs.  At most 63 decay
+    events fit the environment record, and every event qubit must lie
+    inside the state; both are checked before any gate.  ``verify_norm``
+    checks the norm after every event, every table lookup and every gate,
+    undone gates included.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -263,6 +277,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
 
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
     checkpoints = sorted(net.checkpoints, key=lambda c: c.position)
+    stops = set(positions) | {chk.position for chk in checkpoints}
     ei = ci = 0
 
     def settle(g: int) -> None:
@@ -295,22 +310,59 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                     amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
+    def gate(g: int, note: str = "") -> None:
+        c, t = int(ctrl[g]), int(tgt[g])
+        np.bitwise_xor(comp, ((comp & c) == c) * t, out=comp)
+        if verify_norm:
+            _check_norm(amp, f"gate {g}{note}")
+
+    def forward(a: int, b: int) -> None:
+        """Gates a..b-1, settling before each gate but the first."""
+        for g in range(a, b):
+            if g > a and g in stops:
+                settle(g)
+            gate(g)
+
+    def undo(a: int, b: int) -> None:
+        """Gates b-1 down to a; each gate is its own inverse."""
+        for g in range(b - 1, a - 1, -1):
+            gate(g, " undone")
+
+    def lookup(block: FusedBlock) -> None:
+        block.apply(comp)
+        if verify_norm:
+            _check_norm(amp, f"gates {block.start}..{block.stop - 1}")
+
     spans = ([(0, total, None)] if blocks is None
              else [(b.start, b.stop, b) for b in blocks])
     for start, stop, block in spans:
-        settle(start)
-        if block is not None and (ei == len(events) or positions[ei] >= stop):
-            block.apply(comp)
-            if verify_norm:
-                _check_norm(amp, f"gates {start}..{stop - 1}")
-            continue
-        for g in range(start, stop):
-            if g > start:
-                settle(g)
-            c, t = int(ctrl[g]), int(tgt[g])
-            comp ^= ((comp & c) == c) * t
-            if verify_norm:
-                _check_norm(amp, f"gate {g}")
+        if start in stops:
+            settle(start)
+        inner = positions[ei:bisect.bisect_left(positions, stop, ei)]
+        if block is None:
+            forward(start, stop)
+        elif not inner:
+            lookup(block)
+        else:
+            # Costs in gate units.  Undoing the gates between the nearer end
+            # and the events lets one table lookup stand for the gates on
+            # the far side.
+            p_first, p_last = inner[0], inner[-1]
+            whole = stop - start
+            prefix = 2 * (p_last - start) + TABLE_GATES
+            suffix = 2 * (stop - p_first) + TABLE_GATES
+            if whole <= min(prefix, suffix):
+                forward(start, stop)
+            elif prefix <= suffix:
+                forward(start, p_last)
+                settle(p_last)
+                undo(start, p_last)
+                lookup(block)
+            else:
+                lookup(block)
+                undo(p_first, stop)
+                settle(p_first)
+                forward(p_first, stop)
     settle(total)
     return SparseState(state.qubit_count, env_count, comp, env, amp)
 
@@ -329,17 +381,29 @@ def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
     if np.any(a >= q):
         raise ValueError("component with first-register value >= q")
     rest = state.comp & ~r1_mask
-    keys = np.stack([rest, state.env], axis=1)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    dense = np.zeros((len(uniq), q), dtype=np.complex128)
-    np.add.at(dense, (inv, a), state.amp)
+    # Sorted by (rest, env, a), each (rest, env) group is one row of the
+    # dense matrix, rows in ascending (rest, env) order.
+    order = np.lexsort((a, state.env, rest))
+    rest, env, a = rest[order], state.env[order], a[order]
+    same = (rest[1:] == rest[:-1]) & (env[1:] == env[:-1])
+    if np.any(same & (a[1:] == a[:-1])):
+        raise ValueError("repeated (comp, env) key in the sparse state")
+    new_row = np.ones(len(order), dtype=bool)
+    new_row[1:] = ~same
+    row = np.cumsum(new_row) - 1
+    dense = np.zeros((np.count_nonzero(new_row), q), dtype=np.complex128)
+    # Keys are unique, so a plain scatter places each amplitude; adding 0.0
+    # turns -0.0 into 0.0, as summing into the zeroed matrix would.
+    dense[row, a] = state.amp[order] + 0.0
     if inverse:
-        out = np.fft.fft(dense, axis=1) / math.sqrt(q)
+        out = np.fft.fft(dense, axis=1)
+        out /= math.sqrt(q)
     else:
-        out = np.fft.ifft(dense, axis=1) * math.sqrt(q)
-    comp = (uniq[:, 0][:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
-    env = np.repeat(uniq[:, 1], q)
+        out = np.fft.ifft(dense, axis=1)
+        out *= math.sqrt(q)
+    del dense  # lowers the peak while the output keys are built
+    comp = (rest[new_row][:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
+    env = np.repeat(env[new_row], q)
     return SparseState(state.qubit_count, state.env_count, comp, env,
                        out.ravel())
 
@@ -350,28 +414,35 @@ def fourier_first_register(state: SparseState, q: int,
 
     For every fixed (rest-of-computer, environment) the amplitudes over a
     become (1/sqrt q) * sum_a exp(2 pi i a c / q) A(a).  All first-register
-    values must be below q.
+    values must be below q, and (comp, env) keys must be unique.  The
+    components are sorted by (rest, env, a) with ``np.lexsort``; each
+    (rest, env) group is one row of a dense matrix, transformed by one FFT
+    per row, and rows come out in ascending (rest, env) order.
     """
     return _grouped_transform(state, q, layout, inverse=False)
 
 
 def inverse_fourier_first_register(state: SparseState, q: int,
                                    layout: RegisterLayout) -> SparseState:
+    """Inverse of ``fourier_first_register``, under the same conditions."""
     return _grouped_transform(state, q, layout, inverse=True)
 
 
 def _tables(state: SparseState, layout: RegisterLayout, q: int,
             select: np.ndarray | None) -> np.ndarray:
-    r1 = (state.comp >> layout.reg1.start) & ((1 << len(layout.reg1)) - 1)
-    r2 = (state.comp >> layout.reg2.start) & ((1 << len(layout.reg2)) - 1)
-    weights = np.abs(state.amp) ** 2
+    comp, amp = state.comp, state.amp
     if select is not None:
-        r1, r2, weights = r1[select], r2[select], weights[select]
-    if np.any(r1 >= q):
+        comp, amp = comp[select], amp[select]
+    width = 1 << len(layout.reg2)
+    cell = (comp >> layout.reg1.start) & ((1 << len(layout.reg1)) - 1)
+    cell *= width  # cell = r1 * width + r2, built in place
+    cell += (comp >> layout.reg2.start) & (width - 1)
+    weights = np.abs(amp) ** 2
+    if np.any(cell >= q * width):
         raise ValueError("component with first-register value >= q")
-    table = np.zeros((q, 1 << len(layout.reg2)))
-    np.add.at(table, (r1, r2), weights)
-    return table
+    table = np.bincount(cell, weights, minlength=q * width)
+    # bincount returns integers when the selection keeps nothing
+    return table.astype(np.float64, copy=False).reshape(q, width)
 
 
 def distribution_ned(state: SparseState, layout: RegisterLayout,

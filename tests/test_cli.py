@@ -69,6 +69,14 @@ class TestParseConfig:
         assert cfg.q == 32  # flag wins
         assert cfg.seed == 9 and cfg.n_events == 4
 
+    def test_unknown_config_file_key_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"q": 64, "evnts": 4}))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run"], config_file=path)
+        assert exc.value.code == 2
+        assert "'evnts'" in capsys.readouterr().err
+
 
 class TestEmitDistribution:
     def test_csv_layout_and_round_trip(self):

@@ -317,6 +317,7 @@ class TestFusedPass:
         blocks = net.compiled().blocks
         total = len(net.gates)
         inside = blocks[5]
+        assert inside.stop - inside.start > 2 * 2 + simulator.TABLE_GATES
         sched = NoiseSchedule([event_at(blocks[2].start, total, 14),
                                event_at(inside.start + 2, total, 15)],
                               STATIC_HALF)
@@ -324,10 +325,17 @@ class TestFusedPass:
         monkeypatch.setattr(simulator, "_check_norm",
                             lambda amp, label: where.append(label))
         run(init_state(130, layout), net, sched, verify_norm=True)
-        gate_checks = inside.stop - inside.start
-        assert len(where) == 2 + (len(blocks) - 1) + gate_checks
+        # the inner event runs from the block's start: 2 gates forward, the
+        # 2 undone, then the block's table
+        assert len(where) == 2 + len(blocks) + 2 * 2
         assert sum(label.startswith("decay") for label in where) == 2
-        assert f"gate {inside.start}" in where
+        first, second = inside.start, inside.start + 1
+        i = where.index(f"gate {first}")
+        assert where[i:i + 6] == [
+            f"gate {first}", f"gate {second}",
+            f"decay event at t={sched.events[1].time}",
+            f"gate {second} undone", f"gate {first} undone",
+            f"gates {inside.start}..{inside.stop - 1}"]
         assert f"gates {blocks[0].start}..{blocks[0].stop - 1}" in where
 
     def test_norm_drift_detected_on_both_paths(self, fused_15):
@@ -377,6 +385,108 @@ class TestFusedPass:
             assert_paths_agree(state, net, sched, watchdog)
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_small_networks_run_blocks_from_either_end(self, seed,
+                                                               monkeypatch):
+        # A free table makes every block with an inner event run from its
+        # nearer end, so the prefix and suffix paths meet short blocks.
+        monkeypatch.setattr(gates, "FUSE_WIRES", 4)
+        monkeypatch.setattr(simulator, "TABLE_GATES", 0)
+        rng = np.random.default_rng(100 + seed)
+        width = 8
+        gate_list = []
+        for _ in range(80):
+            wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
+            gate_list.append(Gate(wires[1:].tolist(), int(wires[0])))
+        checkpoints = [Checkpoint(40, [0, 1]), Checkpoint(60, [2])]
+        net = Network(gate_list, width, checkpoints)
+        values = np.arange(1 << width, dtype=np.int64)
+        state = SparseState(width, 0, values, np.zeros_like(values),
+                            np.full(len(values), len(values) ** -0.5,
+                                    dtype=np.complex128))
+        no_events = NoiseSchedule([], StaticDecay(1.0))
+        for _ in range(2):
+            run(state, net, no_events)
+        sched = sample_schedule(8, width, seed, GAMMA)
+        for watchdog in ("off", "on", "strict"):
+            assert_paths_agree(state, net, sched, watchdog)
+
+
+class TestEventBlocks:
+    """A block with events inside runs forward gate by gate, or from one end
+    with the table covering the far side; all three paths agree bit for
+    bit with the gate-by-gate pass."""
+
+    @staticmethod
+    def long_blocks(net):
+        return [b for b in net.compiled().blocks if b.stop - b.start >= 20]
+
+    def test_each_block_runs_from_its_nearer_end(self, fused_15, monkeypatch):
+        layout, net = fused_15
+        near_start, near_end, middle = self.long_blocks(net)[2:5]
+        positions = [near_start.start + 1, near_end.stop - 1,
+                     (middle.start + middle.stop) // 2]
+        events = [event_at(p, len(net.gates), qb)
+                  for p, qb in zip(positions, [17, 13, 20])]
+        where = []
+        monkeypatch.setattr(simulator, "_check_norm",
+                            lambda amp, label: where.append(label))
+        assert_paths_agree(init_state(130, layout), net,
+                           NoiseSchedule(events, GAMMA), "on", verify_norm=True)
+        # one gate undone after the first event, one before the second;
+        # the mid-block event runs its block forward
+        assert [label for label in where if "undone" in label] == [
+            f"gate {near_start.start} undone", f"gate {near_end.stop - 1} undone"]
+
+    @pytest.mark.parametrize("watchdog, law", [
+        ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
+    def test_several_events_per_block_and_in_adjacent_blocks(self, fused_15,
+                                                            watchdog, law):
+        layout, net = fused_15
+        total = len(net.gates)
+        first, second, third = self.long_blocks(net)[:3]
+        blocks = net.compiled().blocks
+        nxt = blocks[blocks.index(third) + 1]
+        positions = [first.start + 1, first.start + 2, first.start + 4,
+                     second.stop - 3, second.stop - 1,
+                     second.stop + 1,  # also inside the block after it
+                     (third.start + third.stop) // 2, third.stop - 1,
+                     nxt.start + 1]
+        events = [event_at(p, total, qb) for p, qb in
+                  zip(positions, [13, 14, 15, 16, 17, 18, 19, 20, 21])]
+        _, log, _ = assert_paths_agree(init_state(130, layout), net,
+                                       NoiseSchedule(events, law), watchdog,
+                                       verify_norm=True)
+        assert len(log) == len(events)
+
+    def test_first_unfused_run_places_events_like_a_chunked_reference(
+            self, factoring_15):
+        _, layout, net = factoring_15
+        fresh = fresh_copy(net)
+        sched = sample_schedule(6, layout.qubit_count, 12, GAMMA)
+        state = init_state(130, layout)
+        first = run(state, fresh, sched)
+        assert fresh.compiled().blocks is None
+        assert dump_state(first) == dump_state(chunked_reference(state, net,
+                                                                 sched))
+
+
+def chunked_reference(state, net, sched):
+    """Watchdog-off run from apply_network_batch on the gates between
+    events and apply_decay at each event."""
+    total = len(net.gates)
+    cuts = [min(math.ceil(ev.time * total), total) for ev in sched.events]
+    for start, stop, ev in zip([0, *cuts], [*cuts, total], [*sched.events, None]):
+        chunk = Network(net.gates[start:stop], net.qubit_count)
+        state = SparseState(state.qubit_count, state.env_count,
+                            apply_network_batch(state.comp, chunk),
+                            state.env, state.amp)
+        if ev is not None:
+            p1 = sched.law.persist_probability(ev.time, 0.0)
+            state = apply_decay(state, ev.qubit, p1)
+    return state
+
+
 class TestFourier:
     def small_layout(self):
         return RegisterLayout.for_factoring(2, q=8)
@@ -423,6 +533,18 @@ class TestFourier:
         out = fourier_first_register(state, 130, layout)
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
+    def test_repeated_key_rejected(self):
+        layout = self.small_layout()
+        state = SparseState(layout.qubit_count, 1,
+                            np.array([3, 5, 3], dtype=np.int64),
+                            np.array([1, 1, 1], dtype=np.int64),
+                            np.full(3, 3 ** -0.5, dtype=np.complex128))
+        for transform in (fourier_first_register, inverse_fourier_first_register):
+            with pytest.raises(ValueError, match="repeated"):
+                transform(state, 8, layout)
+        state.env[2] = 0  # the same basis string under another record is fine
+        fourier_first_register(state, 8, layout)
+
     def test_register_value_beyond_q_rejected(self):
         layout = self.small_layout()
         state = single_component(layout.qubit_count, 7)
@@ -459,6 +581,99 @@ class TestDistributions:
         assert np.all(ed.table >= 0) and np.all(ned.table >= 0)
         assert ed.total() < ned.total()
 
+
+
+def reference_transform(state, q, layout, inverse):
+    """The grouped DFT built on np.unique and np.add.at."""
+    shift = layout.reg1.start
+    r1_mask = np.int64(layout.reg1_mask())
+    a = (state.comp & r1_mask) >> shift
+    rest = state.comp & ~r1_mask
+    keys = np.stack([rest, state.env], axis=1)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    dense = np.zeros((len(uniq), q), dtype=np.complex128)
+    np.add.at(dense, (inv, a), state.amp)
+    if inverse:
+        out = np.fft.fft(dense, axis=1) / math.sqrt(q)
+    else:
+        out = np.fft.ifft(dense, axis=1) * math.sqrt(q)
+    comp = (uniq[:, 0][:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
+    env = np.repeat(uniq[:, 1], q)
+    return SparseState(state.qubit_count, state.env_count, comp, env,
+                       out.ravel())
+
+
+def reference_table(state, layout, q, select):
+    """The outcome table built on np.add.at."""
+    r1 = (state.comp >> layout.reg1.start) & ((1 << len(layout.reg1)) - 1)
+    r2 = (state.comp >> layout.reg2.start) & ((1 << len(layout.reg2)) - 1)
+    weights = np.abs(state.amp) ** 2
+    if select is not None:
+        r1, r2, weights = r1[select], r2[select], weights[select]
+    table = np.zeros((q, 1 << len(layout.reg2)))
+    np.add.at(table, (r1, r2), weights)
+    return table
+
+
+def assert_same_bytes(got, want):
+    for name in ("comp", "env", "amp"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_kernels_match_reference(state, layout, q):
+    """Forward and inverse DFT state arrays and both tables, byte for byte."""
+    forward = fourier_first_register(state, q, layout)
+    assert_same_bytes(forward, reference_transform(state, q, layout, False))
+    assert_same_bytes(inverse_fourier_first_register(forward, q, layout),
+                      reference_transform(forward, q, layout, True))
+    keep = (forward.comp & np.int64(layout.work_mask())) == 0
+    for table, select in ((distribution_ned(forward, layout, q).table, None),
+                          (distribution_ed(forward, layout, q).table, keep)):
+        want = reference_table(forward, layout, q, select)
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+
+
+class TestKernelsAgainstReference:
+    @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
+    @pytest.mark.parametrize("n_events", [0, 10, 20])
+    def test_noisy_runs(self, fused_15, watchdog, n_events):
+        layout, net = fused_15
+        sched = sample_schedule(n_events, layout.qubit_count, 39 + n_events,
+                                STATIC_HALF if n_events == 20 else GAMMA)
+        state = run(init_state(130, layout), net, sched, watchdog)
+        assert_kernels_match_reference(state, layout, 130)
+
+    def test_selection_that_keeps_nothing(self, fused_15):
+        layout, net = fused_15
+        state = run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        state.comp |= np.int64(1 << layout.add_work.start)
+        forward = fourier_first_register(state, 130, layout)
+        assert not distribution_ed(forward, layout, 130).table.any()
+        assert_kernels_match_reference(state, layout, 130)
+
+    @pytest.mark.parametrize("q", [5, 8])
+    def test_random_sparse_states(self, q):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        rng = np.random.default_rng(q)
+        amps = {}
+        for _ in range(40):
+            key = (int(rng.integers(0, q) | (rng.integers(0, 1 << 8) << 3)),
+                   int(rng.integers(0, 8)))
+            amps[key] = complex(rng.normal(), rng.normal())
+        for a in range(q):  # a group of signed zeros keeps its sign bits
+            amps[(a | 7 << 3, 2)] = complex(-0.0, -0.0)
+        state = SparseState.from_dict(layout.qubit_count, 3, amps)
+        assert_kernels_match_reference(state, layout, q)
+
+    def test_empty_state(self):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        empty = np.zeros(0, dtype=np.int64)
+        state = SparseState(layout.qubit_count, 0, empty, empty.copy(),
+                            np.zeros(0, dtype=np.complex128))
+        assert_kernels_match_reference(state, layout, 8)
 
 class TestSampleSchedule:
     def test_empty(self):
