@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class Network:
         return Network(reversed(self.gates), self.qubit_count)
 
     def compiled(self) -> CompiledNetwork:
-        """The validated masks of this network, built on first use and cached."""
+        """The compiled form of this network, built on first use and cached."""
         cached = self.__dict__.get("_compiled")
         if cached is None:
             cached = CompiledNetwork(self)
@@ -212,10 +212,11 @@ def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.ndarray:
-    """Apply the network to many basis strings at once."""
-    ctrl, tgt = compile_masks(net)
+    """Apply the network to many basis strings at once, gate by gate, with
+    the masks cached by ``net.compiled()``."""
+    compiled = net.compiled()
     out = np.asarray(values, dtype=np.int64).copy()
-    for c, t in zip(ctrl.tolist(), tgt.tolist()):
+    for c, t in zip(compiled.ctrl.tolist(), compiled.tgt.tolist()):
         out ^= ((out & c) == c) * t
     return out
 
@@ -288,26 +289,17 @@ def _block_table(local_gates: Sequence[tuple[tuple[int, ...], int]],
 
 
 class CompiledNetwork:
-    """A network's masks, validated once, and later its fused blocks.
+    """A network's masks, validated once, and its fused blocks.
 
     The mask arrays ``ctrl`` and ``tgt`` drive the gate-by-gate kernel.
-    The first ``plan()`` returns None, so a network run once never pays for
-    fusion; the second builds the fused blocks, and every later one returns
-    them.
+    ``blocks`` is built on first access, which ``run()`` makes on the
+    network's first run; callers that only need the masks never build it.
     """
 
     def __init__(self, net: Network):
         self.ctrl, self.tgt = compile_masks(net)
         self.gates = net.gates
         self.cuts = {chk.position for chk in net.checkpoints}
-        self.blocks: list[FusedBlock] | None = None
-        self.plans = 0
-
-    def plan(self) -> list[FusedBlock] | None:
-        self.plans += 1
-        if self.blocks is None and self.plans > 1:
-            self.blocks = self.fuse()
-        return self.blocks
 
     def spans(self) -> list[tuple[int, int]]:
         """Maximal runs of gates touching <= FUSE_WIRES wires, also cut at
@@ -323,7 +315,8 @@ class CompiledNetwork:
             spans.append((start, len(self.gates)))
         return spans
 
-    def fuse(self) -> list[FusedBlock]:
+    @cached_property
+    def blocks(self) -> list[FusedBlock]:
         """One block per span; equal local gate lists share one table."""
         tables: dict[tuple, np.ndarray] = {}
         byte_tables: dict[tuple, np.ndarray] = {}
@@ -367,12 +360,10 @@ def validate_network(net: Network, layout: RegisterLayout | None = None) -> list
     """Collect structural problems; an empty list means the network is well formed."""
     problems = []
     for i, gate in enumerate(net.gates):
-        if gate.target in gate.controls:
-            problems.append(f"gate {i}: target {gate.target} is also a control")
-        bad = [q for q in (gate.target, *gate.controls)
-               if q < 0 or q >= net.qubit_count]
-        if bad:
-            problems.append(f"gate {i}: qubit index {bad[0]} outside width {net.qubit_count}")
+        try:
+            _check_gate(gate, net.qubit_count)
+        except ValueError as err:
+            problems.append(f"gate {i}: {err}")
     last = 0
     for k, chk in enumerate(net.checkpoints):
         if chk.position < last:

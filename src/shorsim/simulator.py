@@ -183,10 +183,9 @@ def init_state(q: int, layout: RegisterLayout) -> SparseState:
 
 
 def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
-           qubit: int, p1: float, flip_from: int,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           qubit: int, p1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bit = np.int64(1 << qubit)
-    hit = (comp & bit) != 0 if flip_from == 1 else (comp & bit) == 0
+    hit = (comp & bit) != 0
     p2 = 1.0 - p1
     stay = amp.copy()
     stay[hit] *= math.sqrt(p1)
@@ -202,15 +201,14 @@ def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
             np.concatenate(parts_a))
 
 
-def apply_decay(state: SparseState, qubit: int, p1: float,
-                flip_from: int = 1) -> SparseState:
+def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
     """One sudden interaction with a fresh environment qubit.
 
-    Components with the computer qubit in the decaying state split into a
-    persisting branch (weight sqrt(p1), environment bit 0) and a decayed
-    branch with the qubit flipped (weight sqrt(1 - p1), environment bit 1).
-    Components already in the ground state are untouched apart from the
-    record growing by one 0 bit.
+    Components with the computer qubit at 1 split into a persisting branch
+    (weight sqrt(p1), environment bit 0) and a decayed branch with the qubit
+    flipped to 0 (weight sqrt(1 - p1), environment bit 1).  Components
+    already in the ground state are untouched apart from the record growing
+    by one 0 bit.
     """
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("persistence probability must lie in [0, 1]")
@@ -219,13 +217,13 @@ def apply_decay(state: SparseState, qubit: int, p1: float,
     if state.env_count >= MAX_EVENTS:
         raise ValueError(f"the environment record holds at most {MAX_EVENTS} events")
     comp, env, amp = _split(state.comp, state.env, state.amp,
-                            state.env_count, qubit, p1, flip_from)
+                            state.env_count, qubit, p1)
     return SparseState(state.qubit_count, state.env_count + 1, comp, env, amp)
 
 
 def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         watchdog: str = "off", clocks: WatchdogClocks | None = None, *,
-        flip_from: int = 1, event_log: list[EventRecord] | None = None,
+        event_log: list[EventRecord] | None = None,
         verify_norm: bool = False) -> SparseState:
     """Evolve through the network with decay events interleaved.
 
@@ -236,23 +234,26 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     time; register qubits never appear in checkpoints and keep counting from
     the start.  ``watchdog='strict'`` additionally projects the checkpoint
     qubits onto 0 and renormalizes, discarding detected-error branches.
+    Events fire before checkpoints at the same position.  A passed
+    ``clocks`` is updated in place: after the run it holds each qubit's
+    last reset.
 
-    The network compiles once: the first run validates and caches its gate
-    masks and applies them gate by gate.  The second run of the same
-    ``Network`` object also fuses its gates into blocks, maximal runs of
-    consecutive gates touching at most 14 wires, cut at every checkpoint
-    position so that projections and clock resets fall between blocks.  From
-    then on each block is one table lookup.  A block with events strictly
-    inside it runs from its nearer end, by the cheapest of three exact paths
-    (gates are self-inverse permutations): forward gate by gate; forward to
-    the last inner event, the prefix undone in reverse, then the table; or
-    the table, the suffix undone in reverse back to the first inner event,
-    then forward.  Events and checkpoints fire only at their own positions.
-    The output is bit-identical whichever path runs.  At most 63 decay
-    events fit the environment record, and every event qubit must lie
-    inside the state; both are checked before any gate.  ``verify_norm``
-    checks the norm after every event, every table lookup and every gate,
-    undone gates included.
+    The network compiles once, on its first run, and the compiled form is
+    cached on the ``Network`` object: its gate masks, validated once, and
+    its fused blocks, maximal runs of consecutive gates touching at most 14
+    wires, cut at every checkpoint position so that projections and clock
+    resets fall between blocks.  Every run, the first included, applies
+    each block as one table lookup.  A block with events strictly inside it
+    runs from its nearer end, by the cheapest of three exact paths (gates
+    are self-inverse permutations): forward gate by gate; forward to the
+    last inner event, the prefix undone in reverse, then the table; or the
+    table, the suffix undone in reverse back to the first inner event, then
+    forward.  Events and checkpoints fire only at their own positions.  The
+    output is bit-identical whichever path runs.  At most 63 decay events
+    fit the environment record, and every event qubit must lie inside the
+    state; both are checked before any gate.  ``verify_norm`` checks the
+    norm after every event, every table lookup and every gate, undone gates
+    included.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -265,7 +266,6 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             raise ValueError(f"event qubit {ev.qubit} outside state width "
                              f"{state.qubit_count}")
     compiled = net.compiled()
-    blocks = compiled.plan()
     ctrl, tgt = compiled.ctrl, compiled.tgt
     total = len(net.gates)
     comp = state.comp.astype(np.int64)  # a private contiguous copy
@@ -290,8 +290,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             if event_log is not None:
                 event_log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1,
                                              origin))
-            comp, env, amp = _split(comp, env, amp, env_count, ev.qubit,
-                                    p1, flip_from)
+            comp, env, amp = _split(comp, env, amp, env_count, ev.qubit, p1)
             env_count += 1
             ei += 1
             if verify_norm:
@@ -333,15 +332,12 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         if verify_norm:
             _check_norm(amp, f"gates {block.start}..{block.stop - 1}")
 
-    spans = ([(0, total, None)] if blocks is None
-             else [(b.start, b.stop, b) for b in blocks])
-    for start, stop, block in spans:
+    for block in compiled.blocks:
+        start, stop = block.start, block.stop
         if start in stops:
             settle(start)
         inner = positions[ei:bisect.bisect_left(positions, stop, ei)]
-        if block is None:
-            forward(start, stop)
-        elif not inner:
+        if not inner:
             lookup(block)
         else:
             # Costs in gate units.  Undoing the gates between the nearer end
@@ -396,16 +392,15 @@ def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
     # turns -0.0 into 0.0, as summing into the zeroed matrix would.
     dense[row, a] = state.amp[order] + 0.0
     if inverse:
-        out = np.fft.fft(dense, axis=1)
-        out /= math.sqrt(q)
+        np.fft.fft(dense, axis=1, out=dense)
+        dense /= math.sqrt(q)
     else:
-        out = np.fft.ifft(dense, axis=1)
-        out *= math.sqrt(q)
-    del dense  # lowers the peak while the output keys are built
+        np.fft.ifft(dense, axis=1, out=dense)
+        dense *= math.sqrt(q)
     comp = (rest[new_row][:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
     env = np.repeat(env[new_row], q)
     return SparseState(state.qubit_count, state.env_count, comp, env,
-                       out.ravel())
+                       dense.ravel())
 
 
 def fourier_first_register(state: SparseState, q: int,
@@ -416,8 +411,8 @@ def fourier_first_register(state: SparseState, q: int,
     become (1/sqrt q) * sum_a exp(2 pi i a c / q) A(a).  All first-register
     values must be below q, and (comp, env) keys must be unique.  The
     components are sorted by (rest, env, a) with ``np.lexsort``; each
-    (rest, env) group is one row of a dense matrix, transformed by one FFT
-    per row, and rows come out in ascending (rest, env) order.
+    (rest, env) group is one row of a dense matrix, transformed in place by
+    one FFT per row, and rows come out in ascending (rest, env) order.
     """
     return _grouped_transform(state, q, layout, inverse=False)
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from shorsim import oracles, pipeline
+from shorsim import RegisterLayout, oracles, pipeline
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
 
@@ -180,8 +180,18 @@ class TestMain:
         result = self.run_cli("build", "--report")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
-        assert set(payload) == {"qubits", "gates_exact", "gates_formula"}
+        assert set(payload) == {"qubits", "qubits_built", "gates_exact",
+                                "gates_formula"}
         assert payload["qubits"] == 28
+
+    @pytest.mark.parametrize("q, built", [(None, 26), (512, 27)])
+    def test_build_report_lists_the_built_qubit_count(self, q, built, capsys):
+        argv = ["build", "--report"] + ([] if q is None else ["--q", str(q)])
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # the formula's 5L+8 next to the layout the command built
+        assert payload["qubits"] == 28 and payload["qubits_built"] == built
+        assert built == RegisterLayout.for_factoring(4, q=q or 225).qubit_count
 
     def test_build_emits_gate_lines(self, tmp_path):
         out = tmp_path / "net.txt"

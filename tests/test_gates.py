@@ -105,6 +105,13 @@ class TestValidateNetwork:
         problems = validate_network(net)
         assert len(problems) == 1 and "control" in problems[0]
 
+    @pytest.mark.parametrize("gate", [Gate((), 5), Gate({-1}, 0)])
+    def test_gate_problems_use_the_gate_check(self, gate):
+        net = Network([Gate((), 0), gate], 3)
+        with pytest.raises(ValueError) as err:
+            apply_network(0, net)
+        assert validate_network(net) == [f"gate 1: {err.value}"]
+
     def test_checkpoint_beyond_gate_count_reported(self):
         net = Network([Gate((), 0)], 2, [Checkpoint(5, {1})])
         problems = validate_network(net)

@@ -10,11 +10,11 @@ from shorsim import (Gate, Network, RegisterLayout, apply_decay,
                      dump_state, fourier_first_register, gates, init_state,
                      inverse_fourier_first_register, run, sample_schedule,
                      simulator)
-from shorsim.gates import Checkpoint
-from shorsim.oracles import outcome_table_oracle
-from shorsim.simulator import (MAX_EVENTS, DecayEvent, ExponentialDecay,
-                               NoiseSchedule, SparseState, StaticDecay,
-                               WatchdogClocks)
+from shorsim.gates import Checkpoint, compile_masks
+from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
+from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
+                               ExponentialDecay, NoiseSchedule, SparseState,
+                               StaticDecay, WatchdogClocks)
 
 STATIC_HALF = StaticDecay(0.5)
 GAMMA = ExponentialDecay(2.5)
@@ -28,8 +28,7 @@ def single_component(qubit_count, comp, env=0, env_count=0, amp=1.0):
 
 
 def fresh_copy(net):
-    """An equal network with no cached compiled form: its first run() is
-    the gate-by-gate reference."""
+    """An equal network with no cached compiled form."""
     return Network(net.gates, net.qubit_count, net.checkpoints)
 
 
@@ -96,12 +95,6 @@ class TestApplyDecay:
         state = single_component(1, 0b1, env_count=MAX_EVENTS)
         with pytest.raises(ValueError, match="at most 63"):
             apply_decay(state, 0, 0.5)
-
-    def test_mirror_polarity_splits_ground_state(self):
-        state = single_component(1, 0b0)
-        out = apply_decay(state, 0, 0.5, flip_from=0)
-        got = out.as_dict()
-        assert set(got) == {(0b0, 0), (0b1, 1)}
 
 
 class TestRun:
@@ -237,46 +230,93 @@ class TestWatchdog:
                 watchdog="maybe")
 
 
-@pytest.fixture(scope="module")
-def fused_15(factoring_15):
-    """The n=15 network after two runs, so that every later run is fused."""
-    _, layout, net = factoring_15
-    net = fresh_copy(net)
-    for _ in range(2):
-        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-    assert net.compiled().blocks is not None
-    return layout, net
-
-
 def event_at(position, total, qubit):
     """An event that fires just before gate ``position``."""
     return DecayEvent((position - 0.5) / total, qubit)
 
 
-def assert_paths_agree(state, net, sched, watchdog="off", **kw):
-    """The fused run of ``net`` equals the gate-by-gate run of a fresh copy:
-    snapshot byte for byte, event records and watchdog clocks."""
-    outs = []
-    for target in (fresh_copy(net), net):
-        log, clocks = [], WatchdogClocks.zeros(state.qubit_count)
-        out = run(state, target, sched, watchdog, clocks, event_log=log, **kw)
-        outs.append((dump_state(out), log, clocks.last_reset.tolist()))
-    assert outs[0] == outs[1]
-    return outs[1]
+def chunked_reference(state, net, sched, watchdog="off"):
+    """run() rebuilt from apply_network_batch on the gates between stops and
+    apply_decay at each event, sharing none of run()'s event placement,
+    settling or clock handling.  At each event or checkpoint position the
+    events fire first, each with p1 from the law and its qubit's clock;
+    then each checkpoint resets its qubits' clocks ('on', 'strict') and,
+    in 'strict', projects them onto 0 and renormalises.  Returns the final
+    state, the event records and the clocks."""
+    total = len(net.gates)
+    clocks = WatchdogClocks.zeros(state.qubit_count)
+    log = []
+    positions = [min(math.ceil(ev.time * total), total) for ev in sched.events]
+    stops = sorted({*positions, *(chk.position for chk in net.checkpoints), total})
+    done = 0
+    for stop in stops:
+        chunk = Network(net.gates[done:stop], net.qubit_count)
+        state = SparseState(state.qubit_count, state.env_count,
+                            apply_network_batch(state.comp, chunk),
+                            state.env, state.amp)
+        done = stop
+        for ev, pos in zip(sched.events, positions):
+            if pos == stop:
+                origin = float(clocks.last_reset[ev.qubit])
+                p1 = sched.law.persist_probability(ev.time, origin)
+                log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1, origin))
+                state = apply_decay(state, ev.qubit, p1)
+        for chk in net.checkpoints:
+            if chk.position != stop or watchdog == "off":
+                continue
+            clocks.last_reset[list(chk.qubits)] = stop / total
+            if watchdog == "strict":
+                keep = np.ones(state.component_count, dtype=bool)
+                for qb in chk.qubits:
+                    keep &= (state.comp >> qb) & 1 == 0
+                weight = float(np.sum(np.abs(state.amp[keep]) ** 2))
+                if weight > 0.0:
+                    state = SparseState(state.qubit_count, state.env_count,
+                                        state.comp[keep], state.env[keep],
+                                        state.amp[keep] / math.sqrt(weight))
+    return state, log, clocks
+
+
+def assert_matches_reference(state, net, sched, watchdog="off", **kw):
+    """run() equals the chunked reference: snapshot byte for byte, event
+    records and watchdog clocks."""
+    log, clocks = [], WatchdogClocks.zeros(state.qubit_count)
+    out = run(state, net, sched, watchdog, clocks, event_log=log, **kw)
+    got = (dump_state(out), log, clocks.last_reset.tolist())
+    want, want_log, want_clocks = chunked_reference(state, net, sched, watchdog)
+    assert got == (dump_state(want), want_log, want_clocks.last_reset.tolist())
+    return got
+
+
+def random_gates(rng, width, count):
+    gate_list = []
+    for _ in range(count):
+        wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
+        gate_list.append(Gate(wires[1:].tolist(), int(wires[0])))
+    return gate_list
+
+
+def all_strings(width):
+    """The uniform superposition of every basis string of ``width`` qubits."""
+    values = np.arange(1 << width, dtype=np.int64)
+    return SparseState(width, 0, values, np.zeros_like(values),
+                       np.full(len(values), len(values) ** -0.5,
+                               dtype=np.complex128))
 
 
 class TestFusedPass:
     @pytest.mark.parametrize("watchdog, law, seed", [
         ("off", STATIC_HALF, 0), ("off", GAMMA, 1), ("on", GAMMA, 1),
         ("strict", STATIC_HALF, 2)])
-    def test_matches_the_gate_by_gate_pass(self, fused_15, watchdog, law, seed):
-        layout, net = fused_15
+    def test_matches_the_gate_by_gate_pass(self, factoring_15, watchdog, law,
+                                           seed):
+        _, layout, net = factoring_15
         sched = sample_schedule(10, layout.qubit_count, seed, law)
-        assert_paths_agree(init_state(130, layout), net, sched, watchdog,
-                           verify_norm=True)
+        assert_matches_reference(init_state(130, layout), net, sched, watchdog,
+                                 verify_norm=True)
 
-    def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, fused_15):
-        _, net = fused_15
+    def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, factoring_15):
+        _, _, net = factoring_15
         blocks = net.compiled().blocks
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert blocks[0].start == 0 and blocks[-1].stop == len(net.gates)
@@ -292,9 +332,9 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
-    def test_events_on_block_boundaries_and_inside_one_block(self, fused_15,
+    def test_events_on_block_boundaries_and_inside_one_block(self, factoring_15,
                                                              watchdog, law):
-        layout, net = fused_15
+        _, layout, net = factoring_15
         blocks = net.compiled().blocks
         total = len(net.gates)
         mid = blocks[len(blocks) // 2]
@@ -306,14 +346,14 @@ class TestFusedPass:
         events = [event_at(p, total, qb) for p, qb in
                   zip(positions, [0, 13, 20, 5, 17, 18, 3])]
         assert [math.ceil(ev.time * total) for ev in events] == positions
-        _, log, _ = assert_paths_agree(init_state(130, layout), net,
-                                       NoiseSchedule(events, law), watchdog,
-                                       verify_norm=True)
+        _, log, _ = assert_matches_reference(init_state(130, layout), net,
+                                             NoiseSchedule(events, law),
+                                             watchdog, verify_norm=True)
         assert len(log) == len(events)
 
-    def test_norm_checked_after_every_event_block_and_gate(self, fused_15,
+    def test_norm_checked_after_every_event_block_and_gate(self, factoring_15,
                                                            monkeypatch):
-        layout, net = fused_15
+        _, layout, net = factoring_15
         blocks = net.compiled().blocks
         total = len(net.gates)
         inside = blocks[5]
@@ -338,22 +378,47 @@ class TestFusedPass:
             f"gates {inside.start}..{inside.stop - 1}"]
         assert f"gates {blocks[0].start}..{blocks[0].stop - 1}" in where
 
-    def test_norm_drift_detected_on_both_paths(self, fused_15):
-        layout, net = fused_15
+    def test_norm_drift_detected_on_both_paths(self, factoring_15):
+        _, layout, net = factoring_15
         state = init_state(130, layout)
         state.amp *= 2.0
-        for target in (fresh_copy(net), net):
-            with pytest.raises(AssertionError, match="norm drifted"):
-                run(state, target, NoiseSchedule([], STATIC_HALF),
+        first = net.compiled().blocks[0]
+        # no events: the first check follows the first table lookup; an
+        # event just after gate 0: the first check follows that gate
+        for events, where in (([], f"gates 0..{first.stop - 1}"),
+                              ([event_at(1, len(net.gates), 0)], "gate 0")):
+            with pytest.raises(AssertionError,
+                               match=f"norm drifted to .* after {where}$"):
+                run(state, net, NoiseSchedule(events, STATIC_HALF),
                     verify_norm=True)
 
-    def test_network_run_once_holds_no_fused_tables(self, factoring_15):
+    def test_first_run_builds_the_blocks(self, factoring_15):
         _, layout, net = factoring_15
         net = fresh_copy(net)
         run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-        assert net.compiled().blocks is None
+        compiled = net.compiled()
+        blocks = vars(compiled)["blocks"]
+        assert len(blocks) > 1
         run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-        assert net.compiled().blocks is not None
+        assert net.compiled() is compiled and compiled.blocks is blocks
+
+    def test_mask_callers_build_no_blocks(self, factoring_15, monkeypatch):
+        _, layout, net = factoring_15
+        net = fresh_copy(net)
+        compile_masks(net)
+        assert "_compiled" not in vars(net)
+        calls = []
+        monkeypatch.setattr(gates, "compile_masks",
+                            lambda n: calls.append(n) or compile_masks(n))
+        values = np.arange(130, dtype=np.int64) << layout.reg1.start
+        first = apply_network_batch(values, net)
+        assert np.array_equal(apply_network_batch(values, net), first)
+        assert not exhaustive_network_check(
+            net, lambda a: modpow(7, a, 15), range(130),
+            in_wires=list(layout.reg1), out_wires=list(layout.reg2),
+            zero_wires=layout.work_qubits)
+        assert calls == [net]  # masks built and validated once, then cached
+        assert "blocks" not in vars(net.compiled())
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("with_checkpoints", [False, True])
@@ -361,29 +426,20 @@ class TestFusedPass:
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)  # several blocks per network
         rng = np.random.default_rng(seed)
         width = int(rng.integers(4, 11))
-        gate_list = []
-        for _ in range(int(rng.integers(20, 60))):
-            wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
-            gate_list.append(Gate(wires[1:].tolist(), int(wires[0])))
+        gate_list = random_gates(rng, width, int(rng.integers(20, 60)))
         checkpoints = []
         if with_checkpoints:
             for pos in sorted(rng.choice(len(gate_list) + 1, size=4, replace=False)):
                 qubits = rng.choice(width, size=2, replace=False).tolist()
                 checkpoints.append(Checkpoint(int(pos), qubits))
         net = Network(gate_list, width, checkpoints)
-        values = np.arange(1 << width, dtype=np.int64)
-        state = SparseState(width, 0, values, np.zeros_like(values),
-                            np.full(len(values), len(values) ** -0.5,
-                                    dtype=np.complex128))
-        no_events = NoiseSchedule([], StaticDecay(1.0))
-        for _ in range(2):
-            out = run(state, net, no_events)
+        state = all_strings(width)
+        out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
         assert len(net.compiled().blocks) > 1
-        assert np.array_equal(out.comp, apply_network_batch(values, net))
+        assert np.array_equal(out.comp, apply_network_batch(state.comp, net))
         sched = sample_schedule(3, width, seed, STATIC_HALF)
         for watchdog in ("off", "on", "strict"):
-            assert_paths_agree(state, net, sched, watchdog)
-
+            assert_matches_reference(state, net, sched, watchdog)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
@@ -392,37 +448,25 @@ class TestFusedPass:
         # nearer end, so the prefix and suffix paths meet short blocks.
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)
         monkeypatch.setattr(simulator, "TABLE_GATES", 0)
-        rng = np.random.default_rng(100 + seed)
-        width = 8
-        gate_list = []
-        for _ in range(80):
-            wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
-            gate_list.append(Gate(wires[1:].tolist(), int(wires[0])))
-        checkpoints = [Checkpoint(40, [0, 1]), Checkpoint(60, [2])]
-        net = Network(gate_list, width, checkpoints)
-        values = np.arange(1 << width, dtype=np.int64)
-        state = SparseState(width, 0, values, np.zeros_like(values),
-                            np.full(len(values), len(values) ** -0.5,
-                                    dtype=np.complex128))
-        no_events = NoiseSchedule([], StaticDecay(1.0))
-        for _ in range(2):
-            run(state, net, no_events)
-        sched = sample_schedule(8, width, seed, GAMMA)
+        net = Network(random_gates(np.random.default_rng(100 + seed), 8, 80), 8,
+                      [Checkpoint(40, [0, 1]), Checkpoint(60, [2])])
+        sched = sample_schedule(8, 8, seed, GAMMA)
         for watchdog in ("off", "on", "strict"):
-            assert_paths_agree(state, net, sched, watchdog)
+            assert_matches_reference(all_strings(8), net, sched, watchdog)
 
 
 class TestEventBlocks:
     """A block with events inside runs forward gate by gate, or from one end
     with the table covering the far side; all three paths agree bit for
-    bit with the gate-by-gate pass."""
+    bit with the chunked gate-by-gate reference."""
 
     @staticmethod
     def long_blocks(net):
         return [b for b in net.compiled().blocks if b.stop - b.start >= 20]
 
-    def test_each_block_runs_from_its_nearer_end(self, fused_15, monkeypatch):
-        layout, net = fused_15
+    def test_each_block_runs_from_its_nearer_end(self, factoring_15,
+                                                 monkeypatch):
+        _, layout, net = factoring_15
         near_start, near_end, middle = self.long_blocks(net)[2:5]
         positions = [near_start.start + 1, near_end.stop - 1,
                      (middle.start + middle.stop) // 2]
@@ -431,8 +475,9 @@ class TestEventBlocks:
         where = []
         monkeypatch.setattr(simulator, "_check_norm",
                             lambda amp, label: where.append(label))
-        assert_paths_agree(init_state(130, layout), net,
-                           NoiseSchedule(events, GAMMA), "on", verify_norm=True)
+        assert_matches_reference(init_state(130, layout), net,
+                                 NoiseSchedule(events, GAMMA), "on",
+                                 verify_norm=True)
         # one gate undone after the first event, one before the second;
         # the mid-block event runs its block forward
         assert [label for label in where if "undone" in label] == [
@@ -440,9 +485,9 @@ class TestEventBlocks:
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
-    def test_several_events_per_block_and_in_adjacent_blocks(self, fused_15,
+    def test_several_events_per_block_and_in_adjacent_blocks(self, factoring_15,
                                                             watchdog, law):
-        layout, net = fused_15
+        _, layout, net = factoring_15
         total = len(net.gates)
         first, second, third = self.long_blocks(net)[:3]
         blocks = net.compiled().blocks
@@ -454,37 +499,32 @@ class TestEventBlocks:
                      nxt.start + 1]
         events = [event_at(p, total, qb) for p, qb in
                   zip(positions, [13, 14, 15, 16, 17, 18, 19, 20, 21])]
-        _, log, _ = assert_paths_agree(init_state(130, layout), net,
-                                       NoiseSchedule(events, law), watchdog,
-                                       verify_norm=True)
+        _, log, _ = assert_matches_reference(init_state(130, layout), net,
+                                             NoiseSchedule(events, law),
+                                             watchdog, verify_norm=True)
         assert len(log) == len(events)
 
-    def test_first_unfused_run_places_events_like_a_chunked_reference(
-            self, factoring_15):
-        _, layout, net = factoring_15
-        fresh = fresh_copy(net)
-        sched = sample_schedule(6, layout.qubit_count, 12, GAMMA)
-        state = init_state(130, layout)
-        first = run(state, fresh, sched)
-        assert fresh.compiled().blocks is None
-        assert dump_state(first) == dump_state(chunked_reference(state, net,
-                                                                 sched))
-
-
-def chunked_reference(state, net, sched):
-    """Watchdog-off run from apply_network_batch on the gates between
-    events and apply_decay at each event."""
-    total = len(net.gates)
-    cuts = [min(math.ceil(ev.time * total), total) for ev in sched.events]
-    for start, stop, ev in zip([0, *cuts], [*cuts, total], [*sched.events, None]):
-        chunk = Network(net.gates[start:stop], net.qubit_count)
-        state = SparseState(state.qubit_count, state.env_count,
-                            apply_network_batch(state.comp, chunk),
-                            state.env, state.amp)
-        if ev is not None:
-            p1 = sched.law.persist_probability(ev.time, 0.0)
-            state = apply_decay(state, ev.qubit, p1)
-    return state
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_events_fire_before_checkpoints_at_the_same_position(self,
+                                                                 watchdog):
+        # Gate 0 sets qubit 1; at position 1 an event on qubit 1 fires, then
+        # the checkpoint on qubit 1: the event still counts from the start,
+        # and 'strict' keeps only the decayed branch.
+        net = Network([Gate((), 1), Gate((), 0)], 2, [Checkpoint(1, [1])])
+        sched = NoiseSchedule([event_at(1, 2, 1)], GAMMA)
+        clocks = WatchdogClocks.zeros(2)
+        log = []
+        out = run(single_component(2, 0), net, sched, watchdog, clocks,
+                  event_log=log)
+        p1 = math.exp(-2.5 * 0.25)
+        assert log == [EventRecord(0.25, 1, p1, 1.0 - p1, 0.0)]
+        assert clocks.last_reset.tolist() == [0.0, 0.5]  # updated in place
+        if watchdog == "strict":
+            assert out.as_dict() == {(0b01, 1): 1.0}
+        else:
+            assert out.as_dict() == pytest.approx(
+                {(0b11, 0): math.sqrt(p1), (0b01, 1): math.sqrt(1.0 - p1)})
+        assert_matches_reference(single_component(2, 0), net, sched, watchdog)
 
 
 class TestFourier:
@@ -639,15 +679,15 @@ def assert_kernels_match_reference(state, layout, q):
 class TestKernelsAgainstReference:
     @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
     @pytest.mark.parametrize("n_events", [0, 10, 20])
-    def test_noisy_runs(self, fused_15, watchdog, n_events):
-        layout, net = fused_15
+    def test_noisy_runs(self, factoring_15, watchdog, n_events):
+        _, layout, net = factoring_15
         sched = sample_schedule(n_events, layout.qubit_count, 39 + n_events,
                                 STATIC_HALF if n_events == 20 else GAMMA)
         state = run(init_state(130, layout), net, sched, watchdog)
         assert_kernels_match_reference(state, layout, 130)
 
-    def test_selection_that_keeps_nothing(self, fused_15):
-        layout, net = fused_15
+    def test_selection_that_keeps_nothing(self, factoring_15):
+        _, layout, net = factoring_15
         state = run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
         state.comp |= np.int64(1 << layout.add_work.start)
         forward = fourier_first_register(state, 130, layout)
