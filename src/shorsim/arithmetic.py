@@ -13,10 +13,11 @@ The building blocks, smallest first:
   erasure pass using the inverse factor, and a final controlled swap),
 * the modular-exponentiation chain driving one multiplier per exponent bit.
 
-All builders take explicit wire lists so they compose freely; the top-level
-chain uses a :class:`~shorsim.gates.RegisterLayout`.  Every block restores
-its scratch wires to 0 on in-domain inputs, which the exhaustive checker in
-:mod:`shorsim.oracles` verifies wire by wire.
+All builders take explicit wire lists of qubit indices so they compose
+freely, and emit each gate as a (control mask, target mask) pair; the
+top-level chain uses a :class:`~shorsim.gates.RegisterLayout`.  Every block
+restores its scratch wires to 0 on in-domain inputs, which the exhaustive
+checker in :mod:`shorsim.oracles` verifies wire by wire.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .gates import Checkpoint, Gate, Network, RegisterLayout, concatenate
+from .gates import Checkpoint, Gate, Network, RegisterLayout, concatenate, qubit_mask
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,26 @@ class ArithParams:
 
     @classmethod
     def create(cls, n: int, x: int, q: int) -> ArithParams:
-        if n < 3:
-            raise ValueError(f"cannot factor {n}")
-        if not 1 < x < n:
-            raise ValueError(f"base {x} must lie strictly between 1 and {n}")
+        problem = cls.range_problem(n, x, q)
+        if problem is not None:
+            raise ValueError(problem[1])
         g = math.gcd(x, n)
         if g != 1:
             raise ValueError(f"gcd({x}, {n}) = {g}; {g} is already a factor of {n}")
-        if q < 2:
-            raise ValueError("q must be at least 2")
         # The usual choice N^2 <= q <= 2 N^2 is advisory and not enforced.
         return cls(n, x, q, n.bit_length())
+
+    @staticmethod
+    def range_problem(n: int, x: int | None, q: int) -> tuple[str, str] | None:
+        """The first of n, x (None: drawn later) and q out of range, as
+        (name, message); a base sharing a factor with n is in range."""
+        if n < 3:
+            return "n", f"cannot factor {n}"
+        if x is not None and not 1 < x < n:
+            return "x", f"base {x} must lie strictly between 1 and {n}"
+        if q < 2:
+            return "q", "q must be at least 2"
+        return None
 
 
 @dataclass(frozen=True)
@@ -91,27 +101,28 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
     wires = [sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else [])
     if len(set(wires)) != len(wires):
         raise ValueError(f"bit adder wires must be distinct, got {wires}")
-    ctl = tuple(controls)
+    ctl, s, k = qubit_mask(controls), 1 << sum_wire, 1 << keep_wire
     gates = []
     if carry_wire is not None:
-        gates.append(Gate([*ctl, sum_wire, keep_wire], carry_wire))
+        carry = 1 << carry_wire
+        gates.append(Gate(ctl | s | k, carry))
         if const_bit:
-            gates.append(Gate([*ctl, sum_wire], carry_wire))
-            gates.append(Gate([*ctl, keep_wire], carry_wire))
-    gates.append(Gate([*ctl, keep_wire], sum_wire))
+            gates += [Gate(ctl | s, carry), Gate(ctl | k, carry)]
+    gates.append(Gate(ctl | k, s))
     if const_bit:
-        gates.append(Gate(ctl, sum_wire))
+        gates.append(Gate(ctl, s))
     return gates
 
 
 def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[Gate]:
     """Exchange wires a and b; three NOTs, only the middle one controlled."""
-    ctl = tuple(controls)
-    return [Gate([b], a), Gate([*ctl, a], b), Gate([b], a)]
+    a, b = 1 << a, 1 << b
+    return [Gate(b, a), Gate(qubit_mask(controls) | a, b), Gate(b, a)]
 
 
-def adder_gates(y: int, reg: Sequence[int], work: Sequence[int],
-                controls: Sequence[int] = ()) -> list[Gate]:
+def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
+                controls: Sequence[int] = (),
+                qubit_count: int | None = None) -> Network:
     """Controlled ``X -> X + y`` on the ``reg`` wires.
 
     Needs ``len(reg) + 1`` scratch wires, all entering as 0, and is only
@@ -125,36 +136,30 @@ def adder_gates(y: int, reg: Sequence[int], work: Sequence[int],
         raise ValueError(f"constant {y} does not fit in {m} bits")
     if len(work) < m + 1:
         raise ValueError(f"adder on {m} wires needs {m + 1} scratch wires")
+    if qubit_count is None:
+        qubit_count = 1 + max([*reg, *work, *controls])
     if y == 0:
-        return []
+        return Network([], qubit_count)
     gates = []
     for i in range(m):
         carry = work[i + 1] if i < m - 1 else None
         gates += build_bit_adder((y >> i) & 1, controls, work[i], reg[i], carry)
     for i in range(m):
         gates += controlled_swap(controls, reg[i], work[i])
-    gates.append(Gate(controls, work[m]))
+    gates.append(Gate(qubit_mask(controls), 1 << work[m]))
     complement = (1 << m) - y
     unwind = []
     for i in range(m):
         unwind += build_bit_adder((complement >> i) & 1, controls,
                                   work[i], reg[i], work[i + 1])
     gates += reversed(unwind)
-    return gates
-
-
-def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
-                controls: Sequence[int] = (),
-                qubit_count: int | None = None) -> Network:
-    gates = adder_gates(y, reg, work, controls)
-    if qubit_count is None:
-        qubit_count = 1 + max([*reg, *work, *controls])
     return Network(gates, qubit_count)
 
 
-def mod_adder_gates(y: int, n: int, value: Sequence[int], flag_lo: int,
+def build_mod_adder(y: int, n: int, value: Sequence[int], flag_lo: int,
                     flag_hi: int, work: Sequence[int],
-                    controls: Sequence[int] = ()) -> list[Gate]:
+                    controls: Sequence[int] = (),
+                    qubit_count: int | None = None) -> Network:
     """Controlled ``X -> (X + y) mod n`` for X, y < n on the ``value`` wires.
 
     Five adder stages: add y; add ``2**(L+1) - n`` (a subtraction in
@@ -171,36 +176,29 @@ def mod_adder_gates(y: int, n: int, value: Sequence[int], flag_lo: int,
         raise ValueError(f"modulus {n} does not fit in {bits} bits")
     if len(work) < bits + 3:
         raise ValueError(f"mod-{n} adder needs {bits + 3} scratch wires")
-    ctl = tuple(controls)
     gates = []
-    gates += adder_gates(y, [*value, flag_lo], work[:bits + 2], ctl)
-    gates += adder_gates((1 << (bits + 1)) - n, [*value, flag_lo, flag_hi],
-                         work[:bits + 3], ctl)
-    gates += adder_gates(n, [*value, flag_hi], work[:bits + 2], (*ctl, flag_lo))
-    gates.append(Gate(ctl, flag_hi))
-    recompute = adder_gates((1 << bits) - y, [*value, flag_hi],
-                            work[:bits + 2], ctl)
+    gates += build_adder(y, [*value, flag_lo], work[:bits + 2], controls).gates
+    gates += build_adder((1 << (bits + 1)) - n, [*value, flag_lo, flag_hi],
+                         work[:bits + 3], controls).gates
+    gates += build_adder(n, [*value, flag_hi], work[:bits + 2],
+                         (*controls, flag_lo)).gates
+    gates.append(Gate(qubit_mask(controls), 1 << flag_hi))
+    recompute = build_adder((1 << bits) - y, [*value, flag_hi],
+                            work[:bits + 2], controls).gates
     gates += recompute
-    gates.append(Gate((*ctl, flag_hi), flag_lo))
+    gates.append(Gate(qubit_mask((*controls, flag_hi)), 1 << flag_lo))
     gates += reversed(recompute)
-    return gates
-
-
-def build_mod_adder(y: int, n: int, value: Sequence[int], flag_lo: int,
-                    flag_hi: int, work: Sequence[int],
-                    controls: Sequence[int] = (),
-                    qubit_count: int | None = None) -> Network:
-    gates = mod_adder_gates(y, n, value, flag_lo, flag_hi, work, controls)
     if qubit_count is None:
         qubit_count = 1 + max([*value, flag_lo, flag_hi, *work, *controls])
     scratch = frozenset([*work, flag_lo, flag_hi])
     return Network(gates, qubit_count, [Checkpoint(len(gates), scratch)])
 
 
-def multiplier_gates(c: int, n: int, reg: Sequence[int], acc: Sequence[int],
-                     flag_lo: int, flag_hi: int, work: Sequence[int],
-                     controls: Sequence[int] = (),
-                     ) -> tuple[list[Gate], list[Checkpoint]]:
+def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
+                                acc: Sequence[int], flag_lo: int, flag_hi: int,
+                                work: Sequence[int],
+                                controls: Sequence[int] = (),
+                                qubit_count: int | None = None) -> Network:
     """Controlled ``I -> I * c mod n`` on the ``reg`` wires; identity when off.
 
     The accumulator picks up ``sum_i I_i * (2**i c) mod n`` through mod-N
@@ -213,32 +211,20 @@ def multiplier_gates(c: int, n: int, reg: Sequence[int], acc: Sequence[int],
     if len(acc) != bits:
         raise ValueError("accumulator and input register must have equal width")
     inverse = mod_inverse(c, n)  # raises when gcd(c, n) != 1
-    ctl = tuple(controls)
     scratch = frozenset([*work, flag_lo, flag_hi])
     gates: list[Gate] = []
     checkpoints: list[Checkpoint] = []
     for i in range(bits):
-        gates += mod_adder_gates((c << i) % n, n, acc, flag_lo, flag_hi,
-                                 work, (*ctl, reg[i]))
+        gates += build_mod_adder((c << i) % n, n, acc, flag_lo, flag_hi,
+                                 work, (*controls, reg[i])).gates
         checkpoints.append(Checkpoint(len(gates), scratch))
     for i in reversed(range(bits)):
-        block = mod_adder_gates((inverse << i) % n, n, reg, flag_lo, flag_hi,
-                                work, (*ctl, acc[i]))
-        gates += reversed(block)
+        gates += reversed(build_mod_adder((inverse << i) % n, n, reg, flag_lo,
+                                          flag_hi, work, (*controls, acc[i])).gates)
         checkpoints.append(Checkpoint(len(gates), scratch))
     for i in range(bits):
-        gates += controlled_swap(ctl, reg[i], acc[i])
+        gates += controlled_swap(controls, reg[i], acc[i])
     checkpoints.append(Checkpoint(len(gates), frozenset([*acc, *scratch])))
-    return gates, checkpoints
-
-
-def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
-                                acc: Sequence[int], flag_lo: int, flag_hi: int,
-                                work: Sequence[int],
-                                controls: Sequence[int] = (),
-                                qubit_count: int | None = None) -> Network:
-    gates, checkpoints = multiplier_gates(c, n, reg, acc, flag_lo, flag_hi,
-                                          work, controls)
     if qubit_count is None:
         qubit_count = 1 + max([*reg, *acc, flag_lo, flag_hi, *work, *controls])
     return Network(gates, qubit_count, checkpoints)
@@ -259,7 +245,7 @@ def build_modexp(params: ArithParams, layout: RegisterLayout) -> Network:
     acc = list(layout.mult_work)[:bits]
     flag_hi = layout.mult_work[bits]
     flag_lo = layout.modn_flag
-    pieces = [Network([Gate((), layout.reg2.start)], layout.qubit_count)]
+    pieces = [Network([Gate(0, 1 << layout.reg2.start)], layout.qubit_count)]
     for i, exp_wire in enumerate(layout.reg1):
         factor = pow(params.x, 1 << i, params.n)
         pieces.append(build_controlled_multiplier(

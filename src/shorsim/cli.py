@@ -59,37 +59,52 @@ def parse_config(argv: list[str],
 
     The config file, when given, provides values under the same names as the
     flags (``r2_slice`` for ``--r2-slice``); explicit flags win, and any
-    other key is a usage error.
+    other key is a usage error.  So is a value out of range: a decay law
+    that is not a probability or a finite rate >= 0, an instance that
+    ``ArithParams.range_problem`` refuses, and an ``--r2-slice`` outside
+    ``0..2**L - 1``.  A base sharing a factor with n passes, for the gcd
+    shortcut.
     """
     argv = list(argv)
     if not argv or argv[0] != "run":
         argv = ["run", *argv]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if config_file is not None:
         given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
         flags = set(vars(args)) - {"command"}
         for key, value in json.loads(Path(config_file).read_text()).items():
             if key not in flags:
-                build_parser().error(f"config file key {key!r} is not a run flag")
+                parser.error(f"config file key {key!r} is not a run flag")
             if f"--{key.replace('_', '-')}" not in given:
                 setattr(args, key, value)
     if args.p1 is not None and args.gamma is not None:
-        build_parser().error("--p1 and --gamma are mutually exclusive")
+        parser.error("--p1 and --gamma are mutually exclusive")
     if not 0 <= args.events <= MAX_EVENTS:
-        build_parser().error(f"--events must lie in 0..{MAX_EVENTS}")
-    if args.p1 is not None:
-        law = StaticDecay(args.p1)
-    else:
-        law = ExponentialDecay(args.gamma if args.gamma is not None else 2.5)
-    x = args.x if args.x == "random" else int(args.x)
+        parser.error(f"--events must lie in 0..{MAX_EVENTS}")
+    try:
+        if args.p1 is not None:
+            law = StaticDecay(args.p1)
+        else:
+            law = ExponentialDecay(args.gamma if args.gamma is not None else 2.5)
+    except ValueError as err:
+        parser.error(f"--{'p1' if args.p1 is not None else 'gamma'}: {err}")
+    x = args.x
+    if x != "random":
+        try:
+            x = int(x)
+        except ValueError:
+            parser.error(f"--x: {x!r} is neither an integer nor 'random'")
+    problem = ArithParams.range_problem(args.n, None if x == "random" else x, args.q)
+    if problem is not None:
+        parser.error(f"--{problem[0]}: {problem[1]}")
+    width = 1 << args.n.bit_length()
+    if args.r2_slice is not None and not 0 <= args.r2_slice < width:
+        parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
     cfg = ExperimentConfig(n=args.n, x=x, q=args.q, n_events=args.events,
                            law=law, watchdog=args.watchdog, seed=args.seed,
                            repetitions=args.reps)
     return cfg, args
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
@@ -102,14 +117,16 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     ``r2_slice`` to pick the plotted column, and writes dat files plus a
     script showing exact, traced and post-selected series stacked.
     """
-    rows = list(_iter_rows(ned, ed, r2_slice))
+    q, width = ned.table.shape
+    columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
+    pn, pe = ned.table.tolist(), ed.table.tolist()
+    rows = [(r1, r2, pn[r1][r2], pe[r1][r2]) for r1 in range(q) for r2 in columns]
     if fmt == "csv":
-        sink.write("r1,r2,p_ned,p_ed\n")
-        for r1, r2, pn, pe in rows:
-            sink.write(f"{r1},{r2},{_fmt(pn)},{_fmt(pe)}\n")
+        sink.write("r1,r2,p_ned,p_ed\n" + "".join(
+            f"{r1},{r2},{a:.12g},{b:.12g}\n" for r1, r2, a, b in rows))
     elif fmt == "json":
-        payload = [{"r1": r1, "r2": r2, "p_ned": float(_fmt(pn)),
-                    "p_ed": float(_fmt(pe))} for r1, r2, pn, pe in rows]
+        payload = [{"r1": r1, "r2": r2, "p_ned": float(f"{a:.12g}"),
+                    "p_ed": float(f"{b:.12g}")} for r1, r2, a, b in rows]
         json.dump(payload, sink)
         sink.write("\n")
     elif fmt == "gnuplot":
@@ -122,7 +139,7 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
         for name, column in series.items():
             with open(f"{prefix}_{name}.dat", "w") as fh:
                 for r1, p in enumerate(column):
-                    fh.write(f"{r1} {_fmt(p)}\n")
+                    fh.write(f"{r1} {p:.12g}\n")
         with open(f"{prefix}.gp", "w") as fh:
             fh.write(f"set terminal pngcairo size 800,{300 * len(series)}\n"
                      f"set output \"{prefix}.png\"\n"
@@ -135,15 +152,6 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
             fh.write("unset multiplot\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def _iter_rows(ned: Distribution, ed: Distribution, r2_slice: int | None):
-    q, width = ned.table.shape
-    for r1 in range(q):
-        for r2 in range(width):
-            if r2_slice is not None and r2 != r2_slice:
-                continue
-            yield r1, r2, float(ned.table[r1, r2]), float(ed.table[r1, r2])
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:

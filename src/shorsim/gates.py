@@ -1,10 +1,11 @@
 """Generalized-Toffoli gate IR and its classical (permutation) semantics.
 
 Every gate is a NOT on one target qubit conditioned on an arbitrary set of
-control qubits (possibly empty, so plain NOT and CNOT are included).  On
-computational basis states such a gate is a self-inverse permutation, which
-lets whole networks be evaluated on plain integers.  Basis strings are
-integers with qubit 0 as the least significant bit.
+control qubits (possibly empty, so plain NOT and CNOT are included), held
+as a (control mask, target mask) pair.  On computational basis states such
+a gate is a self-inverse permutation, which lets whole networks be
+evaluated on plain integers.  Basis strings are integers with qubit 0 as
+the least significant bit.
 """
 from __future__ import annotations
 
@@ -12,34 +13,53 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Flip ``target`` iff every qubit in ``controls`` is 1."""
+MAX_WIDTH = 62  # basis strings and gate masks are int64
 
-    controls: frozenset[int]
-    target: int
 
-    def __init__(self, controls: Iterable[int], target: int):
-        object.__setattr__(self, "controls", frozenset(controls))
-        object.__setattr__(self, "target", int(target))
+def qubit_mask(qubits: Iterable[int]) -> int:
+    """The bit mask of some qubit indices; a negative index is a ``ValueError``."""
+    mask = 0
+    for q in qubits:
+        if q < 0:
+            raise ValueError(f"negative qubit index {q}")
+        mask |= 1 << q
+    return mask
+
+
+@lru_cache(maxsize=1 << 16)  # a network has a few thousand distinct masks
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of a non-negative mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class Gate(NamedTuple):
+    """Flip the qubit in ``target_mask`` iff every qubit in ``control_mask`` is 1.
+
+    The mask pair is the only form a gate takes.  ``Gate.of`` builds one
+    from qubit indices; ``controls`` and ``target`` read them back.
+    """
+
+    control_mask: int
+    target_mask: int
+
+    @classmethod
+    def of(cls, controls: Iterable[int], target: int) -> Gate:
+        """The gate on qubit indices; negative indices are refused here."""
+        return cls(qubit_mask(controls), qubit_mask([target]))
 
     @property
-    def control_mask(self) -> int:
-        m = 0
-        for c in self.controls:
-            m |= 1 << c
-        return m
+    def controls(self) -> tuple[int, ...]:
+        return mask_bits(self.control_mask)
 
     @property
-    def target_mask(self) -> int:
-        return 1 << self.target
-
-    def max_index(self) -> int:
-        return max(self.target, max(self.controls, default=-1))
+    def target(self) -> int:
+        return self.target_mask.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -72,15 +92,13 @@ class Network:
         object.__setattr__(self, "qubit_count", int(qubit_count))
         object.__setattr__(self, "checkpoints", tuple(checkpoints))
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     def reversed(self) -> Network:
         """The mirror network (exact inverse permutation); checkpoints dropped."""
         return Network(reversed(self.gates), self.qubit_count)
 
     def compiled(self) -> CompiledNetwork:
-        """The compiled form of this network, built on first use and cached."""
+        """The compiled form of this network, built and validated on first use,
+        then cached; the first problem ``validate_network`` reports raises."""
         cached = self.__dict__.get("_compiled")
         if cached is None:
             cached = CompiledNetwork(self)
@@ -141,14 +159,8 @@ class RegisterLayout:
     def reg1_mask(self) -> int:
         return ((1 << len(self.reg1)) - 1) << self.reg1.start
 
-    def reg2_mask(self) -> int:
-        return ((1 << len(self.reg2)) - 1) << self.reg2.start
-
     def work_mask(self) -> int:
-        m = 0
-        for w in self.work_qubits:
-            m |= 1 << w
-        return m
+        return qubit_mask(self.work_qubits)
 
     def validate(self) -> list[str]:
         problems = []
@@ -167,58 +179,72 @@ class RegisterLayout:
         return problems
 
 
-def _check_gate(gate: Gate, qubit_count: int | None) -> None:
-    if gate.target in gate.controls:
-        raise ValueError(f"gate target {gate.target} is also a control")
-    if gate.target < 0 or any(c < 0 for c in gate.controls):
-        raise ValueError("negative qubit index")
-    if qubit_count is not None and gate.max_index() >= qubit_count:
-        raise ValueError(f"gate touches qubit {gate.max_index()} "
-                         f"outside width {qubit_count}")
-
-
-def apply_gate(bits: int, gate: Gate, width: int | None = None) -> int:
-    """Apply one gate to a basis string: flip the target iff all controls are 1."""
-    _check_gate(gate, width)
-    m = gate.control_mask
-    if bits & m == m:
-        return bits ^ gate.target_mask
-    return bits
-
-
-def apply_network(bits: int, net: Network) -> int:
-    """Left-to-right fold of apply_gate over the network's gate list."""
-    if bits < 0 or bits >= (1 << net.qubit_count):
-        raise ValueError(f"basis string {bits} does not fit {net.qubit_count} qubits")
-    for gate in net.gates:
-        _check_gate(gate, net.qubit_count)
-        m = gate.control_mask
-        if bits & m == m:
-            bits ^= gate.target_mask
-    return bits
+def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The gate masks as two int64 arrays, and every problem of the network,
+    all gates checked at once: a target not one bit or among the controls, a
+    mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a checkpoint
+    position outside ``0..len(gates)`` or decreasing, a qubit outside the width."""
+    width, count = net.qubit_count, len(net.gates)
+    try:
+        flat = np.fromiter(chain.from_iterable(net.gates), np.int64, 2 * count)
+    except OverflowError:  # a mask beyond int64; the checks below name it
+        flat = np.array(list(chain.from_iterable(net.gates)), dtype=object)
+    ctrl, tgt = flat.reshape(count, 2).T.copy()
+    if width > MAX_WIDTH:
+        return ctrl, tgt, [f"networks wider than {MAX_WIDTH} qubits are not supported"]
+    problems = []
+    outside = ((ctrl | tgt) >> width) != 0  # negative masks too
+    not_one_bit = (tgt == 0) | ((tgt & (tgt - 1)) != 0)
+    for i in np.flatnonzero(outside | not_one_bit | ((ctrl & tgt) != 0)).tolist():
+        c, t = int(ctrl[i]), int(tgt[i])
+        if c < 0 or t < 0:
+            problem = "negative mask"
+        elif outside[i]:
+            problem = f"touches qubit {(c | t).bit_length() - 1} outside width {width}"
+        elif not_one_bit[i]:
+            problem = f"target mask {t:#x} is not one qubit"
+        else:
+            problem = f"target {t.bit_length() - 1} is also a control"
+        problems.append(f"gate {i}: {problem}")
+    last = 0
+    for k, chk in enumerate(net.checkpoints):
+        if not last <= chk.position <= count:
+            problems.append(f"checkpoint {k}: position {chk.position} outside {last}..{count}")
+        bad = [q for q in sorted(chk.qubits) if not 0 <= q < width]
+        if bad:
+            problems.append(f"checkpoint {k}: qubit {bad[0]} outside width {width}")
+        last = max(last, chk.position)
+    return ctrl, tgt, problems
 
 
 def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute (control_mask, target_mask) arrays for the vectorized paths."""
-    if net.qubit_count > 62:
-        raise ValueError("networks wider than 62 qubits are not supported")
-    ctrl = np.empty(len(net.gates), dtype=np.int64)
-    tgt = np.empty(len(net.gates), dtype=np.int64)
-    for i, gate in enumerate(net.gates):
-        _check_gate(gate, net.qubit_count)
-        ctrl[i] = gate.control_mask
-        tgt[i] = gate.target_mask
+    """The validated (control_mask, target_mask) int64 arrays of a network;
+    the first problem ``validate_network`` reports is a ``ValueError``."""
+    ctrl, tgt, problems = _checked_masks(net)
+    if problems:
+        raise ValueError(problems[0])
     return ctrl, tgt
 
 
 def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.ndarray:
-    """Apply the network to many basis strings at once, gate by gate, with
-    the masks cached by ``net.compiled()``."""
+    """Apply the network to many basis strings at once, gate by gate."""
     compiled = net.compiled()
     out = np.asarray(values, dtype=np.int64).copy()
     for c, t in zip(compiled.ctrl.tolist(), compiled.tgt.tolist()):
         out ^= ((out & c) == c) * t
     return out
+
+
+def apply_network(bits: int, net: Network) -> int:
+    """Apply the network to one basis string: a one-row ``apply_network_batch``."""
+    if not 0 <= bits < 1 << net.qubit_count:
+        raise ValueError(f"basis string {bits} does not fit {net.qubit_count} qubits")
+    return int(apply_network_batch([bits], net)[0])
+
+
+def apply_gate(bits: int, gate: Gate, width: int = MAX_WIDTH) -> int:
+    """Apply one gate to a basis string: flip the target iff all controls are 1."""
+    return apply_network(bits, Network([gate], width))
 
 
 FUSE_WIRES = 14  # wires per fused block; at most 16, as tables are uint16
@@ -304,12 +330,12 @@ class CompiledNetwork:
     def spans(self) -> list[tuple[int, int]]:
         """Maximal runs of gates touching <= FUSE_WIRES wires, also cut at
         every checkpoint position."""
-        spans, start, wires = [], 0, set()
-        for g, gate in enumerate(self.gates):
-            touched = wires | gate.controls | {gate.target}
-            if g > start and (g in self.cuts or len(touched) > FUSE_WIRES):
+        spans, start, wires = [], 0, 0
+        for g, (c, t) in enumerate(self.gates):
+            touched = wires | c | t
+            if g > start and (g in self.cuts or touched.bit_count() > FUSE_WIRES):
                 spans.append((start, g))
-                start, touched = g, gate.controls | {gate.target}
+                start, touched = g, c | t
             wires = touched
         if start < len(self.gates):
             spans.append((start, len(self.gates)))
@@ -331,12 +357,13 @@ class CompiledNetwork:
         blocks = []
         for start, stop in self.spans():
             run = self.gates[start:stop]
-            order = list(dict.fromkeys(g.target for g in run))
+            order = [t.bit_length() - 1 for t in dict.fromkeys(t for _, t in run)]
             targets = len(order)
-            order += sorted({c for g in run for c in g.controls} - set(order))
+            controls = int(np.bitwise_or.reduce(self.ctrl[start:stop]))
+            order += mask_bits(controls & ~qubit_mask(order))
             local = {w: i for i, w in enumerate(order)}
-            key = tuple((tuple(sorted(local[c] for c in g.controls)),
-                         local[g.target]) for g in run)
+            key = tuple((tuple(sorted(local[w] for w in mask_bits(c))),
+                         local[t.bit_length() - 1]) for c, t in run)
             if key not in tables:
                 tables[key] = _block_table(key, len(order))
             gather = []
@@ -357,24 +384,9 @@ class CompiledNetwork:
 
 
 def validate_network(net: Network, layout: RegisterLayout | None = None) -> list[str]:
-    """Collect structural problems; an empty list means the network is well formed."""
-    problems = []
-    for i, gate in enumerate(net.gates):
-        try:
-            _check_gate(gate, net.qubit_count)
-        except ValueError as err:
-            problems.append(f"gate {i}: {err}")
-    last = 0
-    for k, chk in enumerate(net.checkpoints):
-        if chk.position < last:
-            problems.append(f"checkpoint {k}: position {chk.position} decreases")
-        if chk.position > len(net.gates):
-            problems.append(f"checkpoint {k}: position {chk.position} beyond "
-                            f"gate count {len(net.gates)}")
-        bad = [q for q in chk.qubits if q < 0 or q >= net.qubit_count]
-        if bad:
-            problems.append(f"checkpoint {k}: qubit {bad[0]} outside width {net.qubit_count}")
-        last = max(last, chk.position)
+    """Every structural problem, those ``net.compiled()`` raises the first of
+    and the layout's; an empty list means the network is well formed."""
+    problems = _checked_masks(net)[2]
     if layout is not None:
         problems.extend(layout.validate())
         if layout.qubit_count != net.qubit_count:
@@ -399,7 +411,7 @@ def concatenate(nets: Sequence[Network], qubit_count: int | None = None) -> Netw
 
 def network_to_text(net: Network) -> str:
     """Serialize to the line format ``T <target> <control>...`` / ``CHK <pos> <qubit>...``."""
-    lines = [f"T {g.target} {' '.join(map(str, sorted(g.controls)))}".rstrip()
+    lines = [f"T {g.target} {' '.join(map(str, g.controls))}".rstrip()
              for g in net.gates]
     lines.extend(f"CHK {c.position} {' '.join(map(str, sorted(c.qubits)))}".rstrip()
                  for c in net.checkpoints)
@@ -417,7 +429,7 @@ def network_from_text(text: str, qubit_count: int | None = None) -> Network:
         if parts[0] == "T":
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: gate line needs a target")
-            gates.append(Gate([int(p) for p in parts[2:]], int(parts[1])))
+            gates.append(Gate.of([int(p) for p in parts[2:]], int(parts[1])))
         elif parts[0] == "CHK":
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: checkpoint line needs a position")
@@ -425,8 +437,7 @@ def network_from_text(text: str, qubit_count: int | None = None) -> Network:
         else:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
     if qubit_count is None:
-        qubit_count = 1 + max((g.max_index() for g in gates), default=-1)
-        for chk in checkpoints:
-            qubit_count = max(qubit_count, 1 + max(chk.qubits, default=-1))
+        qubit_count = max([(c | t).bit_length() for c, t in gates]
+                          + [1 + q for chk in checkpoints for q in chk.qubits], default=0)
     checkpoints.sort(key=lambda c: c.position)
     return Network(gates, qubit_count, checkpoints)

@@ -82,9 +82,13 @@ class DecayEvent:
 
 @dataclass(frozen=True)
 class StaticDecay:
-    """Time-independent persistence probability."""
+    """Time-independent persistence probability, in [0, 1]."""
 
     p1: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.p1 <= 1.0:
+            raise ValueError(f"persistence probability p1={self.p1} must lie in [0, 1]")
 
     def persist_probability(self, time: float, last_reset: float) -> float:
         return self.p1
@@ -92,9 +96,14 @@ class StaticDecay:
 
 @dataclass(frozen=True)
 class ExponentialDecay:
-    """Persistence decaying as exp(-gamma * t) from the qubit's clock origin."""
+    """Persistence decaying as exp(-gamma * t) from the qubit's clock origin;
+    gamma is finite and >= 0."""
 
     gamma: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"decay rate gamma={self.gamma} must be finite and >= 0")
 
     def persist_probability(self, time: float, last_reset: float) -> float:
         return math.exp(-self.gamma * max(time - last_reset, 0.0))
@@ -184,6 +193,8 @@ def init_state(q: int, layout: RegisterLayout) -> SparseState:
 
 def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
            qubit: int, p1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"persistence probability {p1} outside [0, 1]")
     bit = np.int64(1 << qubit)
     hit = (comp & bit) != 0
     p2 = 1.0 - p1
@@ -208,10 +219,9 @@ def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
     (weight sqrt(p1), environment bit 0) and a decayed branch with the qubit
     flipped to 0 (weight sqrt(1 - p1), environment bit 1).  Components
     already in the ground state are untouched apart from the record growing
-    by one 0 bit.
+    by one 0 bit.  A p1 outside [0, 1] is a ``ValueError``, the check that
+    ``run()`` makes for each event too.
     """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("persistence probability must lie in [0, 1]")
     if not 0 <= qubit < state.qubit_count:
         raise ValueError(f"qubit {qubit} outside state width {state.qubit_count}")
     if state.env_count >= MAX_EVENTS:
@@ -239,8 +249,9 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     last reset.
 
     The network compiles once, on its first run, and the compiled form is
-    cached on the ``Network`` object: its gate masks, validated once, and
-    its fused blocks, maximal runs of consecutive gates touching at most 14
+    cached on the ``Network`` object: its gate masks, validated once with
+    its checkpoints (a bad network is a ``ValueError`` before any gate),
+    and its fused blocks, maximal runs of consecutive gates touching at most 14
     wires, cut at every checkpoint position so that projections and clock
     resets fall between blocks.  Every run, the first included, applies
     each block as one table lookup.  A block with events strictly inside it
@@ -276,7 +287,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         clocks = WatchdogClocks.zeros(state.qubit_count)
 
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
-    checkpoints = sorted(net.checkpoints, key=lambda c: c.position)
+    checkpoints = net.checkpoints  # in order: compiling checked that
     stops = set(positions) | {chk.position for chk in checkpoints}
     ei = ci = 0
 

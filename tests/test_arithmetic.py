@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from shorsim import (ArithParams, RegisterLayout, apply_network,
                      apply_network_batch, build_adder, build_bit_adder,
                      build_controlled_multiplier, build_mod_adder,
                      build_modexp, gate_count_formula, mod_inverse,
-                     resource_estimate, validate_network)
+                     network_to_text, resource_estimate, validate_network)
 from shorsim.gates import Network
 from shorsim.oracles import exhaustive_network_check
 
@@ -220,6 +221,20 @@ class TestModExp:
         layout = RegisterLayout.for_factoring(5, q=130)
         with pytest.raises(ValueError):
             build_modexp(params, layout)
+
+
+    @pytest.mark.parametrize("n, x, q, digest", [
+        (15, 7, 130, "927abc080da30cd1289d99c1417712518edc4a757c0aaa47c0e499e41b84fe8b"),
+        (21, 2, 512, "7ff13074bbbd13e5ec05145f75e8750b00fffce0d6e23d3e05af57c35c6a603b"),
+        (33, 10, 1100, "a87b31e622d95d9cde934697388a56d51f5a5ff7d5f8847bd9033bf6034d1241"),
+    ])
+    def test_network_text_is_pinned(self, n, x, q, digest):
+        # the builders must emit the same gates, in the same order, for
+        # every instance: the tables and CLI bytes depend on it
+        params = ArithParams.create(n, x, q)
+        layout = RegisterLayout.for_factoring(params.bits, q=q)
+        text = network_to_text(build_modexp(params, layout))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestArithParams:

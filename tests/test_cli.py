@@ -58,6 +58,29 @@ class TestParseConfig:
         cfg, _ = parse_config(["run", "--events", "63"])
         assert cfg.n_events == 63
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--p1", "1.5"], "--p1"), (["--p1", "-0.1"], "--p1"),
+        (["--gamma", "-1"], "--gamma"), (["--gamma", "nan"], "--gamma"),
+        (["--n", "1"], "--n"), (["--q", "1"], "--q"), (["--x", "1"], "--x"),
+        (["--x", "abc"], "--x"), (["--r2-slice", "99"], "--r2-slice"),
+        (["--n", "21", "--r2-slice", "32"], "--r2-slice"),
+        (["--r2-slice", "-1"], "--r2-slice")])
+    def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run", *argv])
+        assert exc.value.code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
+
+    def test_last_r2_slice_accepted(self):
+        _, args = parse_config(["run", "--n", "21", "--r2-slice", "31"])
+        assert args.r2_slice == 31
+
+    def test_base_sharing_a_factor_takes_the_gcd_shortcut(self, capsys):
+        assert main(["run", "--n", "15", "--x", "5"]) == 0
+        report = json.loads(capsys.readouterr().err)
+        assert report["factors"] == [3, 5]
+        assert report["stats"]["shortcut"] == "gcd(5, 15) = 5"
+
     def test_random_base_passes_through(self):
         cfg, _ = parse_config(["run", "--x", "random"])
         assert cfg.x == "random"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,35 +16,35 @@ def random_network(rng, width, n_gates):
     for _ in range(n_gates):
         wires = rng.choice(width, size=rng.integers(1, min(4, width) + 1),
                            replace=False)
-        gates.append(Gate(wires[1:].tolist(), int(wires[0])))
+        gates.append(Gate.of(wires[1:].tolist(), int(wires[0])))
     return Network(gates, width)
 
 
 class TestApplyGate:
     def test_both_controls_set_flips_target(self):
-        gate = Gate({0, 1}, 2)
+        gate = Gate.of({0, 1}, 2)
         assert apply_gate(0b011, gate) == 0b111
 
     def test_control_clear_is_identity(self):
-        gate = Gate({0, 1}, 2)
+        gate = Gate.of({0, 1}, 2)
         assert apply_gate(0b010, gate) == 0b010
 
     def test_double_application_is_identity_exhaustive(self):
-        gate = Gate({0, 1}, 2)
+        gate = Gate.of({0, 1}, 2)
         for b in range(8):
             assert apply_gate(apply_gate(b, gate), gate) == b
 
     def test_plain_not_and_cnot(self):
-        assert apply_gate(0b0, Gate((), 0)) == 0b1
-        assert apply_gate(0b01, Gate({0}, 1)) == 0b11
+        assert apply_gate(0b0, Gate.of((), 0)) == 0b1
+        assert apply_gate(0b01, Gate.of({0}, 1)) == 0b11
 
     def test_rejects_target_in_controls(self):
         with pytest.raises(ValueError):
-            apply_gate(0, Gate({0}, 0))
+            apply_gate(0, Gate.of({0}, 0))
 
     def test_rejects_index_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_gate(0, Gate({5}, 1), width=3)
+            apply_gate(0, Gate.of({5}, 1), width=3)
 
     def test_touches_only_the_target_bit(self):
         rng = np.random.default_rng(0)
@@ -61,7 +63,7 @@ class TestApplyNetwork:
             assert apply_network(b, net) == b
 
     def test_gate_twice_is_identity(self):
-        gate = Gate({0, 2}, 1)
+        gate = Gate.of({0, 2}, 1)
         net = Network([gate, gate], 3)
         for b in range(8):
             assert apply_network(b, net) == b
@@ -101,31 +103,79 @@ class TestValidateNetwork:
         assert validate_network(net) == []
 
     def test_target_equal_control_reported(self):
-        net = Network([Gate({1}, 1)], 3)
+        net = Network([Gate.of({1}, 1)], 3)
         problems = validate_network(net)
         assert len(problems) == 1 and "control" in problems[0]
 
-    @pytest.mark.parametrize("gate", [Gate((), 5), Gate({-1}, 0)])
-    def test_gate_problems_use_the_gate_check(self, gate):
-        net = Network([Gate((), 0), gate], 3)
+    @pytest.mark.parametrize("gate, message", [
+        (((), 5), "gate 1: touches qubit 5 outside width 3"),
+        (({-1}, 0), "negative qubit index -1")], ids=["gate0", "gate1"])
+    def test_gate_problems_use_the_gate_check(self, gate, message):
+        # A width problem is the validator's, raised when the network
+        # compiles; a negative index is refused when the gate is built.
         with pytest.raises(ValueError) as err:
-            apply_network(0, net)
-        assert validate_network(net) == [f"gate 1: {err.value}"]
+            apply_network(0, Network([Gate.of((), 0), Gate.of(*gate)], 3))
+        assert str(err.value) == message
 
     def test_checkpoint_beyond_gate_count_reported(self):
-        net = Network([Gate((), 0)], 2, [Checkpoint(5, {1})])
-        problems = validate_network(net)
-        assert len(problems) == 1 and "beyond" in problems[0]
+        net = Network([Gate.of((), 0)], 2, [Checkpoint(5, {1})])
+        assert validate_network(net) == ["checkpoint 0: position 5 outside 0..1"]
 
     def test_decreasing_checkpoints_reported(self):
-        net = Network([Gate((), 0)] * 3, 2,
+        net = Network([Gate.of((), 0)] * 3, 2,
                       [Checkpoint(2, {1}), Checkpoint(1, {1})])
-        assert any("decreases" in p for p in validate_network(net))
+        # a position below the one before it
+        assert validate_network(net) == ["checkpoint 1: position 1 outside 2..3"]
 
     def test_layout_mismatch_reported(self):
         layout = RegisterLayout.for_factoring(4, q=130)
         net = Network([], layout.qubit_count + 1)
         assert any("layout" in p for p in validate_network(net, layout))
+
+
+class TestOneValidator:
+    """validate_network and compiling share one check over the mask arrays."""
+
+    @pytest.mark.parametrize("net, message", [
+        (Network([Gate(0, 1), Gate(0, 1 << 5)], 3),
+         "gate 1: touches qubit 5 outside width 3"),
+        (Network([Gate(1 << 70, 1)], 3), "gate 0: touches qubit 70 outside width 3"),
+        (Network([Gate(-1, 1)], 3), "gate 0: negative mask"),
+        (Network([Gate(0, 0b11)], 3), "gate 0: target mask 0x3 is not one qubit"),
+        (Network([Gate(0b1, 0)], 3), "gate 0: target mask 0x0 is not one qubit"),
+        (Network([Gate.of({0, 1}, 1)], 3), "gate 0: target 1 is also a control"),
+        (Network([], 63), "networks wider than 62 qubits are not supported"),
+        (Network([Gate(0, 1)], 2, [Checkpoint(-1, {0})]),
+         "checkpoint 0: position -1 outside 0..1"),
+        (Network([Gate(0, 1)] * 3, 2, [Checkpoint(2, {1}), Checkpoint(1, {1})]),
+         "checkpoint 1: position 1 outside 2..3"),
+        (Network([Gate(0, 1)], 2, [Checkpoint(1, {2})]),
+         "checkpoint 0: qubit 2 outside width 2"),
+    ], ids=["wide", "beyond-int64", "negative", "two-targets", "no-target",
+            "target-control", "width", "chk-negative", "chk-decreasing",
+            "chk-qubit"])
+    def test_compiling_raises_the_first_reported_problem(self, net, message):
+        assert validate_network(net) == [message]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            net.compiled()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_network_batch([0], net)
+        assert "_compiled" not in vars(net)
+
+    def test_every_bad_gate_reported_in_order(self):
+        net = Network([Gate.of({2}, 2), Gate(0, 1), Gate(0, 1 << 4),
+                       Gate(0, 0b101)], 3)
+        assert validate_network(net) == [
+            "gate 0: target 2 is also a control",
+            "gate 2: touches qubit 4 outside width 3",
+            "gate 3: target mask 0x5 is not one qubit"]
+
+    def test_index_path_builds_the_masks(self):
+        gate = Gate.of([3, 0, 3], 1)
+        assert gate == Gate(0b1001, 0b10)
+        assert (gate.controls, gate.target) == ((0, 3), 1)
+        with pytest.raises(ValueError, match="negative qubit index -2"):
+            Gate.of([1], -2)
 
 
 class TestLayout:
@@ -143,7 +193,7 @@ class TestLayout:
 
 class TestSerialization:
     def test_round_trip(self):
-        net = Network([Gate({1, 2}, 0), Gate((), 3)], 5,
+        net = Network([Gate.of({1, 2}, 0), Gate.of((), 3)], 5,
                       [Checkpoint(1, {3, 4}), Checkpoint(2, {4})])
         back = network_from_text(network_to_text(net), qubit_count=5)
         assert back.gates == net.gates
@@ -151,7 +201,7 @@ class TestSerialization:
         assert back.qubit_count == 5
 
     def test_text_is_deterministic(self):
-        net = Network([Gate({3, 1, 2}, 0)], 4)
+        net = Network([Gate.of({3, 1, 2}, 0)], 4)
         assert network_to_text(net) == network_to_text(net)
         assert network_to_text(net) == "T 0 1 2 3\n"
 
@@ -165,8 +215,8 @@ class TestSerialization:
 
 
 def test_concatenate_shifts_checkpoints():
-    a = Network([Gate((), 0)] * 2, 3, [Checkpoint(2, {1})])
-    b = Network([Gate((), 1)], 3, [Checkpoint(0, {2}), Checkpoint(1, {2})])
+    a = Network([Gate.of((), 0)] * 2, 3, [Checkpoint(2, {1})])
+    b = Network([Gate.of((), 1)], 3, [Checkpoint(0, {2}), Checkpoint(1, {2})])
     merged = concatenate([a, b])
     assert [c.position for c in merged.checkpoints] == [2, 2, 3]
     assert len(merged.gates) == 3

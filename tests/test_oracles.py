@@ -89,7 +89,7 @@ class TestExhaustiveChecker:
     def test_ancilla_leak_detected(self):
         # identity on the value wire but leaves wire 1 dirty
         from shorsim.gates import Gate
-        net = Network([Gate((), 1)], 2)
+        net = Network([Gate.of((), 1)], 2)
         bad = exhaustive_network_check(net, lambda v: v, range(2),
                                        in_wires=[0], zero_wires=[1])
         assert len(bad) == 2

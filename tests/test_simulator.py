@@ -8,8 +8,8 @@ import pytest
 from shorsim import (Gate, Network, RegisterLayout, apply_decay,
                      apply_network_batch, distribution_ed, distribution_ned,
                      dump_state, fourier_first_register, gates, init_state,
-                     inverse_fourier_first_register, run, sample_schedule,
-                     simulator)
+                     inverse_fourier_first_register, network_from_text, run,
+                     sample_schedule, simulator)
 from shorsim.gates import Checkpoint, compile_masks
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
@@ -96,6 +96,37 @@ class TestApplyDecay:
         with pytest.raises(ValueError, match="at most 63"):
             apply_decay(state, 0, 0.5)
 
+    @pytest.mark.parametrize("p1", [1.5, -0.1, math.nan])
+    def test_probability_outside_the_unit_interval_rejected(self, p1):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            apply_decay(single_component(1, 0b1), 0, p1)
+
+
+class TestDecayLaws:
+    @pytest.mark.parametrize("p1", [1.5, -0.1, math.nan])
+    def test_static_law_needs_a_probability(self, p1):
+        with pytest.raises(ValueError, match=r"p1=.* must lie in \[0, 1\]"):
+            StaticDecay(p1)
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf])
+    def test_exponential_law_needs_a_finite_rate(self, gamma):
+        with pytest.raises(ValueError, match="gamma=.* must be finite and >= 0"):
+            ExponentialDecay(gamma)
+
+    def test_bounds_are_laws(self):
+        assert StaticDecay(0.0).p1 == 0.0 and StaticDecay(1.0).p1 == 1.0
+        assert ExponentialDecay(0.0).persist_probability(0.9, 0.0) == 1.0
+
+    def test_run_checks_each_event_probability(self):
+        # a law object that does not check itself still cannot split with
+        # p1 > 1: run() and apply_decay share the check
+        class Loose:
+            def persist_probability(self, time, last_reset):
+                return 1.5
+        sched = NoiseSchedule([DecayEvent(0.5, 0)], Loose())
+        with pytest.raises(ValueError, match=r"1.5 outside \[0, 1\]"):
+            run(single_component(1, 0b1), Network([], 1), sched)
+
 
 class TestRun:
     def test_ideal_run_reaches_the_exact_final_amplitudes(self, factoring_15):
@@ -164,7 +195,7 @@ class TestRunBoundary:
         sched = NoiseSchedule([DecayEvent(0.1 * (i + 1), 0) for i in range(4)],
                               STATIC_HALF)
         with pytest.raises(ValueError, match="60 recorded plus 4"):
-            run(state, Network([Gate((), 0)], 1), sched)
+            run(state, Network([Gate.of((), 0)], 1), sched)
 
     def test_sixty_three_events_fit(self):
         # the qubit stays in its ground state, so no event splits anything
@@ -179,6 +210,24 @@ class TestRunBoundary:
                               STATIC_HALF)
         with pytest.raises(ValueError, match="qubit 40 outside state width 26"):
             run(init_state(130, layout), net, sched)
+
+    def test_checkpoint_beyond_the_gates_rejected_in_strict_mode(self):
+        # unchecked, the projection at position 7 would never happen and
+        # the run would return comp [3] unprojected
+        net = network_from_text("T 0\nT 1 0\nCHK 7 1\n")
+        with pytest.raises(ValueError,
+                           match="^checkpoint 0: position 7 outside 0..2$"):
+            run(single_component(2, 0), net, NoiseSchedule([], STATIC_HALF),
+                "strict")
+
+    def test_checkpoint_qubit_below_zero_rejected(self):
+        # unchecked, qubit -1 would index the clocks from the end and
+        # reset qubit 1's clock
+        net = Network([Gate.of((), 1)], 2, [Checkpoint(1, [-1])])
+        clocks = WatchdogClocks.zeros(2)
+        with pytest.raises(ValueError, match="^checkpoint 0: qubit -1 outside width 2$"):
+            run(single_component(2, 0), net, NoiseSchedule([], GAMMA), "on", clocks)
+        assert clocks.last_reset.tolist() == [0.0, 0.0]
 
 
 class TestWatchdog:
@@ -292,7 +341,7 @@ def random_gates(rng, width, count):
     gate_list = []
     for _ in range(count):
         wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
-        gate_list.append(Gate(wires[1:].tolist(), int(wires[0])))
+        gate_list.append(Gate.of(wires[1:].tolist(), int(wires[0])))
     return gate_list
 
 
@@ -324,10 +373,10 @@ class TestFusedPass:
         assert {c.position for c in net.checkpoints
                 if c.position < len(net.gates)} <= starts
         for b in blocks:
-            wires = set()
+            wires = 0
             for gate in net.gates[b.start:b.stop]:
-                wires |= gate.controls | {gate.target}
-            assert len(wires) <= gates.FUSE_WIRES
+                wires |= gate.control_mask | gate.target_mask
+            assert wires.bit_count() <= gates.FUSE_WIRES
         assert len({id(b.table) for b in blocks}) < len(blocks)
 
     @pytest.mark.parametrize("watchdog, law", [
@@ -510,7 +559,7 @@ class TestEventBlocks:
         # Gate 0 sets qubit 1; at position 1 an event on qubit 1 fires, then
         # the checkpoint on qubit 1: the event still counts from the start,
         # and 'strict' keeps only the decayed branch.
-        net = Network([Gate((), 1), Gate((), 0)], 2, [Checkpoint(1, [1])])
+        net = Network([Gate.of((), 1), Gate.of((), 0)], 2, [Checkpoint(1, [1])])
         sched = NoiseSchedule([event_at(1, 2, 1)], GAMMA)
         clocks = WatchdogClocks.zeros(2)
         log = []
