@@ -121,8 +121,7 @@ def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[Gate]:
 
 
 def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
-                controls: Sequence[int] = (),
-                qubit_count: int | None = None) -> Network:
+                controls: Sequence[int] = ()) -> Network:
     """Controlled ``X -> X + y`` on the ``reg`` wires.
 
     Needs ``len(reg) + 1`` scratch wires, all entering as 0, and is only
@@ -136,8 +135,7 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
         raise ValueError(f"constant {y} does not fit in {m} bits")
     if len(work) < m + 1:
         raise ValueError(f"adder on {m} wires needs {m + 1} scratch wires")
-    if qubit_count is None:
-        qubit_count = 1 + max([*reg, *work, *controls])
+    qubit_count = 1 + max([*reg, *work, *controls])
     if y == 0:
         return Network([], qubit_count)
     gates = []
@@ -158,8 +156,7 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
 
 def build_mod_adder(y: int, n: int, value: Sequence[int], flag_lo: int,
                     flag_hi: int, work: Sequence[int],
-                    controls: Sequence[int] = (),
-                    qubit_count: int | None = None) -> Network:
+                    controls: Sequence[int] = ()) -> Network:
     """Controlled ``X -> (X + y) mod n`` for X, y < n on the ``value`` wires.
 
     Five adder stages: add y; add ``2**(L+1) - n`` (a subtraction in
@@ -188,17 +185,15 @@ def build_mod_adder(y: int, n: int, value: Sequence[int], flag_lo: int,
     gates += recompute
     gates.append(Gate(qubit_mask((*controls, flag_hi)), 1 << flag_lo))
     gates += reversed(recompute)
-    if qubit_count is None:
-        qubit_count = 1 + max([*value, flag_lo, flag_hi, *work, *controls])
-    scratch = frozenset([*work, flag_lo, flag_hi])
+    qubit_count = 1 + max([*value, flag_lo, flag_hi, *work, *controls])
+    scratch = qubit_mask([*work, flag_lo, flag_hi])
     return Network(gates, qubit_count, [Checkpoint(len(gates), scratch)])
 
 
 def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
                                 acc: Sequence[int], flag_lo: int, flag_hi: int,
                                 work: Sequence[int],
-                                controls: Sequence[int] = (),
-                                qubit_count: int | None = None) -> Network:
+                                controls: Sequence[int] = ()) -> Network:
     """Controlled ``I -> I * c mod n`` on the ``reg`` wires; identity when off.
 
     The accumulator picks up ``sum_i I_i * (2**i c) mod n`` through mod-N
@@ -211,7 +206,7 @@ def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
     if len(acc) != bits:
         raise ValueError("accumulator and input register must have equal width")
     inverse = mod_inverse(c, n)  # raises when gcd(c, n) != 1
-    scratch = frozenset([*work, flag_lo, flag_hi])
+    scratch = qubit_mask([*work, flag_lo, flag_hi])
     gates: list[Gate] = []
     checkpoints: list[Checkpoint] = []
     for i in range(bits):
@@ -224,9 +219,8 @@ def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
         checkpoints.append(Checkpoint(len(gates), scratch))
     for i in range(bits):
         gates += controlled_swap(controls, reg[i], acc[i])
-    checkpoints.append(Checkpoint(len(gates), frozenset([*acc, *scratch])))
-    if qubit_count is None:
-        qubit_count = 1 + max([*reg, *acc, flag_lo, flag_hi, *work, *controls])
+    checkpoints.append(Checkpoint(len(gates), qubit_mask(acc) | scratch))
+    qubit_count = 1 + max([*reg, *acc, flag_lo, flag_hi, *work, *controls])
     return Network(gates, qubit_count, checkpoints)
 
 
@@ -250,8 +244,7 @@ def build_modexp(params: ArithParams, layout: RegisterLayout) -> Network:
         factor = pow(params.x, 1 << i, params.n)
         pieces.append(build_controlled_multiplier(
             factor, params.n, list(layout.reg2), acc, flag_lo, flag_hi,
-            list(layout.add_work), controls=(exp_wire,),
-            qubit_count=layout.qubit_count))
+            list(layout.add_work), controls=(exp_wire,)))
     return concatenate(pieces, layout.qubit_count)
 
 

@@ -60,10 +60,11 @@ def parse_config(argv: list[str],
     The config file, when given, provides values under the same names as the
     flags (``r2_slice`` for ``--r2-slice``); explicit flags win, and any
     other key is a usage error.  So is a value out of range: a decay law
-    that is not a probability or a finite rate >= 0, an instance that
-    ``ArithParams.range_problem`` refuses, and an ``--r2-slice`` outside
-    ``0..2**L - 1``.  A base sharing a factor with n passes, for the gcd
-    shortcut.
+    that is not a probability or a finite rate >= 0, ``--reps`` below 1,
+    an instance that ``ArithParams.range_problem`` refuses, and an
+    ``--r2-slice`` outside ``0..2**L - 1``.  A base sharing a factor with n
+    passes, for the gcd shortcut.  ``--x random`` draws the base from
+    ``2..n-1`` with a generator seeded by ``--seed``.
     """
     argv = list(argv)
     if not argv or argv[0] != "run":
@@ -82,6 +83,8 @@ def parse_config(argv: list[str],
         parser.error("--p1 and --gamma are mutually exclusive")
     if not 0 <= args.events <= MAX_EVENTS:
         parser.error(f"--events must lie in 0..{MAX_EVENTS}")
+    if args.reps < 1:
+        parser.error(f"--reps: {args.reps} repetitions, need at least 1")
     try:
         if args.p1 is not None:
             law = StaticDecay(args.p1)
@@ -98,6 +101,8 @@ def parse_config(argv: list[str],
     problem = ArithParams.range_problem(args.n, None if x == "random" else x, args.q)
     if problem is not None:
         parser.error(f"--{problem[0]}: {problem[1]}")
+    if x == "random":
+        x = int(np.random.default_rng(args.seed).integers(2, args.n))
     width = 1 << args.n.bit_length()
     if args.r2_slice is not None and not 0 <= args.r2_slice < width:
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
@@ -180,9 +185,17 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    params = ArithParams.create(args.n, args.x,
-                                args.q if args.q else args.n * args.n)
+def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Emit the network, or its resource report; an instance that ``run``
+    refuses is a usage error, and so is a base sharing a factor with n."""
+    q = args.q if args.q is not None else args.n * args.n
+    problem = ArithParams.range_problem(args.n, args.x, q)
+    if problem is not None:
+        parser.error(f"--{problem[0]}: {problem[1]}")
+    try:
+        params = ArithParams.create(args.n, args.x, q)
+    except ValueError as err:  # the gcd rule, the one check left
+        parser.error(f"--x: {err}")
     layout = RegisterLayout.for_factoring(params.bits, q=params.q)
     net = build_modexp(params, layout)
     if args.report:
@@ -209,10 +222,11 @@ def _cmd_verify() -> int:
         failures += 0 if ok else 1
 
     for n, x, q in [(15, 7, 130), (15, 4, 130), (21, 2, 50)]:
-        gap = float(np.max(np.abs(direct_outcome_table(n, x, q) - folded_outcome_table(n, x, q))))
+        direct = direct_outcome_table(n, x, q)
+        gap = float(np.max(np.abs(direct - folded_outcome_table(n, x, q))))
         check(f"probability formula self-check n={n} x={x} q={q} (gap {gap:.2e})",
               gap <= 1e-12)
-        total = float(direct_outcome_table(n, x, q).sum())
+        total = float(direct.sum())
         check(f"probability table normalization n={n} x={x} q={q}",
               abs(total - 1.0) <= 1e-12)
 
@@ -242,9 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "run":
         cfg, args = parse_config(argv)
         return _cmd_run(cfg, args)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "build":
-        return _cmd_build(args)
+        return _cmd_build(parser, args)
     return _cmd_verify()
 
 

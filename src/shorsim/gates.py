@@ -62,20 +62,25 @@ class Gate(NamedTuple):
         return self.target_mask.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """A position in a gate list where the listed qubits must hold 0.
+class Checkpoint(NamedTuple):
+    """A position in a gate list where the qubits in ``mask`` must hold 0.
 
     ``position`` counts gates already applied, so position 0 is before the
     first gate and position ``len(gates)`` is after the last one.
+    ``Checkpoint.of`` builds one from qubit indices; ``qubits`` reads them back.
     """
 
     position: int
-    qubits: frozenset[int]
+    mask: int
 
-    def __init__(self, position: int, qubits: Iterable[int]):
-        object.__setattr__(self, "position", int(position))
-        object.__setattr__(self, "qubits", frozenset(qubits))
+    @classmethod
+    def of(cls, position: int, qubits: Iterable[int]) -> Checkpoint:
+        """The checkpoint on qubit indices; negative indices are refused here."""
+        return cls(int(position), qubit_mask(qubits))
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return mask_bits(self.mask)
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,8 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The gate masks as two int64 arrays, and every problem of the network,
     all gates checked at once: a target not one bit or among the controls, a
     mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a checkpoint
-    position outside ``0..len(gates)`` or decreasing, a qubit outside the width."""
+    position outside ``0..len(gates)`` or decreasing, a checkpoint mask
+    negative or not below ``2**qubit_count``."""
     width, count = net.qubit_count, len(net.gates)
     try:
         flat = np.fromiter(chain.from_iterable(net.gates), np.int64, 2 * count)
@@ -207,13 +213,15 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
             problem = f"target {t.bit_length() - 1} is also a control"
         problems.append(f"gate {i}: {problem}")
     last = 0
-    for k, chk in enumerate(net.checkpoints):
-        if not last <= chk.position <= count:
-            problems.append(f"checkpoint {k}: position {chk.position} outside {last}..{count}")
-        bad = [q for q in sorted(chk.qubits) if not 0 <= q < width]
-        if bad:
-            problems.append(f"checkpoint {k}: qubit {bad[0]} outside width {width}")
-        last = max(last, chk.position)
+    for k, (position, mask) in enumerate(net.checkpoints):
+        if not last <= position <= count:
+            problems.append(f"checkpoint {k}: position {position} outside {last}..{count}")
+        if mask < 0:
+            problems.append(f"checkpoint {k}: negative mask")
+        elif high := mask >> width:
+            low = width + (high & -high).bit_length() - 1
+            problems.append(f"checkpoint {k}: qubit {low} outside width {width}")
+        last = max(last, position)
     return ctrl, tgt, problems
 
 
@@ -404,8 +412,8 @@ def concatenate(nets: Sequence[Network], qubit_count: int | None = None) -> Netw
     for net in nets:
         offset = len(gates)
         gates.extend(net.gates)
-        checkpoints.extend(Checkpoint(chk.position + offset, chk.qubits)
-                           for chk in net.checkpoints)
+        checkpoints.extend(Checkpoint(position + offset, mask)
+                           for position, mask in net.checkpoints)
     return Network(gates, qubit_count, checkpoints)
 
 
@@ -413,31 +421,38 @@ def network_to_text(net: Network) -> str:
     """Serialize to the line format ``T <target> <control>...`` / ``CHK <pos> <qubit>...``."""
     lines = [f"T {g.target} {' '.join(map(str, g.controls))}".rstrip()
              for g in net.gates]
-    lines.extend(f"CHK {c.position} {' '.join(map(str, sorted(c.qubits)))}".rstrip()
+    lines.extend(f"CHK {c.position} {' '.join(map(str, c.qubits))}".rstrip()
                  for c in net.checkpoints)
     return "\n".join(lines) + "\n"
 
 
 def network_from_text(text: str, qubit_count: int | None = None) -> Network:
-    """Parse the text format; width is inferred from the indices unless given."""
+    """Parse the text format; width is inferred from the indices unless given.
+
+    Each malformed line is a ``ValueError`` that starts ``line N:``."""
     gates = []
     checkpoints = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "T":
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: gate line needs a target")
-            gates.append(Gate.of([int(p) for p in parts[2:]], int(parts[1])))
-        elif parts[0] == "CHK":
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: checkpoint line needs a position")
-            checkpoints.append(Checkpoint(int(parts[1]), [int(p) for p in parts[2:]]))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+        kind, *fields = parts
+        if kind not in ("T", "CHK"):
+            raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        if not fields:
+            need = ("gate line needs a target" if kind == "T"
+                    else "checkpoint line needs a position")
+            raise ValueError(f"line {lineno}: {need}")
+        try:
+            first, *rest = map(int, fields)
+            if kind == "T":
+                gates.append(Gate.of(rest, first))
+            else:
+                checkpoints.append(Checkpoint.of(first, rest))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     if qubit_count is None:
         qubit_count = max([(c | t).bit_length() for c, t in gates]
-                          + [1 + q for chk in checkpoints for q in chk.qubits], default=0)
+                          + [mask.bit_length() for _, mask in checkpoints], default=0)
     checkpoints.sort(key=lambda c: c.position)
     return Network(gates, qubit_count, checkpoints)

@@ -23,7 +23,7 @@ class ExperimentConfig:
     """Everything a reproducible experiment needs."""
 
     n: int = 15
-    x: int | str = 7
+    x: int = 7
     q: int = 130
     n_events: int = 10
     law: StaticDecay | ExponentialDecay = ExponentialDecay(2.5)
@@ -72,20 +72,9 @@ class FactorReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def ideal_distribution(n: int, x: int, q: int,
-                       r2: int | None = None) -> Distribution | np.ndarray:
-    """Noise-free outcome table from the analytic formula.
-
-    With ``r2`` given, returns just that column; an ``r2`` that the map
-    a -> x**a mod n never attains yields an empty slice.
-    """
-    table = outcome_table_oracle(n, x, q)
-    if r2 is None:
-        return Distribution(table, "exact")
-    attained = {pow(x, k, n) for k in range(q)}
-    if r2 not in attained:
-        return np.empty(0)
-    return table[:, r2]
+def ideal_distribution(n: int, x: int, q: int) -> Distribution:
+    """Noise-free outcome table from the analytic formula."""
+    return Distribution(outcome_table_oracle(n, x, q), "exact")
 
 
 def convergents(p: int, q: int) -> list[tuple[int, int]]:
@@ -164,14 +153,10 @@ def run_experiment(cfg: ExperimentConfig) -> FactorReport:
     Otherwise the exponentiation network is built once and every repetition
     gets its own derived seed, noise schedule and measurement samples.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n
+    n, x = cfg.n, cfg.x
     if n % 2 == 0 or _is_prime(n):
         warnings.warn(f"n={n} is even or prime; the run is only a demonstration",
                       stacklevel=2)
-    x = cfg.x
-    if x == "random":
-        x = int(rng.integers(2, n))
     g = math.gcd(x, n)
     if g != 1:
         return FactorReport(n, x, cfg.q, None, {g, n // g},

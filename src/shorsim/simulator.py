@@ -128,17 +128,6 @@ class NoiseSchedule:
         object.__setattr__(self, "law", law)
 
 
-@dataclass
-class WatchdogClocks:
-    """Per-qubit time of the last known-state measurement (0 at the start)."""
-
-    last_reset: np.ndarray
-
-    @classmethod
-    def zeros(cls, qubit_count: int) -> WatchdogClocks:
-        return cls(np.zeros(qubit_count))
-
-
 @dataclass(frozen=True)
 class EventRecord:
     """What the run loop actually applied for one decay event."""
@@ -160,9 +149,6 @@ class Distribution:
 
     def total(self) -> float:
         return float(self.table.sum())
-
-    def r2_slice(self, r2: int) -> np.ndarray:
-        return self.table[:, r2]
 
 
 def sample_schedule(n_events: int, n_qubits: int, seed: int,
@@ -232,21 +218,20 @@ def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
 
 
 def run(state: SparseState, net: Network, schedule: NoiseSchedule,
-        watchdog: str = "off", clocks: WatchdogClocks | None = None, *,
-        event_log: list[EventRecord] | None = None,
+        watchdog: str = "off", *, event_log: list[EventRecord] | None = None,
         verify_norm: bool = False) -> SparseState:
     """Evolve through the network with decay events interleaved.
 
     An event at time t fires just before gate index ceil(t * G), G being the
-    gate count.  With ``watchdog='on'`` every checkpoint resets the clocks of
-    its listed qubits to the current time, so later decays of those qubits
-    use the time since their last confirmation instead of the full elapsed
-    time; register qubits never appear in checkpoints and keep counting from
-    the start.  ``watchdog='strict'`` additionally projects the checkpoint
+    gate count.  Each qubit has a watchdog clock that starts at 0 with the
+    run.  With ``watchdog='on'`` every checkpoint resets the clocks of its
+    qubits to the current time, so later decays of those qubits use the
+    time since their last confirmation instead of the full elapsed time;
+    register qubits never appear in checkpoints and keep counting from the
+    start.  ``watchdog='strict'`` additionally projects the checkpoint
     qubits onto 0 and renormalizes, discarding detected-error branches.
-    Events fire before checkpoints at the same position.  A passed
-    ``clocks`` is updated in place: after the run it holds each qubit's
-    last reset.
+    Events fire before checkpoints at the same position.  ``event_log``
+    receives one ``EventRecord`` per event, with the clock origin it used.
 
     The network compiles once, on its first run, and the compiled form is
     cached on the ``Network`` object: its gate masks, validated once with
@@ -283,8 +268,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     env = state.env.copy()
     amp = state.amp.copy()
     env_count = state.env_count
-    if clocks is None:
-        clocks = WatchdogClocks.zeros(state.qubit_count)
+    last_reset = [0.0] * state.qubit_count
 
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
     checkpoints = net.checkpoints  # in order: compiling checked that
@@ -296,7 +280,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         nonlocal comp, env, amp, env_count, ei, ci
         while ei < len(events) and positions[ei] == g:
             ev = events[ei]
-            origin = float(clocks.last_reset[ev.qubit])
+            origin = last_reset[ev.qubit]
             p1 = schedule.law.persist_probability(ev.time, origin)
             if event_log is not None:
                 event_log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1,
@@ -310,10 +294,10 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             chk = checkpoints[ci]
             now = g / total if total else 0.0
             if watchdog in ("on", "strict"):
-                clocks.last_reset[list(chk.qubits)] = now
+                for qb in chk.qubits:
+                    last_reset[qb] = now
             if watchdog == "strict":
-                mask = np.int64(sum(1 << qb for qb in chk.qubits))
-                keep = (comp & mask) == 0
+                keep = (comp & chk.mask) == 0
                 weight = float(np.sum(np.abs(amp[keep]) ** 2))
                 if weight > 0.0:
                     comp, env = comp[keep], env[keep]

@@ -11,7 +11,7 @@ from shorsim import (ArithParams, RegisterLayout, apply_network,
                      build_controlled_multiplier, build_mod_adder,
                      build_modexp, gate_count_formula, mod_inverse,
                      network_to_text, resource_estimate, validate_network)
-from shorsim.gates import Network
+from shorsim.gates import Checkpoint, Network
 from shorsim.oracles import exhaustive_network_check
 
 
@@ -139,8 +139,8 @@ class TestModAdder:
         net, value, zero, ctl = self.build(3)
         assert len(net.checkpoints) == 1
         chk = net.checkpoints[0]
-        assert chk.position == len(net.gates)
-        assert chk.qubits == frozenset(zero)
+        assert chk == Checkpoint.of(len(net.gates), zero)
+        assert chk.qubits == tuple(sorted(zero))
 
     def test_rejects_addend_outside_modulus(self):
         with pytest.raises(ValueError):

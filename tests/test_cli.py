@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -64,7 +65,8 @@ class TestParseConfig:
         (["--n", "1"], "--n"), (["--q", "1"], "--q"), (["--x", "1"], "--x"),
         (["--x", "abc"], "--x"), (["--r2-slice", "99"], "--r2-slice"),
         (["--n", "21", "--r2-slice", "32"], "--r2-slice"),
-        (["--r2-slice", "-1"], "--r2-slice")])
+        (["--r2-slice", "-1"], "--r2-slice"), (["--reps", "0"], "--reps"),
+        (["--reps", "-1"], "--reps")])
     def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["run", *argv])
@@ -81,9 +83,25 @@ class TestParseConfig:
         assert report["factors"] == [3, 5]
         assert report["stats"]["shortcut"] == "gcd(5, 15) = 5"
 
-    def test_random_base_passes_through(self):
-        cfg, _ = parse_config(["run", "--x", "random"])
-        assert cfg.x == "random"
+    def test_random_base_resolves_to_the_seeds_draw(self, tmp_path):
+        # pinned draws: each seed's first integer from 2..n-1
+        draws = [parse_config(["run", "--x", "random", "--seed", str(seed)])[0].x
+                 for seed in (1, 2, 3)]
+        assert draws == [8, 12, 12]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"x": "random", "seed": 2}))
+        assert parse_config(["run"], config_file=path)[0].x == 12
+
+    def test_random_base_output_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["run", "--x", "random", "--seed", "1", "--events", "2",
+                     "--q", "64", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "42e03c990255518c95a1b58d510bdf506fec5fca1bcf56168c8284f9c45aa0d4")
+        capsys.readouterr()
+        assert main(["run", "--x", "random", "--seed", "2"]) == 0
+        report = json.loads(capsys.readouterr().err)
+        assert report["stats"]["shortcut"] == "gcd(12, 15) = 3"
 
     def test_config_file_supplies_defaults_but_flags_win(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -91,6 +109,14 @@ class TestParseConfig:
         cfg, _ = parse_config(["run", "--q", "32"], config_file=path)
         assert cfg.q == 32  # flag wins
         assert cfg.seed == 9 and cfg.n_events == 4
+
+    def test_config_file_reps_below_one_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"reps": 0}))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run"], config_file=path)
+        assert exc.value.code == 2
+        assert "error: --reps: " in capsys.readouterr().err
 
     def test_unknown_config_file_key_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -215,6 +241,15 @@ class TestMain:
         # the formula's 5L+8 next to the layout the command built
         assert payload["qubits"] == 28 and payload["qubits_built"] == built
         assert built == RegisterLayout.for_factoring(4, q=q or 225).qubit_count
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n", "1"], "--n"), (["--x", "1"], "--x"), (["--x", "5"], "--x"),
+        (["--q", "1"], "--q")], ids=["n1", "x1", "x5-shares-a-factor", "q1"])
+    def test_build_bad_instance_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", *argv])
+        assert exc.value.code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
 
     def test_build_emits_gate_lines(self, tmp_path):
         out = tmp_path / "net.txt"

@@ -118,12 +118,12 @@ class TestValidateNetwork:
         assert str(err.value) == message
 
     def test_checkpoint_beyond_gate_count_reported(self):
-        net = Network([Gate.of((), 0)], 2, [Checkpoint(5, {1})])
+        net = Network([Gate.of((), 0)], 2, [Checkpoint.of(5, {1})])
         assert validate_network(net) == ["checkpoint 0: position 5 outside 0..1"]
 
     def test_decreasing_checkpoints_reported(self):
         net = Network([Gate.of((), 0)] * 3, 2,
-                      [Checkpoint(2, {1}), Checkpoint(1, {1})])
+                      [Checkpoint.of(2, {1}), Checkpoint.of(1, {1})])
         # a position below the one before it
         assert validate_network(net) == ["checkpoint 1: position 1 outside 2..3"]
 
@@ -145,15 +145,19 @@ class TestOneValidator:
         (Network([Gate(0b1, 0)], 3), "gate 0: target mask 0x0 is not one qubit"),
         (Network([Gate.of({0, 1}, 1)], 3), "gate 0: target 1 is also a control"),
         (Network([], 63), "networks wider than 62 qubits are not supported"),
-        (Network([Gate(0, 1)], 2, [Checkpoint(-1, {0})]),
+        (Network([Gate(0, 1)], 2, [Checkpoint(-1, 0b1)]),
          "checkpoint 0: position -1 outside 0..1"),
-        (Network([Gate(0, 1)] * 3, 2, [Checkpoint(2, {1}), Checkpoint(1, {1})]),
+        (Network([Gate(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)]),
          "checkpoint 1: position 1 outside 2..3"),
-        (Network([Gate(0, 1)], 2, [Checkpoint(1, {2})]),
+        (Network([Gate(0, 1)], 2, [Checkpoint(1, 0b100)]),
          "checkpoint 0: qubit 2 outside width 2"),
+        (Network([Gate(0, 1)], 2, [Checkpoint(1, 1 << 70 | 0b1001)]),
+         "checkpoint 0: qubit 3 outside width 2"),
+        (Network([Gate(0, 1)], 2, [Checkpoint(1, -1)]),
+         "checkpoint 0: negative mask"),
     ], ids=["wide", "beyond-int64", "negative", "two-targets", "no-target",
             "target-control", "width", "chk-negative", "chk-decreasing",
-            "chk-qubit"])
+            "chk-qubit", "chk-lowest-qubit-beyond-int64", "chk-negative-mask"])
     def test_compiling_raises_the_first_reported_problem(self, net, message):
         assert validate_network(net) == [message]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -177,6 +181,13 @@ class TestOneValidator:
         with pytest.raises(ValueError, match="negative qubit index -2"):
             Gate.of([1], -2)
 
+    def test_checkpoint_index_path_builds_the_mask(self):
+        chk = Checkpoint.of(4, [3, 0, 3])
+        assert chk == Checkpoint(4, 0b1001)
+        assert chk.qubits == (0, 3)
+        with pytest.raises(ValueError, match="^negative qubit index -1$"):
+            Checkpoint.of(4, [0, -1])
+
 
 class TestLayout:
     def test_factoring_layout_is_disjoint_and_contiguous(self):
@@ -194,7 +205,7 @@ class TestLayout:
 class TestSerialization:
     def test_round_trip(self):
         net = Network([Gate.of({1, 2}, 0), Gate.of((), 3)], 5,
-                      [Checkpoint(1, {3, 4}), Checkpoint(2, {4})])
+                      [Checkpoint.of(1, {3, 4}), Checkpoint.of(2, {4})])
         back = network_from_text(network_to_text(net), qubit_count=5)
         assert back.gates == net.gates
         assert back.checkpoints == net.checkpoints
@@ -209,14 +220,29 @@ class TestSerialization:
         net = network_from_text("T 2 0\nCHK 1 4\n")
         assert net.qubit_count == 5
 
+    def test_checkpoint_line_reads_into_a_mask(self):
+        net = network_from_text("T 2 0\nCHK 1 4 1 4\n")
+        assert net.checkpoints == (Checkpoint(1, 0b10010),)
+
     def test_unknown_record_rejected(self):
         with pytest.raises(ValueError):
             network_from_text("X 1 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("T a\n", "line 1: invalid literal for int() with base 10: 'a'"),
+        ("T 0\nT 1 -2\n", "line 2: negative qubit index -2"),
+        ("T 0\n\nCHK 1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("CHK 0 -1\n", "line 1: negative qubit index -1"),
+    ], ids=["gate-literal", "gate-negative", "chk-literal", "chk-negative"])
+    def test_bad_index_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network_from_text(text)
+
 
 def test_concatenate_shifts_checkpoints():
-    a = Network([Gate.of((), 0)] * 2, 3, [Checkpoint(2, {1})])
-    b = Network([Gate.of((), 1)], 3, [Checkpoint(0, {2}), Checkpoint(1, {2})])
+    a = Network([Gate.of((), 0)] * 2, 3, [Checkpoint.of(2, {1})])
+    b = Network([Gate.of((), 1)], 3, [Checkpoint.of(0, {2}), Checkpoint.of(1, {2})])
     merged = concatenate([a, b])
-    assert [c.position for c in merged.checkpoints] == [2, 2, 3]
+    assert merged.checkpoints == (Checkpoint(2, 0b10), Checkpoint(2, 0b100),
+                                  Checkpoint(3, 0b100))
     assert len(merged.gates) == 3

@@ -8,13 +8,15 @@ import pytest
 
 from shorsim import (ExperimentConfig, continued_fraction_order,
                      extract_factors, ideal_distribution, run_experiment)
+from shorsim.cli import parse_config
+from shorsim.oracles import outcome_table_oracle
 from shorsim.pipeline import convergents
-from shorsim.simulator import StaticDecay
+from shorsim.simulator import Distribution, StaticDecay
 
 
 class TestIdealDistribution:
     def test_interior_peaks_and_separation(self):
-        slice7 = ideal_distribution(15, 7, 130, r2=7)
+        slice7 = ideal_distribution(15, 7, 130).table[:, 7]
         interior = slice7[1:129]
         peaks = [c for c in range(1, 129)
                  if slice7[c] >= slice7[c - 1] and slice7[c] >= slice7[c + 1]
@@ -30,13 +32,17 @@ class TestIdealDistribution:
 
     def test_slice_equals_full_table_column(self):
         full = ideal_distribution(15, 7, 130)
-        assert np.array_equal(full.table[:, 7], ideal_distribution(15, 7, 130, r2=7))
+        assert isinstance(full, Distribution) and full.variant == "exact"
+        assert np.array_equal(full.table[:, 7], outcome_table_oracle(15, 7, 130)[:, 7])
 
-    def test_unattained_residue_gives_empty_slice(self):
-        assert ideal_distribution(15, 7, 130, r2=2).size == 0
+    def test_unattained_residue_column_is_zero(self):
+        # 7**a mod 15 takes only the values 1, 7, 4 and 13
+        table = ideal_distribution(15, 7, 130).table
+        assert np.all(table[:, 2] == 0.0)
+        assert np.flatnonzero(table.sum(axis=0)).tolist() == [1, 4, 7, 13]
 
     def test_order_one_concentrates_at_zero(self):
-        slice1 = ideal_distribution(15, 1, 130, r2=1)
+        slice1 = ideal_distribution(15, 1, 130).table[:, 1]
         assert slice1[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(slice1[1:] <= 1e-12)
 
@@ -138,11 +144,13 @@ class TestRunExperiment:
         assert good / len(bases) >= 0.5
 
     def test_random_base_path(self):
-        cfg = ExperimentConfig(n=15, x="random", q=130, n_events=0, seed=3,
-                               repetitions=1, samples=20)
+        # parse_config resolves --x random; seed 3 draws 12, which shares 3
+        # with 15
+        cfg, _ = parse_config(["run", "--x", "random", "--seed", "3",
+                               "--events", "0"])
         report = run_experiment(cfg)
-        assert isinstance(report.x, int) and 2 <= report.x < 15
-        assert report.factors == {3, 5} or report.stats.get("shortcut")
+        assert report.x == 12 and report.factors == {3, 5}
+        assert report.stats["shortcut"] == "gcd(12, 15) = 3"
 
     def test_prime_modulus_warns_but_runs(self):
         with pytest.warns(UserWarning):

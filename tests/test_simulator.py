@@ -14,7 +14,7 @@ from shorsim.gates import Checkpoint, compile_masks
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
                                ExponentialDecay, NoiseSchedule, SparseState,
-                               StaticDecay, WatchdogClocks)
+                               StaticDecay)
 
 STATIC_HALF = StaticDecay(0.5)
 GAMMA = ExponentialDecay(2.5)
@@ -221,13 +221,14 @@ class TestRunBoundary:
                 "strict")
 
     def test_checkpoint_qubit_below_zero_rejected(self):
-        # unchecked, qubit -1 would index the clocks from the end and
-        # reset qubit 1's clock
-        net = Network([Gate.of((), 1)], 2, [Checkpoint(1, [-1])])
-        clocks = WatchdogClocks.zeros(2)
-        with pytest.raises(ValueError, match="^checkpoint 0: qubit -1 outside width 2$"):
-            run(single_component(2, 0), net, NoiseSchedule([], GAMMA), "on", clocks)
-        assert clocks.last_reset.tolist() == [0.0, 0.0]
+        # unchecked, qubit -1 would index the clocks from the end and reset
+        # qubit 1's clock; the index path refuses it, and run() refuses a
+        # negative mask before any gate
+        with pytest.raises(ValueError, match="^negative qubit index -1$"):
+            Checkpoint.of(1, [-1])
+        net = Network([Gate.of((), 1)], 2, [Checkpoint(1, -1)])
+        with pytest.raises(ValueError, match="^checkpoint 0: negative mask$"):
+            run(single_component(2, 0), net, NoiseSchedule([], GAMMA), "on")
 
 
 class TestWatchdog:
@@ -253,13 +254,24 @@ class TestWatchdog:
             assert rec.clock_origin <= rec.time
 
     def test_register_clocks_never_reset(self, factoring_15):
+        # Late events read each qubit's clock: the 12 register qubits still
+        # count from the start, the scratch wire from its last checkpoint.
         _, layout, net = factoring_15
-        clocks = WatchdogClocks.zeros(layout.qubit_count)
-        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF),
-            watchdog="on", clocks=clocks)
-        for qb in layout.register_qubits:
-            assert clocks.last_reset[qb] == 0.0
-        assert clocks.last_reset[layout.add_work.start] > 0.0
+        scratch = layout.add_work.start
+        qubits = [*layout.register_qubits, scratch]
+        events = [DecayEvent(0.96 + 0.001 * i, qb) for i, qb in enumerate(qubits)]
+        total = len(net.gates)
+        last = max(chk.position for chk in net.checkpoints
+                   if scratch in chk.qubits
+                   and chk.position < math.ceil(events[-1].time * total))
+        logs = {}
+        for mode in ("off", "on"):
+            logs[mode] = []
+            run(init_state(130, layout), net, NoiseSchedule(events, GAMMA),
+                watchdog=mode, event_log=logs[mode])
+        assert [rec.clock_origin for rec in logs["on"]] == [0.0] * 12 + [last / total]
+        assert last / total > 0.95
+        assert [rec.clock_origin for rec in logs["off"]] == [0.0] * 13
 
     def test_strict_mode_keeps_only_clean_scratch(self, factoring_15):
         _, layout, net = factoring_15
@@ -291,9 +303,9 @@ def chunked_reference(state, net, sched, watchdog="off"):
     events fire first, each with p1 from the law and its qubit's clock;
     then each checkpoint resets its qubits' clocks ('on', 'strict') and,
     in 'strict', projects them onto 0 and renormalises.  Returns the final
-    state, the event records and the clocks."""
+    state and the event records, which carry each event's clock origin."""
     total = len(net.gates)
-    clocks = WatchdogClocks.zeros(state.qubit_count)
+    clocks = np.zeros(state.qubit_count)
     log = []
     positions = [min(math.ceil(ev.time * total), total) for ev in sched.events]
     stops = sorted({*positions, *(chk.position for chk in net.checkpoints), total})
@@ -306,14 +318,14 @@ def chunked_reference(state, net, sched, watchdog="off"):
         done = stop
         for ev, pos in zip(sched.events, positions):
             if pos == stop:
-                origin = float(clocks.last_reset[ev.qubit])
+                origin = float(clocks[ev.qubit])
                 p1 = sched.law.persist_probability(ev.time, origin)
                 log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1, origin))
                 state = apply_decay(state, ev.qubit, p1)
         for chk in net.checkpoints:
             if chk.position != stop or watchdog == "off":
                 continue
-            clocks.last_reset[list(chk.qubits)] = stop / total
+            clocks[list(chk.qubits)] = stop / total
             if watchdog == "strict":
                 keep = np.ones(state.component_count, dtype=bool)
                 for qb in chk.qubits:
@@ -323,17 +335,17 @@ def chunked_reference(state, net, sched, watchdog="off"):
                     state = SparseState(state.qubit_count, state.env_count,
                                         state.comp[keep], state.env[keep],
                                         state.amp[keep] / math.sqrt(weight))
-    return state, log, clocks
+    return state, log
 
 
 def assert_matches_reference(state, net, sched, watchdog="off", **kw):
-    """run() equals the chunked reference: snapshot byte for byte, event
-    records and watchdog clocks."""
-    log, clocks = [], WatchdogClocks.zeros(state.qubit_count)
-    out = run(state, net, sched, watchdog, clocks, event_log=log, **kw)
-    got = (dump_state(out), log, clocks.last_reset.tolist())
-    want, want_log, want_clocks = chunked_reference(state, net, sched, watchdog)
-    assert got == (dump_state(want), want_log, want_clocks.last_reset.tolist())
+    """run() equals the chunked reference: snapshot byte for byte, and the
+    event records with their clock origins."""
+    log = []
+    out = run(state, net, sched, watchdog, event_log=log, **kw)
+    got = (dump_state(out), log)
+    want, want_log = chunked_reference(state, net, sched, watchdog)
+    assert got == (dump_state(want), want_log)
     return got
 
 
@@ -395,7 +407,7 @@ class TestFusedPass:
         events = [event_at(p, total, qb) for p, qb in
                   zip(positions, [0, 13, 20, 5, 17, 18, 3])]
         assert [math.ceil(ev.time * total) for ev in events] == positions
-        _, log, _ = assert_matches_reference(init_state(130, layout), net,
+        _, log = assert_matches_reference(init_state(130, layout), net,
                                              NoiseSchedule(events, law),
                                              watchdog, verify_norm=True)
         assert len(log) == len(events)
@@ -480,7 +492,7 @@ class TestFusedPass:
         if with_checkpoints:
             for pos in sorted(rng.choice(len(gate_list) + 1, size=4, replace=False)):
                 qubits = rng.choice(width, size=2, replace=False).tolist()
-                checkpoints.append(Checkpoint(int(pos), qubits))
+                checkpoints.append(Checkpoint.of(pos, qubits))
         net = Network(gate_list, width, checkpoints)
         state = all_strings(width)
         out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
@@ -498,7 +510,7 @@ class TestFusedPass:
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)
         monkeypatch.setattr(simulator, "TABLE_GATES", 0)
         net = Network(random_gates(np.random.default_rng(100 + seed), 8, 80), 8,
-                      [Checkpoint(40, [0, 1]), Checkpoint(60, [2])])
+                      [Checkpoint.of(40, [0, 1]), Checkpoint.of(60, [2])])
         sched = sample_schedule(8, 8, seed, GAMMA)
         for watchdog in ("off", "on", "strict"):
             assert_matches_reference(all_strings(8), net, sched, watchdog)
@@ -548,7 +560,7 @@ class TestEventBlocks:
                      nxt.start + 1]
         events = [event_at(p, total, qb) for p, qb in
                   zip(positions, [13, 14, 15, 16, 17, 18, 19, 20, 21])]
-        _, log, _ = assert_matches_reference(init_state(130, layout), net,
+        _, log = assert_matches_reference(init_state(130, layout), net,
                                              NoiseSchedule(events, law),
                                              watchdog, verify_norm=True)
         assert len(log) == len(events)
@@ -558,21 +570,22 @@ class TestEventBlocks:
                                                                  watchdog):
         # Gate 0 sets qubit 1; at position 1 an event on qubit 1 fires, then
         # the checkpoint on qubit 1: the event still counts from the start,
-        # and 'strict' keeps only the decayed branch.
-        net = Network([Gate.of((), 1), Gate.of((), 0)], 2, [Checkpoint(1, [1])])
-        sched = NoiseSchedule([event_at(1, 2, 1)], GAMMA)
-        clocks = WatchdogClocks.zeros(2)
+        # and 'strict' keeps only the decayed branch.  A second event on
+        # qubit 1 after the last gate counts from the checkpoint's reset.
+        net = Network([Gate.of((), 1), Gate.of((), 0)], 2, [Checkpoint.of(1, [1])])
+        sched = NoiseSchedule([event_at(1, 2, 1), event_at(2, 2, 1)], GAMMA)
         log = []
-        out = run(single_component(2, 0), net, sched, watchdog, clocks,
-                  event_log=log)
-        p1 = math.exp(-2.5 * 0.25)
-        assert log == [EventRecord(0.25, 1, p1, 1.0 - p1, 0.0)]
-        assert clocks.last_reset.tolist() == [0.0, 0.5]  # updated in place
+        out = run(single_component(2, 0), net, sched, watchdog, event_log=log)
+        p1, later = math.exp(-2.5 * 0.25), math.exp(-2.5 * (0.75 - 0.5))
+        assert log == [EventRecord(0.25, 1, p1, 1.0 - p1, 0.0),
+                       EventRecord(0.75, 1, later, 1.0 - later, 0.5)]
         if watchdog == "strict":
             assert out.as_dict() == {(0b01, 1): 1.0}
         else:
             assert out.as_dict() == pytest.approx(
-                {(0b11, 0): math.sqrt(p1), (0b01, 1): math.sqrt(1.0 - p1)})
+                {(0b11, 0): math.sqrt(p1 * later),
+                 (0b01, 0b10): math.sqrt(p1 * (1.0 - later)),
+                 (0b01, 1): math.sqrt(1.0 - p1)})
         assert_matches_reference(single_component(2, 0), net, sched, watchdog)
 
 
