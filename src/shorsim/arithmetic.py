@@ -25,7 +25,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .gates import Checkpoint, Gate, Network, RegisterLayout, concatenate, qubit_mask
+from .gates import (MAX_WIDTH, Checkpoint, Gate, Network, RegisterLayout, concatenate,
+                    qubit_mask)
+
+
+MAX_Q = 1 << 16  # largest q; see ArithParams.range_problem
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,25 @@ class ArithParams:
     @staticmethod
     def range_problem(n: int, x: int | None, q: int) -> tuple[str, str] | None:
         """The first of n, x (None: drawn later) and q out of range, as
-        (name, message); a base sharing a factor with n is in range."""
+        (name, message); a base sharing a factor with n is in range.
+
+        q lies in ``2..MAX_Q``.  q is the component count of the initial
+        state, and the first-register DFT, the outcome tables and the CSV
+        give every second-register value q rows, more with decay events: at
+        q = 2**16 a run without events peaked at 0.29 GB for n=15 and at
+        1.1 GB for n=33.  The layout for n and q must fit ``MAX_WIDTH``
+        qubits, as basis strings are int64.
+        """
         if n < 3:
             return "n", f"cannot factor {n}"
         if x is not None and not 1 < x < n:
             return "x", f"base {x} must lie strictly between 1 and {n}"
-        if q < 2:
-            return "q", "q must be at least 2"
+        if not 2 <= q <= MAX_Q:
+            return "q", f"q must lie in 2..{MAX_Q}, got {q}"
+        width = RegisterLayout.for_factoring(n.bit_length(), q=q).qubit_count
+        if width > MAX_WIDTH:
+            return "n", (f"n={n} with q={q} needs {width} qubits; at most "
+                         f"{MAX_WIDTH} are supported")
         return None
 
 
@@ -268,7 +284,8 @@ def resource_estimate(bits: int) -> ResourceReport:
     exact = None
     if bits >= 2:
         n = (1 << bits) - 1
-        params = ArithParams.create(n, 2, 1 << (2 * bits + 1))
+        # counted, never run, so the limits of range_problem do not apply
+        params = ArithParams(n, 2, 1 << (2 * bits + 1), bits)
         layout = RegisterLayout.for_factoring(bits, reg1_width=2 * bits + 1)
         exact = len(build_modexp(params, layout).gates)
     return ResourceReport(qubits, exact, gate_count_formula(bits))

@@ -17,27 +17,28 @@ from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, NoiseSchedul
                         SparseState, StaticDecay, run)
 
 
+def _add_run_flags(runp: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Add the ``run`` flags to a parser; returns their actions by name."""
+    add = runp.add_argument
+    flags = [add("--n", type=int, default=15), add("--x", default="7"),
+             add("--q", type=int, default=130), add("--events", type=int, default=10)]
+    law = runp.add_mutually_exclusive_group()
+    flags += [law.add_argument("--p1", type=float, default=None,
+                               help="time-independent persistence probability"),
+              law.add_argument("--gamma", type=float, default=None,
+                               help="exponential decay rate (default 2.5)")]
+    flags += [add("--watchdog", choices=["on", "off", "strict"], default="on"),
+              add("--seed", type=int, default=1), add("--reps", type=int, default=1),
+              add("--r2-slice", type=int, default=None), add("--out", default=None),
+              add("--format", choices=["csv", "json", "gnuplot"], default="csv")]
+    return {flag.dest: flag for flag in flags}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shorsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="simulate a factoring experiment")
-    runp.add_argument("--n", type=int, default=15)
-    runp.add_argument("--x", default="7")
-    runp.add_argument("--q", type=int, default=130)
-    runp.add_argument("--events", type=int, default=10)
-    law = runp.add_mutually_exclusive_group()
-    law.add_argument("--p1", type=float, default=None,
-                     help="time-independent persistence probability")
-    law.add_argument("--gamma", type=float, default=None,
-                     help="exponential decay rate (default 2.5)")
-    runp.add_argument("--watchdog", choices=["on", "off", "strict"], default="on")
-    runp.add_argument("--seed", type=int, default=1)
-    runp.add_argument("--reps", type=int, default=1)
-    runp.add_argument("--r2-slice", type=int, default=None)
-    runp.add_argument("--out", default=None)
-    runp.add_argument("--format", choices=["csv", "json", "gnuplot"],
-                      default="csv")
+    _add_run_flags(sub.add_parser("run", help="simulate a factoring experiment"))
 
     buildp = sub.add_parser("build", help="emit the exponentiation network")
     buildp.add_argument("--n", type=int, default=15)
@@ -52,6 +53,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(parser: argparse.ArgumentParser, flag: argparse.Action,
+                  key: str, value) -> object:
+    """A config-file value converted as its flag's text is on the command
+    line: by the flag's type, then checked against its choices.  Only a
+    JSON string or number can stand for a flag's text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        parser.error(f"config file key {key!r}: {json.dumps(value)} is not "
+                     "a string or a number")
+    text = str(value)
+    try:
+        value = text if flag.type is None else flag.type(text)
+    except ValueError:
+        parser.error(f"config file key {key!r}: invalid {flag.type.__name__} "
+                     f"value {text!r}")
+    if flag.choices is not None and value not in flag.choices:
+        parser.error(f"config file key {key!r}: invalid choice {text!r} "
+                     f"(choose from {', '.join(flag.choices)})")
+    return value
+
+
 def parse_config(argv: list[str],
                  config_file: str | Path | None = None,
                  ) -> tuple[ExperimentConfig, argparse.Namespace]:
@@ -59,7 +80,9 @@ def parse_config(argv: list[str],
 
     The config file, when given, provides values under the same names as the
     flags (``r2_slice`` for ``--r2-slice``); explicit flags win, and any
-    other key is a usage error.  So is a value out of range: a decay law
+    other key is a usage error.  Each value goes through its flag's type
+    and choices as the flag's text would, and one that does not convert is
+    a usage error naming the key.  So is a value out of range: a decay law
     that is not a probability or a finite rate >= 0, ``--reps`` below 1,
     an instance that ``ArithParams.range_problem`` refuses, and an
     ``--r2-slice`` outside ``0..2**L - 1``.  A base sharing a factor with n
@@ -67,18 +90,18 @@ def parse_config(argv: list[str],
     ``2..n-1`` with a generator seeded by ``--seed``.
     """
     argv = list(argv)
-    if not argv or argv[0] != "run":
-        argv = ["run", *argv]
-    parser = build_parser()
+    if argv and argv[0] == "run":
+        argv = argv[1:]
+    parser = argparse.ArgumentParser(prog="shorsim run")
+    flags = _add_run_flags(parser)
     args = parser.parse_args(argv)
     if config_file is not None:
         given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-        flags = set(vars(args)) - {"command"}
         for key, value in json.loads(Path(config_file).read_text()).items():
             if key not in flags:
                 parser.error(f"config file key {key!r} is not a run flag")
             if f"--{key.replace('_', '-')}" not in given:
-                setattr(args, key, value)
+                setattr(args, key, _config_value(parser, flags[key], key, value))
     if args.p1 is not None and args.gamma is not None:
         parser.error("--p1 and --gamma are mutually exclusive")
     if not 0 <= args.events <= MAX_EVENTS:
@@ -124,14 +147,18 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     """
     q, width = ned.table.shape
     columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
-    pn, pe = ned.table.tolist(), ed.table.tolist()
-    rows = [(r1, r2, pn[r1][r2], pe[r1][r2]) for r1 in range(q) for r2 in columns]
+    # one flat list per CSV column, rows r1-major
+    r1s = np.repeat(np.arange(q), len(columns)).tolist()
+    r2s = columns * q
+    pn = ned.table[:, columns].ravel().tolist()
+    pe = ed.table[:, columns].ravel().tolist()
     if fmt == "csv":
         sink.write("r1,r2,p_ned,p_ed\n" + "".join(
-            f"{r1},{r2},{a:.12g},{b:.12g}\n" for r1, r2, a, b in rows))
+            map("{},{},{:.12g},{:.12g}\n".format, r1s, r2s, pn, pe)))
     elif fmt == "json":
         payload = [{"r1": r1, "r2": r2, "p_ned": float(f"{a:.12g}"),
-                    "p_ed": float(f"{b:.12g}")} for r1, r2, a, b in rows]
+                    "p_ed": float(f"{b:.12g}")}
+                   for r1, r2, a, b in zip(r1s, r2s, pn, pe)]
         json.dump(payload, sink)
         sink.write("\n")
     elif fmt == "gnuplot":

@@ -297,9 +297,10 @@ def _identity_planes(k: int) -> tuple[int, ...]:
                                 .tobytes(), "little") for j in range(k))
 
 
-def _block_table(local_gates: Sequence[tuple[tuple[int, ...], int]],
-                 k: int) -> np.ndarray:
-    """XOR delta of a local gate list for every local input.
+def _block_table(k: int, controls: Sequence[int],
+                 targets: Sequence[int]) -> np.ndarray:
+    """XOR delta of a local gate list, given as control and target masks over
+    k local wires, for every local input.
 
     Each wire is a 2^k-bit plane held in one Python int, so a gate costs one
     AND per extra control and one XOR over all inputs at once.
@@ -307,11 +308,12 @@ def _block_table(local_gates: Sequence[tuple[tuple[int, ...], int]],
     identity = _identity_planes(k)
     size = 1 << k
     planes = list(identity)
-    for controls, target in local_gates:
-        cond = planes[controls[0]] if controls else (1 << size) - 1
-        for c in controls[1:]:
-            cond &= planes[c]
-        planes[target] ^= cond
+    for c, t in zip(controls, targets):
+        wires = mask_bits(c)
+        cond = planes[wires[0]] if wires else (1 << size) - 1
+        for w in wires[1:]:
+            cond &= planes[w]
+        planes[t.bit_length() - 1] ^= cond
     table = np.zeros(size, dtype=np.uint16)
     for j, (plane, start) in enumerate(zip(planes, identity)):
         if plane != start:
@@ -320,6 +322,30 @@ def _block_table(local_gates: Sequence[tuple[tuple[int, ...], int]],
                                  bitorder="little")[:size]
             table |= bits.astype(np.uint16) << j
     return table
+
+
+def _wires(masks: np.ndarray) -> np.ndarray:
+    """The wire of each one-bit mask, -1 for 0; exact, as float64 holds every
+    power of two."""
+    return np.frexp(masks.astype(np.float64))[1] - 1
+
+
+def _byte_pairs(codes: np.ndarray, offsets: list[int], dtype
+                ) -> list[tuple[tuple[int, np.ndarray], ...]]:
+    """Per block, the (byte offset, byte table) pair of each non-zero row of
+    8 codes, one table per distinct row; ``codes`` holds ``len(offsets)``
+    rows per block.  A code is a weight's bit length, 0 for weight 0 and c
+    for 2**(c-1) with c <= MAX_WIDTH, so a row packs into 48 bits."""
+    rows = codes.reshape(-1, 8)
+    used = rows.any(axis=1)
+    shifts = 6 * np.arange(8)
+    keys, which = np.unique(rows[used] @ (1 << shifts), return_inverse=True)
+    weights = (1 << ((keys[:, None] >> shifts) & 63)) >> 1
+    tables = list((weights @ _BYTE_BITS.T).astype(dtype))
+    byte = (np.flatnonzero(used) % len(offsets)).tolist()
+    pairs = [(offsets[j], tables[i]) for j, i in zip(byte, which.tolist())]
+    bounds = np.cumsum(used.reshape(len(codes), -1).sum(axis=1)).tolist()
+    return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
 class CompiledNetwork:
@@ -332,62 +358,97 @@ class CompiledNetwork:
 
     def __init__(self, net: Network):
         self.ctrl, self.tgt = compile_masks(net)
-        self.gates = net.gates
+        self.width = net.qubit_count
         self.cuts = {chk.position for chk in net.checkpoints}
 
     def spans(self) -> list[tuple[int, int]]:
         """Maximal runs of gates touching <= FUSE_WIRES wires, also cut at
         every checkpoint position."""
         spans, start, wires = [], 0, 0
-        for g, (c, t) in enumerate(self.gates):
-            touched = wires | c | t
-            if g > start and (g in self.cuts or touched.bit_count() > FUSE_WIRES):
+        cuts, limit = self.cuts, FUSE_WIRES
+        for g, mask in enumerate((self.ctrl | self.tgt).tolist()):
+            touched = wires | mask
+            if g > start and (g in cuts or touched.bit_count() > limit):
                 spans.append((start, g))
-                start, touched = g, c | t
+                start, touched = g, mask
             wires = touched
-        if start < len(self.gates):
-            spans.append((start, len(self.gates)))
+        if start < len(self.ctrl):
+            spans.append((start, len(self.ctrl)))
         return spans
+
+    def _localise(self, starts: np.ndarray, touched: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each block's wires in local order, and each gate's control and
+        target masks over its block's local wires.
+
+        ``starts`` holds the blocks' first gates and ``touched`` the masks
+        of their wires.  Row b of the order lists block b's targets in order
+        of first appearance, then its other wires ascending, then the wires
+        it does not touch.
+        """
+        ctrl, tgt, width = self.ctrl, self.tgt, self.width
+        total = len(ctrl)
+        block = np.repeat(np.arange(len(starts)), np.diff(starts, append=total))
+        target = _wires(tgt)
+        wires = np.arange(width)
+        present = (touched[:, None] >> wires) & 1 == 1
+        # Sort keys: a target's first gate, then total + wire for the other
+        # touched wires, then one key for the rest.
+        rank = np.where(present, total + wires, 2 * total + width)
+        cells, first = np.unique(block * width + target, return_index=True)
+        rank.flat[cells] = first
+        order = np.argsort(rank, axis=1, kind="stable")
+        bit = np.where(present, 1 << np.argsort(order, axis=1), 0)  # wire -> local bit
+        local_ctrl = np.zeros_like(ctrl)
+        rest = ctrl.copy()
+        while rest.any():  # one pass per control: the lowest left in each gate
+            low = rest & -rest
+            local_ctrl |= np.where(low != 0, bit[block, _wires(low)], 0)
+            rest ^= low
+        return order, local_ctrl, bit[block, target]
 
     @cached_property
     def blocks(self) -> list[FusedBlock]:
-        """One block per span; equal local gate lists share one table."""
+        """One block per span, built for all spans at once.
+
+        Equal local gate lists share one table, and equal gather or scatter
+        weight rows one byte table; only the tables are built one by one,
+        once per distinct key.
+        """
+        spans = self.spans()
+        if not spans:
+            return []
+        starts = np.array([start for start, _ in spans])
+        touched = np.bitwise_or.reduceat(self.ctrl | self.tgt, starts)
+        ks = np.bitwise_count(touched)
+        targets = np.bitwise_count(np.bitwise_or.reduceat(self.tgt, starts))
+        order, local_ctrl, local_tgt = self._localise(starts, touched)
+        # Codes (see _byte_pairs): gather has a row per block and wire byte
+        # with each wire's local index, scatter a row per byte of the
+        # block's targets with their wires.
+        width, index = self.width, np.arange(self.width)
+        nbytes, sbytes = (width + 7) >> 3, (int(targets.max()) + 7) >> 3
+        codes = np.zeros((len(spans), 8 * nbytes), dtype=np.int64)
+        np.put_along_axis(codes, order, np.where(index < ks[:, None], index + 1, 0),
+                          axis=1)
+        gather = _byte_pairs(codes, [j if _LITTLE else 7 - j for j in range(nbytes)],
+                             np.uint16)
+        cols = min(width, 8 * sbytes)
+        codes = np.zeros((len(spans), 8 * sbytes), dtype=np.int64)
+        codes[:, :cols] = np.where(index[:cols] < targets[:, None],
+                                   order[:, :cols] + 1, 0)
+        scatter = _byte_pairs(codes, [j if _LITTLE else 1 - j for j in range(sbytes)],
+                              np.int64)
+
+        ctrl_bytes, tgt_bytes = local_ctrl.tobytes(), local_tgt.tobytes()
         tables: dict[tuple, np.ndarray] = {}
-        byte_tables: dict[tuple, np.ndarray] = {}
-
-        def byte_table(weights: tuple[int, ...], dtype) -> np.ndarray:
-            key = (weights, dtype)
-            if key not in byte_tables:
-                byte_tables[key] = (_BYTE_BITS @ np.array(weights, dtype=np.int64)
-                                    ).astype(dtype)
-            return byte_tables[key]
-
         blocks = []
-        for start, stop in self.spans():
-            run = self.gates[start:stop]
-            order = [t.bit_length() - 1 for t in dict.fromkeys(t for _, t in run)]
-            targets = len(order)
-            controls = int(np.bitwise_or.reduce(self.ctrl[start:stop]))
-            order += mask_bits(controls & ~qubit_mask(order))
-            local = {w: i for i, w in enumerate(order)}
-            key = tuple((tuple(sorted(local[w] for w in mask_bits(c))),
-                         local[t.bit_length() - 1]) for c, t in run)
+        for b, (k, (start, stop)) in enumerate(zip(ks.tolist(), spans)):
+            key = (k, ctrl_bytes[8 * start:8 * stop], tgt_bytes[8 * start:8 * stop])
             if key not in tables:
-                tables[key] = _block_table(key, len(order))
-            gather = []
-            for byte in sorted({w >> 3 for w in order}):
-                weights = tuple(1 << local[w] if w in local else 0
-                                for w in range(8 * byte, 8 * byte + 8))
-                gather.append((byte if _LITTLE else 7 - byte,
-                               byte_table(weights, np.uint16)))
-            scatter = []
-            for byte in range((targets + 7) >> 3):
-                chunk = order[8 * byte:min(8 * byte + 8, targets)]
-                weights = tuple(1 << w for w in chunk) + (0,) * (8 - len(chunk))
-                scatter.append((byte if _LITTLE else 1 - byte,
-                                byte_table(weights, np.int64)))
-            blocks.append(FusedBlock(start, stop, tables[key], tuple(gather),
-                                     tuple(scatter)))
+                tables[key] = _block_table(k, local_ctrl[start:stop].tolist(),
+                                           local_tgt[start:stop].tolist())
+            blocks.append(FusedBlock(start, stop, tables[key], gather[b], scatter[b]))
         return blocks
 
 

@@ -6,11 +6,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from shorsim import RegisterLayout, oracles, pipeline
+from shorsim.arithmetic import MAX_Q
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
 
@@ -66,10 +68,31 @@ class TestParseConfig:
         (["--x", "abc"], "--x"), (["--r2-slice", "99"], "--r2-slice"),
         (["--n", "21", "--r2-slice", "32"], "--r2-slice"),
         (["--r2-slice", "-1"], "--r2-slice"), (["--reps", "0"], "--reps"),
-        (["--reps", "-1"], "--reps")])
+        (["--reps", "-1"], "--reps"), (["--q", str(MAX_Q + 1)], "--q"),
+        (["--n", "65537"], "--n")])
     def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["run", *argv])
+        assert exc.value.code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--q", str(MAX_Q)], (15, MAX_Q)), (["--n", "65535"], (65535, 130))])
+    def test_largest_instances_accepted(self, argv, want):
+        # n=65535 at q=130 is a 62-qubit layout, n=65537 a 65-qubit one
+        cfg, _ = parse_config(["run", *argv])
+        assert (cfg.n, cfg.q) == want
+
+    @pytest.mark.parametrize("command", ["run", "build"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["--q", "100000000"], "--q"), (["--n", "65537", "--q", "130"], "--n")],
+        ids=["q-1e8", "n-65-qubits"])
+    def test_oversized_instance_exits_at_the_boundary(self, command, argv, flag,
+                                                      capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--x", "7"])
+        assert time.perf_counter() - start < 1.0
         assert exc.value.code == 2
         assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
 
@@ -117,6 +140,27 @@ class TestParseConfig:
             parse_config(["run"], config_file=path)
         assert exc.value.code == 2
         assert "error: --reps: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, want", [
+        ({"reps": "2"}, ("repetitions", 2)), ({"n": "15"}, ("n", 15)),
+        ({"p1": "0.5", "watchdog": "off"}, ("watchdog", "off"))])
+    def test_config_file_values_convert_like_flags(self, tmp_path, config, want):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        cfg, _ = parse_config(["run"], config_file=path)
+        assert getattr(cfg, want[0]) == want[1]
+
+    @pytest.mark.parametrize("config", [
+        {"reps": "two"}, {"reps": 2.5}, {"reps": None}, {"watchdog": "always"}])
+    def test_config_file_value_that_does_not_convert_is_a_usage_error(
+            self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run"], config_file=path)
+        assert exc.value.code == 2
+        key = next(iter(config))
+        assert f"error: config file key {key!r}: " in capsys.readouterr().err
 
     def test_unknown_config_file_key_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from shorsim import (Gate, Network, RegisterLayout, apply_decay,
-                     apply_network_batch, distribution_ed, distribution_ned,
-                     dump_state, fourier_first_register, gates, init_state,
-                     inverse_fourier_first_register, network_from_text, run,
-                     sample_schedule, simulator)
+from shorsim import (ArithParams, Gate, Network, RegisterLayout, apply_decay,
+                     apply_network_batch, build_modexp, distribution_ed,
+                     distribution_ned, dump_state, fourier_first_register, gates,
+                     init_state, inverse_fourier_first_register,
+                     network_from_text, run, sample_schedule, simulator)
 from shorsim.gates import Checkpoint, compile_masks
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
@@ -514,6 +516,100 @@ class TestFusedPass:
         sched = sample_schedule(8, 8, seed, GAMMA)
         for watchdog in ("off", "on", "strict"):
             assert_matches_reference(all_strings(8), net, sched, watchdog)
+
+    @pytest.mark.parametrize("seed, width", [(0, 40), (1, 47), (2, 57), (3, 62)])
+    def test_random_wide_networks(self, seed, width):
+        # Each phase's gates stay on 12 random wires, so blocks fill up to
+        # FUSE_WIRES with many gates and more than 8 targets; the wires
+        # spread over every byte of the basis string.
+        rng = np.random.default_rng(200 + seed)
+        gate_list = []
+        for _ in range(8):
+            wires = rng.choice(width, size=12, replace=False)
+            gate_list += [Gate.of(wires[pick[1:]].tolist(), int(wires[pick[0]]))
+                          for pick in (rng.choice(12, size=int(rng.integers(1, 4)),
+                                                  replace=False) for _ in range(40))]
+        checkpoints = [Checkpoint.of(int(pos), [int(rng.integers(width))])
+                       for pos in sorted(rng.choice(len(gate_list) + 1, 3,
+                                                    replace=False))]
+        net = Network(gate_list, width, checkpoints)
+        values = np.unique(rng.integers(0, 1 << width, 400))
+        state = SparseState(width, 0, values, np.zeros_like(values),
+                            np.full(len(values), len(values) ** -0.5,
+                                    dtype=np.complex128))
+        sched = sample_schedule(4, width, seed, STATIC_HALF)
+        for watchdog in ("off", "on", "strict"):
+            assert_matches_reference(state, net, sched, watchdog)
+        blocks = net.compiled().blocks
+        assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
+        assert max(len(b.scatter) for b in blocks) == 2
+
+
+@pytest.fixture(scope="module", params=[(21, 2, 512), (33, 5, 1100)],
+                ids=["n21", "n33"])
+def wide_instance(request):
+    """N=21 (30 qubits) and N=33 (35 qubits, 5 gather bytes) networks."""
+    n, x, q = request.param
+    layout = RegisterLayout.for_factoring(n.bit_length(), q=q)
+    net = build_modexp(ArithParams.create(n, x, q), layout)
+    return q, layout, net
+
+
+def block_digest(blocks):
+    """SHA-256 of every block's start, stop, table and gather and scatter
+    pairs, values and dtypes, in little-endian byte order."""
+    h = hashlib.sha256()
+    little = sys.byteorder == "little"
+    for b in blocks:
+        h.update(f"{b.start} {b.stop} {b.table.dtype.name}".encode())
+        h.update(b.table.astype("<u2").tobytes())
+        for name, last, pairs in (("gather", 7, b.gather), ("scatter", 1, b.scatter)):
+            for byte, tab in pairs:
+                h.update(f"{name} {byte if little else last - byte} "
+                         f"{tab.dtype.name}".encode())
+                h.update(tab.astype(tab.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+# The block digests of N=15 (x=7, q=130), N=21 (x=2, q=512) and N=33 (x=5,
+# q=1100), pinned when the blocks were first built in one vectorised pass:
+# equal to those of the per-gate builder it replaced.
+BLOCK_DIGESTS = {
+    130: "d11093302d7e97d2f90c11c7f7cabd35b1437d1f13ed5d21c9328d5d67fa38d3",
+    512: "bdcbcfe002c9d5ffb850d1959b8ad4fc0358ec9b3f373aaa05abcb7b1b67738a",
+    1100: "706e387ae13b37c533b6ce0a48b9dd798d75266295d1bd1bc6e8bc493d3f2161"}
+
+
+class TestWideFusedPass:
+    """The fused pass beyond N=15, on networks whose blocks gather from up
+    to 5 bytes; the block property holds whatever way the blocks are built."""
+
+    def test_blocks_are_pinned(self, factoring_15, wide_instance):
+        for q, _, net in ((130, *factoring_15[1:]), wide_instance):
+            assert block_digest(net.compiled().blocks) == BLOCK_DIGESTS[q]
+
+    def test_zero_event_run_matches_the_gate_by_gate_pass(self, wide_instance):
+        q, layout, net = wide_instance
+        rng = np.random.default_rng(q)
+        values = np.concatenate([init_state(q, layout).comp,
+                                 rng.integers(0, 1 << net.qubit_count, 1000)])
+        state = SparseState(net.qubit_count, 0, values, np.zeros_like(values),
+                            np.full(len(values), len(values) ** -0.5,
+                                    dtype=np.complex128))
+        out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
+        assert np.array_equal(out.comp, apply_network_batch(values, net))
+
+    def test_every_block_equals_its_gates(self, wide_instance):
+        q, _, net = wide_instance
+        width = net.qubit_count
+        values = np.random.default_rng(q + 1).integers(0, 1 << width, 256)
+        blocks = net.compiled().blocks
+        assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
+        for b in blocks:
+            comp = values.copy()
+            b.apply(comp)
+            want = apply_network_batch(values, Network(net.gates[b.start:b.stop], width))
+            assert np.array_equal(comp, want), (b.start, b.stop)
 
 
 class TestEventBlocks:
