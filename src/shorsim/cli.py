@@ -135,30 +135,40 @@ def parse_config(argv: list[str],
     return cfg, args
 
 
+CSV_CHUNK_ROWS = 1 << 16  # CSV rows formatted and written at a time
+
+
 def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
                       exact: np.ndarray | None = None,
                       r2_slice: int | None = None,
                       out_path: str | None = None) -> None:
     """Write the outcome tables in one of the plot-ready formats.
 
-    csv/json go to ``sink``; gnuplot needs ``out_path`` as a file prefix and
+    csv/json go to ``sink``; csv rows are formatted and written
+    ``CSV_CHUNK_ROWS`` at a time (whole first-register rows), so memory stays
+    bounded whatever q is.  gnuplot needs ``out_path`` as a file prefix and
     ``r2_slice`` to pick the plotted column, and writes dat files plus a
     script showing exact, traced and post-selected series stacked.
     """
     q, width = ned.table.shape
     columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
-    # one flat list per CSV column, rows r1-major
-    r1s = np.repeat(np.arange(q), len(columns)).tolist()
-    r2s = columns * q
-    pn = ned.table[:, columns].ravel().tolist()
-    pe = ed.table[:, columns].ravel().tolist()
+
+    def rows(a: int, b: int) -> tuple[list, list, list, list]:
+        """The four CSV columns of first-register rows a..b-1, flat, r1-major."""
+        return (np.repeat(np.arange(a, b), len(columns)).tolist(), columns * (b - a),
+                ned.table[a:b, columns].ravel().tolist(),
+                ed.table[a:b, columns].ravel().tolist())
+
     if fmt == "csv":
-        sink.write("r1,r2,p_ned,p_ed\n" + "".join(
-            map("{},{},{:.12g},{:.12g}\n".format, r1s, r2s, pn, pe)))
+        sink.write("r1,r2,p_ned,p_ed\n")
+        step = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))
+        for a in range(0, q, step):
+            sink.write("".join(map("{},{},{:.12g},{:.12g}\n".format,
+                                   *rows(a, min(a + step, q)))))
     elif fmt == "json":
         payload = [{"r1": r1, "r2": r2, "p_ned": float(f"{a:.12g}"),
                     "p_ed": float(f"{b:.12g}")}
-                   for r1, r2, a, b in zip(r1s, r2s, pn, pe)]
+                   for r1, r2, a, b in zip(*rows(0, q))]
         json.dump(payload, sink)
         sink.write("\n")
     elif fmt == "gnuplot":
@@ -214,11 +224,16 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Emit the network, or its resource report; an instance that ``run``
-    refuses is a usage error, and so is a base sharing a factor with n."""
+    refuses is a usage error, and so is a base sharing a factor with n.
+    Without ``--q``, q is n^2, and a default q out of range names ``--n``."""
     q = args.q if args.q is not None else args.n * args.n
     problem = ArithParams.range_problem(args.n, args.x, q)
     if problem is not None:
-        parser.error(f"--{problem[0]}: {problem[1]}")
+        flag, message = problem
+        if flag == "q" and args.q is None:
+            flag, message = "n", ("the default q = n^2 is out of range "
+                                  f"({message}); pass --q")
+        parser.error(f"--{flag}: {message}")
     try:
         params = ArithParams.create(args.n, args.x, q)
     except ValueError as err:  # the gcd rule, the one check left

@@ -20,11 +20,11 @@ from .gates import FusedBlock, Network, RegisterLayout
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
-# A fused block lookup takes as long as 3 to 17 single gates at 130 to 40,000
-# components (N=15 network, 2-vCPU Xeon VM); run() counts it as this middle
-# value when it picks a path through a block with events inside.  Any value
-# gives the same output.
-TABLE_GATES = 8
+# A fused block lookup takes as long as 3 to 7 single gates at 130 to 20,000
+# components and 4 to 12 at 40,000 to 100,000 (N=15/21/33 blocks, 2-vCPU Xeon
+# VM); run() counts it as this typical value when it picks a path through a
+# block with events inside.  Any value gives the same output.
+TABLE_GATES = 5
 
 
 @dataclass
@@ -157,7 +157,7 @@ def sample_schedule(n_events: int, n_qubits: int, seed: int,
     rng = np.random.default_rng(seed)
     while True:
         times = np.sort(rng.random(n_events))
-        if n_events == 0 or (times[0] > 0.0 and len(np.unique(times)) == n_events):
+        if n_events == 0 or (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
             break
     qubits = rng.integers(0, n_qubits, size=n_events)
     events = [DecayEvent(float(t), int(qb)) for t, qb in zip(times, qubits)]
@@ -235,10 +235,11 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
 
     The network compiles once, on its first run, and the compiled form is
     cached on the ``Network`` object: its gate masks, validated once with
-    its checkpoints (a bad network is a ``ValueError`` before any gate),
-    and its fused blocks, maximal runs of consecutive gates touching at most 14
-    wires, cut at every checkpoint position so that projections and clock
-    resets fall between blocks.  Every run, the first included, applies
+    its checkpoints (a bad network is a ``ValueError`` before any gate,
+    and so is a gate touching more than 16 wires), and its fused blocks,
+    maximal runs of consecutive gates touching at most 14 wires, cut at
+    every checkpoint position so that projections and clock resets fall
+    between blocks.  Every run, the first included, applies
     each block as one table lookup.  A block with events strictly inside it
     runs from its nearer end, by the cheapest of three exact paths (gates
     are self-inverse permutations): forward gate by gate; forward to the

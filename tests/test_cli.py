@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from shorsim import RegisterLayout, oracles, pipeline
+from shorsim import RegisterLayout, cli, oracles, pipeline
 from shorsim.arithmetic import MAX_Q
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
@@ -212,6 +212,23 @@ class TestEmitDistribution:
         assert set(records[0]) == {"r1", "r2", "p_ned", "p_ed"}
         assert all(rec["r2"] == 1 for rec in records)
 
+    @pytest.mark.parametrize("q, width, chunk, r2_slice", [
+        (2100, 32, None, None), (7, 4, 10, None), (9, 4, 3, 2)],
+        ids=["beyond-one-chunk", "partial-last-chunk", "sliced"])
+    def test_chunked_csv_equals_the_one_shot_join(self, q, width, chunk, r2_slice,
+                                                   monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        ned, ed = make_pair(q, width)
+        columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
+        assert q * len(columns) > cli.CSV_CHUNK_ROWS
+        want = "r1,r2,p_ned,p_ed\n" + "".join(
+            f"{r1},{r2},{ned.table[r1, r2]:.12g},{ed.table[r1, r2]:.12g}\n"
+            for r1 in range(q) for r2 in columns)
+        sink = io.StringIO()
+        emit_distribution(ned, ed, "csv", sink, r2_slice=r2_slice)
+        assert sink.getvalue() == want
+
     def test_gnuplot_files_and_script(self, tmp_path):
         ned, ed = make_pair()
         exact = np.full((4, 2), 0.125)
@@ -294,6 +311,23 @@ class TestMain:
             main(["build", *argv])
         assert exc.value.code == 2
         assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
+
+    def test_build_default_q_out_of_range_names_n(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--n", "257", "--x", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "shorsim: error: --n: the default q = n^2 is out of range "
+            "(q must lie in 2..65536, got 66049); pass --q")
+
+    def test_default_run_never_imports_numpy_ma(self, tmp_path):
+        # numpy 2.x imports numpy.ma lazily, for instance from np.unique.
+        code = ("import sys; from shorsim.cli import main; "
+                f"code = main(['run', '--out', {str(tmp_path / 'a.csv')!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.stdout.split() == ["0", "False"], result.stderr
 
     def test_build_emits_gate_lines(self, tmp_path):
         out = tmp_path / "net.txt"

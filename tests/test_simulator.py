@@ -612,6 +612,41 @@ class TestWideFusedPass:
             assert np.array_equal(comp, want), (b.start, b.stop)
 
 
+class TestWideGates:
+    """A gate's local bits must fit the uint16 gather, table and delta
+    entries of its fused block."""
+
+    def test_gate_on_seventeen_wires_refused_before_any_gate(self):
+        net = Network([Gate.of([], 17), Gate.of(range(1, 17), 0)], 18)
+        # Unnormalised, so any gate that ran would fail the norm check first.
+        state = single_component(18, 131070, amp=2.0)
+        with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
+            run(state, net, NoiseSchedule([], StaticDecay(1.0)), verify_norm=True)
+        with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
+            net.compiled().blocks
+
+    def test_gate_on_seventeen_wires_kept_by_the_batch_kernel_and_oracles(self):
+        net = Network([Gate.of(range(1, 17), 0), Gate.of([], 17)], 18)
+        with pytest.raises(ValueError, match="gate 0 touches 17 wires"):
+            run(single_component(18, 131070), net, NoiseSchedule([], StaticDecay(1.0)))
+        assert apply_network_batch([131070], net).tolist() == [262143]
+        assert not exhaustive_network_check(
+            net, lambda a: int(a == 65535), range(1 << 16),
+            in_wires=list(range(1, 17)), out_wires=[0])
+
+    def test_gate_on_sixteen_wires_runs(self):
+        net = Network([Gate.of(range(1, 16), 0), Gate.of([], 16)], 17)
+        rng = np.random.default_rng(16)
+        values = np.unique(np.concatenate([[0xFFFE, 0xFFFF, 0x1FFFE],
+                                           rng.integers(0, 1 << 17, 500)]))
+        state = SparseState(17, 0, values, np.zeros_like(values),
+                            np.full(len(values), len(values) ** -0.5,
+                                    dtype=np.complex128))
+        out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
+        assert [b.table.size for b in net.compiled().blocks] == [1 << 16, 2]
+        assert np.array_equal(out.comp, apply_network_batch(values, net))
+
+
 class TestEventBlocks:
     """A block with events inside runs forward gate by gate, or from one end
     with the table covering the far side; all three paths agree bit for
