@@ -286,6 +286,6 @@ def resource_estimate(bits: int) -> ResourceReport:
         n = (1 << bits) - 1
         # counted, never run, so the limits of range_problem do not apply
         params = ArithParams(n, 2, 1 << (2 * bits + 1), bits)
-        layout = RegisterLayout.for_factoring(bits, reg1_width=2 * bits + 1)
+        layout = RegisterLayout.for_factoring(bits)
         exact = len(build_modexp(params, layout).gates)
     return ResourceReport(qubits, exact, gate_count_formula(bits))

@@ -79,29 +79,32 @@ def parse_config(argv: list[str],
     """Turn `run` arguments (plus optional JSON defaults) into a config.
 
     The config file, when given, provides values under the same names as the
-    flags (``r2_slice`` for ``--r2-slice``); explicit flags win, and any
-    other key is a usage error.  Each value goes through its flag's type
-    and choices as the flag's text would, and one that does not convert is
-    a usage error naming the key.  So is a value out of range: a decay law
-    that is not a probability or a finite rate >= 0, ``--reps`` below 1,
-    an instance that ``ArithParams.range_problem`` refuses, and an
-    ``--r2-slice`` outside ``0..2**L - 1``.  A base sharing a factor with n
-    passes, for the gcd shortcut.  ``--x random`` draws the base from
-    ``2..n-1`` with a generator seeded by ``--seed``.
+    flags (``r2_slice`` for ``--r2-slice``), and any other key is a usage
+    error.  Each value goes through its flag's type and choices as the
+    flag's text would, and one that does not convert is a usage error
+    naming the key.  The converted values seed the namespace argparse
+    parses into, and argparse fills in defaults only where a value is
+    missing, so a flag given in any form it accepts (``--ev 5``,
+    ``--events=5``) wins.  A value out of range is a usage error too: a
+    decay law that is not a probability or a finite rate >= 0, ``--reps``
+    below 1, an instance that ``ArithParams.range_problem`` refuses, an
+    ``--r2-slice`` outside ``0..2**L - 1``, and ``--format gnuplot``
+    without both ``--out`` and ``--r2-slice``.  A base sharing a factor
+    with n passes, for the gcd shortcut.  ``--x random`` draws the base
+    from ``2..n-1`` with a generator seeded by ``--seed``.
     """
     argv = list(argv)
     if argv and argv[0] == "run":
         argv = argv[1:]
     parser = argparse.ArgumentParser(prog="shorsim run")
     flags = _add_run_flags(parser)
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()
     if config_file is not None:
-        given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
         for key, value in json.loads(Path(config_file).read_text()).items():
             if key not in flags:
                 parser.error(f"config file key {key!r} is not a run flag")
-            if f"--{key.replace('_', '-')}" not in given:
-                setattr(args, key, _config_value(parser, flags[key], key, value))
+            setattr(args, key, _config_value(parser, flags[key], key, value))
+    args = parser.parse_args(argv, namespace=args)
     if args.p1 is not None and args.gamma is not None:
         parser.error("--p1 and --gamma are mutually exclusive")
     if not 0 <= args.events <= MAX_EVENTS:
@@ -129,13 +132,16 @@ def parse_config(argv: list[str],
     width = 1 << args.n.bit_length()
     if args.r2_slice is not None and not 0 <= args.r2_slice < width:
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
+    if args.format == "gnuplot" and (args.out is None or args.r2_slice is None):
+        parser.error("--format: gnuplot output needs --out and --r2-slice")
     cfg = ExperimentConfig(n=args.n, x=x, q=args.q, n_events=args.events,
                            law=law, watchdog=args.watchdog, seed=args.seed,
                            repetitions=args.reps)
     return cfg, args
 
 
-CSV_CHUNK_ROWS = 1 << 16  # CSV rows formatted and written at a time
+CSV_CHUNK_ROWS = 1 << 16  # CSV rows or JSON records formatted and written at a time
+_JSON_RECORD = '{{"r1": {}, "r2": {}, "p_ned": {!r}, "p_ed": {!r}}}'.format
 
 
 def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
@@ -144,33 +150,42 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
                       out_path: str | None = None) -> None:
     """Write the outcome tables in one of the plot-ready formats.
 
-    csv/json go to ``sink``; csv rows are formatted and written
-    ``CSV_CHUNK_ROWS`` at a time (whole first-register rows), so memory stays
-    bounded whatever q is.  gnuplot needs ``out_path`` as a file prefix and
-    ``r2_slice`` to pick the plotted column, and writes dat files plus a
-    script showing exact, traced and post-selected series stacked.
+    csv/json go to ``sink``, formatted and written ``CSV_CHUNK_ROWS`` rows
+    at a time (whole first-register rows), so memory stays bounded whatever
+    q is; json is a list of records, the bytes ``json.dump`` gives, with
+    each probability rounded to 12 significant digits.  gnuplot needs
+    ``out_path`` as a file prefix and ``r2_slice`` to pick the plotted
+    column, and writes dat files plus a script showing exact, traced and
+    post-selected series stacked.
     """
     q, width = ned.table.shape
     columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
+    step = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))
 
     def rows(a: int, b: int) -> tuple[list, list, list, list]:
-        """The four CSV columns of first-register rows a..b-1, flat, r1-major."""
+        """The four columns of first-register rows a..b-1, flat, r1-major."""
         return (np.repeat(np.arange(a, b), len(columns)).tolist(), columns * (b - a),
                 ned.table[a:b, columns].ravel().tolist(),
                 ed.table[a:b, columns].ravel().tolist())
 
+    def rounded(values: list[float]):
+        return map(float, map("{:.12g}".format, values))
+
     if fmt == "csv":
         sink.write("r1,r2,p_ned,p_ed\n")
-        step = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))
         for a in range(0, q, step):
             sink.write("".join(map("{},{},{:.12g},{:.12g}\n".format,
                                    *rows(a, min(a + step, q)))))
     elif fmt == "json":
-        payload = [{"r1": r1, "r2": r2, "p_ned": float(f"{a:.12g}"),
-                    "p_ed": float(f"{b:.12g}")}
-                   for r1, r2, a, b in zip(*rows(0, q))]
-        json.dump(payload, sink)
-        sink.write("\n")
+        sink.write("[")
+        sep = ""
+        for a in range(0, q, step):
+            r1, r2, p_ned, p_ed = rows(a, min(a + step, q))
+            if r1:
+                sink.write(sep + ", ".join(map(_JSON_RECORD, r1, r2, rounded(p_ned),
+                                               rounded(p_ed))))
+                sep = ", "
+        sink.write("]\n")
     elif fmt == "gnuplot":
         if out_path is None or r2_slice is None:
             raise ValueError("gnuplot output needs --out and --r2-slice")
@@ -197,9 +212,6 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    if args.format == "gnuplot" and (args.out is None or args.r2_slice is None):
-        print("gnuplot output needs --out and --r2-slice", file=sys.stderr)
-        return 2
     report = run_experiment(cfg)
     if not report.repetitions:
         print(report.to_json(), file=sys.stderr)

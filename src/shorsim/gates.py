@@ -130,15 +130,13 @@ class RegisterLayout:
     swap_ancilla: int
 
     @classmethod
-    def for_factoring(cls, bits: int, reg1_width: int | None = None,
-                      q: int | None = None) -> RegisterLayout:
+    def for_factoring(cls, bits: int, *, q: int | None = None) -> RegisterLayout:
         """Pack a layout for factoring an L-bit number.
 
-        ``reg1_width`` defaults to the width needed for q-1, or 2L+1 when no
-        q is given (enough for any q up to 2 N^2).
+        reg1 is as wide as q-1 needs, or 2L+1 qubits when no q is given
+        (enough for any q up to 2 N^2).
         """
-        if reg1_width is None:
-            reg1_width = (q - 1).bit_length() if q is not None else 2 * bits + 1
+        reg1_width = (q - 1).bit_length() if q is not None else 2 * bits + 1
         pos = 0
         reg1 = range(pos, pos + reg1_width); pos = reg1.stop
         reg2 = range(pos, pos + bits); pos = reg2.stop
@@ -255,7 +253,7 @@ def apply_gate(bits: int, gate: Gate, width: int = MAX_WIDTH) -> int:
     return apply_network(bits, Network([gate], width))
 
 
-BLOCK_WIRES = 16  # local bits a uint16 gather, table or delta entry holds
+BLOCK_WIRES = 16  # local bits a uint16 gather entry or table index holds
 FUSE_WIRES = 14  # wires per fused block; at most BLOCK_WIRES
 _LITTLE = sys.byteorder == "little"
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # value -> its 8 bits
@@ -265,22 +263,23 @@ _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # value -> its 8 bit
 class FusedBlock:
     """Gates ``start .. stop-1`` of a network as one permutation lookup.
 
-    The block's k <= FUSE_WIRES wires get local indices, targets first.
-    ``gather`` holds (byte offset, 256-entry table) pairs that map each byte
-    of a basis string holding block wires to their local bits; ``table``
-    maps the local input to the local XOR delta; ``scatter`` maps each byte
-    of that delta back to global bits.  Every lookup gathers with
-    ``ndarray.take``, which reads the same elements as ``tab[idx]`` but
-    skips numpy's general advanced-indexing path: with the strided byte
-    and uint16 indices used here it is about 2x faster, so a lookup costs
-    3 to 7 single gates at 130 to 20,000 components.
+    The gates change only the block's own wires, by an amount that depends
+    only on those wires' input, so the block's whole effect is one XOR
+    delta per local input.  Local index j stands for the block's j-th
+    lowest wire, k <= BLOCK_WIRES of them.  ``gather`` holds (byte offset,
+    256-entry table) pairs that map each byte of a basis string holding
+    block wires to their local bits; ``table`` maps the local input to the
+    int64 XOR delta on the whole basis string.  Every lookup reads its
+    tables with ``ndarray.take``, which reads the same elements as
+    ``tab[idx]`` but skips numpy's general advanced-indexing path: with the
+    strided byte and uint16 indices used here it is about 2x faster, so a
+    lookup costs 2 to 5 single gates at 130 to 40,000 components.
     """
 
     start: int
     stop: int
     table: np.ndarray
     gather: tuple[tuple[int, np.ndarray], ...]
-    scatter: tuple[tuple[int, np.ndarray], ...]
 
     def apply(self, comp: np.ndarray) -> None:
         """Run the block on a contiguous int64 array of basis strings, in place."""
@@ -289,9 +288,7 @@ class FusedBlock:
         local = tab.take(raw[byte::8])
         for byte, tab in rest:
             local |= tab.take(raw[byte::8])
-        delta = self.table.take(local).view(np.uint8)
-        for byte, tab in self.scatter:
-            comp ^= tab.take(delta[byte::2])
+        comp ^= self.table.take(local)
 
 
 @lru_cache(maxsize=None)
@@ -302,30 +299,31 @@ def _identity_planes(k: int) -> tuple[int, ...]:
                                 .tobytes(), "little") for j in range(k))
 
 
-def _block_table(k: int, controls: Sequence[int],
+def _block_table(wires: Sequence[int], controls: Sequence[int],
                  targets: Sequence[int]) -> np.ndarray:
-    """XOR delta of a local gate list, given as control and target masks over
-    k local wires, for every local input.
+    """XOR delta on the whole basis string of a local gate list, given as
+    control and target masks over the local wires, for every local input;
+    local wire j is wire ``wires[j]``.
 
     Each wire is a 2^k-bit plane held in one Python int, so a gate costs one
     AND per extra control and one XOR over all inputs at once.
     """
-    identity = _identity_planes(k)
-    size = 1 << k
+    identity = _identity_planes(len(wires))
+    size = 1 << len(wires)
     planes = list(identity)
     for c, t in zip(controls, targets):
-        wires = mask_bits(c)
-        cond = planes[wires[0]] if wires else (1 << size) - 1
-        for w in wires[1:]:
+        local = mask_bits(c)
+        cond = planes[local[0]] if local else (1 << size) - 1
+        for w in local[1:]:
             cond &= planes[w]
         planes[t.bit_length() - 1] ^= cond
-    table = np.zeros(size, dtype=np.uint16)
-    for j, (plane, start) in enumerate(zip(planes, identity)):
+    table = np.zeros(size, dtype=np.int64)
+    for wire, plane, start in zip(wires, planes, identity):
         if plane != start:
             moved = (plane ^ start).to_bytes(max(1, size >> 3), "little")
             bits = np.unpackbits(np.frombuffer(moved, dtype=np.uint8),
                                  bitorder="little")[:size]
-            table |= bits.astype(np.uint16) << j
+            table |= bits.astype(np.int64) << wire
     return table
 
 
@@ -335,20 +333,22 @@ def _wires(masks: np.ndarray) -> np.ndarray:
     return np.frexp(masks.astype(np.float64))[1] - 1
 
 
-def _byte_pairs(codes: np.ndarray, offsets: list[int], dtype
-                ) -> list[tuple[tuple[int, np.ndarray], ...]]:
-    """Per block, the (byte offset, byte table) pair of each non-zero row of
-    8 codes, one table per distinct row; ``codes`` holds ``len(offsets)``
-    rows per block.  A code is a weight's bit length, 0 for weight 0 and c
-    for 2**(c-1) with c <= MAX_WIDTH, so a row packs into 48 bits."""
-    rows = codes.reshape(-1, 8)
+def _gathers(codes: np.ndarray) -> list[tuple[tuple[int, np.ndarray], ...]]:
+    """Per block, the (byte offset, byte table) pair of each byte of a basis
+    string holding block wires, one uint16 table per distinct row of 8
+    codes.  ``codes`` holds a row per block with a code per wire: its local
+    index + 1, 0 off the block; a code is at most BLOCK_WIRES, so a row of
+    8 packs into 40 bits."""
+    nbytes = (codes.shape[1] + 7) >> 3
+    rows = np.pad(codes, ((0, 0), (0, 8 * nbytes - codes.shape[1]))).reshape(-1, 8)
     used = rows.any(axis=1)
-    shifts = 6 * np.arange(8)
+    shifts = 5 * np.arange(8)
     keys, which = np.unique(rows[used] @ (1 << shifts), return_inverse=True)
-    weights = (1 << ((keys[:, None] >> shifts) & 63)) >> 1
-    tables = list((weights @ _BYTE_BITS.T).astype(dtype))
-    byte = (np.flatnonzero(used) % len(offsets)).tolist()
-    pairs = [(offsets[j], tables[i]) for j, i in zip(byte, which.tolist())]
+    weights = (1 << ((keys[:, None] >> shifts) & 31)) >> 1
+    tables = list((weights @ _BYTE_BITS.T).astype(np.uint16))
+    offsets = (np.flatnonzero(used) % nbytes).tolist()
+    pairs = [(j if _LITTLE else 7 - j, tables[i])
+             for j, i in zip(offsets, which.tolist())]
     bounds = np.cumsum(used.reshape(len(codes), -1).sum(axis=1)).tolist()
     return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
 
@@ -383,43 +383,35 @@ class CompiledNetwork:
 
     def _localise(self, starts: np.ndarray, touched: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each block's wires in local order, and each gate's control and
-        target masks over its block's local wires.
+        """Each block's code per wire, and each gate's control and target
+        masks over its block's local wires.
 
         ``starts`` holds the blocks' first gates and ``touched`` the masks
-        of their wires.  Row b of the order lists block b's targets in order
-        of first appearance, then its other wires ascending, then the wires
-        it does not touch.
+        of their wires.  A wire's local index is its rank among its block's
+        wires, ascending; its code in row b is that index + 1, 0 for a wire
+        block b does not touch.
         """
-        ctrl, tgt, width = self.ctrl, self.tgt, self.width
-        total = len(ctrl)
-        block = np.repeat(np.arange(len(starts)), np.diff(starts, append=total))
-        target = _wires(tgt)
-        wires = np.arange(width)
-        present = (touched[:, None] >> wires) & 1 == 1
-        # Sort keys: a target's first gate, then total + wire for the other
-        # touched wires, then one key for the rest.
-        rank = np.where(present, total + wires, 2 * total + width)
-        cells, first = np.unique(block * width + target, return_index=True)
-        rank.flat[cells] = first
-        order = np.argsort(rank, axis=1, kind="stable")
-        bit = np.where(present, 1 << np.argsort(order, axis=1), 0)  # wire -> local bit
+        ctrl, width = self.ctrl, self.width
+        block = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ctrl)))
+        present = (touched[:, None] >> np.arange(width)) & 1
+        code = np.cumsum(present, axis=1) * present
+        bit = (1 << code) >> 1  # wire -> local bit, 0 off the block
         local_ctrl = np.zeros_like(ctrl)
         rest = ctrl.copy()
         while rest.any():  # one pass per control: the lowest left in each gate
             low = rest & -rest
             local_ctrl |= np.where(low != 0, bit[block, _wires(low)], 0)
             rest ^= low
-        return order, local_ctrl, bit[block, target]
+        return code, local_ctrl, bit[block, _wires(self.tgt)]
 
     @cached_property
     def blocks(self) -> list[FusedBlock]:
         """One block per span, built for all spans at once; a gate touching
         more than ``BLOCK_WIRES`` wires is a ``ValueError`` naming it.
 
-        Equal local gate lists share one table, and equal gather or scatter
-        weight rows one byte table; only the tables are built one by one,
-        once per distinct key.
+        Blocks with equal local gate lists and equal global targets share
+        one table, and equal gather code rows one byte table; only the
+        tables are built one by one, once per distinct key.
         """
         spans = self.spans()
         if not spans:
@@ -431,34 +423,20 @@ class CompiledNetwork:
             b = int(wide[0])
             raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
                              f"block holds at most {BLOCK_WIRES}")
-        targets = np.bitwise_count(np.bitwise_or.reduceat(self.tgt, starts))
-        order, local_ctrl, local_tgt = self._localise(starts, touched)
-        # Codes (see _byte_pairs): gather has a row per block and wire byte
-        # with each wire's local index, scatter a row per byte of the
-        # block's targets with their wires.
-        width, index = self.width, np.arange(self.width)
-        nbytes, sbytes = (width + 7) >> 3, (int(targets.max()) + 7) >> 3
-        codes = np.zeros((len(spans), 8 * nbytes), dtype=np.int64)
-        np.put_along_axis(codes, order, np.where(index < ks[:, None], index + 1, 0),
-                          axis=1)
-        gather = _byte_pairs(codes, [j if _LITTLE else 7 - j for j in range(nbytes)],
-                             np.uint16)
-        cols = min(width, 8 * sbytes)
-        codes = np.zeros((len(spans), 8 * sbytes), dtype=np.int64)
-        codes[:, :cols] = np.where(index[:cols] < targets[:, None],
-                                   order[:, :cols] + 1, 0)
-        scatter = _byte_pairs(codes, [j if _LITTLE else 1 - j for j in range(sbytes)],
-                              np.int64)
-
+        code, local_ctrl, local_tgt = self._localise(starts, touched)
+        gather = _gathers(code)
         ctrl_bytes, tgt_bytes = local_ctrl.tobytes(), local_tgt.tobytes()
+        global_tgt = self.tgt.tobytes()
         tables: dict[tuple, np.ndarray] = {}
         blocks = []
-        for b, (k, (start, stop)) in enumerate(zip(ks.tolist(), spans)):
-            key = (k, ctrl_bytes[8 * start:8 * stop], tgt_bytes[8 * start:8 * stop])
+        for b, (wires, (start, stop)) in enumerate(zip(touched.tolist(), spans)):
+            a, z = 8 * start, 8 * stop
+            key = (ctrl_bytes[a:z], tgt_bytes[a:z], global_tgt[a:z])
             if key not in tables:
-                tables[key] = _block_table(k, local_ctrl[start:stop].tolist(),
+                tables[key] = _block_table(mask_bits(wires),
+                                           local_ctrl[start:stop].tolist(),
                                            local_tgt[start:stop].tolist())
-            blocks.append(FusedBlock(start, stop, tables[key], gather[b], scatter[b]))
+            blocks.append(FusedBlock(start, stop, tables[key], gather[b]))
         return blocks
 
 

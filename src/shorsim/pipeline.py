@@ -33,6 +33,11 @@ class ExperimentConfig:
     samples: int = 20
     sample_from: str = "ned"  # or "ed": post-select runs with clean scratch
 
+    def __post_init__(self):
+        if self.sample_from not in ("ned", "ed"):
+            raise ValueError(f"sample_from must be 'ned' or 'ed', "
+                             f"got {self.sample_from!r}")
+
 
 @dataclass(frozen=True)
 class SampleTrace:
@@ -135,7 +140,7 @@ def extract_factors(x: int, r: int, n: int) -> tuple[set[int] | None, str | None
     return {math.gcd(half - 1, n), math.gcd(half + 1, n)}, None
 
 
-def _sample_outcomes(dist: Distribution, q: int, count: int,
+def _sample_outcomes(dist: Distribution, count: int,
                      rng: np.random.Generator) -> list[tuple[int, int]]:
     flat = dist.table.ravel()
     total = flat.sum()
@@ -189,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> FactorReport:
         source = ned if cfg.sample_from == "ned" else ed
         traces = []
         rep_order = None
-        for c, r2 in _sample_outcomes(source, cfg.q, cfg.samples, rep_rng):
+        for c, r2 in _sample_outcomes(source, cfg.samples, rep_rng):
             order, tried = continued_fraction_order(c, cfg.q, n, x)
             traces.append(SampleTrace(c, r2, tuple(tried), order))
             if order is not None and rep_order is None:

@@ -20,10 +20,11 @@ from .gates import FusedBlock, Network, RegisterLayout
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
-# A fused block lookup takes as long as 3 to 7 single gates at 130 to 20,000
-# components and 4 to 12 at 40,000 to 100,000 (N=15/21/33 blocks, 2-vCPU Xeon
-# VM); run() counts it as this typical value when it picks a path through a
-# block with events inside.  Any value gives the same output.
+# A fused block lookup takes as long as 2 to 3.5 single gates at 130 to 1,000
+# components, 4 to 5 at 5,000 to 40,000 and 5 to 8 at 100,000 (N=15/21/33
+# blocks, 2-vCPU Xeon VM); run() counts it as this typical value when it picks
+# a path through a block with events inside.  Any value gives the same output,
+# and 3 to 7 gave the same run() time over fixed N=15 and N=21 schedules.
 TABLE_GATES = 5
 
 

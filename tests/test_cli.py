@@ -69,7 +69,8 @@ class TestParseConfig:
         (["--n", "21", "--r2-slice", "32"], "--r2-slice"),
         (["--r2-slice", "-1"], "--r2-slice"), (["--reps", "0"], "--reps"),
         (["--reps", "-1"], "--reps"), (["--q", str(MAX_Q + 1)], "--q"),
-        (["--n", "65537"], "--n")])
+        (["--n", "65537"], "--n"), (["--format", "gnuplot", "--out", "f"], "--format"),
+        (["--format", "gnuplot", "--r2-slice", "1"], "--format")])
     def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["run", *argv])
@@ -132,6 +133,10 @@ class TestParseConfig:
         cfg, _ = parse_config(["run", "--q", "32"], config_file=path)
         assert cfg.q == 32  # flag wins
         assert cfg.seed == 9 and cfg.n_events == 4
+        # in any form argparse takes: abbreviated, or joined by "="
+        for flag in (["--ev", "5"], ["--events=5"]):
+            cfg, _ = parse_config(["run", *flag], config_file=path)
+            assert (cfg.q, cfg.seed, cfg.n_events) == (64, 9, 5)
 
     def test_config_file_reps_below_one_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -161,6 +166,16 @@ class TestParseConfig:
         assert exc.value.code == 2
         key = next(iter(config))
         assert f"error: config file key {key!r}: " in capsys.readouterr().err
+
+    def test_config_file_gnuplot_without_slice_is_a_usage_error(self, tmp_path,
+                                                                capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": "gnuplot", "out": "fig"}))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run"], config_file=path)
+        assert exc.value.code == 2
+        assert "error: --format: gnuplot output needs --out and --r2-slice" in (
+            capsys.readouterr().err)
 
     def test_unknown_config_file_key_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -198,10 +213,13 @@ class TestEmitDistribution:
         assert "0.333333333333" in sink.getvalue()
 
     def test_empty_distribution_gives_header_only(self):
-        empty = Distribution(np.zeros((0, 0)), "ned")
-        sink = io.StringIO()
-        emit_distribution(empty, empty, "csv", sink)
-        assert sink.getvalue() == "r1,r2,p_ned,p_ed\n"
+        # and, as json.dump gives it, an empty JSON list
+        for shape in ((0, 0), (3, 0)):
+            empty = Distribution(np.zeros(shape), "ned")
+            for fmt, want in (("csv", "r1,r2,p_ned,p_ed\n"), ("json", "[]\n")):
+                sink = io.StringIO()
+                emit_distribution(empty, empty, fmt, sink)
+                assert sink.getvalue() == want
 
     def test_json_records(self):
         ned, ed = make_pair()
@@ -217,17 +235,25 @@ class TestEmitDistribution:
         ids=["beyond-one-chunk", "partial-last-chunk", "sliced"])
     def test_chunked_csv_equals_the_one_shot_join(self, q, width, chunk, r2_slice,
                                                    monkeypatch):
+        # CSV and JSON alike, JSON against json.dump's bytes
         if chunk is not None:
             monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
         ned, ed = make_pair(q, width)
+        ned.table[0, 0], ed.table[0, 0] = 1.0, 0.0  # json: 1.0 and 0.0, not 1 and 0
         columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
         assert q * len(columns) > cli.CSV_CHUNK_ROWS
-        want = "r1,r2,p_ned,p_ed\n" + "".join(
+        csv_text = "r1,r2,p_ned,p_ed\n" + "".join(
             f"{r1},{r2},{ned.table[r1, r2]:.12g},{ed.table[r1, r2]:.12g}\n"
             for r1 in range(q) for r2 in columns)
-        sink = io.StringIO()
-        emit_distribution(ned, ed, "csv", sink, r2_slice=r2_slice)
-        assert sink.getvalue() == want
+        records = [{"r1": r1, "r2": r2, "p_ned": float(f"{ned.table[r1, r2]:.12g}"),
+                    "p_ed": float(f"{ed.table[r1, r2]:.12g}")}
+                   for r1 in range(q) for r2 in columns]
+        json_sink = io.StringIO()
+        json.dump(records, json_sink)
+        for fmt, want in (("csv", csv_text), ("json", json_sink.getvalue() + "\n")):
+            sink = io.StringIO()
+            emit_distribution(ned, ed, fmt, sink, r2_slice=r2_slice)
+            assert sink.getvalue() == want, fmt
 
     def test_gnuplot_files_and_script(self, tmp_path):
         ned, ed = make_pair()

@@ -167,6 +167,13 @@ class TestRunExperiment:
         assert set(payload["samples"][0]) == {"c", "r2", "convergents",
                                               "verified_r"}
 
+    @pytest.mark.parametrize("source", ["ED", "nde", ""])
+    def test_unknown_sample_source_refused(self, source):
+        # refused when the config is made, so before any simulation
+        with pytest.raises(ValueError, match=f"^sample_from must be 'ned' or "
+                                             f"'ed', got {source!r}$"):
+            ExperimentConfig(sample_from=source)
+
     def test_noisy_run_with_ed_sampling(self):
         cfg = ExperimentConfig(n=15, x=7, q=16, n_events=3,
                                law=StaticDecay(0.5), watchdog="on", seed=5,

@@ -542,7 +542,9 @@ class TestFusedPass:
             assert_matches_reference(state, net, sched, watchdog)
         blocks = net.compiled().blocks
         assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
-        assert max(len(b.scatter) for b in blocks) == 2
+        # some block flips more than 8 wires, so its deltas span many bytes
+        assert max(int(np.bitwise_or.reduce(b.table)).bit_count()
+                   for b in blocks) > 8
 
 
 @pytest.fixture(scope="module", params=[(21, 2, 512), (33, 5, 1100)],
@@ -555,29 +557,33 @@ def wide_instance(request):
     return q, layout, net
 
 
+def little_endian(tab):
+    return tab.astype(tab.dtype.newbyteorder("<")).tobytes()
+
+
 def block_digest(blocks):
-    """SHA-256 of every block's start, stop, table and gather and scatter
-    pairs, values and dtypes, in little-endian byte order."""
+    """SHA-256 of every block's start, stop, table and gather pairs, values
+    and dtypes, in little-endian byte order."""
     h = hashlib.sha256()
     little = sys.byteorder == "little"
     for b in blocks:
         h.update(f"{b.start} {b.stop} {b.table.dtype.name}".encode())
-        h.update(b.table.astype("<u2").tobytes())
-        for name, last, pairs in (("gather", 7, b.gather), ("scatter", 1, b.scatter)):
-            for byte, tab in pairs:
-                h.update(f"{name} {byte if little else last - byte} "
-                         f"{tab.dtype.name}".encode())
-                h.update(tab.astype(tab.dtype.newbyteorder("<")).tobytes())
+        h.update(little_endian(b.table))
+        for byte, tab in b.gather:
+            h.update(f"gather {byte if little else 7 - byte} "
+                     f"{tab.dtype.name}".encode())
+            h.update(little_endian(tab))
     return h.hexdigest()
 
 
 # The block digests of N=15 (x=7, q=130), N=21 (x=2, q=512) and N=33 (x=5,
-# q=1100), pinned when the blocks were first built in one vectorised pass:
-# equal to those of the per-gate builder it replaced.
+# q=1100), re-pinned when each table came to hold the block's int64 delta on
+# the whole basis string and local indices came to follow wire rank, with
+# every table equal to its gates on all local inputs (the test below).
 BLOCK_DIGESTS = {
-    130: "d11093302d7e97d2f90c11c7f7cabd35b1437d1f13ed5d21c9328d5d67fa38d3",
-    512: "bdcbcfe002c9d5ffb850d1959b8ad4fc0358ec9b3f373aaa05abcb7b1b67738a",
-    1100: "706e387ae13b37c533b6ce0a48b9dd798d75266295d1bd1bc6e8bc493d3f2161"}
+    130: "e4d6b6d5a4803f89b5ff755a4348a865e38a7e34f2762dbba4d101bb2f8ee465",
+    512: "37f7f8e257ec5df1d6cc8b9e169529243c002d96814d3f136f8aa7d5f3dffa5f",
+    1100: "72dd4c3fb48519a02998eb02700ddf76a5d7e6d36e86aa8245744ee51700f247"}
 
 
 class TestWideFusedPass:
@@ -587,6 +593,25 @@ class TestWideFusedPass:
     def test_blocks_are_pinned(self, factoring_15, wide_instance):
         for q, _, net in ((130, *factoring_15[1:]), wide_instance):
             assert block_digest(net.compiled().blocks) == BLOCK_DIGESTS[q]
+
+    def test_every_table_equals_its_gates_on_all_local_inputs(self, factoring_15,
+                                                              wide_instance):
+        # Each distinct table on the wires of the first block using it:
+        # local bit j is the block's j-th lowest wire.
+        for net in (factoring_15[2], wide_instance[2]):
+            seen = set()
+            for b in net.compiled().blocks:
+                if id(b.table) in seen:
+                    continue
+                seen.add(id(b.table))
+                gate_list = net.gates[b.start:b.stop]
+                wires = sorted({w for g in gate_list for w in (*g.controls, g.target)})
+                local = np.arange(1 << len(wires))
+                values = np.zeros_like(local)
+                for j, w in enumerate(wires):
+                    values |= (local >> j & 1) << w
+                out = apply_network_batch(values, Network(gate_list, net.qubit_count))
+                assert np.array_equal(out ^ values, b.table), (b.start, b.stop)
 
     def test_zero_event_run_matches_the_gate_by_gate_pass(self, wide_instance):
         q, layout, net = wide_instance
@@ -613,8 +638,8 @@ class TestWideFusedPass:
 
 
 class TestWideGates:
-    """A gate's local bits must fit the uint16 gather, table and delta
-    entries of its fused block."""
+    """A gate's local bits must fit the uint16 gather entries, which index
+    the table, of its fused block."""
 
     def test_gate_on_seventeen_wires_refused_before_any_gate(self):
         net = Network([Gate.of([], 17), Gate.of(range(1, 17), 0)], 18)
