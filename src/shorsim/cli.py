@@ -73,6 +73,13 @@ def _config_value(parser: argparse.ArgumentParser, flag: argparse.Action,
     return value
 
 
+def _check_out(parser: argparse.ArgumentParser, out: str | None) -> None:
+    """A usage error naming ``--out`` unless its directory exists; for
+    gnuplot, ``--out`` is a file prefix and the same holds."""
+    if out is not None and not Path(out).parent.is_dir():
+        parser.error(f"--out: directory {str(Path(out).parent)!r} does not exist")
+
+
 def parse_config(argv: list[str],
                  config_file: str | Path | None = None,
                  ) -> tuple[ExperimentConfig, argparse.Namespace]:
@@ -85,11 +92,15 @@ def parse_config(argv: list[str],
     naming the key.  The converted values seed the namespace argparse
     parses into, and argparse fills in defaults only where a value is
     missing, so a flag given in any form it accepts (``--ev 5``,
-    ``--events=5``) wins.  A value out of range is a usage error too: a
+    ``--events=5``) wins.  A decay law given on the command line
+    (``--p1`` or ``--gamma``) replaces the file's law, whichever it is; a
+    file naming both laws is a usage error.  A value out of range is a
+    usage error too: a
     decay law that is not a probability or a finite rate >= 0, ``--reps``
     below 1, an instance that ``ArithParams.range_problem`` refuses, an
     ``--r2-slice`` outside ``0..2**L - 1``, and ``--format gnuplot``
-    without both ``--out`` and ``--r2-slice``.  A base sharing a factor
+    without both ``--out`` and ``--r2-slice``, and an ``--out`` whose
+    directory does not exist.  A base sharing a factor
     with n passes, for the gcd shortcut.  ``--x random`` draws the base
     from ``2..n-1`` with a generator seeded by ``--seed``.
     """
@@ -98,15 +109,19 @@ def parse_config(argv: list[str],
         argv = argv[1:]
     parser = argparse.ArgumentParser(prog="shorsim run")
     flags = _add_run_flags(parser)
-    args = argparse.Namespace()
+    args = parser.parse_args(argv)  # the command line alone
     if config_file is not None:
+        values = {}
         for key, value in json.loads(Path(config_file).read_text()).items():
             if key not in flags:
                 parser.error(f"config file key {key!r} is not a run flag")
-            setattr(args, key, _config_value(parser, flags[key], key, value))
-    args = parser.parse_args(argv, namespace=args)
-    if args.p1 is not None and args.gamma is not None:
-        parser.error("--p1 and --gamma are mutually exclusive")
+            values[key] = _config_value(parser, flags[key], key, value)
+        if "p1" in values and "gamma" in values:
+            parser.error("config file keys 'p1' and 'gamma' are mutually exclusive")
+        if args.p1 is not None or args.gamma is not None:
+            values.pop("p1", None)
+            values.pop("gamma", None)
+        args = parser.parse_args(argv, namespace=argparse.Namespace(**values))
     if not 0 <= args.events <= MAX_EVENTS:
         parser.error(f"--events must lie in 0..{MAX_EVENTS}")
     if args.reps < 1:
@@ -134,6 +149,7 @@ def parse_config(argv: list[str],
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
     if args.format == "gnuplot" and (args.out is None or args.r2_slice is None):
         parser.error("--format: gnuplot output needs --out and --r2-slice")
+    _check_out(parser, args.out)
     cfg = ExperimentConfig(n=args.n, x=x, q=args.q, n_events=args.events,
                            law=law, watchdog=args.watchdog, seed=args.seed,
                            repetitions=args.reps)
@@ -141,7 +157,7 @@ def parse_config(argv: list[str],
 
 
 CSV_CHUNK_ROWS = 1 << 16  # CSV rows or JSON records formatted and written at a time
-_JSON_RECORD = '{{"r1": {}, "r2": {}, "p_ned": {!r}, "p_ed": {!r}}}'.format
+_JSON_RECORD = '{{"r1": {}, "r2": {}, "p_ned": {}, "p_ed": {}}}'.format
 
 
 def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
@@ -162,28 +178,34 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
     step = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))
 
-    def rows(a: int, b: int) -> tuple[list, list, list, list]:
+    def rows(a: int, b: int) -> tuple[list, list, np.ndarray, np.ndarray]:
         """The four columns of first-register rows a..b-1, flat, r1-major."""
         return (np.repeat(np.arange(a, b), len(columns)).tolist(), columns * (b - a),
-                ned.table[a:b, columns].ravel().tolist(),
-                ed.table[a:b, columns].ravel().tolist())
+                ned.table[a:b, columns].ravel(), ed.table[a:b, columns].ravel())
 
-    def rounded(values: list[float]):
-        return map(float, map("{:.12g}".format, values))
+    def json_texts(values: np.ndarray) -> list[str]:
+        """Each value as ``json.dump`` writes it rounded to 12 significant
+        digits, formatted once per distinct bit pattern (so -0.0 stays
+        apart from 0.0)."""
+        bits, which = np.unique(values.astype(np.float64, copy=False).view(np.int64),
+                                return_inverse=True)
+        texts = [repr(float(f"{v:.12g}")) for v in bits.view(np.float64).tolist()]
+        return [texts[i] for i in which.tolist()]
 
     if fmt == "csv":
         sink.write("r1,r2,p_ned,p_ed\n")
         for a in range(0, q, step):
-            sink.write("".join(map("{},{},{:.12g},{:.12g}\n".format,
-                                   *rows(a, min(a + step, q)))))
+            r1, r2, p_ned, p_ed = rows(a, min(a + step, q))
+            sink.write("".join(map("{},{},{:.12g},{:.12g}\n".format, r1, r2,
+                                   p_ned.tolist(), p_ed.tolist())))
     elif fmt == "json":
         sink.write("[")
         sep = ""
         for a in range(0, q, step):
             r1, r2, p_ned, p_ed = rows(a, min(a + step, q))
             if r1:
-                sink.write(sep + ", ".join(map(_JSON_RECORD, r1, r2, rounded(p_ned),
-                                               rounded(p_ed))))
+                sink.write(sep + ", ".join(map(_JSON_RECORD, r1, r2, json_texts(p_ned),
+                                               json_texts(p_ed))))
                 sep = ", "
         sink.write("]\n")
     elif fmt == "gnuplot":
@@ -237,7 +259,9 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Emit the network, or its resource report; an instance that ``run``
     refuses is a usage error, and so is a base sharing a factor with n.
-    Without ``--q``, q is n^2, and a default q out of range names ``--n``."""
+    Without ``--q``, q is n^2, and a default q out of range names ``--n``.
+    An ``--out`` whose directory does not exist is a usage error too."""
+    _check_out(parser, args.out)
     q = args.q if args.q is not None else args.n * args.n
     problem = ArithParams.range_problem(args.n, args.x, q)
     if problem is not None:

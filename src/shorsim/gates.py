@@ -232,12 +232,18 @@ def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return ctrl, tgt
 
 
+def apply_masks(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray) -> None:
+    """Apply the gates with these control and target masks, int64 arrays of
+    equal length, in order to an int64 array of basis strings, in place."""
+    for c, t in zip(ctrl.tolist(), tgt.tolist()):
+        comp ^= ((comp & c) == c) * t
+
+
 def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.ndarray:
     """Apply the network to many basis strings at once, gate by gate."""
     compiled = net.compiled()
     out = np.asarray(values, dtype=np.int64).copy()
-    for c, t in zip(compiled.ctrl.tolist(), compiled.tgt.tolist()):
-        out ^= ((out & c) == c) * t
+    apply_masks(out, compiled.ctrl, compiled.tgt)
     return out
 
 

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import FusedBlock, Network, RegisterLayout
+from .gates import Network, RegisterLayout, apply_masks
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
-# A fused block lookup takes as long as 2 to 3.5 single gates at 130 to 1,000
-# components, 4 to 5 at 5,000 to 40,000 and 5 to 8 at 100,000 (N=15/21/33
-# blocks, 2-vCPU Xeon VM); run() counts it as this typical value when it picks
-# a path through a block with events inside.  Any value gives the same output,
-# and 3 to 7 gave the same run() time over fixed N=15 and N=21 schedules.
-TABLE_GATES = 5
 
 
 @dataclass
@@ -242,16 +236,18 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     every checkpoint position so that projections and clock resets fall
     between blocks.  Every run, the first included, applies
     each block as one table lookup.  A block with events strictly inside it
-    runs from its nearer end, by the cheapest of three exact paths (gates
-    are self-inverse permutations): forward gate by gate; forward to the
-    last inner event, the prefix undone in reverse, then the table; or the
-    table, the suffix undone in reverse back to the first inner event, then
-    forward.  Events and checkpoints fire only at their own positions.  The
-    output is bit-identical whichever path runs.  At most 63 decay events
-    fit the environment record, and every event qubit must lie inside the
-    state; both are checked before any gate.  ``verify_norm`` checks the
-    norm after every event, every table lookup and every gate, undone gates
-    included.
+    runs from the end nearer to them, single gates going through the
+    ``apply_masks`` kernel (gates are self-inverse permutations): when the
+    last inner event is no farther from the block's start than the first
+    is from its stop, forward to the last event, that prefix undone in
+    reverse, then the table; otherwise the table, the suffix undone in
+    reverse back to the first event, then forward.  Events and checkpoints
+    fire only at their own positions.  The output is bit-identical to
+    running every gate forward.  At most 63 decay events fit the
+    environment record, and every event qubit must lie inside the state;
+    both are checked before any gate.  ``verify_norm`` checks the norm
+    after every decay event; gates and lookups permute basis strings and
+    never touch an amplitude, so they cannot move it.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -274,7 +270,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
 
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
     checkpoints = net.checkpoints  # in order: compiling checked that
-    stops = set(positions) | {chk.position for chk in checkpoints}
+    stops = sorted({*positions, *(chk.position for chk in checkpoints)})
     ei = ci = 0
 
     def settle(g: int) -> None:
@@ -306,56 +302,36 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                     amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
-    def gate(g: int, note: str = "") -> None:
-        c, t = int(ctrl[g]), int(tgt[g])
-        np.bitwise_xor(comp, ((comp & c) == c) * t, out=comp)
-        if verify_norm:
-            _check_norm(amp, f"gate {g}{note}")
-
     def forward(a: int, b: int) -> None:
-        """Gates a..b-1, settling before each gate but the first."""
-        for g in range(a, b):
-            if g > a and g in stops:
-                settle(g)
-            gate(g)
+        """Gates a..b-1, settling at each stop strictly between."""
+        for s in stops[bisect.bisect_right(stops, a):bisect.bisect_left(stops, b)]:
+            apply_masks(comp, ctrl[a:s], tgt[a:s])
+            settle(s)
+            a = s
+        apply_masks(comp, ctrl[a:b], tgt[a:b])
 
     def undo(a: int, b: int) -> None:
         """Gates b-1 down to a; each gate is its own inverse."""
-        for g in range(b - 1, a - 1, -1):
-            gate(g, " undone")
-
-    def lookup(block: FusedBlock) -> None:
-        block.apply(comp)
-        if verify_norm:
-            _check_norm(amp, f"gates {block.start}..{block.stop - 1}")
+        apply_masks(comp, ctrl[a:b][::-1], tgt[a:b][::-1])
 
     for block in compiled.blocks:
         start, stop = block.start, block.stop
-        if start in stops:
-            settle(start)
+        settle(start)
         inner = positions[ei:bisect.bisect_left(positions, stop, ei)]
         if not inner:
-            lookup(block)
+            block.apply(comp)
+        elif inner[-1] - start <= stop - inner[0]:
+            # The gates between the nearer end and the events run twice;
+            # the table stands for those on the far side.
+            forward(start, inner[-1])
+            settle(inner[-1])
+            undo(start, inner[-1])
+            block.apply(comp)
         else:
-            # Costs in gate units.  Undoing the gates between the nearer end
-            # and the events lets one table lookup stand for the gates on
-            # the far side.
-            p_first, p_last = inner[0], inner[-1]
-            whole = stop - start
-            prefix = 2 * (p_last - start) + TABLE_GATES
-            suffix = 2 * (stop - p_first) + TABLE_GATES
-            if whole <= min(prefix, suffix):
-                forward(start, stop)
-            elif prefix <= suffix:
-                forward(start, p_last)
-                settle(p_last)
-                undo(start, p_last)
-                lookup(block)
-            else:
-                lookup(block)
-                undo(p_first, stop)
-                settle(p_first)
-                forward(p_first, stop)
+            block.apply(comp)
+            undo(inner[0], stop)
+            settle(inner[0])
+            forward(inner[0], stop)
     settle(total)
     return SparseState(state.qubit_count, env_count, comp, env, amp)
 

@@ -97,6 +97,26 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "{missing}/t.csv"],
+        ["run", "--format", "json", "--out", "{missing}/t.json"],
+        ["run", "--format", "gnuplot", "--r2-slice", "1", "--out", "{missing}/fig"],
+        ["build", "--out", "{missing}/net.txt"],
+        ["build", "--report", "--out", "{missing}/report.json"]],
+        ids=["csv", "json", "gnuplot", "build", "build-report"])
+    def test_out_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                         monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("work done before --out was checked")
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "build_modexp", refuse)
+        missing = tmp_path / "missing_dir"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(missing=missing) for arg in argv])
+        assert exc.value.code == 2
+        assert "error: --out: " in capsys.readouterr().err.splitlines()[-1]
+        assert not missing.exists()
+
     def test_last_r2_slice_accepted(self):
         _, args = parse_config(["run", "--n", "21", "--r2-slice", "31"])
         assert args.r2_slice == 31
@@ -137,6 +157,28 @@ class TestParseConfig:
         for flag in (["--ev", "5"], ["--events=5"]):
             cfg, _ = parse_config(["run", *flag], config_file=path)
             assert (cfg.q, cfg.seed, cfg.n_events) == (64, 9, 5)
+
+    @pytest.mark.parametrize("config, argv, law", [
+        ({"p1": 0.5}, ["--gamma", "2"], ExponentialDecay(2.0)),
+        ({"p1": 0.5}, ["--gam", "2"], ExponentialDecay(2.0)),
+        ({"gamma": 2}, ["--p1", "0.3"], StaticDecay(0.3)),
+        ({"gamma": 2}, ["--p1=0.3"], StaticDecay(0.3))])
+    def test_law_flag_replaces_the_config_files_law(self, tmp_path, config, argv,
+                                                    law):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "seed": 9}))
+        cfg, _ = parse_config(["run", *argv], config_file=path)
+        assert (cfg.law, cfg.seed) == (law, 9)
+
+    @pytest.mark.parametrize("argv", [[], ["--gamma", "2"]])
+    def test_config_file_naming_both_laws_is_a_usage_error(self, tmp_path, capsys,
+                                                           argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p1": 0.5, "gamma": 2}))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run", *argv], config_file=path)
+        assert exc.value.code == 2
+        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_config_file_reps_below_one_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -229,6 +271,21 @@ class TestEmitDistribution:
         assert len(records) == 4
         assert set(records[0]) == {"r1", "r2", "p_ned", "p_ed"}
         assert all(rec["r2"] == 1 for rec in records)
+
+    def test_json_values_are_the_rounded_floats_json_dump_writes(self):
+        # 5e-324 prints as 4.94065645841e-324 at 12 digits, but json.dump
+        # writes the float that text parses to; -0.0 stays apart from 0.0
+        values = np.array([0.0, 1.0, 0.5, 1e-05, 5e-324, -0.0, 1 / 3, 0.5])
+        ned = Distribution(values.reshape(4, 2), "ned")
+        ed = Distribution(values[::-1].reshape(4, 2), "ed")
+        records = [{"r1": r1, "r2": r2, "p_ned": float(f"{ned.table[r1, r2]:.12g}"),
+                    "p_ed": float(f"{ed.table[r1, r2]:.12g}")}
+                   for r1 in range(4) for r2 in range(2)]
+        sink = io.StringIO()
+        emit_distribution(ned, ed, "json", sink)
+        assert sink.getvalue() == json.dumps(records) + "\n"
+        assert '"p_ned": 5e-324' in sink.getvalue()
+        assert '"p_ned": -0.0' in sink.getvalue()
 
     @pytest.mark.parametrize("q, width, chunk, r2_slice", [
         (2100, 32, None, None), (7, 4, 10, None), (9, 4, 3, 2)],

@@ -351,6 +351,35 @@ def assert_matches_reference(state, net, sched, watchdog="off", **kw):
     return got
 
 
+@pytest.fixture
+def gate_path(monkeypatch):
+    """The path run() takes, in order: each call of the single-gate kernel
+    as its list of (control, target) mask pairs, which compares equal to
+    the list of its ``Gate``s, each table lookup as ("table", start, stop),
+    and each norm check as its label.  The kernel and the lookups still
+    run, and the norm checks still raise."""
+    path = []
+    kernel, lookup, check = (simulator.apply_masks, gates.FusedBlock.apply,
+                             simulator._check_norm)
+
+    def gates_run(comp, ctrl, tgt):
+        path.append(list(zip(ctrl.tolist(), tgt.tolist())))
+        kernel(comp, ctrl, tgt)
+
+    def table_run(block, comp):
+        path.append(("table", block.start, block.stop))
+        lookup(block, comp)
+
+    def norm_checked(amp, label):
+        path.append(label)
+        check(amp, label)
+
+    monkeypatch.setattr(simulator, "apply_masks", gates_run)
+    monkeypatch.setattr(gates.FusedBlock, "apply", table_run)
+    monkeypatch.setattr(simulator, "_check_norm", norm_checked)
+    return path
+
+
 def random_gates(rng, width, count):
     gate_list = []
     for _ in range(count):
@@ -414,46 +443,45 @@ class TestFusedPass:
                                              watchdog, verify_norm=True)
         assert len(log) == len(events)
 
-    def test_norm_checked_after_every_event_block_and_gate(self, factoring_15,
-                                                           monkeypatch):
+    def test_norm_checked_after_every_event_only(self, factoring_15, gate_path):
         _, layout, net = factoring_15
         blocks = net.compiled().blocks
         total = len(net.gates)
         inside = blocks[5]
-        assert inside.stop - inside.start > 2 * 2 + simulator.TABLE_GATES
+        assert inside.stop - inside.start > 4
         sched = NoiseSchedule([event_at(blocks[2].start, total, 14),
                                event_at(inside.start + 2, total, 15)],
                               STATIC_HALF)
-        where = []
-        monkeypatch.setattr(simulator, "_check_norm",
-                            lambda amp, label: where.append(label))
         run(init_state(130, layout), net, sched, verify_norm=True)
-        # the inner event runs from the block's start: 2 gates forward, the
-        # 2 undone, then the block's table
-        assert len(where) == 2 + len(blocks) + 2 * 2
-        assert sum(label.startswith("decay") for label in where) == 2
-        first, second = inside.start, inside.start + 1
-        i = where.index(f"gate {first}")
-        assert where[i:i + 6] == [
-            f"gate {first}", f"gate {second}",
-            f"decay event at t={sched.events[1].time}",
-            f"gate {second} undone", f"gate {first} undone",
-            f"gates {inside.start}..{inside.stop - 1}"]
-        assert f"gates {blocks[0].start}..{blocks[0].stop - 1}" in where
+        tables = [("table", b.start, b.stop) for b in blocks]
+        decays = [f"decay event at t={ev.time}" for ev in sched.events]
+        prefix = list(net.gates[inside.start:inside.start + 2])
+        # every other block is one lookup; the inner event runs from its
+        # block's start: 2 gates forward, the 2 undone, then the table
+        assert gate_path == [*tables[:2], decays[0], *tables[2:5], prefix,
+                             decays[1], prefix[::-1], *tables[5:]]
 
-    def test_norm_drift_detected_on_both_paths(self, factoring_15):
+    def test_norm_drift_detected_on_both_paths(self, factoring_15, gate_path):
         _, layout, net = factoring_15
         state = init_state(130, layout)
         state.amp *= 2.0
         first = net.compiled().blocks[0]
-        # no events: the first check follows the first table lookup; an
-        # event just after gate 0: the first check follows that gate
-        for events, where in (([], f"gates 0..{first.stop - 1}"),
-                              ([event_at(1, len(net.gates), 0)], "gate 0")):
+        assert first.stop > 3
+        last = first.stop - 1
+        # an event just after gate 0 runs the first block from its start,
+        # one just before its last gate from its stop; either way the
+        # check follows the event
+        for position, before in (
+                (1, [list(net.gates[:1])]),
+                (last, [("table", 0, first.stop), list(net.gates[last:first.stop])])):
+            gate_path.clear()
+            event = event_at(position, len(net.gates), 0)
+            where = f"decay event at t={event.time}"
             with pytest.raises(AssertionError,
                                match=f"norm drifted to .* after {where}$"):
-                run(state, net, NoiseSchedule(events, STATIC_HALF),
+                run(state, net, NoiseSchedule([event], STATIC_HALF),
                     verify_norm=True)
+            assert gate_path == [*before, where]
 
     def test_first_run_builds_the_blocks(self, factoring_15):
         _, layout, net = factoring_15
@@ -507,10 +535,9 @@ class TestFusedPass:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
                                                                monkeypatch):
-        # A free table makes every block with an inner event run from its
-        # nearer end, so the prefix and suffix paths meet short blocks.
+        # Short blocks, so the prefix and suffix paths meet events close
+        # to both ends and to each other.
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)
-        monkeypatch.setattr(simulator, "TABLE_GATES", 0)
         net = Network(random_gates(np.random.default_rng(100 + seed), 8, 80), 8,
                       [Checkpoint.of(40, [0, 1]), Checkpoint.of(60, [2])])
         sched = sample_schedule(8, 8, seed, GAMMA)
@@ -624,6 +651,13 @@ class TestWideFusedPass:
         out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
         assert np.array_equal(out.comp, apply_network_batch(values, net))
 
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_events_match_the_gate_by_gate_pass(self, wide_instance, watchdog):
+        q, layout, net = wide_instance
+        sched = sample_schedule(10, layout.qubit_count, 3, GAMMA)
+        assert_matches_reference(init_state(q, layout), net, sched, watchdog,
+                                 verify_norm=True)
+
     def test_every_block_equals_its_gates(self, wide_instance):
         q, _, net = wide_instance
         width = net.qubit_count
@@ -641,12 +675,13 @@ class TestWideGates:
     """A gate's local bits must fit the uint16 gather entries, which index
     the table, of its fused block."""
 
-    def test_gate_on_seventeen_wires_refused_before_any_gate(self):
+    def test_gate_on_seventeen_wires_refused_before_any_gate(self, gate_path):
         net = Network([Gate.of([], 17), Gate.of(range(1, 17), 0)], 18)
-        # Unnormalised, so any gate that ran would fail the norm check first.
-        state = single_component(18, 131070, amp=2.0)
+        # The event between the two gates would run gate 0 through the kernel.
+        sched = NoiseSchedule([event_at(1, 2, 17)], StaticDecay(1.0))
         with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
-            run(state, net, NoiseSchedule([], StaticDecay(1.0)), verify_norm=True)
+            run(single_component(18, 131070), net, sched, verify_norm=True)
+        assert gate_path == []
         with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
             net.compiled().blocks
 
@@ -673,32 +708,37 @@ class TestWideGates:
 
 
 class TestEventBlocks:
-    """A block with events inside runs forward gate by gate, or from one end
-    with the table covering the far side; all three paths agree bit for
-    bit with the chunked gate-by-gate reference."""
+    """A block with events inside runs from the end nearer to them: single
+    gates through the kernel out to the events and back, and the block's
+    table for the gates on the far side.  Both paths agree bit for bit
+    with the chunked gate-by-gate reference."""
 
     @staticmethod
     def long_blocks(net):
         return [b for b in net.compiled().blocks if b.stop - b.start >= 20]
 
-    def test_each_block_runs_from_its_nearer_end(self, factoring_15,
-                                                 monkeypatch):
+    def test_each_block_runs_from_its_nearer_end(self, factoring_15, gate_path):
         _, layout, net = factoring_15
         near_start, near_end, middle = self.long_blocks(net)[2:5]
-        positions = [near_start.start + 1, near_end.stop - 1,
-                     (middle.start + middle.stop) // 2]
-        events = [event_at(p, len(net.gates), qb)
-                  for p, qb in zip(positions, [17, 13, 20])]
-        where = []
-        monkeypatch.setattr(simulator, "_check_norm",
-                            lambda amp, label: where.append(label))
+        mid = (middle.start + middle.stop) // 2
+        events = [event_at(p, len(net.gates), qb) for p, qb in
+                  zip([near_start.start + 1, near_end.stop - 1, mid], [17, 13, 20])]
         assert_matches_reference(init_state(130, layout), net,
                                  NoiseSchedule(events, GAMMA), "on",
                                  verify_norm=True)
-        # one gate undone after the first event, one before the second;
-        # the mid-block event runs its block forward
-        assert [label for label in where if "undone" in label] == [
-            f"gate {near_start.start} undone", f"gate {near_end.stop - 1} undone"]
+        decays = [f"decay event at t={ev.time}" for ev in events]
+        free = [("table", b.start, b.stop) for b in net.compiled().blocks
+                if b not in (near_start, near_end, middle)]
+        first = list(net.gates[near_start.start:near_start.start + 1])
+        last = list(net.gates[near_end.stop - 1:near_end.stop])
+        halfway = list(net.gates[middle.start:mid])
+        # the first event: one gate forward and back, then the table; the
+        # second: the table, then one gate back and forward; the mid-block
+        # event runs from its block's start
+        assert [step for step in gate_path if step not in free] == [
+            first, decays[0], first, ("table", near_start.start, near_start.stop),
+            ("table", near_end.start, near_end.stop), last, decays[1], last,
+            halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop)]
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
