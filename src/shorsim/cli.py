@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -17,28 +18,11 @@ from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, NoiseSchedul
                         SparseState, StaticDecay, run)
 
 
-def _add_run_flags(runp: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Add the ``run`` flags to a parser; returns their actions by name."""
-    add = runp.add_argument
-    flags = [add("--n", type=int, default=15), add("--x", default="7"),
-             add("--q", type=int, default=130), add("--events", type=int, default=10)]
-    law = runp.add_mutually_exclusive_group()
-    flags += [law.add_argument("--p1", type=float, default=None,
-                               help="time-independent persistence probability"),
-              law.add_argument("--gamma", type=float, default=None,
-                               help="exponential decay rate (default 2.5)")]
-    flags += [add("--watchdog", choices=["on", "off", "strict"], default="on"),
-              add("--seed", type=int, default=1), add("--reps", type=int, default=1),
-              add("--r2-slice", type=int, default=None), add("--out", default=None),
-              add("--format", choices=["csv", "json", "gnuplot"], default="csv")]
-    return {flag.dest: flag for flag in flags}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shorsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_run_flags(sub.add_parser("run", help="simulate a factoring experiment"))
+    sub.add_parser("run", help="simulate a factoring experiment")  # parse_config parses it
 
     buildp = sub.add_parser("build", help="emit the exponentiation network")
     buildp.add_argument("--n", type=int, default=15)
@@ -53,54 +37,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(parser: argparse.ArgumentParser, flag: argparse.Action,
-                  key: str, value) -> object:
-    """A config-file value converted as its flag's text is on the command
-    line: by the flag's type, then checked against its choices.  Only a
-    JSON string or number can stand for a flag's text."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        parser.error(f"config file key {key!r}: {json.dumps(value)} is not "
-                     "a string or a number")
-    text = str(value)
-    try:
-        value = text if flag.type is None else flag.type(text)
-    except ValueError:
-        parser.error(f"config file key {key!r}: invalid {flag.type.__name__} "
-                     f"value {text!r}")
-    if flag.choices is not None and value not in flag.choices:
-        parser.error(f"config file key {key!r}: invalid choice {text!r} "
-                     f"(choose from {', '.join(flag.choices)})")
-    return value
-
-
-def _check_out(parser: argparse.ArgumentParser, out: str | None) -> None:
-    """A usage error naming ``--out`` unless its directory exists; for
-    gnuplot, ``--out`` is a file prefix and the same holds."""
-    if out is not None and not Path(out).parent.is_dir():
+def _check_out(parser: argparse.ArgumentParser, out: str | None,
+               prefix: bool = False) -> None:
+    """A usage error naming ``--out`` unless its directory exists, or if it
+    names a directory itself; a gnuplot ``--out`` is a file prefix, for
+    which only the first rule holds."""
+    if out and not Path(out).parent.is_dir():
         parser.error(f"--out: directory {str(Path(out).parent)!r} does not exist")
+    if out and not prefix and Path(out).is_dir():
+        parser.error(f"--out: {out!r} is a directory")
 
 
-def parse_config(argv: list[str],
-                 config_file: str | Path | None = None,
-                 ) -> tuple[ExperimentConfig, argparse.Namespace]:
-    """Turn `run` arguments (plus optional JSON defaults) into a config.
+def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]:
+    """Turn `run` arguments into a config.
 
-    The config file, when given, provides values under the same names as the
-    flags (``r2_slice`` for ``--r2-slice``), and any other key is a usage
-    error.  Each value goes through its flag's type and choices as the
-    flag's text would, and one that does not convert is a usage error
-    naming the key.  The converted values seed the namespace argparse
-    parses into, and argparse fills in defaults only where a value is
-    missing, so a flag given in any form it accepts (``--ev 5``,
-    ``--events=5``) wins.  A decay law given on the command line
-    (``--p1`` or ``--gamma``) replaces the file's law, whichever it is; a
-    file naming both laws is a usage error.  A value out of range is a
-    usage error too: a
-    decay law that is not a probability or a finite rate >= 0, ``--reps``
-    below 1, an instance that ``ArithParams.range_problem`` refuses, an
-    ``--r2-slice`` outside ``0..2**L - 1``, and ``--format gnuplot``
-    without both ``--out`` and ``--r2-slice``, and an ``--out`` whose
-    directory does not exist.  A base sharing a factor
+    A value out of range is a usage error: a decay law that is not a
+    probability or a finite rate >= 0, ``--reps`` below 1, an instance
+    that ``ArithParams.range_problem`` refuses, an ``--r2-slice`` outside
+    ``0..2**L - 1``, ``--format gnuplot`` without both ``--out`` and
+    ``--r2-slice``, an ``--out`` whose directory does not exist, and a
+    csv or json ``--out`` naming a directory.  A base sharing a factor
     with n passes, for the gcd shortcut.  ``--x random`` draws the base
     from ``2..n-1`` with a generator seeded by ``--seed``.
     """
@@ -108,20 +64,23 @@ def parse_config(argv: list[str],
     if argv and argv[0] == "run":
         argv = argv[1:]
     parser = argparse.ArgumentParser(prog="shorsim run")
-    flags = _add_run_flags(parser)
-    args = parser.parse_args(argv)  # the command line alone
-    if config_file is not None:
-        values = {}
-        for key, value in json.loads(Path(config_file).read_text()).items():
-            if key not in flags:
-                parser.error(f"config file key {key!r} is not a run flag")
-            values[key] = _config_value(parser, flags[key], key, value)
-        if "p1" in values and "gamma" in values:
-            parser.error("config file keys 'p1' and 'gamma' are mutually exclusive")
-        if args.p1 is not None or args.gamma is not None:
-            values.pop("p1", None)
-            values.pop("gamma", None)
-        args = parser.parse_args(argv, namespace=argparse.Namespace(**values))
+    add = parser.add_argument
+    add("--n", type=int, default=15)
+    add("--x", default="7")
+    add("--q", type=int, default=130)
+    add("--events", type=int, default=10)
+    laws = parser.add_mutually_exclusive_group()
+    laws.add_argument("--p1", type=float, default=None,
+                     help="time-independent persistence probability")
+    laws.add_argument("--gamma", type=float, default=None,
+                     help="exponential decay rate (default 2.5)")
+    add("--watchdog", choices=["on", "off", "strict"], default="on")
+    add("--seed", type=int, default=1)
+    add("--reps", type=int, default=1)
+    add("--r2-slice", type=int, default=None)
+    add("--out", default=None)
+    add("--format", choices=["csv", "json", "gnuplot"], default="csv")
+    args = parser.parse_args(argv)
     if not 0 <= args.events <= MAX_EVENTS:
         parser.error(f"--events must lie in 0..{MAX_EVENTS}")
     if args.reps < 1:
@@ -149,7 +108,7 @@ def parse_config(argv: list[str],
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
     if args.format == "gnuplot" and (args.out is None or args.r2_slice is None):
         parser.error("--format: gnuplot output needs --out and --r2-slice")
-    _check_out(parser, args.out)
+    _check_out(parser, args.out, prefix=args.format == "gnuplot")
     cfg = ExperimentConfig(n=args.n, x=x, q=args.q, n_events=args.events,
                            law=law, watchdog=args.watchdog, seed=args.seed,
                            repetitions=args.reps)
@@ -157,7 +116,26 @@ def parse_config(argv: list[str],
 
 
 CSV_CHUNK_ROWS = 1 << 16  # CSV rows or JSON records formatted and written at a time
-_JSON_RECORD = '{{"r1": {}, "r2": {}, "p_ned": {}, "p_ed": {}}}'.format
+_TWELVE_DIGITS = "{:.12g}".format
+# Each text format's head, record template, separator, tail, and the steps
+# that turn a probability into its text (JSON's is the float the 12-digit
+# text parses to, as json.dump writes it: 1.0 stays "1.0", 5e-324 "5e-324").
+_TEXT_FORMATS = {
+    "csv": ("r1,r2,p_ned,p_ed\n", "{},{},{},{}\n".format, "", "", (_TWELVE_DIGITS,)),
+    "json": ("[", '{{"r1": {}, "r2": {}, "p_ned": {}, "p_ed": {}}}'.format, ", ", "]\n",
+             (_TWELVE_DIGITS, float, repr)),
+}
+
+
+def _number_texts(values: np.ndarray, steps: tuple) -> list[str]:
+    """The text of each value: ``steps`` applied in turn, once per distinct
+    bit pattern (so -0.0 stays apart from 0.0)."""
+    bits, which = np.unique(values.astype(np.float64, copy=False).view(np.int64),
+                            return_inverse=True)
+    texts = bits.view(np.float64).tolist()
+    for step in steps:
+        texts = list(map(step, texts))
+    return [texts[i] for i in which.tolist()]
 
 
 def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
@@ -168,47 +146,13 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
 
     csv/json go to ``sink``, formatted and written ``CSV_CHUNK_ROWS`` rows
     at a time (whole first-register rows), so memory stays bounded whatever
-    q is; json is a list of records, the bytes ``json.dump`` gives, with
-    each probability rounded to 12 significant digits.  gnuplot needs
-    ``out_path`` as a file prefix and ``r2_slice`` to pick the plotted
+    q is; json is a list of records, the bytes ``json.dump`` gives.  gnuplot
+    needs ``out_path`` as a file prefix and ``r2_slice`` to pick the plotted
     column, and writes dat files plus a script showing exact, traced and
-    post-selected series stacked.
+    post-selected series stacked.  Every format rounds probabilities to 12
+    significant digits, formatting each distinct value once.
     """
-    q, width = ned.table.shape
-    columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
-    step = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))
-
-    def rows(a: int, b: int) -> tuple[list, list, np.ndarray, np.ndarray]:
-        """The four columns of first-register rows a..b-1, flat, r1-major."""
-        return (np.repeat(np.arange(a, b), len(columns)).tolist(), columns * (b - a),
-                ned.table[a:b, columns].ravel(), ed.table[a:b, columns].ravel())
-
-    def json_texts(values: np.ndarray) -> list[str]:
-        """Each value as ``json.dump`` writes it rounded to 12 significant
-        digits, formatted once per distinct bit pattern (so -0.0 stays
-        apart from 0.0)."""
-        bits, which = np.unique(values.astype(np.float64, copy=False).view(np.int64),
-                                return_inverse=True)
-        texts = [repr(float(f"{v:.12g}")) for v in bits.view(np.float64).tolist()]
-        return [texts[i] for i in which.tolist()]
-
-    if fmt == "csv":
-        sink.write("r1,r2,p_ned,p_ed\n")
-        for a in range(0, q, step):
-            r1, r2, p_ned, p_ed = rows(a, min(a + step, q))
-            sink.write("".join(map("{},{},{:.12g},{:.12g}\n".format, r1, r2,
-                                   p_ned.tolist(), p_ed.tolist())))
-    elif fmt == "json":
-        sink.write("[")
-        sep = ""
-        for a in range(0, q, step):
-            r1, r2, p_ned, p_ed = rows(a, min(a + step, q))
-            if r1:
-                sink.write(sep + ", ".join(map(_JSON_RECORD, r1, r2, json_texts(p_ned),
-                                               json_texts(p_ed))))
-                sep = ", "
-        sink.write("]\n")
-    elif fmt == "gnuplot":
+    if fmt == "gnuplot":
         if out_path is None or r2_slice is None:
             raise ValueError("gnuplot output needs --out and --r2-slice")
         prefix = Path(out_path)
@@ -217,8 +161,8 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
             series = {"exact": exact[:, r2_slice], **series}
         for name, column in series.items():
             with open(f"{prefix}_{name}.dat", "w") as fh:
-                for r1, p in enumerate(column):
-                    fh.write(f"{r1} {p:.12g}\n")
+                fh.write("".join(map("{} {}\n".format, range(len(column)),
+                                     _number_texts(column, (_TWELVE_DIGITS,)))))
         with open(f"{prefix}.gp", "w") as fh:
             fh.write(f"set terminal pngcairo size 800,{300 * len(series)}\n"
                      f"set output \"{prefix}.png\"\n"
@@ -229,29 +173,38 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
                          f"plot \"{prefix}_{name}.dat\" with impulses "
                          f"title \"{name}\"\n")
             fh.write("unset multiplot\n")
-    else:
+        return
+    if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    head, record, sep, tail, steps = _TEXT_FORMATS[fmt]
+    q, width = ned.table.shape
+    columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
+    chunk = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))  # first-register rows
+    sink.write(head)
+    for a in range(0, q if columns else 0, chunk):
+        b = min(a + chunk, q)
+        r1 = np.repeat(np.arange(a, b), len(columns)).tolist()
+        p_ned, p_ed = (_number_texts(table[a:b, columns].ravel(), steps)
+                       for table in (ned.table, ed.table))
+        sink.write((sep if a else "") + sep.join(map(record, r1, columns * (b - a),
+                                                      p_ned, p_ed)))
+    sink.write(tail)
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = run_experiment(cfg)
-    if not report.repetitions:
-        print(report.to_json(), file=sys.stderr)
-        return 0
-    ned_mean = np.mean([rep.ned.table for rep in report.repetitions], axis=0)
-    ed_mean = np.mean([rep.ed.table for rep in report.repetitions], axis=0)
-    ned = Distribution(ned_mean, "ned")
-    ed = Distribution(ed_mean, "ed")
-    if args.format == "gnuplot":
-        exact = ideal_distribution(cfg.n, report.x, cfg.q).table
-        emit_distribution(ned, ed, "gnuplot", None, exact=exact,
-                          r2_slice=args.r2_slice, out_path=args.out)
-    elif args.out:
-        with open(args.out, "w") as fh:
-            emit_distribution(ned, ed, args.format, fh, r2_slice=args.r2_slice)
-    else:
-        emit_distribution(ned, ed, args.format, sys.stdout,
-                          r2_slice=args.r2_slice)
+    if report.repetitions:  # none after the gcd shortcut
+        ned_mean = np.mean([rep.ned.table for rep in report.repetitions], axis=0)
+        ed_mean = np.mean([rep.ed.table for rep in report.repetitions], axis=0)
+        ned = Distribution(ned_mean, "ned")
+        ed = Distribution(ed_mean, "ed")
+        if args.format == "gnuplot":
+            exact = ideal_distribution(cfg.n, report.x, cfg.q).table
+            emit_distribution(ned, ed, "gnuplot", None, exact=exact,
+                              r2_slice=args.r2_slice, out_path=args.out)
+        else:
+            with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+                emit_distribution(ned, ed, args.format, fh, r2_slice=args.r2_slice)
     print(report.to_json(), file=sys.stderr)
     return 0
 
@@ -260,7 +213,8 @@ def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     """Emit the network, or its resource report; an instance that ``run``
     refuses is a usage error, and so is a base sharing a factor with n.
     Without ``--q``, q is n^2, and a default q out of range names ``--n``.
-    An ``--out`` whose directory does not exist is a usage error too."""
+    An ``--out`` whose directory does not exist, or that names a
+    directory, is a usage error too."""
     _check_out(parser, args.out)
     q = args.q if args.q is not None else args.n * args.n
     problem = ArithParams.range_problem(args.n, args.x, q)

@@ -244,10 +244,12 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     reverse back to the first event, then forward.  Events and checkpoints
     fire only at their own positions.  The output is bit-identical to
     running every gate forward.  At most 63 decay events fit the
-    environment record, and every event qubit must lie inside the state;
-    both are checked before any gate.  ``verify_norm`` checks the norm
-    after every decay event; gates and lookups permute basis strings and
-    never touch an amplitude, so they cannot move it.
+    environment record, every event qubit must lie inside the state, and
+    the network must be no wider than the state; each is checked before
+    any gate.  ``verify_norm`` checks the norm of the input state, once
+    the network has compiled, and after every decay event; gates and
+    lookups permute basis strings and never touch an amplitude, so they
+    cannot move it.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -259,8 +261,13 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         if ev.qubit >= state.qubit_count:
             raise ValueError(f"event qubit {ev.qubit} outside state width "
                              f"{state.qubit_count}")
+    if net.qubit_count > state.qubit_count:
+        raise ValueError(f"network of {net.qubit_count} qubits is wider than "
+                         f"the state's {state.qubit_count}")
     compiled = net.compiled()
-    ctrl, tgt = compiled.ctrl, compiled.tgt
+    ctrl, tgt, blocks = compiled.ctrl, compiled.tgt, compiled.blocks
+    if verify_norm:
+        _check_norm(state.amp, "the input state")
     total = len(net.gates)
     comp = state.comp.astype(np.int64)  # a private contiguous copy
     env = state.env.copy()
@@ -314,7 +321,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         """Gates b-1 down to a; each gate is its own inverse."""
         apply_masks(comp, ctrl[a:b][::-1], tgt[a:b][::-1])
 
-    for block in compiled.blocks:
+    for block in blocks:
         start, stop = block.start, block.stop
         settle(start)
         inner = positions[ei:bisect.bisect_left(positions, stop, ei)]

@@ -102,20 +102,28 @@ class TestParseConfig:
         ["run", "--format", "json", "--out", "{missing}/t.json"],
         ["run", "--format", "gnuplot", "--r2-slice", "1", "--out", "{missing}/fig"],
         ["build", "--out", "{missing}/net.txt"],
-        ["build", "--report", "--out", "{missing}/report.json"]],
-        ids=["csv", "json", "gnuplot", "build", "build-report"])
+        ["build", "--report", "--out", "{missing}/report.json"],
+        ["run", "--out", "{existing}"],
+        ["run", "--format", "json", "--out", "{existing}"],
+        ["build", "--out", "{existing}"],
+        ["build", "--report", "--out", "{existing}"]],
+        ids=["csv", "json", "gnuplot", "build", "build-report", "csv-to-a-directory",
+             "json-to-a-directory", "build-to-a-directory",
+             "build-report-to-a-directory"])
     def test_out_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys,
                                                          monkeypatch, argv):
+        # and so is an --out naming a directory, but for gnuplot's prefix
         def refuse(*args):
             raise AssertionError("work done before --out was checked")
         monkeypatch.setattr(cli, "run_experiment", refuse)
         monkeypatch.setattr(cli, "build_modexp", refuse)
         missing = tmp_path / "missing_dir"
         with pytest.raises(SystemExit) as exc:
-            main([arg.format(missing=missing) for arg in argv])
+            main([arg.format(missing=missing, existing=tmp_path) for arg in argv])
         assert exc.value.code == 2
         assert "error: --out: " in capsys.readouterr().err.splitlines()[-1]
         assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_last_r2_slice_accepted(self):
         _, args = parse_config(["run", "--n", "21", "--r2-slice", "31"])
@@ -127,14 +135,11 @@ class TestParseConfig:
         assert report["factors"] == [3, 5]
         assert report["stats"]["shortcut"] == "gcd(5, 15) = 5"
 
-    def test_random_base_resolves_to_the_seeds_draw(self, tmp_path):
+    def test_random_base_resolves_to_the_seeds_draw(self):
         # pinned draws: each seed's first integer from 2..n-1
         draws = [parse_config(["run", "--x", "random", "--seed", str(seed)])[0].x
                  for seed in (1, 2, 3)]
         assert draws == [8, 12, 12]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"x": "random", "seed": 2}))
-        assert parse_config(["run"], config_file=path)[0].x == 12
 
     def test_random_base_output_is_pinned(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
@@ -147,85 +152,20 @@ class TestParseConfig:
         report = json.loads(capsys.readouterr().err)
         assert report["stats"]["shortcut"] == "gcd(12, 15) = 3"
 
-    def test_config_file_supplies_defaults_but_flags_win(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"q": 64, "seed": 9, "events": 4}))
-        cfg, _ = parse_config(["run", "--q", "32"], config_file=path)
-        assert cfg.q == 32  # flag wins
-        assert cfg.seed == 9 and cfg.n_events == 4
-        # in any form argparse takes: abbreviated, or joined by "="
-        for flag in (["--ev", "5"], ["--events=5"]):
-            cfg, _ = parse_config(["run", *flag], config_file=path)
-            assert (cfg.q, cfg.seed, cfg.n_events) == (64, 9, 5)
+    @pytest.mark.parametrize("argv, field, want", [
+        (["--ev", "5"], "n_events", 5), (["--events=5"], "n_events", 5),
+        (["--gam", "2"], "law", ExponentialDecay(2.0)),
+        (["--p1=0.3"], "law", StaticDecay(0.3))])
+    def test_flag_in_any_form_argparse_accepts(self, argv, field, want):
+        # abbreviated, or joined by "="
+        cfg, _ = parse_config(["run", *argv])
+        assert getattr(cfg, field) == want
 
-    @pytest.mark.parametrize("config, argv, law", [
-        ({"p1": 0.5}, ["--gamma", "2"], ExponentialDecay(2.0)),
-        ({"p1": 0.5}, ["--gam", "2"], ExponentialDecay(2.0)),
-        ({"gamma": 2}, ["--p1", "0.3"], StaticDecay(0.3)),
-        ({"gamma": 2}, ["--p1=0.3"], StaticDecay(0.3))])
-    def test_law_flag_replaces_the_config_files_law(self, tmp_path, config, argv,
-                                                    law):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**config, "seed": 9}))
-        cfg, _ = parse_config(["run", *argv], config_file=path)
-        assert (cfg.law, cfg.seed) == (law, 9)
-
-    @pytest.mark.parametrize("argv", [[], ["--gamma", "2"]])
-    def test_config_file_naming_both_laws_is_a_usage_error(self, tmp_path, capsys,
-                                                           argv):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"p1": 0.5, "gamma": 2}))
+    def test_watchdog_outside_its_choices_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            parse_config(["run", *argv], config_file=path)
+            parse_config(["run", "--watchdog", "always"])
         assert exc.value.code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_config_file_reps_below_one_is_a_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"reps": 0}))
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["run"], config_file=path)
-        assert exc.value.code == 2
-        assert "error: --reps: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("config, want", [
-        ({"reps": "2"}, ("repetitions", 2)), ({"n": "15"}, ("n", 15)),
-        ({"p1": "0.5", "watchdog": "off"}, ("watchdog", "off"))])
-    def test_config_file_values_convert_like_flags(self, tmp_path, config, want):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        cfg, _ = parse_config(["run"], config_file=path)
-        assert getattr(cfg, want[0]) == want[1]
-
-    @pytest.mark.parametrize("config", [
-        {"reps": "two"}, {"reps": 2.5}, {"reps": None}, {"watchdog": "always"}])
-    def test_config_file_value_that_does_not_convert_is_a_usage_error(
-            self, tmp_path, capsys, config):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["run"], config_file=path)
-        assert exc.value.code == 2
-        key = next(iter(config))
-        assert f"error: config file key {key!r}: " in capsys.readouterr().err
-
-    def test_config_file_gnuplot_without_slice_is_a_usage_error(self, tmp_path,
-                                                                capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"format": "gnuplot", "out": "fig"}))
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["run"], config_file=path)
-        assert exc.value.code == 2
-        assert "error: --format: gnuplot output needs --out and --r2-slice" in (
-            capsys.readouterr().err)
-
-    def test_unknown_config_file_key_is_a_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"q": 64, "evnts": 4}))
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["run"], config_file=path)
-        assert exc.value.code == 2
-        assert "'evnts'" in capsys.readouterr().err
+        assert "argument --watchdog: invalid choice: 'always'" in capsys.readouterr().err
 
 
 class TestEmitDistribution:
@@ -299,6 +239,13 @@ class TestEmitDistribution:
         ned.table[0, 0], ed.table[0, 0] = 1.0, 0.0  # json: 1.0 and 0.0, not 1 and 0
         columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
         assert q * len(columns) > cli.CSV_CHUNK_ROWS
+        # repeated values, both zeros and the least subnormal, on both sides
+        # of the first chunk boundary
+        cells = np.arange(q * width).reshape(q, width)[:, columns].ravel()
+        boundary = cli.CSV_CHUNK_ROWS // len(columns) * len(columns)
+        around = cells[boundary - 3:boundary + 3]
+        ned.table.flat[around] = [0.0, -0.0, 5e-324, -0.0, 5e-324, 0.0]
+        ed.table.flat[around] = [5e-324, 5e-324, -0.0, 0.0, 0.0, -0.0]
         csv_text = "r1,r2,p_ned,p_ed\n" + "".join(
             f"{r1},{r2},{ned.table[r1, r2]:.12g},{ed.table[r1, r2]:.12g}\n"
             for r1 in range(q) for r2 in columns)
@@ -314,14 +261,14 @@ class TestEmitDistribution:
 
     def test_gnuplot_files_and_script(self, tmp_path):
         ned, ed = make_pair()
+        ned.table[:, 0] = [0.0, -0.0, 5e-324, 0.0]  # repeated, both zeros, subnormal
         exact = np.full((4, 2), 0.125)
         prefix = tmp_path / "plot"
         emit_distribution(ned, ed, "gnuplot", None, exact=exact, r2_slice=0,
                           out_path=str(prefix))
-        for name in ("exact", "ned", "ed"):
-            dat = tmp_path / f"plot_{name}.dat"
-            assert dat.exists()
-            assert len(dat.read_text().splitlines()) == 4
+        for name, table in (("exact", exact), ("ned", ned.table), ("ed", ed.table)):
+            assert (tmp_path / f"plot_{name}.dat").read_text() == "".join(
+                f"{r1} {p:.12g}\n" for r1, p in enumerate(table[:, 0]))
         script = (tmp_path / "plot.gp").read_text()
         assert "plot_ned.dat" in script and "multiplot" in script
 

@@ -213,6 +213,15 @@ class TestRunBoundary:
         with pytest.raises(ValueError, match="qubit 40 outside state width 26"):
             run(init_state(130, layout), net, sched)
 
+    def test_network_wider_than_the_state_rejected_before_any_gate(self, gate_path):
+        # gate 0 would set bit 5, outside a 5-qubit state
+        net = Network([Gate.of((), 5)], 6)
+        with pytest.raises(ValueError,
+                           match="network of 6 qubits is wider than the state's 5"):
+            run(single_component(5, 0), net, NoiseSchedule([], STATIC_HALF),
+                verify_norm=True)
+        assert gate_path == []
+
     def test_checkpoint_beyond_the_gates_rejected_in_strict_mode(self):
         # unchecked, the projection at position 7 would never happen and
         # the run would return comp [3] unprojected
@@ -458,13 +467,20 @@ class TestFusedPass:
         prefix = list(net.gates[inside.start:inside.start + 2])
         # every other block is one lookup; the inner event runs from its
         # block's start: 2 gates forward, the 2 undone, then the table
-        assert gate_path == [*tables[:2], decays[0], *tables[2:5], prefix,
-                             decays[1], prefix[::-1], *tables[5:]]
+        assert gate_path == ["the input state", *tables[:2], decays[0], *tables[2:5],
+                             prefix, decays[1], prefix[::-1], *tables[5:]]
 
-    def test_norm_drift_detected_on_both_paths(self, factoring_15, gate_path):
+    def test_norm_drift_detected_on_both_paths(self, factoring_15, gate_path,
+                                               monkeypatch):
         _, layout, net = factoring_15
         state = init_state(130, layout)
-        state.amp *= 2.0
+        split = simulator._split
+
+        def drifting_split(*args):
+            comp, env, amp = split(*args)
+            return comp, env, amp * 2.0
+
+        monkeypatch.setattr(simulator, "_split", drifting_split)
         first = net.compiled().blocks[0]
         assert first.stop > 3
         last = first.stop - 1
@@ -481,7 +497,19 @@ class TestFusedPass:
                                match=f"norm drifted to .* after {where}$"):
                 run(state, net, NoiseSchedule([event], STATIC_HALF),
                     verify_norm=True)
-            assert gate_path == [*before, where]
+            assert gate_path == ["the input state", *before, where]
+
+    @pytest.mark.parametrize("n_events", [0, 1])
+    def test_input_norm_checked_before_any_gate(self, factoring_15, gate_path,
+                                                n_events):
+        _, layout, net = factoring_15
+        state = init_state(130, layout)
+        state.amp *= 2.0
+        sched = sample_schedule(n_events, layout.qubit_count, 0, STATIC_HALF)
+        with pytest.raises(AssertionError,
+                           match="norm drifted to .* after the input state$"):
+            run(state, net, sched, verify_norm=True)
+        assert gate_path == ["the input state"]
 
     def test_first_run_builds_the_blocks(self, factoring_15):
         _, layout, net = factoring_15
@@ -736,6 +764,7 @@ class TestEventBlocks:
         # second: the table, then one gate back and forward; the mid-block
         # event runs from its block's start
         assert [step for step in gate_path if step not in free] == [
+            "the input state",
             first, decays[0], first, ("table", near_start.start, near_start.stop),
             ("table", near_end.start, near_end.stop), last, decays[1], last,
             halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop)]
