@@ -37,15 +37,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(parser: argparse.ArgumentParser, out: str | None,
-               prefix: bool = False) -> None:
-    """A usage error naming ``--out`` unless its directory exists, or if it
-    names a directory itself; a gnuplot ``--out`` is a file prefix, for
-    which only the first rule holds."""
-    if out and not Path(out).parent.is_dir():
-        parser.error(f"--out: directory {str(Path(out).parent)!r} does not exist")
-    if out and not prefix and Path(out).is_dir():
-        parser.error(f"--out: {out!r} is a directory")
+def _gnuplot_files(prefix: str) -> dict[str, str]:
+    """A gnuplot ``--out`` prefix's ``.dat`` file per series, and its script ("gp")."""
+    return {**{name: f"{Path(prefix)}_{name}.dat" for name in ("exact", "ned", "ed")},
+            "gp": f"{Path(prefix)}.gp"}
+
+
+def _check_out(parser: argparse.ArgumentParser, paths: list[str | None]) -> None:
+    """A usage error naming ``--out`` if a file it names lies in a directory
+    that does not exist or is a directory; no path, or "", means stdout."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            parser.error(f"--out: directory {str(Path(path).parent)!r} does not exist")
+        if Path(path).is_dir():
+            parser.error(f"--out: {path!r} is a directory")
 
 
 def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]:
@@ -55,10 +60,11 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
     probability or a finite rate >= 0, ``--reps`` below 1, an instance
     that ``ArithParams.range_problem`` refuses, an ``--r2-slice`` outside
     ``0..2**L - 1``, ``--format gnuplot`` without both ``--out`` and
-    ``--r2-slice``, an ``--out`` whose directory does not exist, and a
-    csv or json ``--out`` naming a directory.  A base sharing a factor
-    with n passes, for the gcd shortcut.  ``--x random`` draws the base
-    from ``2..n-1`` with a generator seeded by ``--seed``.
+    ``--r2-slice``, an ``--out`` whose directory does not exist, and an
+    ``--out`` naming a directory, or for gnuplot a prefix one of whose
+    files is one.  A base sharing a factor with n passes, for the gcd
+    shortcut.  ``--x random`` draws the base from ``2..n-1`` with a
+    generator seeded by ``--seed``.
     """
     argv = list(argv)
     if argv and argv[0] == "run":
@@ -108,7 +114,8 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
     if args.format == "gnuplot" and (args.out is None or args.r2_slice is None):
         parser.error("--format: gnuplot output needs --out and --r2-slice")
-    _check_out(parser, args.out, prefix=args.format == "gnuplot")
+    _check_out(parser, [*_gnuplot_files(args.out).values()] if args.format == "gnuplot"
+               else [args.out])
     cfg = ExperimentConfig(n=args.n, x=x, q=args.q, n_events=args.events,
                            law=law, watchdog=args.watchdog, seed=args.seed,
                            repetitions=args.reps)
@@ -148,29 +155,29 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     at a time (whole first-register rows), so memory stays bounded whatever
     q is; json is a list of records, the bytes ``json.dump`` gives.  gnuplot
     needs ``out_path`` as a file prefix and ``r2_slice`` to pick the plotted
-    column, and writes dat files plus a script showing exact, traced and
-    post-selected series stacked.  Every format rounds probabilities to 12
-    significant digits, formatting each distinct value once.
+    column, and writes its ``_gnuplot_files``: a script plotting exact,
+    traced and post-selected series stacked, and their data.  Every format
+    rounds probabilities to 12 significant digits, each distinct value once.
     """
     if fmt == "gnuplot":
         if out_path is None or r2_slice is None:
             raise ValueError("gnuplot output needs --out and --r2-slice")
-        prefix = Path(out_path)
+        files = _gnuplot_files(out_path)
         series = {"ned": ned.table[:, r2_slice], "ed": ed.table[:, r2_slice]}
         if exact is not None:
             series = {"exact": exact[:, r2_slice], **series}
         for name, column in series.items():
-            with open(f"{prefix}_{name}.dat", "w") as fh:
+            with open(files[name], "w") as fh:
                 fh.write("".join(map("{} {}\n".format, range(len(column)),
                                      _number_texts(column, (_TWELVE_DIGITS,)))))
-        with open(f"{prefix}.gp", "w") as fh:
+        with open(files["gp"], "w") as fh:
             fh.write(f"set terminal pngcairo size 800,{300 * len(series)}\n"
-                     f"set output \"{prefix}.png\"\n"
+                     f"set output \"{Path(out_path)}.png\"\n"
                      f"set multiplot layout {len(series)},1\n"
                      f"set xlabel \"first register\"\n")
             for name in series:
                 fh.write(f"set ylabel \"P\"\n"
-                         f"plot \"{prefix}_{name}.dat\" with impulses "
+                         f"plot \"{files[name]}\" with impulses "
                          f"title \"{name}\"\n")
             fh.write("unset multiplot\n")
         return
@@ -215,7 +222,7 @@ def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     Without ``--q``, q is n^2, and a default q out of range names ``--n``.
     An ``--out`` whose directory does not exist, or that names a
     directory, is a usage error too."""
-    _check_out(parser, args.out)
+    _check_out(parser, [args.out])
     q = args.q if args.q is not None else args.n * args.n
     problem = ArithParams.range_problem(args.n, args.x, q)
     if problem is not None:
@@ -258,28 +265,28 @@ def _cmd_verify() -> int:
         gap = float(np.max(np.abs(direct - folded_outcome_table(n, x, q))))
         check(f"probability formula self-check n={n} x={x} q={q} (gap {gap:.2e})",
               gap <= 1e-12)
-        total = float(direct.sum())
         check(f"probability table normalization n={n} x={x} q={q}",
-              abs(total - 1.0) <= 1e-12)
+              abs(float(direct.sum()) - 1.0) <= 1e-12)
 
-    params = ArithParams.create(15, 7, 130)
-    layout = RegisterLayout.for_factoring(params.bits, q=130)
-    net = build_modexp(params, layout)
-    check("exponentiation network well formed", not validate_network(net, layout))
-    bad = exhaustive_network_check(
-        net, lambda a: modpow(7, a, 15), range(130),
-        in_wires=list(layout.reg1), out_wires=list(layout.reg2),
-        zero_wires=layout.work_qubits)
-    check("exponentiation network matches modpow for all a < 130", not bad)
-    rng = np.random.default_rng(130)
-    values = np.concatenate([np.arange(130, dtype=np.int64) << layout.reg1.start,
-                             rng.integers(0, 1 << net.qubit_count, 1000)])
-    amp = np.full(len(values), len(values) ** -0.5, dtype=np.complex128)
-    state = SparseState(net.qubit_count, 0, values, np.zeros_like(values), amp)
-    fused = run(state, net, NoiseSchedule([], StaticDecay(1.0))).comp
-    check("fused pass equals apply_network_batch on a < 130 and 1,000 random "
-          "basis strings, from the network's first run",
-          np.array_equal(fused, apply_network_batch(values, net)))
+    for n, x, q in [(15, 7, 130), (33, 5, 1100)]:  # N=33: 35 qubits, 5 gather bytes
+        layout = RegisterLayout.for_factoring(n.bit_length(), q=q)
+        net = build_modexp(ArithParams.create(n, x, q), layout)
+        instance = f"n={n} x={x} q={q}"
+        check(f"exponentiation network well formed {instance}",
+              not validate_network(net, layout))
+        bad = exhaustive_network_check(
+            net, lambda a: modpow(x, a, n), range(q), in_wires=list(layout.reg1),
+            out_wires=list(layout.reg2), zero_wires=layout.work_qubits)
+        check(f"exponentiation network matches modpow for all a < q, {instance}", not bad)
+        rng = np.random.default_rng(q)
+        values = np.concatenate([np.arange(q, dtype=np.int64) << layout.reg1.start,
+                                 rng.integers(0, 1 << net.qubit_count, 1000)])
+        amp = np.full(len(values), len(values) ** -0.5, dtype=np.complex128)
+        state = SparseState(net.qubit_count, 0, values, np.zeros_like(values), amp)
+        fused = run(state, net, NoiseSchedule([], StaticDecay(1.0))).comp
+        check("fused pass equals apply_network_batch on a < q and 1,000 random basis "
+              f"strings, from the network's first run, {instance}",
+              np.array_equal(fused, apply_network_batch(values, net)))
     return 1 if failures else 0
 
 

@@ -261,8 +261,14 @@ def apply_gate(bits: int, gate: Gate, width: int = MAX_WIDTH) -> int:
 
 BLOCK_WIRES = 16  # local bits a uint16 gather entry or table index holds
 FUSE_WIRES = 14  # wires per fused block; at most BLOCK_WIRES
-_LITTLE = sys.byteorder == "little"
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # value -> its 8 bits
+# the memory offset of each byte of an int64, least significant first
+_BYTE_OFFSETS = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.float64)
+# [m, v]: the bits of byte v at the set bits of byte m, packed low (the
+# "compress" of Hacker's Delight, section 7-4), as an exact float64 product:
+# bit i of v weighs 2**(m's set bits below i) if bit i of m is set, else 0
+_EXTRACT = (_BYTE_BITS * 2 ** (np.cumsum(_BYTE_BITS, axis=1) - _BYTE_BITS)
+            @ _BYTE_BITS.T).astype(np.uint16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,9 +279,9 @@ class FusedBlock:
     only on those wires' input, so the block's whole effect is one XOR
     delta per local input.  Local index j stands for the block's j-th
     lowest wire, k <= BLOCK_WIRES of them.  ``gather`` holds (byte offset,
-    256-entry table) pairs that map each byte of a basis string holding
-    block wires to their local bits; ``table`` maps the local input to the
-    int64 XOR delta on the whole basis string.  Every lookup reads its
+    256-entry table) pairs that extract the block wires' bits from each
+    byte of a basis string holding some; ``table`` maps the local input to
+    the int64 XOR delta on the whole basis string.  Every lookup reads its
     tables with ``ndarray.take``, which reads the same elements as
     ``tab[idx]`` but skips numpy's general advanced-indexing path: with the
     strided byte and uint16 indices used here it is about 2x faster, so a
@@ -333,29 +339,34 @@ def _block_table(wires: Sequence[int], controls: Sequence[int],
     return table
 
 
-def _wires(masks: np.ndarray) -> np.ndarray:
-    """The wire of each one-bit mask, -1 for 0; exact, as float64 holds every
-    power of two."""
-    return np.frexp(masks.astype(np.float64))[1] - 1
+def _extract(values: np.ndarray, masks: np.ndarray, width: int) -> np.ndarray:
+    """The bits of each value at the set bits of its mask, packed low, for
+    contiguous int64 arrays that broadcast, below ``2**width``: one
+    ``_EXTRACT`` lookup per byte, shifted past the mask bits below it."""
+    out = np.zeros(np.broadcast_shapes(values.shape, masks.shape), np.int64)
+    value_bytes, mask_bytes, below = values.view(np.uint8), masks.view(np.uint8), 0
+    for k in _BYTE_OFFSETS[:(width + 7) >> 3]:
+        mask = mask_bytes[..., k::8]
+        index = mask.astype(np.uint16) << 8 | value_bytes[..., k::8]
+        out |= _EXTRACT.take(index).astype(np.int64) << below
+        below = below + np.bitwise_count(mask)
+    return out
 
 
-def _gathers(codes: np.ndarray) -> list[tuple[tuple[int, np.ndarray], ...]]:
-    """Per block, the (byte offset, byte table) pair of each byte of a basis
-    string holding block wires, one uint16 table per distinct row of 8
-    codes.  ``codes`` holds a row per block with a code per wire: its local
-    index + 1, 0 off the block; a code is at most BLOCK_WIRES, so a row of
-    8 packs into 40 bits."""
-    nbytes = (codes.shape[1] + 7) >> 3
-    rows = np.pad(codes, ((0, 0), (0, 8 * nbytes - codes.shape[1]))).reshape(-1, 8)
-    used = rows.any(axis=1)
-    shifts = 5 * np.arange(8)
-    keys, which = np.unique(rows[used] @ (1 << shifts), return_inverse=True)
-    weights = (1 << ((keys[:, None] >> shifts) & 31)) >> 1
-    tables = list((weights @ _BYTE_BITS.T).astype(np.uint16))
-    offsets = (np.flatnonzero(used) % nbytes).tolist()
-    pairs = [(j if _LITTLE else 7 - j, tables[i])
-             for j, i in zip(offsets, which.tolist())]
-    bounds = np.cumsum(used.reshape(len(codes), -1).sum(axis=1)).tolist()
+def _gathers(touched: np.ndarray, width: int) -> list[tuple[tuple[int, np.ndarray], ...]]:
+    """Per block, whose wire mask ``touched`` holds, the (byte offset, table)
+    pair of each byte of a basis string holding block wires: ``_EXTRACT`` of
+    the block's wires in that byte, shifted past those below it, one uint16
+    table per distinct (wires, shift)."""
+    shifts = np.arange(0, width, 8)
+    masks = (touched[:, None] >> shifts) & 255  # block x byte
+    below = np.bitwise_count(touched[:, None] & ((1 << shifts) - 1))
+    rows, cols = np.nonzero(masks)
+    keys, which = np.unique(masks[rows, cols] << 8 | below[rows, cols],
+                            return_inverse=True)
+    tables = list((_EXTRACT[keys >> 8] << (keys & 255)[:, None]).astype(np.uint16))
+    pairs = [(_BYTE_OFFSETS[j], tables[i]) for j, i in zip(cols.tolist(), which.tolist())]
+    bounds = np.cumsum(np.count_nonzero(masks, axis=1)).tolist()
     return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
@@ -387,37 +398,15 @@ class CompiledNetwork:
             spans.append((start, len(self.ctrl)))
         return spans
 
-    def _localise(self, starts: np.ndarray, touched: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each block's code per wire, and each gate's control and target
-        masks over its block's local wires.
-
-        ``starts`` holds the blocks' first gates and ``touched`` the masks
-        of their wires.  A wire's local index is its rank among its block's
-        wires, ascending; its code in row b is that index + 1, 0 for a wire
-        block b does not touch.
-        """
-        ctrl, width = self.ctrl, self.width
-        block = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ctrl)))
-        present = (touched[:, None] >> np.arange(width)) & 1
-        code = np.cumsum(present, axis=1) * present
-        bit = (1 << code) >> 1  # wire -> local bit, 0 off the block
-        local_ctrl = np.zeros_like(ctrl)
-        rest = ctrl.copy()
-        while rest.any():  # one pass per control: the lowest left in each gate
-            low = rest & -rest
-            local_ctrl |= np.where(low != 0, bit[block, _wires(low)], 0)
-            rest ^= low
-        return code, local_ctrl, bit[block, _wires(self.tgt)]
-
     @cached_property
     def blocks(self) -> list[FusedBlock]:
         """One block per span, built for all spans at once; a gate touching
         more than ``BLOCK_WIRES`` wires is a ``ValueError`` naming it.
 
-        Blocks with equal local gate lists and equal global targets share
-        one table, and equal gather code rows one byte table; only the
-        tables are built one by one, once per distinct key.
+        A gate's local masks are ``_extract`` of its masks at its block's
+        wires.  Blocks with equal local gate lists and equal global targets
+        share one table, and bytes with equal wires and equal block wires
+        below them one byte table; only the tables are built one by one.
         """
         spans = self.spans()
         if not spans:
@@ -429,20 +418,17 @@ class CompiledNetwork:
             b = int(wide[0])
             raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
                              f"block holds at most {BLOCK_WIRES}")
-        code, local_ctrl, local_tgt = self._localise(starts, touched)
-        gather = _gathers(code)
-        ctrl_bytes, tgt_bytes = local_ctrl.tobytes(), local_tgt.tobytes()
-        global_tgt = self.tgt.tobytes()
+        gate_wires = np.repeat(touched, np.diff(starts, append=len(self.ctrl)))
+        local = _extract(np.stack([self.ctrl, self.tgt]), gate_wires, self.width)
         tables: dict[tuple, np.ndarray] = {}
         blocks = []
-        for b, (wires, (start, stop)) in enumerate(zip(touched.tolist(), spans)):
-            a, z = 8 * start, 8 * stop
-            key = (ctrl_bytes[a:z], tgt_bytes[a:z], global_tgt[a:z])
+        for wires, (start, stop), gather in zip(touched.tolist(), spans,
+                                                _gathers(touched, self.width)):
+            masks = local[:, start:stop]  # the block's local controls, targets
+            key = (masks.tobytes(), self.tgt[start:stop].tobytes())
             if key not in tables:
-                tables[key] = _block_table(mask_bits(wires),
-                                           local_ctrl[start:stop].tolist(),
-                                           local_tgt[start:stop].tolist())
-            blocks.append(FusedBlock(start, stop, tables[key], gather[b]))
+                tables[key] = _block_table(mask_bits(wires), *masks.tolist())
+            blocks.append(FusedBlock(start, stop, tables[key], gather))
         return blocks
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .arithmetic import ArithParams, build_modexp
 from .gates import RegisterLayout
 from .oracles import modpow, outcome_table_oracle
-from .simulator import (Distribution, ExponentialDecay, StaticDecay,
+from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
                         distribution_ed, distribution_ned,
                         fourier_first_register, init_state, run,
                         sample_schedule)
@@ -20,7 +20,7 @@ from .simulator import (Distribution, ExponentialDecay, StaticDecay,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a reproducible experiment needs."""
+    """Everything a reproducible experiment needs, range-checked when made."""
 
     n: int = 15
     x: int = 7
@@ -34,9 +34,16 @@ class ExperimentConfig:
     sample_from: str = "ned"  # or "ed": post-select runs with clean scratch
 
     def __post_init__(self):
-        if self.sample_from not in ("ned", "ed"):
-            raise ValueError(f"sample_from must be 'ned' or 'ed', "
-                             f"got {self.sample_from!r}")
+        for name, ok, rule in [
+                ("sample_from", self.sample_from in ("ned", "ed"), "be 'ned' or 'ed'"),
+                ("watchdog", self.watchdog in ("off", "on", "strict"),
+                 "be 'off', 'on' or 'strict'"),
+                ("repetitions", self.repetitions >= 1, "be at least 1"),
+                ("samples", self.samples >= 1, "be at least 1"),
+                ("n_events", 0 <= self.n_events <= MAX_EVENTS,
+                 f"lie in 0..{MAX_EVENTS}")]:
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

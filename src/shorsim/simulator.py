@@ -241,15 +241,15 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     last inner event is no farther from the block's start than the first
     is from its stop, forward to the last event, that prefix undone in
     reverse, then the table; otherwise the table, the suffix undone in
-    reverse back to the first event, then forward.  Events and checkpoints
-    fire only at their own positions.  The output is bit-identical to
-    running every gate forward.  At most 63 decay events fit the
-    environment record, every event qubit must lie inside the state, and
-    the network must be no wider than the state; each is checked before
-    any gate.  ``verify_norm`` checks the norm of the input state, once
-    the network has compiled, and after every decay event; gates and
-    lookups permute basis strings and never touch an amplitude, so they
-    cannot move it.
+    reverse back to the first event, then forward, stopping at events
+    only, as every checkpoint is a block boundary.  The output is
+    bit-identical to running every gate forward.  At most 63 decay events
+    fit the environment record, every event qubit must lie inside the
+    state, and the network must be no wider than the state; each is
+    checked before any gate.  ``verify_norm`` checks the norm of the
+    input state, once the network has compiled, and after every decay
+    event; gates and lookups permute basis strings and never touch an
+    amplitude, so they cannot move it.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -277,7 +277,6 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
 
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
     checkpoints = net.checkpoints  # in order: compiling checked that
-    stops = sorted({*positions, *(chk.position for chk in checkpoints)})
     ei = ci = 0
 
     def settle(g: int) -> None:
@@ -309,9 +308,9 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                     amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
-    def forward(a: int, b: int) -> None:
-        """Gates a..b-1, settling at each stop strictly between."""
-        for s in stops[bisect.bisect_right(stops, a):bisect.bisect_left(stops, b)]:
+    def forward(a: int, stops: list[int], b: int) -> None:
+        """Gates a..b-1, settling at each of ``stops``, ascending, in between."""
+        for s in stops:
             apply_masks(comp, ctrl[a:s], tgt[a:s])
             settle(s)
             a = s
@@ -324,13 +323,13 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     for block in blocks:
         start, stop = block.start, block.stop
         settle(start)
-        inner = positions[ei:bisect.bisect_left(positions, stop, ei)]
+        inner = sorted(set(positions[ei:bisect.bisect_left(positions, stop, ei)]))
         if not inner:
             block.apply(comp)
         elif inner[-1] - start <= stop - inner[0]:
             # The gates between the nearer end and the events run twice;
             # the table stands for those on the far side.
-            forward(start, inner[-1])
+            forward(start, inner[:-1], inner[-1])
             settle(inner[-1])
             undo(start, inner[-1])
             block.apply(comp)
@@ -338,7 +337,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             block.apply(comp)
             undo(inner[0], stop)
             settle(inner[0])
-            forward(inner[0], stop)
+            forward(inner[0], inner[1:], stop)
     settle(total)
     return SparseState(state.qubit_count, env_count, comp, env, amp)
 

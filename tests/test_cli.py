@@ -106,24 +106,28 @@ class TestParseConfig:
         ["run", "--out", "{existing}"],
         ["run", "--format", "json", "--out", "{existing}"],
         ["build", "--out", "{existing}"],
-        ["build", "--report", "--out", "{existing}"]],
+        ["build", "--report", "--out", "{existing}"],
+        ["run", "--format", "gnuplot", "--r2-slice", "1", "--out", "{existing}/fig"]],
         ids=["csv", "json", "gnuplot", "build", "build-report", "csv-to-a-directory",
              "json-to-a-directory", "build-to-a-directory",
-             "build-report-to-a-directory"])
+             "build-report-to-a-directory", "gnuplot-script-to-a-directory"])
     def test_out_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys,
                                                          monkeypatch, argv):
-        # and so is an --out naming a directory, but for gnuplot's prefix
+        # and so is an --out naming a directory, or a gnuplot prefix naming
+        # one: the directory fig.gp is the script the prefix fig would write
         def refuse(*args):
             raise AssertionError("work done before --out was checked")
         monkeypatch.setattr(cli, "run_experiment", refuse)
         monkeypatch.setattr(cli, "build_modexp", refuse)
         missing = tmp_path / "missing_dir"
+        (tmp_path / "fig.gp").mkdir()
         with pytest.raises(SystemExit) as exc:
             main([arg.format(missing=missing, existing=tmp_path) for arg in argv])
         assert exc.value.code == 2
         assert "error: --out: " in capsys.readouterr().err.splitlines()[-1]
         assert not missing.exists()
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "fig.gp"]
+        assert list((tmp_path / "fig.gp").iterdir()) == []
 
     def test_last_r2_slice_accepted(self):
         _, args = parse_config(["run", "--n", "21", "--r2-slice", "31"])
@@ -371,7 +375,10 @@ class TestMain:
         result = self.run_cli("verify")
         assert result.returncode == 0
         assert "FAIL" not in result.stdout
-        assert "PASS  fused pass equals apply_network_batch" in result.stdout
+        fused = [line for line in result.stdout.splitlines() if "fused pass" in line]
+        assert [line.startswith("PASS  fused pass equals apply_network_batch")
+                for line in fused] == [True, True]
+        assert fused[1].endswith("n=33 x=5 q=1100")  # 35 qubits: 5 gather bytes
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

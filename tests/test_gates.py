@@ -8,7 +8,7 @@ import pytest
 from shorsim import (Gate, Network, RegisterLayout, apply_gate, apply_network,
                      apply_network_batch, build_adder, concatenate,
                      network_from_text, network_to_text, validate_network)
-from shorsim.gates import Checkpoint
+from shorsim.gates import Checkpoint, _extract
 
 
 def random_network(rng, width, n_gates):
@@ -246,3 +246,41 @@ def test_concatenate_shifts_checkpoints():
     assert merged.checkpoints == (Checkpoint(2, 0b10), Checkpoint(2, 0b100),
                                   Checkpoint(3, 0b100))
     assert len(merged.gates) == 3
+
+
+def extract_reference(value, mask):
+    """The bits of value at the set bits of mask, packed low, bit by bit."""
+    out = rank = 0
+    for bit in range(mask.bit_length()):
+        if mask >> bit & 1:
+            out |= (value >> bit & 1) << rank
+            rank += 1
+    return out
+
+
+class TestExtract:
+    @pytest.mark.parametrize("width", [1, 5, 8, 13, 21, 35, 57, 62])
+    def test_matches_the_per_bit_reference(self, width):
+        rng = np.random.default_rng(width)
+        values = rng.integers(0, 1 << width, 400)
+        # dense and sparse masks, then empty, full and top-bit-only ones
+        masks = rng.integers(0, 1 << width, 400)
+        masks[200:] &= rng.integers(0, 1 << width, 200) & rng.integers(0, 1 << width, 200)
+        masks[:3] = [0, (1 << width) - 1, 1 << (width - 1)]
+        got = _extract(values, masks, width)
+        assert got.dtype == np.int64
+        assert got.tolist() == [extract_reference(v, m)
+                                for v, m in zip(values.tolist(), masks.tolist())]
+        assert not _extract(values, np.zeros_like(masks), width).any()
+
+    def test_every_byte_pair_and_broadcast_rows(self):
+        values, masks = np.arange(256)[None, :], np.arange(256)[:, None]
+        want = [[extract_reference(v, m) for v in range(256)] for m in range(256)]
+        assert _extract(values, masks, 8).tolist() == want
+        # one mask row against stacked value rows, as fused blocks call it
+        rng = np.random.default_rng(2)
+        stacked = rng.integers(0, 1 << 62, (2, 50))
+        mask = rng.integers(0, 1 << 62, 50)
+        assert _extract(stacked, mask, 62).tolist() == [
+            [extract_reference(v, m) for v, m in zip(row, mask.tolist())]
+            for row in stacked.tolist()]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestExtractFactors:
                 assert all(15 % f == 0 for f in factors)
 
 
+# An ExperimentConfig field out of range and the ValueError it raises.
+CONFIG_REFUSALS = [
+    ("sample_from", "ED", "sample_from must be 'ned' or 'ed', got 'ED'"),
+    ("sample_from", "nde", "sample_from must be 'ned' or 'ed', got 'nde'"),
+    ("sample_from", "", "sample_from must be 'ned' or 'ed', got ''"),
+    ("repetitions", -1, "repetitions must be at least 1, got -1"),
+    ("repetitions", 0, "repetitions must be at least 1, got 0"),
+    ("samples", -1, "samples must be at least 1, got -1"),
+    ("samples", 0, "samples must be at least 1, got 0"),
+    ("n_events", -1, "n_events must lie in 0..63, got -1"),
+    ("n_events", 64, "n_events must lie in 0..63, got 64"),
+    ("watchdog", "bogus", "watchdog must be 'off', 'on' or 'strict', got 'bogus'")]
+
+
 class TestRunExperiment:
     def test_noiseless_factoring_succeeds(self):
         cfg = ExperimentConfig(n=15, x=7, q=130, n_events=0, seed=11,
@@ -167,12 +182,18 @@ class TestRunExperiment:
         assert set(payload["samples"][0]) == {"c", "r2", "convergents",
                                               "verified_r"}
 
-    @pytest.mark.parametrize("source", ["ED", "nde", ""])
-    def test_unknown_sample_source_refused(self, source):
+    @pytest.mark.parametrize("field, value, message", CONFIG_REFUSALS,
+                             ids=[f"{field}={value}" for field, value, _ in CONFIG_REFUSALS])
+    def test_field_out_of_range_refused(self, field, value, message):
         # refused when the config is made, so before any simulation
-        with pytest.raises(ValueError, match=f"^sample_from must be 'ned' or "
-                                             f"'ed', got {source!r}$"):
-            ExperimentConfig(sample_from=source)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("repetitions", 1), ("samples", 1), ("n_events", 0), ("n_events", 63),
+        ("watchdog", "off"), ("watchdog", "strict")])
+    def test_field_at_the_edge_of_its_range_accepted(self, field, value):
+        assert getattr(ExperimentConfig(**{field: value}), field) == value
 
     def test_noisy_run_with_ed_sampling(self):
         cfg = ExperimentConfig(n=15, x=7, q=16, n_events=3,

@@ -405,6 +405,24 @@ def all_strings(width):
                                dtype=np.complex128))
 
 
+def assert_blocks_cover_and_cut(net):
+    """The network's blocks, checked to tile its gates, to touch at most
+    FUSE_WIRES wires each, and to start at every checkpoint inside the
+    network, which lets ``run()`` stop single gates at events only."""
+    blocks = net.compiled().blocks
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert blocks[0].start == 0 and blocks[-1].stop == len(net.gates)
+    starts = {b.start for b in blocks}
+    assert {c.position for c in net.checkpoints
+            if c.position < len(net.gates)} <= starts
+    for b in blocks:
+        wires = 0
+        for gate in net.gates[b.start:b.stop]:
+            wires |= gate.control_mask | gate.target_mask
+        assert wires.bit_count() <= gates.FUSE_WIRES
+    return blocks
+
+
 class TestFusedPass:
     @pytest.mark.parametrize("watchdog, law, seed", [
         ("off", STATIC_HALF, 0), ("off", GAMMA, 1), ("on", GAMMA, 1),
@@ -417,18 +435,7 @@ class TestFusedPass:
                                  verify_norm=True)
 
     def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, factoring_15):
-        _, _, net = factoring_15
-        blocks = net.compiled().blocks
-        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-        assert blocks[0].start == 0 and blocks[-1].stop == len(net.gates)
-        starts = {b.start for b in blocks}
-        assert {c.position for c in net.checkpoints
-                if c.position < len(net.gates)} <= starts
-        for b in blocks:
-            wires = 0
-            for gate in net.gates[b.start:b.stop]:
-                wires |= gate.control_mask | gate.target_mask
-            assert wires.bit_count() <= gates.FUSE_WIRES
+        blocks = assert_blocks_cover_and_cut(factoring_15[2])
         assert len({id(b.table) for b in blocks}) < len(blocks)
 
     @pytest.mark.parametrize("watchdog, law", [
@@ -648,6 +655,11 @@ class TestWideFusedPass:
     def test_blocks_are_pinned(self, factoring_15, wide_instance):
         for q, _, net in ((130, *factoring_15[1:]), wide_instance):
             assert block_digest(net.compiled().blocks) == BLOCK_DIGESTS[q]
+
+    def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, wide_instance):
+        net = wide_instance[2]
+        assert len(net.checkpoints) > 10
+        assert_blocks_cover_and_cut(net)
 
     def test_every_table_equals_its_gates_on_all_local_inputs(self, factoring_15,
                                                               wide_instance):
