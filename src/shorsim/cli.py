@@ -57,14 +57,14 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
     """Turn `run` arguments into a config.
 
     A value out of range is a usage error: a decay law that is not a
-    probability or a finite rate >= 0, ``--reps`` below 1, an instance
-    that ``ArithParams.range_problem`` refuses, an ``--r2-slice`` outside
-    ``0..2**L - 1``, ``--format gnuplot`` without both ``--out`` and
-    ``--r2-slice``, an ``--out`` whose directory does not exist, and an
-    ``--out`` naming a directory, or for gnuplot a prefix one of whose
-    files is one.  A base sharing a factor with n passes, for the gcd
-    shortcut.  ``--x random`` draws the base from ``2..n-1`` with a
-    generator seeded by ``--seed``.
+    probability or a finite rate >= 0, ``--reps`` below 1, a negative
+    ``--seed``, an instance that ``ArithParams.range_problem`` refuses, an
+    ``--r2-slice`` outside ``0..2**L - 1``, ``--format gnuplot`` without
+    both ``--r2-slice`` and a non-empty ``--out``, an ``--out`` whose
+    directory does not exist, and an ``--out`` naming a directory, or for
+    gnuplot a prefix one of whose files is one.  A base sharing a factor
+    with n passes, for the gcd shortcut.  ``--x random`` draws the base
+    from ``2..n-1`` with a generator seeded by ``--seed``.
     """
     argv = list(argv)
     if argv and argv[0] == "run":
@@ -91,6 +91,8 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
         parser.error(f"--events must lie in 0..{MAX_EVENTS}")
     if args.reps < 1:
         parser.error(f"--reps: {args.reps} repetitions, need at least 1")
+    if args.seed < 0:
+        parser.error(f"--seed: {args.seed} is negative, need at least 0")
     try:
         if args.p1 is not None:
             law = StaticDecay(args.p1)
@@ -112,7 +114,7 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
     width = 1 << args.n.bit_length()
     if args.r2_slice is not None and not 0 <= args.r2_slice < width:
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
-    if args.format == "gnuplot" and (args.out is None or args.r2_slice is None):
+    if args.format == "gnuplot" and (not args.out or args.r2_slice is None):
         parser.error("--format: gnuplot output needs --out and --r2-slice")
     _check_out(parser, [*_gnuplot_files(args.out).values()] if args.format == "gnuplot"
                else [args.out])
@@ -154,13 +156,13 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     csv/json go to ``sink``, formatted and written ``CSV_CHUNK_ROWS`` rows
     at a time (whole first-register rows), so memory stays bounded whatever
     q is; json is a list of records, the bytes ``json.dump`` gives.  gnuplot
-    needs ``out_path`` as a file prefix and ``r2_slice`` to pick the plotted
-    column, and writes its ``_gnuplot_files``: a script plotting exact,
-    traced and post-selected series stacked, and their data.  Every format
+    needs a non-empty ``out_path`` as a file prefix and ``r2_slice`` to pick
+    the plotted column, and writes its ``_gnuplot_files``: a script plotting
+    exact, traced and post-selected series stacked, and their data.  Every format
     rounds probabilities to 12 significant digits, each distinct value once.
     """
     if fmt == "gnuplot":
-        if out_path is None or r2_slice is None:
+        if not out_path or r2_slice is None:
             raise ValueError("gnuplot output needs --out and --r2-slice")
         files = _gnuplot_files(out_path)
         series = {"ned": ned.table[:, r2_slice], "ed": ed.table[:, r2_slice]}

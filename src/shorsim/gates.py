@@ -85,7 +85,9 @@ class Checkpoint(NamedTuple):
 
 @dataclass(frozen=True)
 class Network:
-    """An ordered gate list plus checkpoint annotations; time runs left to right."""
+    """An ordered gate list plus checkpoint annotations; time runs left to
+    right.  ``masks`` and ``blocks`` are built on first use and cached on the
+    instance; equality and hashing compare the three fields only."""
 
     gates: tuple[Gate, ...]
     qubit_count: int
@@ -101,14 +103,46 @@ class Network:
         """The mirror network (exact inverse permutation); checkpoints dropped."""
         return Network(reversed(self.gates), self.qubit_count)
 
-    def compiled(self) -> CompiledNetwork:
-        """The compiled form of this network, built and validated on first use,
-        then cached; the first problem ``validate_network`` reports raises."""
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = CompiledNetwork(self)
-            object.__setattr__(self, "_compiled", cached)
-        return cached
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``compile_masks`` of this network, built on first use, then cached."""
+        return compile_masks(self)
+
+    @cached_property
+    def blocks(self) -> list[FusedBlock]:
+        """The fused blocks, built on first use, then cached: one per maximal
+        run of gates touching at most ``FUSE_WIRES`` wires, also cut at every
+        checkpoint position, all built at once; a gate touching more than
+        ``BLOCK_WIRES`` wires is a ``ValueError`` naming it.
+
+        A gate's local masks are ``_extract`` of its masks at its block's
+        wires.  Blocks with equal local gate lists and equal global targets
+        share one table, and bytes with equal wires and equal block wires
+        below them one byte table; only the tables are built one by one.
+        """
+        (ctrl, tgt), width = self.masks, self.qubit_count
+        spans = _spans(ctrl | tgt, {chk.position for chk in self.checkpoints})
+        if not spans:
+            return []
+        starts = np.array([start for start, _ in spans])
+        touched = np.bitwise_or.reduceat(ctrl | tgt, starts)
+        ks = np.bitwise_count(touched)
+        if (wide := np.flatnonzero(ks > BLOCK_WIRES)).size:  # a lone wide gate
+            b = int(wide[0])
+            raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
+                             f"block holds at most {BLOCK_WIRES}")
+        gate_wires = np.repeat(touched, np.diff(starts, append=len(ctrl)))
+        local = _extract(np.stack([ctrl, tgt]), gate_wires, width)
+        tables: dict[tuple, np.ndarray] = {}
+        blocks = []
+        for wires, (start, stop), gather in zip(touched.tolist(), spans,
+                                                _gathers(touched, width)):
+            block_masks = local[:, start:stop]  # local controls, targets
+            key = (block_masks.tobytes(), tgt[start:stop].tobytes())
+            if key not in tables:
+                tables[key] = _block_table(mask_bits(wires), *block_masks.tolist())
+            blocks.append(FusedBlock(start, stop, tables[key], gather))
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -224,8 +258,9 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """The validated (control_mask, target_mask) int64 arrays of a network;
-    the first problem ``validate_network`` reports is a ``ValueError``."""
+    """The validated (control_mask, target_mask) int64 arrays of a network,
+    built afresh on every call (``Network.masks`` caches them); the first
+    problem ``validate_network`` reports is a ``ValueError``."""
     ctrl, tgt, problems = _checked_masks(net)
     if problems:
         raise ValueError(problems[0])
@@ -241,9 +276,8 @@ def apply_masks(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray) -> None:
 
 def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.ndarray:
     """Apply the network to many basis strings at once, gate by gate."""
-    compiled = net.compiled()
     out = np.asarray(values, dtype=np.int64).copy()
-    apply_masks(out, compiled.ctrl, compiled.tgt)
+    apply_masks(out, *net.masks)
     return out
 
 
@@ -370,71 +404,24 @@ def _gathers(touched: np.ndarray, width: int) -> list[tuple[tuple[int, np.ndarra
     return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
-class CompiledNetwork:
-    """A network's masks, validated once, and its fused blocks.
-
-    The mask arrays ``ctrl`` and ``tgt`` drive the gate-by-gate kernel.
-    ``blocks`` is built on first access, which ``run()`` makes on the
-    network's first run; callers that only need the masks never build it.
-    """
-
-    def __init__(self, net: Network):
-        self.ctrl, self.tgt = compile_masks(net)
-        self.width = net.qubit_count
-        self.cuts = {chk.position for chk in net.checkpoints}
-
-    def spans(self) -> list[tuple[int, int]]:
-        """Maximal runs of gates touching <= FUSE_WIRES wires, also cut at
-        every checkpoint position."""
-        spans, start, wires = [], 0, 0
-        cuts, limit = self.cuts, FUSE_WIRES
-        for g, mask in enumerate((self.ctrl | self.tgt).tolist()):
-            touched = wires | mask
-            if g > start and (g in cuts or touched.bit_count() > limit):
-                spans.append((start, g))
-                start, touched = g, mask
-            wires = touched
-        if start < len(self.ctrl):
-            spans.append((start, len(self.ctrl)))
-        return spans
-
-    @cached_property
-    def blocks(self) -> list[FusedBlock]:
-        """One block per span, built for all spans at once; a gate touching
-        more than ``BLOCK_WIRES`` wires is a ``ValueError`` naming it.
-
-        A gate's local masks are ``_extract`` of its masks at its block's
-        wires.  Blocks with equal local gate lists and equal global targets
-        share one table, and bytes with equal wires and equal block wires
-        below them one byte table; only the tables are built one by one.
-        """
-        spans = self.spans()
-        if not spans:
-            return []
-        starts = np.array([start for start, _ in spans])
-        touched = np.bitwise_or.reduceat(self.ctrl | self.tgt, starts)
-        ks = np.bitwise_count(touched)
-        if (wide := np.flatnonzero(ks > BLOCK_WIRES)).size:  # a lone wide gate
-            b = int(wide[0])
-            raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
-                             f"block holds at most {BLOCK_WIRES}")
-        gate_wires = np.repeat(touched, np.diff(starts, append=len(self.ctrl)))
-        local = _extract(np.stack([self.ctrl, self.tgt]), gate_wires, self.width)
-        tables: dict[tuple, np.ndarray] = {}
-        blocks = []
-        for wires, (start, stop), gather in zip(touched.tolist(), spans,
-                                                _gathers(touched, self.width)):
-            masks = local[:, start:stop]  # the block's local controls, targets
-            key = (masks.tobytes(), self.tgt[start:stop].tobytes())
-            if key not in tables:
-                tables[key] = _block_table(mask_bits(wires), *masks.tolist())
-            blocks.append(FusedBlock(start, stop, tables[key], gather))
-        return blocks
+def _spans(wires: np.ndarray, cuts: set[int]) -> list[tuple[int, int]]:
+    """Maximal runs of gates, whose wire masks ``wires`` holds, touching <=
+    FUSE_WIRES wires, also cut at every position in ``cuts``."""
+    spans, start, seen, limit = [], 0, 0, FUSE_WIRES
+    for g, mask in enumerate(wires.tolist()):
+        touched = seen | mask
+        if g > start and (g in cuts or touched.bit_count() > limit):
+            spans.append((start, g))
+            start, touched = g, mask
+        seen = touched
+    if start < len(wires):
+        spans.append((start, len(wires)))
+    return spans
 
 
 def validate_network(net: Network, layout: RegisterLayout | None = None) -> list[str]:
-    """Every structural problem, those ``net.compiled()`` raises the first of
-    and the layout's; an empty list means the network is well formed."""
+    """Every structural problem, those ``net.masks`` raises the first of and
+    the layout's; an empty list means the network is well formed."""
     problems = _checked_masks(net)[2]
     if layout is not None:
         problems.extend(layout.validate())

@@ -40,6 +40,7 @@ class ExperimentConfig:
                  "be 'off', 'on' or 'strict'"),
                 ("repetitions", self.repetitions >= 1, "be at least 1"),
                 ("samples", self.samples >= 1, "be at least 1"),
+                ("seed", self.seed >= 0, "be at least 0"),
                 ("n_events", 0 <= self.n_events <= MAX_EVENTS,
                  f"lie in 0..{MAX_EVENTS}")]:
             if not ok:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Network, RegisterLayout, apply_masks
+from .gates import MAX_WIDTH, Network, RegisterLayout, apply_masks
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -29,7 +29,8 @@ class SparseState:
     ``env_count`` is the number of decay interactions so far; environment
     records are integers whose bit j stores the outcome of event j.  Each
     (comp, env) key appears at most once; the first-register transforms
-    raise ``ValueError`` on a repeated key.
+    raise ``ValueError`` on a repeated key.  A ``qubit_count`` outside
+    ``0..MAX_WIDTH`` is a ``ValueError`` when the state is made.
     """
 
     qubit_count: int
@@ -37,6 +38,10 @@ class SparseState:
     comp: np.ndarray
     env: np.ndarray
     amp: np.ndarray
+
+    def __post_init__(self):
+        if not 0 <= self.qubit_count <= MAX_WIDTH:
+            raise ValueError(f"state width {self.qubit_count} outside 0..{MAX_WIDTH}")
 
     @property
     def component_count(self) -> int:
@@ -148,7 +153,10 @@ class Distribution:
 
 def sample_schedule(n_events: int, n_qubits: int, seed: int,
                     law: StaticDecay | ExponentialDecay) -> NoiseSchedule:
-    """Uniform random times (sorted) and uniform random qubits, seed-determined."""
+    """Uniform random times (sorted) and uniform random qubits, seed-determined;
+    an ``n_events`` outside ``0..MAX_EVENTS`` is a ``ValueError``."""
+    if not 0 <= n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events={n_events} outside 0..{MAX_EVENTS}")
     rng = np.random.default_rng(seed)
     while True:
         times = np.sort(rng.random(n_events))
@@ -228,7 +236,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     Events fire before checkpoints at the same position.  ``event_log``
     receives one ``EventRecord`` per event, with the clock origin it used.
 
-    The network compiles once, on its first run, and the compiled form is
+    The network's ``masks`` and ``blocks`` are built on its first run and
     cached on the ``Network`` object: its gate masks, validated once with
     its checkpoints (a bad network is a ``ValueError`` before any gate,
     and so is a gate touching more than 16 wires), and its fused blocks,
@@ -247,7 +255,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     fit the environment record, every event qubit must lie inside the
     state, and the network must be no wider than the state; each is
     checked before any gate.  ``verify_norm`` checks the norm of the
-    input state, once the network has compiled, and after every decay
+    input state, once the blocks are built, and after every decay
     event; gates and lookups permute basis strings and never touch an
     amplitude, so they cannot move it.
     """
@@ -264,8 +272,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     if net.qubit_count > state.qubit_count:
         raise ValueError(f"network of {net.qubit_count} qubits is wider than "
                          f"the state's {state.qubit_count}")
-    compiled = net.compiled()
-    ctrl, tgt, blocks = compiled.ctrl, compiled.tgt, compiled.blocks
+    (ctrl, tgt), blocks = net.masks, net.blocks
     if verify_norm:
         _check_norm(state.amp, "the input state")
     total = len(net.gates)

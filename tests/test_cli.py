@@ -70,7 +70,9 @@ class TestParseConfig:
         (["--r2-slice", "-1"], "--r2-slice"), (["--reps", "0"], "--reps"),
         (["--reps", "-1"], "--reps"), (["--q", str(MAX_Q + 1)], "--q"),
         (["--n", "65537"], "--n"), (["--format", "gnuplot", "--out", "f"], "--format"),
-        (["--format", "gnuplot", "--r2-slice", "1"], "--format")])
+        (["--format", "gnuplot", "--r2-slice", "1"], "--format"),
+        (["--seed", "-1"], "--seed"), (["--x", "random", "--seed", "-1"], "--seed"),
+        (["--format", "gnuplot", "--r2-slice", "7", "--out", ""], "--format")])
     def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["run", *argv])
@@ -276,10 +278,16 @@ class TestEmitDistribution:
         script = (tmp_path / "plot.gp").read_text()
         assert "plot_ned.dat" in script and "multiplot" in script
 
-    def test_gnuplot_needs_slice_and_path(self):
+    def test_gnuplot_needs_slice_and_path(self, tmp_path, monkeypatch):
         ned, ed = make_pair()
         with pytest.raises(ValueError):
             emit_distribution(ned, ed, "gnuplot", None)
+        # "" is stdout for csv and json; as a gnuplot prefix it would write
+        # ".gp" and "_ned.dat" into the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="needs --out and --r2-slice"):
+            emit_distribution(ned, ed, "gnuplot", None, r2_slice=0, out_path="")
+        assert not any(tmp_path.iterdir())
 
 
 class TestMain:

@@ -161,10 +161,10 @@ class TestOneValidator:
     def test_compiling_raises_the_first_reported_problem(self, net, message):
         assert validate_network(net) == [message]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            net.compiled()
+            net.masks
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             apply_network_batch([0], net)
-        assert "_compiled" not in vars(net)
+        assert "masks" not in vars(net)
 
     def test_every_bad_gate_reported_in_order(self):
         net = Network([Gate.of({2}, 2), Gate(0, 1), Gate(0, 1 << 4),

@@ -125,6 +125,7 @@ CONFIG_REFUSALS = [
     ("samples", 0, "samples must be at least 1, got 0"),
     ("n_events", -1, "n_events must lie in 0..63, got -1"),
     ("n_events", 64, "n_events must lie in 0..63, got 64"),
+    ("seed", -1, "seed must be at least 0, got -1"),
     ("watchdog", "bogus", "watchdog must be 'off', 'on' or 'strict', got 'bogus'")]
 
 
@@ -191,7 +192,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, value", [
         ("repetitions", 1), ("samples", 1), ("n_events", 0), ("n_events", 63),
-        ("watchdog", "off"), ("watchdog", "strict")])
+        ("watchdog", "off"), ("watchdog", "strict"), ("seed", 0)])
     def test_field_at_the_edge_of_its_range_accepted(self, field, value):
         assert getattr(ExperimentConfig(**{field: value}), field) == value
 

@@ -12,7 +12,7 @@ from shorsim import (ArithParams, Gate, Network, RegisterLayout, apply_decay,
                      distribution_ned, dump_state, fourier_first_register, gates,
                      init_state, inverse_fourier_first_register,
                      network_from_text, run, sample_schedule, simulator)
-from shorsim.gates import Checkpoint, compile_masks
+from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
                                ExponentialDecay, NoiseSchedule, SparseState,
@@ -30,7 +30,7 @@ def single_component(qubit_count, comp, env=0, env_count=0, amp=1.0):
 
 
 def fresh_copy(net):
-    """An equal network with no cached compiled form."""
+    """An equal network with no cached masks or blocks."""
     return Network(net.gates, net.qubit_count, net.checkpoints)
 
 
@@ -181,7 +181,8 @@ class TestRun:
 
 
 class TestRunBoundary:
-    """Bad schedules fail at entry, before the network is even compiled."""
+    """Bad states and schedules fail at entry, before the network's masks are
+    even built."""
 
     def test_sixty_four_events_rejected_before_any_gate(self, factoring_15):
         _, layout, net = factoring_15
@@ -190,7 +191,7 @@ class TestRunBoundary:
                               STATIC_HALF)
         with pytest.raises(ValueError, match="limit of 63"):
             run(init_state(130, layout), fresh, sched)
-        assert "_compiled" not in fresh.__dict__
+        assert "masks" not in vars(fresh) and "blocks" not in vars(fresh)
 
     def test_recorded_events_count_toward_the_limit(self):
         state = single_component(1, 0, env_count=60)
@@ -221,6 +222,20 @@ class TestRunBoundary:
             run(single_component(5, 0), net, NoiseSchedule([], STATIC_HALF),
                 verify_norm=True)
         assert gate_path == []
+
+    @pytest.mark.parametrize("width", [-1, MAX_WIDTH + 1, 70])
+    def test_state_width_outside_a_mask_refused_when_made(self, width):
+        # unchecked, a 70-qubit state took an event on qubit 65, and both
+        # run() and apply_decay overflowed int64 inside the split
+        with pytest.raises(ValueError, match=f"^state width {width} outside 0..62$"):
+            single_component(width, 0)
+
+    def test_widest_state_decays_on_its_top_qubit(self):
+        state = single_component(MAX_WIDTH, 1 << 61)
+        net = Network([Gate.of([61], 0)], MAX_WIDTH)
+        out = run(state, net, NoiseSchedule([DecayEvent(0.5, 61)], STATIC_HALF))
+        assert sorted(out.as_dict()) == [(1, 1), (1 << 61 | 1, 0)]
+        assert sorted(apply_decay(state, 61, 0.5).as_dict()) == [(0, 1), (1 << 61, 0)]
 
     def test_checkpoint_beyond_the_gates_rejected_in_strict_mode(self):
         # unchecked, the projection at position 7 would never happen and
@@ -409,7 +424,7 @@ def assert_blocks_cover_and_cut(net):
     """The network's blocks, checked to tile its gates, to touch at most
     FUSE_WIRES wires each, and to start at every checkpoint inside the
     network, which lets ``run()`` stop single gates at events only."""
-    blocks = net.compiled().blocks
+    blocks = net.blocks
     assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
     assert blocks[0].start == 0 and blocks[-1].stop == len(net.gates)
     starts = {b.start for b in blocks}
@@ -443,7 +458,7 @@ class TestFusedPass:
     def test_events_on_block_boundaries_and_inside_one_block(self, factoring_15,
                                                              watchdog, law):
         _, layout, net = factoring_15
-        blocks = net.compiled().blocks
+        blocks = net.blocks
         total = len(net.gates)
         mid = blocks[len(blocks) // 2]
         assert mid.stop - mid.start > 8
@@ -461,7 +476,7 @@ class TestFusedPass:
 
     def test_norm_checked_after_every_event_only(self, factoring_15, gate_path):
         _, layout, net = factoring_15
-        blocks = net.compiled().blocks
+        blocks = net.blocks
         total = len(net.gates)
         inside = blocks[5]
         assert inside.stop - inside.start > 4
@@ -488,7 +503,7 @@ class TestFusedPass:
             return comp, env, amp * 2.0
 
         monkeypatch.setattr(simulator, "_split", drifting_split)
-        first = net.compiled().blocks[0]
+        first = net.blocks[0]
         assert first.stop > 3
         last = first.stop - 1
         # an event just after gate 0 runs the first block from its start,
@@ -522,17 +537,16 @@ class TestFusedPass:
         _, layout, net = factoring_15
         net = fresh_copy(net)
         run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-        compiled = net.compiled()
-        blocks = vars(compiled)["blocks"]
+        masks, blocks = vars(net)["masks"], vars(net)["blocks"]
         assert len(blocks) > 1
         run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-        assert net.compiled() is compiled and compiled.blocks is blocks
+        assert net.masks is masks and net.blocks is blocks
 
     def test_mask_callers_build_no_blocks(self, factoring_15, monkeypatch):
         _, layout, net = factoring_15
         net = fresh_copy(net)
         compile_masks(net)
-        assert "_compiled" not in vars(net)
+        assert "masks" not in vars(net)
         calls = []
         monkeypatch.setattr(gates, "compile_masks",
                             lambda n: calls.append(n) or compile_masks(n))
@@ -544,7 +558,7 @@ class TestFusedPass:
             in_wires=list(layout.reg1), out_wires=list(layout.reg2),
             zero_wires=layout.work_qubits)
         assert calls == [net]  # masks built and validated once, then cached
-        assert "blocks" not in vars(net.compiled())
+        assert "masks" in vars(net) and "blocks" not in vars(net)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("with_checkpoints", [False, True])
@@ -561,7 +575,7 @@ class TestFusedPass:
         net = Network(gate_list, width, checkpoints)
         state = all_strings(width)
         out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
-        assert len(net.compiled().blocks) > 1
+        assert len(net.blocks) > 1
         assert np.array_equal(out.comp, apply_network_batch(state.comp, net))
         sched = sample_schedule(3, width, seed, STATIC_HALF)
         for watchdog in ("off", "on", "strict"):
@@ -602,7 +616,7 @@ class TestFusedPass:
         sched = sample_schedule(4, width, seed, STATIC_HALF)
         for watchdog in ("off", "on", "strict"):
             assert_matches_reference(state, net, sched, watchdog)
-        blocks = net.compiled().blocks
+        blocks = net.blocks
         assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
         # some block flips more than 8 wires, so its deltas span many bytes
         assert max(int(np.bitwise_or.reduce(b.table)).bit_count()
@@ -654,7 +668,7 @@ class TestWideFusedPass:
 
     def test_blocks_are_pinned(self, factoring_15, wide_instance):
         for q, _, net in ((130, *factoring_15[1:]), wide_instance):
-            assert block_digest(net.compiled().blocks) == BLOCK_DIGESTS[q]
+            assert block_digest(net.blocks) == BLOCK_DIGESTS[q]
 
     def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, wide_instance):
         net = wide_instance[2]
@@ -667,7 +681,7 @@ class TestWideFusedPass:
         # local bit j is the block's j-th lowest wire.
         for net in (factoring_15[2], wide_instance[2]):
             seen = set()
-            for b in net.compiled().blocks:
+            for b in net.blocks:
                 if id(b.table) in seen:
                     continue
                 seen.add(id(b.table))
@@ -702,7 +716,7 @@ class TestWideFusedPass:
         q, _, net = wide_instance
         width = net.qubit_count
         values = np.random.default_rng(q + 1).integers(0, 1 << width, 256)
-        blocks = net.compiled().blocks
+        blocks = net.blocks
         assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
         for b in blocks:
             comp = values.copy()
@@ -723,7 +737,7 @@ class TestWideGates:
             run(single_component(18, 131070), net, sched, verify_norm=True)
         assert gate_path == []
         with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
-            net.compiled().blocks
+            net.blocks
 
     def test_gate_on_seventeen_wires_kept_by_the_batch_kernel_and_oracles(self):
         net = Network([Gate.of(range(1, 17), 0), Gate.of([], 17)], 18)
@@ -743,7 +757,7 @@ class TestWideGates:
                             np.full(len(values), len(values) ** -0.5,
                                     dtype=np.complex128))
         out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
-        assert [b.table.size for b in net.compiled().blocks] == [1 << 16, 2]
+        assert [b.table.size for b in net.blocks] == [1 << 16, 2]
         assert np.array_equal(out.comp, apply_network_batch(values, net))
 
 
@@ -755,7 +769,7 @@ class TestEventBlocks:
 
     @staticmethod
     def long_blocks(net):
-        return [b for b in net.compiled().blocks if b.stop - b.start >= 20]
+        return [b for b in net.blocks if b.stop - b.start >= 20]
 
     def test_each_block_runs_from_its_nearer_end(self, factoring_15, gate_path):
         _, layout, net = factoring_15
@@ -767,7 +781,7 @@ class TestEventBlocks:
                                  NoiseSchedule(events, GAMMA), "on",
                                  verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
-        free = [("table", b.start, b.stop) for b in net.compiled().blocks
+        free = [("table", b.start, b.stop) for b in net.blocks
                 if b not in (near_start, near_end, middle)]
         first = list(net.gates[near_start.start:near_start.start + 1])
         last = list(net.gates[near_end.stop - 1:near_end.stop])
@@ -788,7 +802,7 @@ class TestEventBlocks:
         _, layout, net = factoring_15
         total = len(net.gates)
         first, second, third = self.long_blocks(net)[:3]
-        blocks = net.compiled().blocks
+        blocks = net.blocks
         nxt = blocks[blocks.index(third) + 1]
         positions = [first.start + 1, first.start + 2, first.start + 4,
                      second.stop - 3, second.stop - 1,
@@ -1031,6 +1045,14 @@ class TestSampleSchedule:
         assert all(0 < t < 1 for t in times)
         assert times == sorted(times) and len(set(times)) == 10
         assert all(0 <= ev.qubit < 28 for ev in sched.events)
+
+    @pytest.mark.parametrize("n_events", [-1, MAX_EVENTS + 1])
+    def test_event_count_outside_the_record_refused(self, n_events):
+        with pytest.raises(ValueError, match=f"^n_events={n_events} outside 0..63$"):
+            sample_schedule(n_events, 26, 0, STATIC_HALF)
+
+    def test_sixty_three_events(self):
+        assert len(sample_schedule(MAX_EVENTS, 26, 0, STATIC_HALF).events) == MAX_EVENTS
 
     def test_schedule_invariants_enforced(self):
         with pytest.raises(ValueError):
