@@ -15,6 +15,7 @@ from .simulator import (DecayEvent, Distribution, ExponentialDecay,
                         NoiseSchedule, SparseState, StaticDecay, apply_decay,
                         distribution_ed, distribution_ned, dump_state,
                         fourier_first_register, init_state,
-                        inverse_fourier_first_register, run, sample_schedule)
+                        inverse_fourier_first_register, outcome_tables, run,
+                        sample_schedule)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

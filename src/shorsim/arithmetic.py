@@ -58,11 +58,11 @@ class ArithParams:
         (name, message); a base sharing a factor with n is in range.
 
         q lies in ``2..MAX_Q``.  q is the component count of the initial
-        state, and the first-register DFT, the outcome tables and the CSV
-        give every second-register value q rows, more with decay events: at
-        q = 2**16 a run without events peaked at 0.29 GB for n=15 and at
-        1.1 GB for n=33.  The layout for n and q must fit ``MAX_WIDTH``
-        qubits, as basis strings are int64.
+        state, and the outcome tables and the CSV give every second-register
+        value q rows: at q = 2**16 a CSV ``shorsim run`` without events
+        peaked at 88 MB resident for n=15 and at 224 MB for n=33.  The
+        layout for n and q must fit ``MAX_WIDTH`` qubits, as basis strings
+        are int64.
         """
         if n < 3:
             return "n", f"cannot factor {n}"

@@ -13,9 +13,11 @@ from .arithmetic import ArithParams, build_modexp, resource_estimate
 from .gates import (RegisterLayout, apply_network_batch, network_to_text,
                     validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
-from .pipeline import ExperimentConfig, ideal_distribution, run_experiment
+from .pipeline import (ExperimentConfig, ideal_distribution, repetition_seeds,
+                       run_experiment)
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, NoiseSchedule,
-                        SparseState, StaticDecay, run)
+                        SparseState, StaticDecay, distribution_ed, distribution_ned,
+                        fourier_first_register, init_state, run, sample_schedule)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,6 +291,16 @@ def _cmd_verify() -> int:
         check("fused pass equals apply_network_batch on a < q and 1,000 random basis "
               f"strings, from the network's first run, {instance}",
               np.array_equal(fused, apply_network_batch(values, net)))
+        cfg = ExperimentConfig(n=n, x=x, q=q, seed=3)
+        schedule = sample_schedule(cfg.n_events, layout.qubit_count,
+                                   repetition_seeds(cfg)[0], cfg.law)
+        state = fourier_first_register(run(init_state(q, layout), net, schedule,
+                                           cfg.watchdog), q, layout)
+        rep = run_experiment(cfg).repetitions[0]
+        check("run_experiment's tables equal the bincount tables of the transformed "
+              f"state, byte for byte, noisy run {instance} seed {cfg.seed}",
+              rep.ned.table.tobytes() == distribution_ned(state, layout, q).table.tobytes()
+              and rep.ed.table.tobytes() == distribution_ed(state, layout, q).table.tobytes())
     return 1 if failures else 0
 
 

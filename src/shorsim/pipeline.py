@@ -13,9 +13,7 @@ from .arithmetic import ArithParams, build_modexp
 from .gates import RegisterLayout
 from .oracles import modpow, outcome_table_oracle
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
-                        distribution_ed, distribution_ned,
-                        fourier_first_register, init_state, run,
-                        sample_schedule)
+                        init_state, outcome_tables, run, sample_schedule)
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,12 @@ def _sample_outcomes(dist: Distribution, count: int,
     return [(int(p) // width, int(p) % width) for p in picks]
 
 
+def repetition_seeds(cfg: ExperimentConfig) -> list[int]:
+    """Each repetition's seed, for its noise schedule and its samples."""
+    return [int(s.generate_state(1)[0])
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)]
+
+
 def run_experiment(cfg: ExperimentConfig) -> FactorReport:
     """Full pipeline: pre-checks, simulated runs, sampling, factor extraction.
 
@@ -179,23 +183,19 @@ def run_experiment(cfg: ExperimentConfig) -> FactorReport:
     params = ArithParams.create(n, x, cfg.q)
     layout = RegisterLayout.for_factoring(params.bits, q=cfg.q)
     net = build_modexp(params, layout)
-    rep_seeds = [int(s.generate_state(1)[0])
-                 for s in np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)]
 
     cached = None
     report = FactorReport(n, x, cfg.q, None, None)
     successes = 0
     orders: dict[int, int] = {}
-    for rep_seed in rep_seeds:
+    for rep_seed in repetition_seeds(cfg):
         if cfg.n_events == 0 and cached is not None:
             ned, ed = cached
         else:
             schedule = sample_schedule(cfg.n_events, layout.qubit_count,
                                        rep_seed, cfg.law)
             state = run(init_state(cfg.q, layout), net, schedule, cfg.watchdog)
-            state = fourier_first_register(state, cfg.q, layout)
-            ned = distribution_ned(state, layout, cfg.q)
-            ed = distribution_ed(state, layout, cfg.q)
+            ned, ed = outcome_tables(state, layout, cfg.q)
             if cfg.n_events == 0:
                 cached = (ned, ed)
         rep_rng = np.random.default_rng(rep_seed)

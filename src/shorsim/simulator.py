@@ -20,6 +20,7 @@ from .gates import MAX_WIDTH, Network, RegisterLayout, apply_masks
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
+TABLE_CHUNK = 1 << 16  # dense elements per step of outcome_tables
 
 
 @dataclass
@@ -30,7 +31,8 @@ class SparseState:
     records are integers whose bit j stores the outcome of event j.  Each
     (comp, env) key appears at most once; the first-register transforms
     raise ``ValueError`` on a repeated key.  A ``qubit_count`` outside
-    ``0..MAX_WIDTH`` is a ``ValueError`` when the state is made.
+    ``0..MAX_WIDTH`` or an ``env_count`` outside ``0..MAX_EVENTS`` is a
+    ``ValueError`` when the state is made.
     """
 
     qubit_count: int
@@ -42,6 +44,8 @@ class SparseState:
     def __post_init__(self):
         if not 0 <= self.qubit_count <= MAX_WIDTH:
             raise ValueError(f"state width {self.qubit_count} outside 0..{MAX_WIDTH}")
+        if not 0 <= self.env_count <= MAX_EVENTS:
+            raise ValueError(f"env_count={self.env_count} outside 0..{MAX_EVENTS}")
 
     @property
     def component_count(self) -> int:
@@ -154,9 +158,12 @@ class Distribution:
 def sample_schedule(n_events: int, n_qubits: int, seed: int,
                     law: StaticDecay | ExponentialDecay) -> NoiseSchedule:
     """Uniform random times (sorted) and uniform random qubits, seed-determined;
-    an ``n_events`` outside ``0..MAX_EVENTS`` is a ``ValueError``."""
+    an ``n_events`` outside ``0..MAX_EVENTS`` or an ``n_qubits`` below 1 is a
+    ``ValueError``."""
     if not 0 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events={n_events} outside 0..{MAX_EVENTS}")
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits={n_qubits} must be at least 1")
     rng = np.random.default_rng(seed)
     while True:
         times = np.sort(rng.random(n_events))
@@ -355,16 +362,20 @@ def _check_norm(amp: np.ndarray, where: str) -> None:
         raise AssertionError(f"norm drifted to {norm} after {where}")
 
 
-def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
-                       inverse: bool) -> SparseState:
-    shift = layout.reg1.start
+def _rows(state: SparseState, q: int, layout: RegisterLayout,
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the dense first-register matrix: components grouped by
+    (rest, env), the rest of a basis string being all but its first register.
+
+    Returns the rest and env of each row, ascending by (rest, env), and, for
+    every component in row order, its row, first-register value a and
+    amplitude.  An a >= q or a repeated (comp, env) key is a ``ValueError``.
+    """
     r1_mask = np.int64(layout.reg1_mask())
-    a = (state.comp & r1_mask) >> shift
+    a = (state.comp & r1_mask) >> layout.reg1.start
     if np.any(a >= q):
         raise ValueError("component with first-register value >= q")
     rest = state.comp & ~r1_mask
-    # Sorted by (rest, env, a), each (rest, env) group is one row of the
-    # dense matrix, rows in ascending (rest, env) order.
     order = np.lexsort((a, state.env, rest))
     rest, env, a = rest[order], state.env[order], a[order]
     same = (rest[1:] == rest[:-1]) & (env[1:] == env[:-1])
@@ -373,20 +384,34 @@ def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
     new_row = np.ones(len(order), dtype=bool)
     new_row[1:] = ~same
     row = np.cumsum(new_row) - 1
-    dense = np.zeros((np.count_nonzero(new_row), q), dtype=np.complex128)
+    return rest[new_row], env[new_row], row, a, state.amp[order]
+
+
+def _dense_transform(rows: int, row: np.ndarray, a: np.ndarray, amp: np.ndarray,
+                     q: int, inverse: bool) -> np.ndarray:
+    """The (rows, q) matrix holding each amplitude at (row, a), each row
+    transformed in place."""
+    dense = np.zeros((rows, q), dtype=np.complex128)
     # Keys are unique, so a plain scatter places each amplitude; adding 0.0
     # turns -0.0 into 0.0, as summing into the zeroed matrix would.
-    dense[row, a] = state.amp[order] + 0.0
+    dense[row, a] = amp + 0.0
     if inverse:
         np.fft.fft(dense, axis=1, out=dense)
         dense /= math.sqrt(q)
     else:
         np.fft.ifft(dense, axis=1, out=dense)
         dense *= math.sqrt(q)
-    comp = (rest[new_row][:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
-    env = np.repeat(env[new_row], q)
-    return SparseState(state.qubit_count, state.env_count, comp, env,
-                       dense.ravel())
+    return dense
+
+
+def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
+                       inverse: bool) -> SparseState:
+    rest, env, row, a, amp = _rows(state, q, layout)
+    dense = _dense_transform(len(rest), row, a, amp, q, inverse)
+    shift = layout.reg1.start
+    comp = (rest[:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
+    return SparseState(state.qubit_count, state.env_count, comp,
+                       np.repeat(env, q), dense.ravel())
 
 
 def fourier_first_register(state: SparseState, q: int,
@@ -441,6 +466,42 @@ def distribution_ed(state: SparseState, layout: RegisterLayout,
     """
     keep = (state.comp & np.int64(layout.work_mask())) == 0
     return Distribution(_tables(state, layout, q, keep), "ed")
+
+
+def outcome_tables(state: SparseState, layout: RegisterLayout,
+                   q: int) -> tuple[Distribution, Distribution]:
+    """``distribution_ned`` and ``distribution_ed`` of the Fourier-transformed
+    state, byte for byte, without building that state.
+
+    Every row of the grouped transform (see ``fourier_first_register``) has
+    one r2 value and one scratch flag, so column r2 of a table is the sum of
+    |F(c)|^2 over its rows.  The rows are transformed ``TABLE_CHUNK`` dense
+    elements at a time (at least one row), and each row is added into its r2
+    accumulator in ascending row order, the order in which ``np.bincount``
+    adds them in the reference; the ed table takes only the rows whose
+    scratch wires are clean.  Raises what the transform raises.
+    """
+    rest, _, row, a, amp = _rows(state, q, layout)
+    width = 1 << len(layout.reg2)
+    r2 = (rest >> layout.reg2.start) & (width - 1)
+    clean = (rest & np.int64(layout.work_mask())) == 0
+    ned = np.zeros(q * width)
+    ed = np.zeros(q * width)
+    step = max(1, TABLE_CHUNK // q)
+    starts = np.searchsorted(row, np.arange(0, len(rest) + step, step))
+    columns = np.arange(q) * width
+    for first, lo, hi in zip(range(0, len(rest), step), starts, starts[1:]):
+        block = slice(first, first + step)
+        weights = np.abs(_dense_transform(len(r2[block]), row[lo:hi] - first,
+                                          a[lo:hi], amp[lo:hi], q, False))
+        weights *= weights
+        cells = r2[block, None] + columns  # cell = c * width + r2
+        # add.at adds element by element in index order, as bincount does.
+        np.add.at(ned, cells.ravel(), weights.ravel())
+        keep = clean[block]
+        np.add.at(ed, cells[keep].ravel(), weights[keep].ravel())
+    return (Distribution(ned.reshape(q, width), "ned"),
+            Distribution(ed.reshape(q, width), "ed"))
 
 
 def dump_state(state: SparseState) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from shorsim import (ArithParams, Gate, Network, RegisterLayout, apply_decay,
                      apply_network_batch, build_modexp, distribution_ed,
                      distribution_ned, dump_state, fourier_first_register, gates,
                      init_state, inverse_fourier_first_register,
-                     network_from_text, run, sample_schedule, simulator)
+                     network_from_text, outcome_tables, run, sample_schedule,
+                     simulator)
 from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
@@ -229,6 +231,13 @@ class TestRunBoundary:
         # run() and apply_decay overflowed int64 inside the split
         with pytest.raises(ValueError, match=f"^state width {width} outside 0..62$"):
             single_component(width, 0)
+
+    @pytest.mark.parametrize("env_count", [-1, MAX_EVENTS + 1])
+    def test_env_count_outside_the_record_refused_when_made(self, env_count):
+        # unchecked, apply_decay on env_count=-1 died with "negative shift
+        # count" inside the split
+        with pytest.raises(ValueError, match=f"^env_count={env_count} outside 0..63$"):
+            single_component(2, 0, env_count=env_count)
 
     def test_widest_state_decays_on_its_top_qubit(self):
         state = single_component(MAX_WIDTH, 1 << 61)
@@ -1028,6 +1037,113 @@ class TestKernelsAgainstReference:
                             np.zeros(0, dtype=np.complex128))
         assert_kernels_match_reference(state, layout, 8)
 
+
+def assert_tables_match_reference(state, layout, q):
+    """outcome_tables equals the bincount tables of the transformed state,
+    byte for byte, and returns them."""
+    forward = fourier_first_register(state, q, layout)
+    got = outcome_tables(state, layout, q)
+    for table, want in zip(got, (distribution_ned(forward, layout, q),
+                                 distribution_ed(forward, layout, q))):
+        assert table.variant == want.variant
+        assert table.table.dtype == want.table.dtype == np.float64
+        assert table.table.shape == want.table.shape
+        assert table.table.flags.c_contiguous
+        assert table.table.tobytes() == want.table.tobytes()
+    return got
+
+
+class TestOutcomeTables:
+    """outcome_tables against fourier_first_register + distribution_ned/ed."""
+
+    @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
+    @pytest.mark.parametrize("n_events, law", [(10, GAMMA), (20, STATIC_HALF)])
+    def test_noisy_runs_n15(self, factoring_15, watchdog, n_events, law):
+        _, layout, net = factoring_15
+        sched = sample_schedule(n_events, layout.qubit_count, 7 + n_events, law)
+        assert_tables_match_reference(run(init_state(130, layout), net, sched,
+                                          watchdog), layout, 130)
+
+    @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
+    def test_noisy_runs_n21_n33(self, wide_instance, watchdog):
+        q, layout, net = wide_instance
+        sched = sample_schedule(10, layout.qubit_count, 5, GAMMA)
+        assert_tables_match_reference(run(init_state(q, layout), net, sched,
+                                          watchdog), layout, q)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_smallest_q(self, q):
+        # rows q elements long, where an axis-0 sum could turn pairwise
+        layout = RegisterLayout.for_factoring(4, q=q)
+        net = build_modexp(ArithParams.create(15, 7, q), layout)
+        for seed in range(3):
+            sched = sample_schedule(20, layout.qubit_count, seed, STATIC_HALF)
+            assert_tables_match_reference(run(init_state(q, layout), net, sched),
+                                          layout, q)
+
+    @pytest.mark.parametrize("chunk", [7 * 130 + 3, 1])
+    def test_chunks_that_split_r2_groups(self, factoring_15, monkeypatch, chunk):
+        _, layout, net = factoring_15
+        state = run(init_state(130, layout), net,
+                    sample_schedule(20, layout.qubit_count, 2, STATIC_HALF))
+        rest = simulator._rows(state, 130, layout)[0]
+        r2 = (rest >> layout.reg2.start) & ((1 << len(layout.reg2)) - 1)
+        step = max(1, chunk // 130)  # rows per chunk
+        # some r2 value has rows in the first chunk and in a later one
+        assert set(r2[:step].tolist()) & set(r2[step:].tolist())
+        monkeypatch.setattr(simulator, "TABLE_CHUNK", chunk)
+        assert_tables_match_reference(state, layout, 130)
+
+    def test_no_clean_rows(self, factoring_15):
+        _, layout, net = factoring_15
+        state = run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        state.comp |= np.int64(1 << layout.add_work.start)
+        _, ed = assert_tables_match_reference(state, layout, 130)
+        assert ed.table.tobytes() == np.zeros((130, 16)).tobytes()
+
+    def test_empty_state(self):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        empty = np.zeros(0, dtype=np.int64)
+        state = SparseState(layout.qubit_count, 0, empty, empty.copy(),
+                            np.zeros(0, dtype=np.complex128))
+        assert_tables_match_reference(state, layout, 8)
+
+    def test_bad_states_raise_as_the_transform_does(self):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        repeated = SparseState(layout.qubit_count, 1,
+                               np.array([3, 5, 3], dtype=np.int64),
+                               np.array([1, 1, 1], dtype=np.int64),
+                               np.full(3, 3 ** -0.5, dtype=np.complex128))
+        for state, q in ((repeated, 8), (single_component(layout.qubit_count, 7), 4)):
+            with pytest.raises(ValueError) as want:
+                fourier_first_register(state, q, layout)
+            with pytest.raises(ValueError) as got:
+                outcome_tables(state, layout, q)
+            assert str(got.value) == str(want.value)
+
+    def test_traced_peak_is_set_by_the_chunk_not_the_rows(self):
+        q = 1024
+        layout = RegisterLayout.for_factoring(4, q=q)
+        # per chunk element: the transformed row (16 bytes), its squared
+        # moduli and cell indices (8 each) and the clean rows' copies (16);
+        # then both tables and 1 MB for the per-component arrays
+        bound = 48 * simulator.TABLE_CHUNK + 2 * q * 16 * 8 + (1 << 20)
+        for rows in (1000, 4000):  # 1.0 and 4.1 million transformed rows
+            # one component in each of ``rows`` (rest, env) groups
+            rng = np.random.default_rng(rows)
+            comp = ((np.arange(rows, dtype=np.int64) << layout.reg2.start)
+                    | rng.integers(0, q, rows))
+            amp = (rng.normal(size=rows) + 1j * rng.normal(size=rows)) / math.sqrt(2 * rows)
+            state = SparseState(layout.qubit_count, 2, comp, rng.integers(0, 4, rows), amp)
+            tracemalloc.start()
+            try:
+                outcome_tables(state, layout, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rows * q >= 10 ** 6 and peak < bound < 16 * rows * q
+
+
 class TestSampleSchedule:
     def test_empty(self):
         sched = sample_schedule(0, 26, 1, STATIC_HALF)
@@ -1050,6 +1166,12 @@ class TestSampleSchedule:
     def test_event_count_outside_the_record_refused(self, n_events):
         with pytest.raises(ValueError, match=f"^n_events={n_events} outside 0..63$"):
             sample_schedule(n_events, 26, 0, STATIC_HALF)
+
+    @pytest.mark.parametrize("n_qubits", [0, -3])
+    def test_no_qubits_refused(self, n_qubits):
+        # unchecked, numpy's rng.integers died with "high <= 0"
+        with pytest.raises(ValueError, match=f"^n_qubits={n_qubits} must be at least 1$"):
+            sample_schedule(3, n_qubits, 0, STATIC_HALF)
 
     def test_sixty_three_events(self):
         assert len(sample_schedule(MAX_EVENTS, 26, 0, STATIC_HALF).events) == MAX_EVENTS
