@@ -4,8 +4,8 @@ from .arithmetic import (ArithParams, ResourceReport, build_adder,
                          build_bit_adder, build_controlled_multiplier,
                          build_mod_adder, build_modexp, controlled_swap,
                          gate_count_formula, mod_inverse, resource_estimate)
-from .gates import (Checkpoint, Gate, Network, RegisterLayout, apply_gate,
-                    apply_network, apply_network_batch, concatenate,
+from .gates import (Checkpoint, Network, RegisterLayout, apply_network,
+                    apply_network_batch, concatenate, gate_masks,
                     network_from_text, network_to_text, validate_network)
 from .oracles import (exhaustive_network_check, modpow, multiplicative_order,
                       outcome_table_oracle)

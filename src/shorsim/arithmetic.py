@@ -25,7 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .gates import (MAX_WIDTH, Checkpoint, Gate, Network, RegisterLayout, concatenate,
+from .gates import (MAX_WIDTH, Checkpoint, Network, RegisterLayout, concatenate,
                     qubit_mask)
 
 
@@ -105,7 +105,7 @@ def mod_inverse(c: int, n: int) -> int:
 
 
 def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
-                    keep_wire: int, carry_wire: int | None) -> list[Gate]:
+                    keep_wire: int, carry_wire: int | None) -> list[tuple[int, int]]:
     """One ripple column: add ``keep_wire + const_bit`` into ``sum_wire``.
 
     ``sum_wire`` enters holding the incoming carry and leaves holding the low
@@ -121,19 +121,19 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
     gates = []
     if carry_wire is not None:
         carry = 1 << carry_wire
-        gates.append(Gate(ctl | s | k, carry))
+        gates.append((ctl | s | k, carry))
         if const_bit:
-            gates += [Gate(ctl | s, carry), Gate(ctl | k, carry)]
-    gates.append(Gate(ctl | k, s))
+            gates += [(ctl | s, carry), (ctl | k, carry)]
+    gates.append((ctl | k, s))
     if const_bit:
-        gates.append(Gate(ctl, s))
+        gates.append((ctl, s))
     return gates
 
 
-def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[Gate]:
+def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
     """Exchange wires a and b; three NOTs, only the middle one controlled."""
     a, b = 1 << a, 1 << b
-    return [Gate(b, a), Gate(qubit_mask(controls) | a, b), Gate(b, a)]
+    return [(b, a), (qubit_mask(controls) | a, b), (b, a)]
 
 
 def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
@@ -160,7 +160,7 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
         gates += build_bit_adder((y >> i) & 1, controls, work[i], reg[i], carry)
     for i in range(m):
         gates += controlled_swap(controls, reg[i], work[i])
-    gates.append(Gate(qubit_mask(controls), 1 << work[m]))
+    gates.append((qubit_mask(controls), 1 << work[m]))
     complement = (1 << m) - y
     unwind = []
     for i in range(m):
@@ -195,11 +195,11 @@ def build_mod_adder(y: int, n: int, value: Sequence[int], flag_lo: int,
                          work[:bits + 3], controls).gates
     gates += build_adder(n, [*value, flag_hi], work[:bits + 2],
                          (*controls, flag_lo)).gates
-    gates.append(Gate(qubit_mask(controls), 1 << flag_hi))
+    gates.append((qubit_mask(controls), 1 << flag_hi))
     recompute = build_adder((1 << bits) - y, [*value, flag_hi],
                             work[:bits + 2], controls).gates
     gates += recompute
-    gates.append(Gate(qubit_mask((*controls, flag_hi)), 1 << flag_lo))
+    gates.append((qubit_mask((*controls, flag_hi)), 1 << flag_lo))
     gates += reversed(recompute)
     qubit_count = 1 + max([*value, flag_lo, flag_hi, *work, *controls])
     scratch = qubit_mask([*work, flag_lo, flag_hi])
@@ -223,7 +223,7 @@ def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
         raise ValueError("accumulator and input register must have equal width")
     inverse = mod_inverse(c, n)  # raises when gcd(c, n) != 1
     scratch = qubit_mask([*work, flag_lo, flag_hi])
-    gates: list[Gate] = []
+    gates: list[tuple[int, int]] = []
     checkpoints: list[Checkpoint] = []
     for i in range(bits):
         gates += build_mod_adder((c << i) % n, n, acc, flag_lo, flag_hi,
@@ -255,13 +255,19 @@ def build_modexp(params: ArithParams, layout: RegisterLayout) -> Network:
     acc = list(layout.mult_work)[:bits]
     flag_hi = layout.mult_work[bits]
     flag_lo = layout.modn_flag
-    pieces = [Network([Gate(0, 1 << layout.reg2.start)], layout.qubit_count)]
+    pieces = [Network([(0, 1 << layout.reg2.start)], layout.qubit_count)]
     for i, exp_wire in enumerate(layout.reg1):
         factor = pow(params.x, 1 << i, params.n)
         pieces.append(build_controlled_multiplier(
             factor, params.n, list(layout.reg2), acc, flag_lo, flag_hi,
             list(layout.add_work), controls=(exp_wire,)))
     return concatenate(pieces, layout.qubit_count)
+
+
+def qubit_count_formula(bits: int) -> int:
+    """The qubit total 5L+8 of factoring an L-bit number, with the wide
+    (2L+1) exponent register."""
+    return 5 * bits + 8
 
 
 def gate_count_formula(bits: int) -> int:
@@ -272,15 +278,13 @@ def gate_count_formula(bits: int) -> int:
 def resource_estimate(bits: int) -> ResourceReport:
     """Space and time requirements for factoring an ``bits``-bit number.
 
-    The qubit total is 5L+8 with the wide (2L+1) exponent register.  The
-    exact gate count comes from building the chain for the canonical
-    instance n = 2**L - 1, x = 2; the polynomial estimate is reported
-    alongside for comparison.  For L = 1 no valid instance exists, so only
-    the formula values are filled in.
+    The qubit total is ``qubit_count_formula``.  The exact gate count comes
+    from building the chain for the canonical instance n = 2**L - 1, x = 2;
+    the polynomial estimate is reported alongside for comparison.  For
+    L = 1 no valid instance exists, so only the formula values are filled in.
     """
     if bits < 1:
         raise ValueError("bit width must be positive")
-    qubits = 5 * bits + 8
     exact = None
     if bits >= 2:
         n = (1 << bits) - 1
@@ -288,4 +292,4 @@ def resource_estimate(bits: int) -> ResourceReport:
         params = ArithParams(n, 2, 1 << (2 * bits + 1), bits)
         layout = RegisterLayout.for_factoring(bits)
         exact = len(build_modexp(params, layout).gates)
-    return ResourceReport(qubits, exact, gate_count_formula(bits))
+    return ResourceReport(qubit_count_formula(bits), exact, gate_count_formula(bits))

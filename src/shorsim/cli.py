@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arithmetic import ArithParams, build_modexp, resource_estimate
+from .arithmetic import (ArithParams, ResourceReport, build_modexp, gate_count_formula,
+                         qubit_count_formula)
 from .gates import (RegisterLayout, apply_network_batch, network_to_text,
                     validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
@@ -242,8 +243,8 @@ def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     layout = RegisterLayout.for_factoring(params.bits, q=params.q)
     net = build_modexp(params, layout)
     if args.report:
-        report = resource_estimate(params.bits).as_dict()
-        report["gates_exact"] = len(net.gates)
+        report = ResourceReport(qubit_count_formula(params.bits), len(net.gates),
+                                gate_count_formula(params.bits)).as_dict()
         report["qubits_built"] = layout.qubit_count
         text = json.dumps(report, sort_keys=True) + "\n"
     else:

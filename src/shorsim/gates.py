@@ -38,28 +38,10 @@ def mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-class Gate(NamedTuple):
-    """Flip the qubit in ``target_mask`` iff every qubit in ``control_mask`` is 1.
-
-    The mask pair is the only form a gate takes.  ``Gate.of`` builds one
-    from qubit indices; ``controls`` and ``target`` read them back.
-    """
-
-    control_mask: int
-    target_mask: int
-
-    @classmethod
-    def of(cls, controls: Iterable[int], target: int) -> Gate:
-        """The gate on qubit indices; negative indices are refused here."""
-        return cls(qubit_mask(controls), qubit_mask([target]))
-
-    @property
-    def controls(self) -> tuple[int, ...]:
-        return mask_bits(self.control_mask)
-
-    @property
-    def target(self) -> int:
-        return self.target_mask.bit_length() - 1
+def gate_masks(controls: Iterable[int], target: int) -> tuple[int, int]:
+    """The gate on qubit indices as its (control mask, target mask) pair:
+    flip the target iff every control is 1.  Negative indices are refused."""
+    return qubit_mask(controls), qubit_mask([target])
 
 
 class Checkpoint(NamedTuple):
@@ -89,19 +71,15 @@ class Network:
     right.  ``masks`` and ``blocks`` are built on first use and cached on the
     instance; equality and hashing compare the three fields only."""
 
-    gates: tuple[Gate, ...]
+    gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
     checkpoints: tuple[Checkpoint, ...] = ()
 
-    def __init__(self, gates: Iterable[Gate], qubit_count: int,
+    def __init__(self, gates: Iterable[tuple[int, int]], qubit_count: int,
                  checkpoints: Iterable[Checkpoint] = ()):
         object.__setattr__(self, "gates", tuple(gates))
         object.__setattr__(self, "qubit_count", int(qubit_count))
         object.__setattr__(self, "checkpoints", tuple(checkpoints))
-
-    def reversed(self) -> Network:
-        """The mirror network (exact inverse permutation); checkpoints dropped."""
-        return Network(reversed(self.gates), self.qubit_count)
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,10 +161,6 @@ class RegisterLayout:
     @property
     def qubit_count(self) -> int:
         return self.swap_ancilla + 1
-
-    @property
-    def register_qubits(self) -> list[int]:
-        return [*self.reg1, *self.reg2]
 
     @property
     def work_qubits(self) -> list[int]:
@@ -286,11 +260,6 @@ def apply_network(bits: int, net: Network) -> int:
     if not 0 <= bits < 1 << net.qubit_count:
         raise ValueError(f"basis string {bits} does not fit {net.qubit_count} qubits")
     return int(apply_network_batch([bits], net)[0])
-
-
-def apply_gate(bits: int, gate: Gate, width: int = MAX_WIDTH) -> int:
-    """Apply one gate to a basis string: flip the target iff all controls are 1."""
-    return apply_network(bits, Network([gate], width))
 
 
 BLOCK_WIRES = 16  # local bits a uint16 gather entry or table index holds
@@ -435,7 +404,7 @@ def concatenate(nets: Sequence[Network], qubit_count: int | None = None) -> Netw
     """Run networks back to back, shifting checkpoint positions accordingly."""
     if qubit_count is None:
         qubit_count = max(net.qubit_count for net in nets)
-    gates: list[Gate] = []
+    gates: list[tuple[int, int]] = []
     checkpoints: list[Checkpoint] = []
     for net in nets:
         offset = len(gates)
@@ -447,8 +416,8 @@ def concatenate(nets: Sequence[Network], qubit_count: int | None = None) -> Netw
 
 def network_to_text(net: Network) -> str:
     """Serialize to the line format ``T <target> <control>...`` / ``CHK <pos> <qubit>...``."""
-    lines = [f"T {g.target} {' '.join(map(str, g.controls))}".rstrip()
-             for g in net.gates]
+    lines = [f"T {t.bit_length() - 1} {' '.join(map(str, mask_bits(c)))}".rstrip()
+             for c, t in net.gates]
     lines.extend(f"CHK {c.position} {' '.join(map(str, c.qubits))}".rstrip()
                  for c in net.checkpoints)
     return "\n".join(lines) + "\n"
@@ -474,7 +443,7 @@ def network_from_text(text: str, qubit_count: int | None = None) -> Network:
         try:
             first, *rest = map(int, fields)
             if kind == "T":
-                gates.append(Gate.of(rest, first))
+                gates.append(gate_masks(rest, first))
             else:
                 checkpoints.append(Checkpoint.of(first, rest))
         except ValueError as err:

@@ -54,10 +54,6 @@ class SparseState:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amp) ** 2))
 
-    def copy(self) -> SparseState:
-        return SparseState(self.qubit_count, self.env_count,
-                           self.comp.copy(), self.env.copy(), self.amp.copy())
-
     def as_dict(self) -> dict[tuple[int, int], complex]:
         return {(int(c), int(e)): complex(a)
                 for c, e, a in zip(self.comp, self.env, self.amp)}

@@ -102,7 +102,7 @@ class TestAdder:
     def test_mirror_is_identity(self):
         net, reg, work, controls = self.build(9, bits=4)
         width = net.qubit_count
-        both = Network([*net.gates, *net.reversed().gates], width)
+        both = Network([*net.gates, *net.gates[::-1]], width)
         values = np.arange(1 << width)
         assert np.array_equal(apply_network_batch(values, both), values)
 
@@ -202,9 +202,14 @@ class TestModExp:
                                        zero_wires=layout.work_qubits)
         assert bad == []
 
+    def test_gates_are_plain_int_pairs(self, factoring_15):
+        _, _, net = factoring_15
+        assert {type(g) for g in net.gates} == {tuple}
+        assert all(len(g) == 2 and type(g[0]) is type(g[1]) is int for g in net.gates)
+
     def test_never_targets_the_exponent_register(self, factoring_15):
         _, layout, net = factoring_15
-        assert all(g.target not in layout.reg1 for g in net.gates)
+        assert all(t.bit_length() - 1 not in layout.reg1 for _, t in net.gates)
 
     def test_validates_cleanly(self, factoring_15):
         _, layout, net = factoring_15

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from shorsim import RegisterLayout, cli, oracles, pipeline
-from shorsim.arithmetic import MAX_Q
+from shorsim import RegisterLayout, arithmetic, cli, oracles, pipeline
+from shorsim.arithmetic import MAX_Q, build_modexp
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
 
@@ -344,6 +344,27 @@ class TestMain:
         # the formula's 5L+8 next to the layout the command built
         assert payload["qubits"] == 28 and payload["qubits_built"] == built
         assert built == RegisterLayout.for_factoring(4, q=q or 225).qubit_count
+
+    @pytest.mark.parametrize("argv, text", [
+        ([], '{"gates_exact": 17051, "gates_formula": 23832, "qubits": 28, '
+             '"qubits_built": 26}\n'),
+        (["--n", "33", "--x", "5", "--q", "1100"],
+         '{"gates_exact": 48514, "gates_formula": 70356, "qubits": 38, '
+         '"qubits_built": 35}\n')], ids=["defaults", "n33"])
+    def test_build_report_is_pinned(self, argv, text, capsys):
+        assert main(["build", "--report", *argv]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_build_report_builds_one_network(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_modexp(*args)
+        monkeypatch.setattr(arithmetic, "build_modexp", counted)
+        monkeypatch.setattr(cli, "build_modexp", counted)
+        assert main(["build", "--report"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv, flag", [
         (["--n", "1"], "--n"), (["--x", "1"], "--x"), (["--x", "5"], "--x"),

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from shorsim import (Gate, Network, RegisterLayout, apply_gate, apply_network,
-                     apply_network_batch, build_adder, concatenate,
-                     network_from_text, network_to_text, validate_network)
-from shorsim.gates import Checkpoint, _extract
+from shorsim import (Network, RegisterLayout, apply_network, apply_network_batch,
+                     build_adder, concatenate, gate_masks, network_from_text,
+                     network_to_text, validate_network)
+from shorsim.gates import MAX_WIDTH, Checkpoint, _extract
 
 
 def random_network(rng, width, n_gates):
@@ -16,44 +16,44 @@ def random_network(rng, width, n_gates):
     for _ in range(n_gates):
         wires = rng.choice(width, size=rng.integers(1, min(4, width) + 1),
                            replace=False)
-        gates.append(Gate.of(wires[1:].tolist(), int(wires[0])))
+        gates.append(gate_masks(wires[1:].tolist(), int(wires[0])))
     return Network(gates, width)
 
 
 class TestApplyGate:
     def test_both_controls_set_flips_target(self):
-        gate = Gate.of({0, 1}, 2)
-        assert apply_gate(0b011, gate) == 0b111
+        gate = gate_masks({0, 1}, 2)
+        assert apply_network(0b011, Network([gate], MAX_WIDTH)) == 0b111
 
     def test_control_clear_is_identity(self):
-        gate = Gate.of({0, 1}, 2)
-        assert apply_gate(0b010, gate) == 0b010
+        gate = gate_masks({0, 1}, 2)
+        assert apply_network(0b010, Network([gate], MAX_WIDTH)) == 0b010
 
     def test_double_application_is_identity_exhaustive(self):
-        gate = Gate.of({0, 1}, 2)
+        net = Network([gate_masks({0, 1}, 2)], MAX_WIDTH)
         for b in range(8):
-            assert apply_gate(apply_gate(b, gate), gate) == b
+            assert apply_network(apply_network(b, net), net) == b
 
     def test_plain_not_and_cnot(self):
-        assert apply_gate(0b0, Gate.of((), 0)) == 0b1
-        assert apply_gate(0b01, Gate.of({0}, 1)) == 0b11
+        assert apply_network(0b0, Network([gate_masks((), 0)], MAX_WIDTH)) == 0b1
+        assert apply_network(0b01, Network([gate_masks({0}, 1)], MAX_WIDTH)) == 0b11
 
     def test_rejects_target_in_controls(self):
         with pytest.raises(ValueError):
-            apply_gate(0, Gate.of({0}, 0))
+            apply_network(0, Network([gate_masks({0}, 0)], MAX_WIDTH))
 
     def test_rejects_index_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_gate(0, Gate.of({5}, 1), width=3)
+            apply_network(0, Network([gate_masks({5}, 1)], 3))
 
     def test_touches_only_the_target_bit(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             net = random_network(rng, 6, 1)
-            gate = net.gates[0]
+            _, target_mask = net.gates[0]
             for b in range(64):
-                diff = apply_gate(b, gate) ^ b
-                assert diff in (0, gate.target_mask)
+                diff = apply_network(b, net) ^ b
+                assert diff in (0, target_mask)
 
 
 class TestApplyNetwork:
@@ -63,7 +63,7 @@ class TestApplyNetwork:
             assert apply_network(b, net) == b
 
     def test_gate_twice_is_identity(self):
-        gate = Gate.of({0, 2}, 1)
+        gate = gate_masks({0, 2}, 1)
         net = Network([gate, gate], 3)
         for b in range(8):
             assert apply_network(b, net) == b
@@ -73,7 +73,7 @@ class TestApplyNetwork:
         rng = np.random.default_rng(seed)
         width = 8
         net = random_network(rng, width, 40)
-        both = Network([*net.gates, *net.reversed().gates], width)
+        both = Network([*net.gates, *net.gates[::-1]], width)
         values = np.arange(1 << width)
         assert np.array_equal(apply_network_batch(values, both), values)
 
@@ -103,7 +103,7 @@ class TestValidateNetwork:
         assert validate_network(net) == []
 
     def test_target_equal_control_reported(self):
-        net = Network([Gate.of({1}, 1)], 3)
+        net = Network([gate_masks({1}, 1)], 3)
         problems = validate_network(net)
         assert len(problems) == 1 and "control" in problems[0]
 
@@ -114,15 +114,15 @@ class TestValidateNetwork:
         # A width problem is the validator's, raised when the network
         # compiles; a negative index is refused when the gate is built.
         with pytest.raises(ValueError) as err:
-            apply_network(0, Network([Gate.of((), 0), Gate.of(*gate)], 3))
+            apply_network(0, Network([gate_masks((), 0), gate_masks(*gate)], 3))
         assert str(err.value) == message
 
     def test_checkpoint_beyond_gate_count_reported(self):
-        net = Network([Gate.of((), 0)], 2, [Checkpoint.of(5, {1})])
+        net = Network([gate_masks((), 0)], 2, [Checkpoint.of(5, {1})])
         assert validate_network(net) == ["checkpoint 0: position 5 outside 0..1"]
 
     def test_decreasing_checkpoints_reported(self):
-        net = Network([Gate.of((), 0)] * 3, 2,
+        net = Network([gate_masks((), 0)] * 3, 2,
                       [Checkpoint.of(2, {1}), Checkpoint.of(1, {1})])
         # a position below the one before it
         assert validate_network(net) == ["checkpoint 1: position 1 outside 2..3"]
@@ -137,23 +137,23 @@ class TestOneValidator:
     """validate_network and compiling share one check over the mask arrays."""
 
     @pytest.mark.parametrize("net, message", [
-        (Network([Gate(0, 1), Gate(0, 1 << 5)], 3),
+        (Network([(0, 1), (0, 1 << 5)], 3),
          "gate 1: touches qubit 5 outside width 3"),
-        (Network([Gate(1 << 70, 1)], 3), "gate 0: touches qubit 70 outside width 3"),
-        (Network([Gate(-1, 1)], 3), "gate 0: negative mask"),
-        (Network([Gate(0, 0b11)], 3), "gate 0: target mask 0x3 is not one qubit"),
-        (Network([Gate(0b1, 0)], 3), "gate 0: target mask 0x0 is not one qubit"),
-        (Network([Gate.of({0, 1}, 1)], 3), "gate 0: target 1 is also a control"),
+        (Network([(1 << 70, 1)], 3), "gate 0: touches qubit 70 outside width 3"),
+        (Network([(-1, 1)], 3), "gate 0: negative mask"),
+        (Network([(0, 0b11)], 3), "gate 0: target mask 0x3 is not one qubit"),
+        (Network([(0b1, 0)], 3), "gate 0: target mask 0x0 is not one qubit"),
+        (Network([gate_masks({0, 1}, 1)], 3), "gate 0: target 1 is also a control"),
         (Network([], 63), "networks wider than 62 qubits are not supported"),
-        (Network([Gate(0, 1)], 2, [Checkpoint(-1, 0b1)]),
+        (Network([(0, 1)], 2, [Checkpoint(-1, 0b1)]),
          "checkpoint 0: position -1 outside 0..1"),
-        (Network([Gate(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)]),
+        (Network([(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)]),
          "checkpoint 1: position 1 outside 2..3"),
-        (Network([Gate(0, 1)], 2, [Checkpoint(1, 0b100)]),
+        (Network([(0, 1)], 2, [Checkpoint(1, 0b100)]),
          "checkpoint 0: qubit 2 outside width 2"),
-        (Network([Gate(0, 1)], 2, [Checkpoint(1, 1 << 70 | 0b1001)]),
+        (Network([(0, 1)], 2, [Checkpoint(1, 1 << 70 | 0b1001)]),
          "checkpoint 0: qubit 3 outside width 2"),
-        (Network([Gate(0, 1)], 2, [Checkpoint(1, -1)]),
+        (Network([(0, 1)], 2, [Checkpoint(1, -1)]),
          "checkpoint 0: negative mask"),
     ], ids=["wide", "beyond-int64", "negative", "two-targets", "no-target",
             "target-control", "width", "chk-negative", "chk-decreasing",
@@ -167,19 +167,19 @@ class TestOneValidator:
         assert "masks" not in vars(net)
 
     def test_every_bad_gate_reported_in_order(self):
-        net = Network([Gate.of({2}, 2), Gate(0, 1), Gate(0, 1 << 4),
-                       Gate(0, 0b101)], 3)
+        net = Network([gate_masks({2}, 2), (0, 1), (0, 1 << 4),
+                       (0, 0b101)], 3)
         assert validate_network(net) == [
             "gate 0: target 2 is also a control",
             "gate 2: touches qubit 4 outside width 3",
             "gate 3: target mask 0x5 is not one qubit"]
 
     def test_index_path_builds_the_masks(self):
-        gate = Gate.of([3, 0, 3], 1)
-        assert gate == Gate(0b1001, 0b10)
-        assert (gate.controls, gate.target) == ((0, 3), 1)
+        gate = gate_masks([3, 0, 3], 1)
+        assert gate == (0b1001, 0b10)
+        assert type(gate) is tuple and all(type(m) is int for m in gate)
         with pytest.raises(ValueError, match="negative qubit index -2"):
-            Gate.of([1], -2)
+            gate_masks([1], -2)
 
     def test_checkpoint_index_path_builds_the_mask(self):
         chk = Checkpoint.of(4, [3, 0, 3])
@@ -204,7 +204,7 @@ class TestLayout:
 
 class TestSerialization:
     def test_round_trip(self):
-        net = Network([Gate.of({1, 2}, 0), Gate.of((), 3)], 5,
+        net = Network([gate_masks({1, 2}, 0), gate_masks((), 3)], 5,
                       [Checkpoint.of(1, {3, 4}), Checkpoint.of(2, {4})])
         back = network_from_text(network_to_text(net), qubit_count=5)
         assert back.gates == net.gates
@@ -212,7 +212,7 @@ class TestSerialization:
         assert back.qubit_count == 5
 
     def test_text_is_deterministic(self):
-        net = Network([Gate.of({3, 1, 2}, 0)], 4)
+        net = Network([gate_masks({3, 1, 2}, 0)], 4)
         assert network_to_text(net) == network_to_text(net)
         assert network_to_text(net) == "T 0 1 2 3\n"
 
@@ -240,8 +240,8 @@ class TestSerialization:
 
 
 def test_concatenate_shifts_checkpoints():
-    a = Network([Gate.of((), 0)] * 2, 3, [Checkpoint.of(2, {1})])
-    b = Network([Gate.of((), 1)], 3, [Checkpoint.of(0, {2}), Checkpoint.of(1, {2})])
+    a = Network([gate_masks((), 0)] * 2, 3, [Checkpoint.of(2, {1})])
+    b = Network([gate_masks((), 1)], 3, [Checkpoint.of(0, {2}), Checkpoint.of(1, {2})])
     merged = concatenate([a, b])
     assert merged.checkpoints == (Checkpoint(2, 0b10), Checkpoint(2, 0b100),
                                   Checkpoint(3, 0b100))

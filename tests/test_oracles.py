@@ -88,8 +88,8 @@ class TestExhaustiveChecker:
 
     def test_ancilla_leak_detected(self):
         # identity on the value wire but leaves wire 1 dirty
-        from shorsim.gates import Gate
-        net = Network([Gate.of((), 1)], 2)
+        from shorsim.gates import gate_masks
+        net = Network([gate_masks((), 1)], 2)
         bad = exhaustive_network_check(net, lambda v: v, range(2),
                                        in_wires=[0], zero_wires=[1])
         assert len(bad) == 2

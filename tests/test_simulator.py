@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shorsim import (ArithParams, Gate, Network, RegisterLayout, apply_decay,
+from shorsim import (ArithParams, Network, RegisterLayout, apply_decay,
                      apply_network_batch, build_modexp, distribution_ed,
                      distribution_ned, dump_state, fourier_first_register, gates,
                      init_state, inverse_fourier_first_register,
                      network_from_text, outcome_tables, run, sample_schedule,
                      simulator)
-from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks
+from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks, gate_masks, mask_bits
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
                                ExponentialDecay, NoiseSchedule, SparseState,
@@ -200,7 +200,7 @@ class TestRunBoundary:
         sched = NoiseSchedule([DecayEvent(0.1 * (i + 1), 0) for i in range(4)],
                               STATIC_HALF)
         with pytest.raises(ValueError, match="60 recorded plus 4"):
-            run(state, Network([Gate.of((), 0)], 1), sched)
+            run(state, Network([gate_masks((), 0)], 1), sched)
 
     def test_sixty_three_events_fit(self):
         # the qubit stays in its ground state, so no event splits anything
@@ -218,7 +218,7 @@ class TestRunBoundary:
 
     def test_network_wider_than_the_state_rejected_before_any_gate(self, gate_path):
         # gate 0 would set bit 5, outside a 5-qubit state
-        net = Network([Gate.of((), 5)], 6)
+        net = Network([gate_masks((), 5)], 6)
         with pytest.raises(ValueError,
                            match="network of 6 qubits is wider than the state's 5"):
             run(single_component(5, 0), net, NoiseSchedule([], STATIC_HALF),
@@ -241,7 +241,7 @@ class TestRunBoundary:
 
     def test_widest_state_decays_on_its_top_qubit(self):
         state = single_component(MAX_WIDTH, 1 << 61)
-        net = Network([Gate.of([61], 0)], MAX_WIDTH)
+        net = Network([gate_masks([61], 0)], MAX_WIDTH)
         out = run(state, net, NoiseSchedule([DecayEvent(0.5, 61)], STATIC_HALF))
         assert sorted(out.as_dict()) == [(1, 1), (1 << 61 | 1, 0)]
         assert sorted(apply_decay(state, 61, 0.5).as_dict()) == [(0, 1), (1 << 61, 0)]
@@ -261,7 +261,7 @@ class TestRunBoundary:
         # negative mask before any gate
         with pytest.raises(ValueError, match="^negative qubit index -1$"):
             Checkpoint.of(1, [-1])
-        net = Network([Gate.of((), 1)], 2, [Checkpoint(1, -1)])
+        net = Network([gate_masks((), 1)], 2, [Checkpoint(1, -1)])
         with pytest.raises(ValueError, match="^checkpoint 0: negative mask$"):
             run(single_component(2, 0), net, NoiseSchedule([], GAMMA), "on")
 
@@ -293,7 +293,7 @@ class TestWatchdog:
         # count from the start, the scratch wire from its last checkpoint.
         _, layout, net = factoring_15
         scratch = layout.add_work.start
-        qubits = [*layout.register_qubits, scratch]
+        qubits = [*layout.reg1, *layout.reg2, scratch]
         events = [DecayEvent(0.96 + 0.001 * i, qb) for i, qb in enumerate(qubits)]
         total = len(net.gates)
         last = max(chk.position for chk in net.checkpoints
@@ -387,8 +387,8 @@ def assert_matches_reference(state, net, sched, watchdog="off", **kw):
 @pytest.fixture
 def gate_path(monkeypatch):
     """The path run() takes, in order: each call of the single-gate kernel
-    as its list of (control, target) mask pairs, which compares equal to
-    the list of its ``Gate``s, each table lookup as ("table", start, stop),
+    as its list of (control, target) mask pairs, the network's own gate
+    form, each table lookup as ("table", start, stop),
     and each norm check as its label.  The kernel and the lookups still
     run, and the norm checks still raise."""
     path = []
@@ -417,7 +417,7 @@ def random_gates(rng, width, count):
     gate_list = []
     for _ in range(count):
         wires = rng.choice(width, size=int(rng.integers(1, 4)), replace=False)
-        gate_list.append(Gate.of(wires[1:].tolist(), int(wires[0])))
+        gate_list.append(gate_masks(wires[1:].tolist(), int(wires[0])))
     return gate_list
 
 
@@ -441,8 +441,8 @@ def assert_blocks_cover_and_cut(net):
             if c.position < len(net.gates)} <= starts
     for b in blocks:
         wires = 0
-        for gate in net.gates[b.start:b.stop]:
-            wires |= gate.control_mask | gate.target_mask
+        for c, t in net.gates[b.start:b.stop]:
+            wires |= c | t
         assert wires.bit_count() <= gates.FUSE_WIRES
     return blocks
 
@@ -611,7 +611,7 @@ class TestFusedPass:
         gate_list = []
         for _ in range(8):
             wires = rng.choice(width, size=12, replace=False)
-            gate_list += [Gate.of(wires[pick[1:]].tolist(), int(wires[pick[0]]))
+            gate_list += [gate_masks(wires[pick[1:]].tolist(), int(wires[pick[0]]))
                           for pick in (rng.choice(12, size=int(rng.integers(1, 4)),
                                                   replace=False) for _ in range(40))]
         checkpoints = [Checkpoint.of(int(pos), [int(rng.integers(width))])
@@ -695,7 +695,7 @@ class TestWideFusedPass:
                     continue
                 seen.add(id(b.table))
                 gate_list = net.gates[b.start:b.stop]
-                wires = sorted({w for g in gate_list for w in (*g.controls, g.target)})
+                wires = sorted({w for c, t in gate_list for w in mask_bits(c | t)})
                 local = np.arange(1 << len(wires))
                 values = np.zeros_like(local)
                 for j, w in enumerate(wires):
@@ -739,7 +739,7 @@ class TestWideGates:
     the table, of its fused block."""
 
     def test_gate_on_seventeen_wires_refused_before_any_gate(self, gate_path):
-        net = Network([Gate.of([], 17), Gate.of(range(1, 17), 0)], 18)
+        net = Network([gate_masks([], 17), gate_masks(range(1, 17), 0)], 18)
         # The event between the two gates would run gate 0 through the kernel.
         sched = NoiseSchedule([event_at(1, 2, 17)], StaticDecay(1.0))
         with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
@@ -749,7 +749,7 @@ class TestWideGates:
             net.blocks
 
     def test_gate_on_seventeen_wires_kept_by_the_batch_kernel_and_oracles(self):
-        net = Network([Gate.of(range(1, 17), 0), Gate.of([], 17)], 18)
+        net = Network([gate_masks(range(1, 17), 0), gate_masks([], 17)], 18)
         with pytest.raises(ValueError, match="gate 0 touches 17 wires"):
             run(single_component(18, 131070), net, NoiseSchedule([], StaticDecay(1.0)))
         assert apply_network_batch([131070], net).tolist() == [262143]
@@ -758,7 +758,7 @@ class TestWideGates:
             in_wires=list(range(1, 17)), out_wires=[0])
 
     def test_gate_on_sixteen_wires_runs(self):
-        net = Network([Gate.of(range(1, 16), 0), Gate.of([], 16)], 17)
+        net = Network([gate_masks(range(1, 16), 0), gate_masks([], 16)], 17)
         rng = np.random.default_rng(16)
         values = np.unique(np.concatenate([[0xFFFE, 0xFFFF, 0x1FFFE],
                                            rng.integers(0, 1 << 17, 500)]))
@@ -832,7 +832,7 @@ class TestEventBlocks:
         # the checkpoint on qubit 1: the event still counts from the start,
         # and 'strict' keeps only the decayed branch.  A second event on
         # qubit 1 after the last gate counts from the checkpoint's reset.
-        net = Network([Gate.of((), 1), Gate.of((), 0)], 2, [Checkpoint.of(1, [1])])
+        net = Network([gate_masks((), 1), gate_masks((), 0)], 2, [Checkpoint.of(1, [1])])
         sched = NoiseSchedule([event_at(1, 2, 1), event_at(2, 2, 1)], GAMMA)
         log = []
         out = run(single_component(2, 0), net, sched, watchdog, event_log=log)
