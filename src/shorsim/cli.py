@@ -16,8 +16,9 @@ from .gates import (RegisterLayout, apply_network_batch, network_to_text,
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
 from .pipeline import (ExperimentConfig, ideal_distribution, repetition_seeds,
                        run_experiment)
-from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, NoiseSchedule,
-                        SparseState, StaticDecay, distribution_ed, distribution_ned,
+from .simulator import (MAX_EVENTS, ComponentBudgetError, Distribution,
+                        ExponentialDecay, NoiseSchedule, SparseState, StaticDecay,
+                        distribution_ed, distribution_ned,
                         fourier_first_register, init_state, run, sample_schedule)
 
 
@@ -204,7 +205,13 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    report = run_experiment(cfg)
+    """Run the experiment and emit its tables; a run whose state would pass
+    ``simulator.MAX_COMPONENTS`` exits 1 with its one-line reason."""
+    try:
+        report = run_experiment(cfg)
+    except ComponentBudgetError as err:
+        print(f"shorsim run: error: {err}", file=sys.stderr)
+        return 1
     if report.repetitions:  # none after the gcd shortcut
         ned_mean = np.mean([rep.ned.table for rep in report.repetitions], axis=0)
         ed_mean = np.mean([rep.ed.table for rep in report.repetitions], axis=0)

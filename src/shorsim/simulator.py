@@ -10,6 +10,7 @@ applied analytically as a size-q discrete Fourier transform.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,6 +22,13 @@ from .gates import MAX_WIDTH, Network, RegisterLayout, apply_masks
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
 TABLE_CHUNK = 1 << 16  # dense elements per step of outcome_tables
+# Components a decay may leave: 32 bytes each in comp, env and amp, and a few
+# times that while an event splits the state and the tables group it.
+MAX_COMPONENTS = 1 << 22
+
+
+class ComponentBudgetError(ValueError):
+    """A decay that would leave more than ``MAX_COMPONENTS`` components."""
 
 
 @dataclass
@@ -184,12 +192,17 @@ def init_state(q: int, layout: RegisterLayout) -> SparseState:
 
 
 def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
-           qubit: int, p1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           qubit: int, p1: float, where: str,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"persistence probability {p1} outside [0, 1]")
     bit = np.int64(1 << qubit)
     hit = (comp & bit) != 0
     p2 = 1.0 - p1
+    count = len(comp) + int(np.count_nonzero(hit)) if 0.0 < p1 < 1.0 else len(comp)
+    if count > MAX_COMPONENTS:
+        raise ComponentBudgetError(f"{where} would leave {count} components, "
+                                   f"past the budget of {MAX_COMPONENTS}")
     stay = amp.copy()
     stay[hit] *= math.sqrt(p1)
     parts_c, parts_e, parts_a = [comp], [env], [stay]
@@ -211,15 +224,17 @@ def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
     (weight sqrt(p1), environment bit 0) and a decayed branch with the qubit
     flipped to 0 (weight sqrt(1 - p1), environment bit 1).  Components
     already in the ground state are untouched apart from the record growing
-    by one 0 bit.  A p1 outside [0, 1] is a ``ValueError``, the check that
-    ``run()`` makes for each event too.
+    by one 0 bit.  A p1 outside [0, 1] is a ``ValueError``, and a split
+    that would leave more than ``MAX_COMPONENTS`` components is a
+    ``ComponentBudgetError`` (a ``ValueError``) before any array is made;
+    ``run()`` makes both checks for each event too.
     """
     if not 0 <= qubit < state.qubit_count:
         raise ValueError(f"qubit {qubit} outside state width {state.qubit_count}")
     if state.env_count >= MAX_EVENTS:
         raise ValueError(f"the environment record holds at most {MAX_EVENTS} events")
-    comp, env, amp = _split(state.comp, state.env, state.amp,
-                            state.env_count, qubit, p1)
+    comp, env, amp = _split(state.comp, state.env, state.amp, state.env_count,
+                            qubit, p1, f"decay on qubit {qubit}")
     return SparseState(state.qubit_count, state.env_count + 1, comp, env, amp)
 
 
@@ -246,15 +261,21 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     maximal runs of consecutive gates touching at most 14 wires, cut at
     every checkpoint position so that projections and clock resets fall
     between blocks.  Every run, the first included, applies
-    each block as one table lookup.  A block with events strictly inside it
-    runs from the end nearer to them, single gates going through the
-    ``apply_masks`` kernel (gates are self-inverse permutations): when the
-    last inner event is no farther from the block's start than the first
-    is from its stop, forward to the last event, that prefix undone in
-    reverse, then the table; otherwise the table, the suffix undone in
-    reverse back to the first event, then forward, stopping at events
-    only, as every checkpoint is a block boundary.  The output is
-    bit-identical to running every gate forward.  At most 63 decay events
+    each block as one table lookup.  An event strictly inside a block first
+    slides, in order, through the gates not touching its qubit (``_slide``):
+    to the block's start, after the checkpoints there, or to its stop,
+    before them.  The block then runs from the end nearer to the events
+    still inside it, single gates going through the ``apply_masks`` kernel
+    (gates are self-inverse permutations): when the last inner event is no
+    farther from the block's start than the first is from its stop, forward
+    to the last event, that prefix undone in reverse, then the table;
+    otherwise the table, the suffix undone in reverse back to the first
+    event, then forward, stopping at events only, as every checkpoint is a
+    block boundary.  Clocks move only at checkpoints, so the output is
+    bit-identical to running every gate forward with each event at its own
+    position.  A decay that would leave more than ``MAX_COMPONENTS``
+    components is a ``ComponentBudgetError`` naming the event, before its
+    split.  At most 63 decay events
     fit the environment record, every event qubit must lie inside the
     state, and the network must be no wider than the state; each is
     checked before any gate.  ``verify_norm`` checks the norm of the
@@ -299,7 +320,8 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             if event_log is not None:
                 event_log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1,
                                              origin))
-            comp, env, amp = _split(comp, env, amp, env_count, ev.qubit, p1)
+            comp, env, amp = _split(comp, env, amp, env_count, ev.qubit, p1,
+                                    f"decay event at t={ev.time} on qubit {ev.qubit}")
             env_count += 1
             ei += 1
             if verify_norm:
@@ -333,7 +355,13 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     for block in blocks:
         start, stop = block.start, block.stop
         settle(start)
-        inner = sorted(set(positions[ei:bisect.bisect_left(positions, stop, ei)]))
+        end = bisect.bisect_left(positions, stop, ei)
+        if end > ei:
+            positions[ei:end] = _slide(positions[ei:end], events[ei:end],
+                                       ctrl[start:stop] | tgt[start:stop], start, stop)
+            settle(start)  # the events slid to the start; its checkpoints have run
+            end = bisect.bisect_left(positions, stop, ei)
+        inner = sorted(set(positions[ei:end]))
         if not inner:
             block.apply(comp)
         elif inner[-1] - start <= stop - inner[0]:
@@ -350,6 +378,30 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             forward(inner[0], inner[1:], stop)
     settle(total)
     return SparseState(state.qubit_count, env_count, comp, env, amp)
+
+
+def _slide(positions: list[int], events: Sequence[DecayEvent], wires: np.ndarray,
+           start: int, stop: int) -> list[int]:
+    """New positions for ``events`` at ``positions`` inside the block of gates
+    start..stop-1, whose control | target masks are ``wires``.  A decay
+    commutes with the gates not touching its qubit, so each event may fire
+    anywhere between the nearest gates around it that touch its qubit, or
+    the block's ends.  Events keep their order, packed all left or all
+    right, whichever leaves fewer gates to run twice from the nearer end."""
+    low, high = [], []
+    for pos, ev in zip(positions, events):
+        touch = np.flatnonzero((wires >> ev.qubit) & 1) + start
+        at = int(np.searchsorted(touch, pos))
+        low.append(int(touch[at - 1]) + 1 if at else start)
+        high.append(int(touch[at]) if at < len(touch) else stop)
+    left = list(itertools.accumulate(low, max))
+    right = list(itertools.accumulate(high[::-1], min))[::-1]
+
+    def twice(slots: list[int]) -> int:
+        inside = [s for s in slots if start < s < stop]
+        return min(inside[-1] - start, stop - inside[0]) if inside else 0
+
+    return min(left, right, key=twice)
 
 
 def _check_norm(amp: np.ndarray, where: str) -> None:

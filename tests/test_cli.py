@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -318,6 +319,21 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--events", "64"])
         assert exc.value.code == 2
+
+    def test_run_past_the_component_budget_exits_with_one_line(self, tmp_path):
+        # the default run with p1=0.5 and the watchdog off passes 500 components
+        code = ("import sys; from shorsim import simulator; "
+                "simulator.MAX_COMPONENTS = 500; "
+                "from shorsim.cli import main; sys.exit(main())")
+        out = tmp_path / "a.csv"
+        result = subprocess.run([sys.executable, "-c", code, "run", "--p1", "0.5",
+                                 "--watchdog", "off", "--out", str(out)],
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert re.fullmatch(r"shorsim run: error: decay event at t=\S+ on qubit "
+                            r"\d+ would leave \d+ components, past the budget "
+                            r"of 500\n", result.stderr), result.stderr
+        assert result.stdout == "" and not out.exists()
 
     def test_run_gnuplot_end_to_end(self, tmp_path):
         prefix = tmp_path / "fig"

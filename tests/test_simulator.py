@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -184,7 +185,8 @@ class TestRun:
 
 class TestRunBoundary:
     """Bad states and schedules fail at entry, before the network's masks are
-    even built."""
+    even built; a state past the component budget fails at the event that
+    would make it."""
 
     def test_sixty_four_events_rejected_before_any_gate(self, factoring_15):
         _, layout, net = factoring_15
@@ -245,6 +247,29 @@ class TestRunBoundary:
         out = run(state, net, NoiseSchedule([DecayEvent(0.5, 61)], STATIC_HALF))
         assert sorted(out.as_dict()) == [(1, 1), (1 << 61 | 1, 0)]
         assert sorted(apply_decay(state, 61, 0.5).as_dict()) == [(0, 1), (1 << 61, 0)]
+
+    def test_component_budget_refused_before_the_split(self, monkeypatch, gate_path):
+        # Of 16 strings the event on qubit 0 hits 8: p1=0.5 leaves 24
+        # components, p1 = 0 or 1 leaves 16.
+        monkeypatch.setattr(simulator, "MAX_COMPONENTS", 23)
+        net = Network([gate_masks((), 1), gate_masks((), 2)], 4)
+        event = event_at(1, 2, 0)
+        with pytest.raises(simulator.ComponentBudgetError, match="^" + re.escape(
+                f"decay event at t={event.time} on qubit 0 would leave 24 "
+                "components, past the budget of 23") + "$"):
+            run(all_strings(4), net, NoiseSchedule([event], STATIC_HALF),
+                verify_norm=True)
+        assert gate_path == ["the input state"]
+        with pytest.raises(simulator.ComponentBudgetError,
+                           match="^decay on qubit 0 would leave 24 components, "
+                                 "past the budget of 23$"):
+            apply_decay(all_strings(4), 0, 0.5)
+        for p1 in (0.0, 1.0):
+            out = run(all_strings(4), net, NoiseSchedule([event], StaticDecay(p1)))
+            assert out.component_count == 16
+        monkeypatch.setattr(simulator, "MAX_COMPONENTS", 24)
+        out = run(all_strings(4), net, NoiseSchedule([event], STATIC_HALF))
+        assert out.component_count == 24
 
     def test_checkpoint_beyond_the_gates_rejected_in_strict_mode(self):
         # unchecked, the projection at position 7 would never happen and
@@ -384,6 +409,19 @@ def assert_matches_reference(state, net, sched, watchdog="off", **kw):
     return got
 
 
+def assert_rows_match_reference(state, net, sched, watchdog="off"):
+    """run() equals the chunked reference row for row: comp, env and amp
+    byte for byte and in the same order, which makes the snapshots
+    byte-equal too, and the same event records with their clock origins.
+    It formats no snapshot, so it is the cheaper check on large states."""
+    log = []
+    out = run(state, net, sched, watchdog, event_log=log)
+    want, want_log = chunked_reference(state, net, sched, watchdog)
+    assert (log, out.env_count) == (want_log, want.env_count)
+    for got, ref in ((out.comp, want.comp), (out.env, want.env), (out.amp, want.amp)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 @pytest.fixture
 def gate_path(monkeypatch):
     """The path run() takes, in order: each call of the single-gate kernel
@@ -411,6 +449,24 @@ def gate_path(monkeypatch):
     monkeypatch.setattr(gates.FusedBlock, "apply", table_run)
     monkeypatch.setattr(simulator, "_check_norm", norm_checked)
     return path
+
+
+def pinned_qubit(net, position):
+    """The lowest qubit that gates position - 1 and position both touch: an
+    event on it just before gate ``position`` has nowhere to slide."""
+    (c0, t0), (c1, t1) = net.gates[position - 1:position + 1]
+    shared = (c0 | t0) & (c1 | t1)
+    assert shared, position
+    return (shared & -shared).bit_length() - 1
+
+
+def untouched_qubit(net, block):
+    """The lowest qubit that no gate of ``block`` touches: an event on it
+    inside the block slides to the block's start."""
+    wires = 0
+    for c, t in net.gates[block.start:block.stop]:
+        wires |= c | t
+    return (~wires & (wires + 1)).bit_length() - 1
 
 
 def random_gates(rng, width, count):
@@ -487,19 +543,24 @@ class TestFusedPass:
         _, layout, net = factoring_15
         blocks = net.blocks
         total = len(net.gates)
-        inside = blocks[5]
-        assert inside.stop - inside.start > 4
+        inside, slid = blocks[5], blocks[6]
+        assert inside.stop - inside.start > 4 and slid.stop - slid.start > 2
         sched = NoiseSchedule([event_at(blocks[2].start, total, 14),
-                               event_at(inside.start + 2, total, 15)],
+                               event_at(inside.start + 2, total,
+                                        pinned_qubit(net, inside.start + 2)),
+                               event_at(slid.start + 2, total,
+                                        untouched_qubit(net, slid))],
                               STATIC_HALF)
         run(init_state(130, layout), net, sched, verify_norm=True)
         tables = [("table", b.start, b.stop) for b in blocks]
         decays = [f"decay event at t={ev.time}" for ev in sched.events]
         prefix = list(net.gates[inside.start:inside.start + 2])
-        # every other block is one lookup; the inner event runs from its
-        # block's start: 2 gates forward, the 2 undone, then the table
+        # every other block is one lookup; the second event runs from its
+        # block's start: 2 gates forward, the 2 undone, then the table; the
+        # third slides to its block's start and runs no single gate
         assert gate_path == ["the input state", *tables[:2], decays[0], *tables[2:5],
-                             prefix, decays[1], prefix[::-1], *tables[5:]]
+                             prefix, decays[1], prefix[::-1], tables[5], decays[2],
+                             *tables[6:]]
 
     def test_norm_drift_detected_on_both_paths(self, factoring_15, gate_path,
                                                monkeypatch):
@@ -516,13 +577,16 @@ class TestFusedPass:
         assert first.stop > 3
         last = first.stop - 1
         # an event just after gate 0 runs the first block from its start,
-        # one just before its last gate from its stop; either way the
-        # check follows the event
-        for position, before in (
-                (1, [list(net.gates[:1])]),
-                (last, [("table", 0, first.stop), list(net.gates[last:first.stop])])):
+        # one just before its last gate from its stop, and one on a qubit
+        # the block never touches slides to its start; each way the check
+        # follows the event
+        for position, qubit, before in (
+                (1, pinned_qubit(net, 1), [list(net.gates[:1])]),
+                (last, pinned_qubit(net, last),
+                 [("table", 0, first.stop), list(net.gates[last:first.stop])]),
+                (last, untouched_qubit(net, first), [])):
             gate_path.clear()
-            event = event_at(position, len(net.gates), 0)
+            event = event_at(position, len(net.gates), qubit)
             where = f"decay event at t={event.time}"
             with pytest.raises(AssertionError,
                                match=f"norm drifted to .* after {where}$"):
@@ -771,10 +835,11 @@ class TestWideGates:
 
 
 class TestEventBlocks:
-    """A block with events inside runs from the end nearer to them: single
-    gates through the kernel out to the events and back, and the block's
-    table for the gates on the far side.  Both paths agree bit for bit
-    with the chunked gate-by-gate reference."""
+    """An event inside a block first slides through the gates that do not
+    touch its qubit.  One that still sits inside runs from the end nearer
+    to it: single gates through the kernel out to the events and back, and
+    the block's table for the gates on the far side.  Every path agrees
+    bit for bit with the chunked gate-by-gate reference."""
 
     @staticmethod
     def long_blocks(net):
@@ -782,27 +847,32 @@ class TestEventBlocks:
 
     def test_each_block_runs_from_its_nearer_end(self, factoring_15, gate_path):
         _, layout, net = factoring_15
-        near_start, near_end, middle = self.long_blocks(net)[2:5]
+        near_start, near_end, middle, slid = self.long_blocks(net)[2:6]
         mid = (middle.start + middle.stop) // 2
-        events = [event_at(p, len(net.gates), qb) for p, qb in
-                  zip([near_start.start + 1, near_end.stop - 1, mid], [17, 13, 20])]
+        positions = [near_start.start + 1, near_end.stop - 1, mid]
+        events = [event_at(p, len(net.gates), pinned_qubit(net, p))
+                  for p in positions]
+        events.append(event_at(slid.start + 5, len(net.gates),
+                               untouched_qubit(net, slid)))
         assert_matches_reference(init_state(130, layout), net,
                                  NoiseSchedule(events, GAMMA), "on",
                                  verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
         free = [("table", b.start, b.stop) for b in net.blocks
-                if b not in (near_start, near_end, middle)]
+                if b not in (near_start, near_end, middle, slid)]
         first = list(net.gates[near_start.start:near_start.start + 1])
         last = list(net.gates[near_end.stop - 1:near_end.stop])
         halfway = list(net.gates[middle.start:mid])
         # the first event: one gate forward and back, then the table; the
         # second: the table, then one gate back and forward; the mid-block
-        # event runs from its block's start
+        # event runs from its block's start; the last slides to its
+        # block's start and runs no single gate
         assert [step for step in gate_path if step not in free] == [
             "the input state",
             first, decays[0], first, ("table", near_start.start, near_start.stop),
             ("table", near_end.start, near_end.stop), last, decays[1], last,
-            halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop)]
+            halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop),
+            decays[3], ("table", slid.start, slid.stop)]
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
@@ -847,6 +917,114 @@ class TestEventBlocks:
                  (0b01, 0b10): math.sqrt(p1 * (1.0 - later)),
                  (0b01, 1): math.sqrt(1.0 - p1)})
         assert_matches_reference(single_component(2, 0), net, sched, watchdog)
+
+
+class TestSlide:
+    """An event inside a block fires anywhere between the gates of the block
+    that touch its qubit, and at the block's start or stop when none comes
+    between, so most events run no single gate.  The output stays bit for
+    bit that of the chunked gate-by-gate reference."""
+
+    @pytest.mark.parametrize("n_events", [10, 20])
+    @pytest.mark.parametrize("law", [GAMMA, STATIC_HALF], ids=["gamma", "p1"])
+    @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
+    def test_random_schedules_n15(self, factoring_15, watchdog, law, n_events):
+        _, layout, net = factoring_15
+        for seed in range(10):
+            sched = sample_schedule(n_events, layout.qubit_count, 500 + seed, law)
+            assert_rows_match_reference(init_state(130, layout), net, sched, watchdog)
+
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_random_schedules_n21_n33(self, wide_instance, watchdog):
+        q, layout, net = wide_instance
+        for seed in (4, 5):
+            sched = sample_schedule(10, layout.qubit_count, seed, GAMMA)
+            assert_rows_match_reference(init_state(q, layout), net, sched, watchdog)
+
+    @pytest.mark.parametrize("p1", [0.0, 1.0])
+    @pytest.mark.parametrize("watchdog", ["off", "strict"])
+    def test_certain_decay_and_certain_persistence(self, factoring_15, watchdog, p1):
+        _, layout, net = factoring_15
+        for seed in range(4):
+            sched = sample_schedule(10, layout.qubit_count, 300 + seed, StaticDecay(p1))
+            assert_rows_match_reference(init_state(130, layout), net, sched, watchdog)
+
+    def test_events_on_qubits_beyond_the_network_run_no_single_gate(self, factoring_15,
+                                                                    gate_path):
+        _, layout, net = factoring_15
+        width = layout.qubit_count + 4
+        base = init_state(130, layout)
+        extra = (np.arange(130, dtype=np.int64) % 16) << layout.qubit_count
+        state = SparseState(width, 0, base.comp | extra, base.env, base.amp)
+        total = len(net.gates)
+        inner = [b for b in net.blocks if b.stop - b.start > 4][:4]
+        events = [event_at(b.start + 2, total, layout.qubit_count + k)
+                  for k, b in enumerate(inner)]
+        assert_matches_reference(state, net, NoiseSchedule(events, GAMMA), "on",
+                                 verify_norm=True)
+        assert not [step for step in gate_path if isinstance(step, list)]
+        for seed in range(4):
+            assert_rows_match_reference(state, net,
+                                        sample_schedule(10, width, seed, STATIC_HALF))
+
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_slid_to_a_checkpointed_start_fires_after_its_checkpoint(self, watchdog,
+                                                                     gate_path):
+        # Gate 0 sets qubit 1 in one of two components; the checkpoint on
+        # qubit 1 at 1 starts the block 1..4, whose gates leave qubit 1 alone
+        # up to gate 3.  The event before gate 2 fires at 1, after the
+        # checkpoint: 'on' counts from the reset, and 'strict' has projected
+        # qubit 1 onto 0 first, so nothing decays.
+        net = Network([gate_masks((), 1), gate_masks((), 0), gate_masks([0], 2),
+                       gate_masks((), 1)], 3, [Checkpoint.of(1, [1])])
+        assert [(b.start, b.stop) for b in net.blocks] == [(0, 1), (1, 4)]
+        state = SparseState.from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5,
+                                             (0b010, 0): 0.5 ** 0.5})
+        event = event_at(2, 4, 1)
+        _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
+                                          watchdog, verify_norm=True)
+        assert log[0].clock_origin == 0.25
+        assert gate_path == ["the input state", ("table", 0, 1),
+                             f"decay event at t={event.time}", ("table", 1, 4)]
+
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_slid_to_a_checkpointed_stop_fires_before_its_checkpoint(self, watchdog,
+                                                                     gate_path):
+        # Gate 0 sets qubit 1; the rest of the block 0..3 leaves it alone, and
+        # the checkpoint on qubit 1 at 3 ends the block.  The event before
+        # gate 2 fires at 3, before the checkpoint: 'on' counts from the
+        # start, and 'strict' projects after the decay, keeping its decayed
+        # branch.
+        net = Network([gate_masks((), 1), gate_masks((), 0), gate_masks([0], 2),
+                       gate_masks((), 1)], 3, [Checkpoint.of(3, [1])])
+        assert [(b.start, b.stop) for b in net.blocks] == [(0, 3), (3, 4)]
+        event = event_at(2, 4, 1)
+        _, log = assert_matches_reference(single_component(3, 0), net,
+                                          NoiseSchedule([event], GAMMA), watchdog,
+                                          verify_norm=True)
+        assert log[0].clock_origin == 0.0
+        assert gate_path == ["the input state", ("table", 0, 3),
+                             f"decay event at t={event.time}", ("table", 3, 4)]
+
+    @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
+    def test_events_keep_their_order_when_only_the_earlier_reaches_the_stop(
+            self, watchdog, law, gate_path):
+        # One block of six gates.  The event before gate 4 is on qubit 3,
+        # which no gate touches, so it could fire at either end; the event
+        # before gate 5 is on qubit 1, which only gate 5 touches, so it can
+        # reach the start but not the stop.  Both fire at the start, in
+        # order; each at its own nearer end would swap them.
+        net = Network([gate_masks((), 0), gate_masks([0], 2), gate_masks((), 2),
+                       gate_masks([2], 0), gate_masks((), 0), gate_masks((), 1)], 4)
+        assert [(b.start, b.stop) for b in net.blocks] == [(0, 6)]
+        events = [event_at(4, 6, 3), event_at(5, 6, 1)]
+        _, log = assert_matches_reference(all_strings(4), net,
+                                          NoiseSchedule(events, law), watchdog,
+                                          verify_norm=True)
+        assert [rec.qubit for rec in log] == [3, 1]
+        assert gate_path == ["the input state",
+                             *(f"decay event at t={ev.time}" for ev in events),
+                             ("table", 0, 6)]
 
 
 class TestFourier:
