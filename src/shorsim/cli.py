@@ -279,6 +279,9 @@ def _cmd_verify() -> int:
               gap <= 1e-12)
         check(f"probability table normalization n={n} x={x} q={q}",
               abs(float(direct.sum()) - 1.0) <= 1e-12)
+        gap = float(np.max(np.abs(ideal_distribution(n, x, q).table - direct)))
+        check(f"closed-form exact table within 1e-12 of the oracle n={n} x={x} q={q} "
+              f"(gap {gap:.2e})", gap <= 1e-12)
 
     for n, x, q in [(15, 7, 130), (33, 5, 1100)]:  # N=33: 35 qubits, 5 gather bytes
         layout = RegisterLayout.for_factoring(n.bit_length(), q=q)
@@ -295,10 +298,12 @@ def _cmd_verify() -> int:
                                  rng.integers(0, 1 << net.qubit_count, 1000)])
         amp = np.full(len(values), len(values) ** -0.5, dtype=np.complex128)
         state = SparseState(net.qubit_count, 0, values, np.zeros_like(values), amp)
-        fused = run(state, net, NoiseSchedule([], StaticDecay(1.0))).comp
-        check("fused pass equals apply_network_batch on a < q and 1,000 random basis "
-              f"strings, from the network's first run, {instance}",
-              np.array_equal(fused, apply_network_batch(values, net)))
+        want = apply_network_batch(values, net)
+        for name, which in (("fused", "from the network's first run"),
+                            ("grouped", "from its second run, through its groups")):
+            out = run(state, net, NoiseSchedule([], StaticDecay(1.0))).comp
+            check(f"{name} pass equals apply_network_batch on a < q and 1,000 random "
+                  f"basis strings, {which}, {instance}", np.array_equal(out, want))
         cfg = ExperimentConfig(n=n, x=x, q=q, seed=3)
         schedule = sample_schedule(cfg.n_events, layout.qubit_count,
                                    repetition_seeds(cfg)[0], cfg.law)

@@ -68,8 +68,9 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right.  ``masks`` and ``blocks`` are built on first use and cached on the
-    instance; equality and hashing compare the three fields only."""
+    right.  ``masks``, ``blocks`` and ``groups`` are built on first use and
+    cached on the instance; equality and hashing compare the three fields
+    only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
@@ -90,37 +91,35 @@ class Network:
     def blocks(self) -> list[FusedBlock]:
         """The fused blocks, built on first use, then cached: one per maximal
         run of gates touching at most ``FUSE_WIRES`` wires, also cut at every
-        checkpoint position, all built at once; a gate touching more than
-        ``BLOCK_WIRES`` wires is a ``ValueError`` naming it.
+        checkpoint position, all built at once by ``_fuse``; a gate touching
+        more than ``BLOCK_WIRES`` wires is a ``ValueError`` naming it."""
+        ctrl, tgt = self.masks
+        cuts = {chk.position for chk in self.checkpoints}
+        return _fuse(ctrl, tgt, self.qubit_count, _spans(ctrl | tgt, cuts))
 
-        A gate's local masks are ``_extract`` of its masks at its block's
-        wires.  Blocks with equal local gate lists and equal global targets
-        share one table, and bytes with equal wires and equal block wires
-        below them one byte table; only the tables are built one by one.
-        """
-        (ctrl, tgt), width = self.masks, self.qubit_count
-        spans = _spans(ctrl | tgt, {chk.position for chk in self.checkpoints})
-        if not spans:
-            return []
-        starts = np.array([start for start, _ in spans])
-        touched = np.bitwise_or.reduceat(ctrl | tgt, starts)
-        ks = np.bitwise_count(touched)
-        if (wide := np.flatnonzero(ks > BLOCK_WIRES)).size:  # a lone wide gate
-            b = int(wide[0])
-            raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
-                             f"block holds at most {BLOCK_WIRES}")
-        gate_wires = np.repeat(touched, np.diff(starts, append=len(ctrl)))
-        local = _extract(np.stack([ctrl, tgt]), gate_wires, width)
-        tables: dict[tuple, np.ndarray] = {}
-        blocks = []
-        for wires, (start, stop), gather in zip(touched.tolist(), spans,
-                                                _gathers(touched, width)):
-            block_masks = local[:, start:stop]  # local controls, targets
-            key = (block_masks.tobytes(), tgt[start:stop].tobytes())
-            if key not in tables:
-                tables[key] = _block_table(mask_bits(wires), *block_masks.tolist())
-            blocks.append(FusedBlock(start, stop, tables[key], gather))
-        return blocks
+    @cached_property
+    def groups(self) -> list[FusedBlock]:
+        """The blocks in groups, built on first use, then cached: one per
+        maximal run of consecutive blocks that together touch at most
+        ``BLOCK_WIRES`` wires and that no checkpoint position cuts.  A group
+        of one block is that block; a group of several is one ``FusedBlock``
+        over all their gates, with those blocks as its ``parts`` and its
+        table built by ``_fuse`` as theirs are."""
+        blocks, (ctrl, tgt) = self.blocks, self.masks
+        cuts = {chk.position for chk in self.checkpoints}
+        touched = np.bitwise_or.reduceat(ctrl | tgt, [b.start for b in blocks])
+        runs, wires = [], 0
+        for block, mask in zip(blocks, touched.tolist()):
+            if runs and block.start not in cuts and (wires | mask).bit_count() <= BLOCK_WIRES:
+                runs[-1].append(block)
+                wires |= mask
+            else:
+                runs.append([block])
+                wires = mask
+        several = [tuple(run) for run in runs if len(run) > 1]
+        fused = iter(_fuse(ctrl, tgt, self.qubit_count,
+                           [(run[0].start, run[-1].stop) for run in several], several))
+        return [next(fused) if len(run) > 1 else run[0] for run in runs]
 
 
 @dataclass(frozen=True)
@@ -289,12 +288,15 @@ class FusedBlock:
     ``tab[idx]`` but skips numpy's general advanced-indexing path: with the
     strided byte and uint16 indices used here it is about 2x faster, so a
     lookup costs 2 to 5 single gates at 130 to 40,000 components.
+    ``parts`` are the blocks that a group (``Network.groups``) fuses, in
+    order, and empty for a block of gates.
     """
 
     start: int
     stop: int
     table: np.ndarray
     gather: tuple[tuple[int, np.ndarray], ...]
+    parts: tuple[FusedBlock, ...] = ()
 
     def apply(self, comp: np.ndarray) -> None:
         """Run the block on a contiguous int64 array of basis strings, in place."""
@@ -371,6 +373,47 @@ def _gathers(touched: np.ndarray, width: int) -> list[tuple[tuple[int, np.ndarra
     pairs = [(_BYTE_OFFSETS[j], tables[i]) for j, i in zip(cols.tolist(), which.tolist())]
     bounds = np.cumsum(np.count_nonzero(masks, axis=1)).tolist()
     return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
+
+
+def _fuse(ctrl: np.ndarray, tgt: np.ndarray, width: int,
+          spans: Sequence[tuple[int, int]],
+          parts: Sequence[tuple[FusedBlock, ...]] = ()) -> list[FusedBlock]:
+    """One ``FusedBlock`` per span (start, stop) of the gates whose masks
+    ``ctrl`` and ``tgt`` hold, the spans ascending and disjoint, with the
+    matching ``parts``, if any, as its parts.  A span touching more than
+    ``BLOCK_WIRES`` wires, which only a lone gate can, is a ``ValueError``
+    naming its first gate.
+
+    A gate's local masks are ``_extract`` of its masks at its span's wires.
+    Spans with equal local gate lists and equal global targets share one
+    table, and bytes with equal wires and equal span wires below them one
+    byte table; only the tables are built one by one.
+    """
+    if not spans:
+        return []
+    starts, stops = np.array(spans).T
+    lengths = stops - starts
+    firsts = np.cumsum(lengths) - lengths  # each span's first row of its gates
+    rows = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
+    ctrl, tgt = ctrl[rows], tgt[rows]
+    touched = np.bitwise_or.reduceat(ctrl | tgt, firsts)
+    ks = np.bitwise_count(touched)
+    if (wide := np.flatnonzero(ks > BLOCK_WIRES)).size:  # a lone wide gate
+        b = int(wide[0])
+        raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
+                         f"block holds at most {BLOCK_WIRES}")
+    local = _extract(np.stack([ctrl, tgt]), np.repeat(touched, lengths), width)
+    tables: dict[tuple, np.ndarray] = {}
+    blocks = []
+    for wires, first, count, (start, stop), gather, part in zip(
+            touched.tolist(), firsts.tolist(), lengths.tolist(), spans,
+            _gathers(touched, width), parts or [()] * len(spans)):
+        block_masks = local[:, first:first + count]  # local controls, targets
+        key = (block_masks.tobytes(), tgt[first:first + count].tobytes())
+        if key not in tables:
+            tables[key] = _block_table(mask_bits(wires), *block_masks.tolist())
+        blocks.append(FusedBlock(start, stop, tables[key], gather, part))
+    return blocks
 
 
 def _spans(wires: np.ndarray, cuts: set[int]) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .arithmetic import ArithParams, build_modexp
 from .gates import RegisterLayout
-from .oracles import modpow, outcome_table_oracle
+from .oracles import modpow, multiplicative_order
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
                         init_state, outcome_tables, run, sample_schedule)
 
@@ -84,8 +84,27 @@ class FactorReport:
 
 
 def ideal_distribution(n: int, x: int, q: int) -> Distribution:
-    """Noise-free outcome table from the analytic formula."""
-    return Distribution(outcome_table_oracle(n, x, q), "exact")
+    """Noise-free outcome table from the closed form of the geometric sum.
+
+    The M = (q - 1 - k) // r + 1 exponents a < q in the class of x**k, r
+    the order of x, give P(c, x**k) = (sin(pi M f / q) / sin(pi f / q))**2
+    / q**2 with f = r c mod q, an exact integer, and M**2 / q**2 where
+    f = 0.  One column per class, so time and memory grow as q, not q**2;
+    ``oracles.outcome_table_oracle`` sums the same phases two other ways.
+    """
+    r = multiplicative_order(x, n)
+    table = np.zeros((q, 1 << n.bit_length()))
+    f = np.arange(q, dtype=np.int64) * r % q
+    hit = f == 0
+    below = np.sin(np.pi * f / q)
+    below[hit] = 1.0
+    for k in range(min(r, q)):
+        m = (q - 1 - k) // r + 1
+        # sin(pi t / q) has period 2q in t: reduce the exact product first
+        ratio = np.sin(np.pi * (m * f % (2 * q)) / q) / below
+        ratio[hit] = m
+        table[:, pow(x, k, n)] = (ratio / q) ** 2
+    return Distribution(table, "exact")
 
 
 def convergents(p: int, q: int) -> list[tuple[int, int]]:

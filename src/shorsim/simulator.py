@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import MAX_WIDTH, Network, RegisterLayout, apply_masks
+from .gates import MAX_WIDTH, FusedBlock, Network, RegisterLayout, apply_masks
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -260,28 +260,32 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     and so is a gate touching more than 16 wires), and its fused blocks,
     maximal runs of consecutive gates touching at most 14 wires, cut at
     every checkpoint position so that projections and clock resets fall
-    between blocks.  Every run, the first included, applies
-    each block as one table lookup.  An event strictly inside a block first
-    slides, in order, through the gates not touching its qubit (``_slide``):
-    to the block's start, after the checkpoints there, or to its stop,
-    before them.  The block then runs from the end nearer to the events
-    still inside it, single gates going through the ``apply_masks`` kernel
-    (gates are self-inverse permutations): when the last inner event is no
-    farther from the block's start than the first is from its stop, forward
-    to the last event, that prefix undone in reverse, then the table;
-    otherwise the table, the suffix undone in reverse back to the first
-    event, then forward, stopping at events only, as every checkpoint is a
-    block boundary.  Clocks move only at checkpoints, so the output is
-    bit-identical to running every gate forward with each event at its own
-    position.  A decay that would leave more than ``MAX_COMPONENTS``
-    components is a ``ComponentBudgetError`` naming the event, before its
-    split.  At most 63 decay events
-    fit the environment record, every event qubit must lie inside the
-    state, and the network must be no wider than the state; each is
-    checked before any gate.  ``verify_norm`` checks the norm of the
-    input state, once the blocks are built, and after every decay
-    event; gates and lookups permute basis strings and never touch an
-    amplitude, so they cannot move it.
+    between blocks.  A first run walks the blocks, each one table lookup.
+    A run that finds the blocks built (the network has run before, as a
+    rule) builds the network's ``groups`` once, runs of consecutive blocks
+    on at most 16 wires that no checkpoint position cuts, and walks those:
+    a group whose events all slide out of it is one lookup, and one with
+    an event still inside walks its blocks.  An event strictly inside a
+    block or group first slides, in order, through the gates not touching
+    its qubit (``_slide``): to the start, after the checkpoints there, or
+    to the stop, before them.  A block then runs from the end nearer to
+    the events still inside it, single gates going through the
+    ``apply_masks`` kernel (gates are self-inverse permutations): when the
+    last inner event is no farther from the block's start than the first
+    is from its stop, forward to the last event, that prefix undone in
+    reverse, then the table; otherwise the table, the suffix undone in
+    reverse back to the first event, then forward, stopping at events
+    only, as every checkpoint is a block boundary.  Clocks move only at
+    checkpoints, so the output is bit-identical to running every gate
+    forward with each event at its own position.  A decay that would leave
+    more than ``MAX_COMPONENTS`` components is a ``ComponentBudgetError``
+    naming the event, before its split.  At most 63 decay events fit the
+    environment record, every event qubit must lie inside the state, and
+    the network must be no wider than the state; each is checked before
+    any gate.  ``verify_norm`` checks the norm of the input state, once
+    the blocks or groups are built, and after every decay event; gates
+    and lookups permute basis strings and never touch an amplitude, so
+    they cannot move it.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -296,7 +300,10 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     if net.qubit_count > state.qubit_count:
         raise ValueError(f"network of {net.qubit_count} qubits is wider than "
                          f"the state's {state.qubit_count}")
-    (ctrl, tgt), blocks = net.masks, net.blocks
+    # Built blocks mean, as a rule, that the network has run before and will
+    # again: it walks its groups.  A first run builds no group table.
+    units = net.groups if "blocks" in vars(net) else net.blocks
+    ctrl, tgt = net.masks
     if verify_norm:
         _check_norm(state.amp, "the input state")
     total = len(net.gates)
@@ -352,7 +359,8 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         """Gates b-1 down to a; each gate is its own inverse."""
         apply_masks(comp, ctrl[a:b][::-1], tgt[a:b][::-1])
 
-    for block in blocks:
+    def walk(block: FusedBlock) -> None:
+        """Gates block.start..block.stop-1 with the events among them."""
         start, stop = block.start, block.stop
         settle(start)
         end = bisect.bisect_left(positions, stop, ei)
@@ -364,6 +372,9 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         inner = sorted(set(positions[ei:end]))
         if not inner:
             block.apply(comp)
+        elif block.parts:
+            for part in block.parts:
+                walk(part)
         elif inner[-1] - start <= stop - inner[0]:
             # The gates between the nearer end and the events run twice;
             # the table stands for those on the far side.
@@ -376,6 +387,9 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             undo(inner[0], stop)
             settle(inner[0])
             forward(inner[0], inner[1:], stop)
+
+    for block in units:
+        walk(block)
     settle(total)
     return SparseState(state.qubit_count, env_count, comp, env, amp)
 

@@ -305,11 +305,16 @@ class TestMain:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().startswith("r1,r2,p_ned,p_ed\n")
 
-    def test_csv_run_skips_the_oracle_table(self, tmp_path, monkeypatch):
+    @staticmethod
+    def refuse_oracle_tables(monkeypatch):
         def refuse(*args):
-            raise AssertionError("oracle table computed for a CSV run")
-        monkeypatch.setattr(oracles, "outcome_table_oracle", refuse)
-        monkeypatch.setattr(pipeline, "outcome_table_oracle", refuse)
+            raise AssertionError("oracle table computed for a run")
+        for route in ("outcome_table_oracle", "direct_outcome_table",
+                      "folded_outcome_table"):
+            monkeypatch.setattr(oracles, route, refuse)
+
+    def test_csv_run_skips_the_oracle_table(self, tmp_path, monkeypatch):
+        self.refuse_oracle_tables(monkeypatch)
         out = tmp_path / "a.csv"
         assert main(["run", "--n", "15", "--x", "7", "--q", "16", "--events",
                      "1", "--p1", "0.5", "--out", str(out)]) == 0
@@ -343,6 +348,16 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "fig_exact.dat").exists()
         assert (tmp_path / "fig.gp").exists()
+
+    def test_gnuplot_exact_series_is_the_closed_form_not_the_oracle(self, tmp_path,
+                                                                  monkeypatch):
+        self.refuse_oracle_tables(monkeypatch)
+        prefix = tmp_path / "fig"
+        assert main(["run", "--n", "15", "--x", "7", "--q", "130", "--events", "0",
+                     "--r2-slice", "7", "--format", "gnuplot", "--out", str(prefix)]) == 0
+        column = pipeline.ideal_distribution(15, 7, 130).table[:, 7]
+        assert (tmp_path / "fig_exact.dat").read_text() == "".join(
+            f"{c} {p:.12g}\n" for c, p in enumerate(column.tolist()))
 
     def test_build_report_schema(self):
         result = self.run_cli("build", "--report")
@@ -424,6 +439,11 @@ class TestMain:
         assert [line.startswith("PASS  fused pass equals apply_network_batch")
                 for line in fused] == [True, True]
         assert fused[1].endswith("n=33 x=5 q=1100")  # 35 qubits: 5 gather bytes
+        grouped = [line for line in result.stdout.splitlines() if "grouped pass" in line]
+        assert [line.split(", ")[-1] for line in grouped] == ["n=15 x=7 q=130",
+                                                              "n=33 x=5 q=1100"]
+        closed = [line for line in result.stdout.splitlines() if "closed-form" in line]
+        assert len(closed) == 3
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

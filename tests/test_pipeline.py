@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from shorsim import (ExperimentConfig, continued_fraction_order,
                      extract_factors, ideal_distribution, run_experiment)
 from shorsim.cli import parse_config
-from shorsim.oracles import outcome_table_oracle
+from shorsim.oracles import (direct_outcome_table, folded_outcome_table,
+                             outcome_table_oracle)
 from shorsim.pipeline import convergents
 from shorsim.simulator import Distribution, StaticDecay
 
@@ -32,9 +34,33 @@ class TestIdealDistribution:
         assert all(abs(s - 130 / 4) <= 1.0 for s in separations)
 
     def test_slice_equals_full_table_column(self):
+        # The closed form is not the oracle's sum term by term, so the two
+        # agree to rounding, not bit for bit (see the test below).
         full = ideal_distribution(15, 7, 130)
         assert isinstance(full, Distribution) and full.variant == "exact"
-        assert np.array_equal(full.table[:, 7], outcome_table_oracle(15, 7, 130)[:, 7])
+        assert np.max(np.abs(full.table[:, 7]
+                             - outcome_table_oracle(15, 7, 130)[:, 7])) <= 1e-12
+
+    @pytest.mark.parametrize("n, x, q", [(15, 7, 130), (15, 4, 130), (21, 2, 50),
+                                         (15, 2, 64), (15, 7, 132), (21, 2, 441)])
+    def test_closed_form_within_1e_12_of_both_oracle_routes(self, n, x, q):
+        table = ideal_distribution(n, x, q).table
+        for route in (direct_outcome_table, folded_outcome_table):
+            assert np.max(np.abs(table - route(n, x, q))) <= 1e-12, route.__name__
+        assert abs(table.sum() - 1.0) <= 1e-12
+
+    def test_closed_form_at_the_largest_q_is_one_column_per_class(self):
+        # N=33, x=7 has order 10: at q = 65536 the oracle routes would make a
+        # 6554 x 65536 complex outer product per class, or 2^32 Python terms
+        tracemalloc.start()
+        try:
+            table = ideal_distribution(33, 7, 65536).table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.nbytes
+        assert np.count_nonzero(table.any(axis=0)) == 10
+        assert abs(table.sum() - 1.0) <= 1e-12
 
     def test_unattained_residue_column_is_zero(self):
         # 7**a mod 15 takes only the values 1, 7, 4 and 13

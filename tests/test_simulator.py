@@ -33,7 +33,8 @@ def single_component(qubit_count, comp, env=0, env_count=0, amp=1.0):
 
 
 def fresh_copy(net):
-    """An equal network with no cached masks or blocks."""
+    """An equal network with no cached masks, blocks or groups: its first
+    run walks the blocks, and only a later run its groups."""
     return Network(net.gates, net.qubit_count, net.checkpoints)
 
 
@@ -460,13 +461,47 @@ def pinned_qubit(net, position):
     return (shared & -shared).bit_length() - 1
 
 
+def touched_wires(net, start, stop):
+    """The mask of the wires that gates start..stop-1 touch."""
+    wires = 0
+    for c, t in net.gates[start:stop]:
+        wires |= c | t
+    return wires
+
+
 def untouched_qubit(net, block):
     """The lowest qubit that no gate of ``block`` touches: an event on it
     inside the block slides to the block's start."""
-    wires = 0
-    for c, t in net.gates[block.start:block.stop]:
-        wires |= c | t
+    wires = touched_wires(net, block.start, block.stop)
     return (~wires & (wires + 1)).bit_length() - 1
+
+
+def group_lookups(net, path):
+    """The lookups in ``path`` of the network's groups of several blocks."""
+    wide = {("table", g.start, g.stop) for g in net.groups if g.parts}
+    return [step for step in path if isinstance(step, tuple) and step in wide]
+
+
+def assert_groups_tile_and_cut(net):
+    """The network's groups, checked to tile its gates, each its parts in
+    order, to touch at most BLOCK_WIRES wires, to hold no checkpoint
+    position inside, and to be maximal: no group could take in the first
+    block of the next one."""
+    groups, cuts = net.groups, {c.position for c in net.checkpoints}
+    assert [g.start for g in groups[1:]] == [g.stop for g in groups[:-1]]
+    assert groups[0].start == 0 and groups[-1].stop == len(net.gates)
+    assert [b for g in groups for b in (g.parts or (g,))] == net.blocks
+    for g, nxt in zip(groups, [*groups[1:], None]):
+        assert touched_wires(net, g.start, g.stop).bit_count() <= gates.BLOCK_WIRES
+        assert not cuts & set(range(g.start + 1, g.stop))
+        if g.parts:
+            assert len(g.parts) > 1
+            assert [p.start for p in g.parts[1:]] == [p.stop for p in g.parts[:-1]]
+            assert (g.parts[0].start, g.parts[-1].stop) == (g.start, g.stop)
+        if nxt is not None and nxt.start not in cuts:
+            first = (nxt.parts or (nxt,))[0]
+            assert touched_wires(net, g.start, first.stop).bit_count() > gates.BLOCK_WIRES
+    return groups
 
 
 def random_gates(rng, width, count):
@@ -551,11 +586,11 @@ class TestFusedPass:
                                event_at(slid.start + 2, total,
                                         untouched_qubit(net, slid))],
                               STATIC_HALF)
-        run(init_state(130, layout), net, sched, verify_norm=True)
+        run(init_state(130, layout), fresh_copy(net), sched, verify_norm=True)
         tables = [("table", b.start, b.stop) for b in blocks]
         decays = [f"decay event at t={ev.time}" for ev in sched.events]
         prefix = list(net.gates[inside.start:inside.start + 2])
-        # every other block is one lookup; the second event runs from its
+        # a first run: every other block is one lookup; the second event runs from its
         # block's start: 2 gates forward, the 2 undone, then the table; the
         # third slides to its block's start and runs no single gate
         assert gate_path == ["the input state", *tables[:2], decays[0], *tables[2:5],
@@ -590,7 +625,7 @@ class TestFusedPass:
             where = f"decay event at t={event.time}"
             with pytest.raises(AssertionError,
                                match=f"norm drifted to .* after {where}$"):
-                run(state, net, NoiseSchedule([event], STATIC_HALF),
+                run(state, fresh_copy(net), NoiseSchedule([event], STATIC_HALF),
                     verify_norm=True)
             assert gate_path == ["the input state", *before, where]
 
@@ -651,8 +686,9 @@ class TestFusedPass:
         assert len(net.blocks) > 1
         assert np.array_equal(out.comp, apply_network_batch(state.comp, net))
         sched = sample_schedule(3, width, seed, STATIC_HALF)
-        for watchdog in ("off", "on", "strict"):
+        for watchdog in ("off", "on", "strict"):  # these walk the groups
             assert_matches_reference(state, net, sched, watchdog)
+        assert_groups_tile_and_cut(net)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
@@ -750,11 +786,12 @@ class TestWideFusedPass:
 
     def test_every_table_equals_its_gates_on_all_local_inputs(self, factoring_15,
                                                               wide_instance):
-        # Each distinct table on the wires of the first block using it:
-        # local bit j is the block's j-th lowest wire.
+        # Each distinct table, of a block or a group, on the wires of the
+        # first block using it: local bit j is the block's j-th lowest wire.
         for net in (factoring_15[2], wide_instance[2]):
             seen = set()
-            for b in net.blocks:
+            assert any(g.parts for g in net.groups)
+            for b in [*net.blocks, *net.groups]:
                 if id(b.table) in seen:
                     continue
                 seen.add(id(b.table))
@@ -854,7 +891,7 @@ class TestEventBlocks:
                   for p in positions]
         events.append(event_at(slid.start + 5, len(net.gates),
                                untouched_qubit(net, slid)))
-        assert_matches_reference(init_state(130, layout), net,
+        assert_matches_reference(init_state(130, layout), fresh_copy(net),
                                  NoiseSchedule(events, GAMMA), "on",
                                  verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
@@ -928,18 +965,25 @@ class TestSlide:
     @pytest.mark.parametrize("n_events", [10, 20])
     @pytest.mark.parametrize("law", [GAMMA, STATIC_HALF], ids=["gamma", "p1"])
     @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
-    def test_random_schedules_n15(self, factoring_15, watchdog, law, n_events):
+    def test_random_schedules_n15(self, factoring_15, watchdog, law, n_events,
+                                  gate_path):
+        # The first schedule is a first run of a fresh network, through its
+        # blocks; the rest run again on one network, through its groups.
         _, layout, net = factoring_15
-        for seed in range(10):
+        nets = [fresh_copy(net)] + [net] * 9
+        for seed, each in enumerate(nets):
             sched = sample_schedule(n_events, layout.qubit_count, 500 + seed, law)
-            assert_rows_match_reference(init_state(130, layout), net, sched, watchdog)
+            assert_rows_match_reference(init_state(130, layout), each, sched, watchdog)
+        assert group_lookups(net, gate_path)
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
-    def test_random_schedules_n21_n33(self, wide_instance, watchdog):
+    def test_random_schedules_n21_n33(self, wide_instance, watchdog, gate_path):
         q, layout, net = wide_instance
+        net.blocks  # as after a first run: each run walks the groups
         for seed in (4, 5):
             sched = sample_schedule(10, layout.qubit_count, seed, GAMMA)
             assert_rows_match_reference(init_state(q, layout), net, sched, watchdog)
+        assert group_lookups(net, gate_path)
 
     @pytest.mark.parametrize("p1", [0.0, 1.0])
     @pytest.mark.parametrize("watchdog", ["off", "strict"])
@@ -981,8 +1025,9 @@ class TestSlide:
         state = SparseState.from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5,
                                              (0b010, 0): 0.5 ** 0.5})
         event = event_at(2, 4, 1)
-        _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
-                                          watchdog, verify_norm=True)
+        _, log = assert_matches_reference(state, fresh_copy(net),
+                                          NoiseSchedule([event], GAMMA), watchdog,
+                                          verify_norm=True)
         assert log[0].clock_origin == 0.25
         assert gate_path == ["the input state", ("table", 0, 1),
                              f"decay event at t={event.time}", ("table", 1, 4)]
@@ -999,7 +1044,7 @@ class TestSlide:
                        gate_masks((), 1)], 3, [Checkpoint.of(3, [1])])
         assert [(b.start, b.stop) for b in net.blocks] == [(0, 3), (3, 4)]
         event = event_at(2, 4, 1)
-        _, log = assert_matches_reference(single_component(3, 0), net,
+        _, log = assert_matches_reference(single_component(3, 0), fresh_copy(net),
                                           NoiseSchedule([event], GAMMA), watchdog,
                                           verify_norm=True)
         assert log[0].clock_origin == 0.0
@@ -1018,13 +1063,120 @@ class TestSlide:
                        gate_masks([2], 0), gate_masks((), 0), gate_masks((), 1)], 4)
         assert [(b.start, b.stop) for b in net.blocks] == [(0, 6)]
         events = [event_at(4, 6, 3), event_at(5, 6, 1)]
-        _, log = assert_matches_reference(all_strings(4), net,
+        _, log = assert_matches_reference(all_strings(4), fresh_copy(net),
                                           NoiseSchedule(events, law), watchdog,
                                           verify_norm=True)
         assert [rec.qubit for rec in log] == [3, 1]
         assert gate_path == ["the input state",
                              *(f"decay event at t={ev.time}" for ev in events),
                              ("table", 0, 6)]
+
+
+class TestGroups:
+    """A network that runs again walks its groups: runs of consecutive
+    blocks on at most BLOCK_WIRES wires that no checkpoint position cuts.
+    Its events first slide through the group's gates that do not touch
+    their qubits; a group with none left inside is one lookup, and one
+    with an event still inside runs its blocks as a first run does.  Every
+    path agrees bit for bit with the chunked gate-by-gate reference."""
+
+    @staticmethod
+    def ran_before(net):
+        """``net`` with its blocks built, as after a first run, so that its
+        next run walks the groups."""
+        net.blocks
+        return net
+
+    def test_first_run_builds_no_group(self, factoring_15):
+        _, layout, net = factoring_15
+        net = fresh_copy(net)
+        sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
+        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        assert "blocks" in vars(net) and "groups" not in vars(net)
+        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        assert "groups" in vars(net)
+
+    def test_groups_tile_the_gates_and_span_no_checkpoint(self, factoring_15,
+                                                          wide_instance):
+        net = factoring_15[2]
+        assert (len(net.blocks), len(assert_groups_tile_and_cut(net))) == (200, 72)
+        net = wide_instance[2]
+        assert len(net.checkpoints) > 10
+        assert sum(1 for g in assert_groups_tile_and_cut(net) if g.parts) > 100
+
+    def test_second_run_without_inner_events_is_one_lookup_per_group(
+            self, factoring_15, gate_path):
+        _, layout, net = factoring_15
+        net, state = fresh_copy(net), init_state(130, layout)
+        first = run(state, net, NoiseSchedule([], STATIC_HALF))
+        gate_path.clear()
+        again = run(state, net, NoiseSchedule([], STATIC_HALF), verify_norm=True)
+        groups, total = net.groups, len(net.gates)
+        tables = [("table", g.start, g.stop) for g in groups]
+        assert gate_path == ["the input state", *tables]
+        assert again.comp.tobytes() == first.comp.tobytes()
+        assert np.array_equal(again.comp, apply_network_batch(state.comp, net))
+        # events on group boundaries fire between the lookups
+        events = [event_at(groups[k].start, total, qb)
+                  for k, qb in ((3, 14), (11, 2), (40, 20))]
+        gate_path.clear()
+        assert_matches_reference(state, net, NoiseSchedule(events, GAMMA), "strict",
+                                 verify_norm=True)
+        decays = [f"decay event at t={ev.time}" for ev in events]
+        assert gate_path == ["the input state", *tables[:3], decays[0], *tables[3:11],
+                             decays[1], *tables[11:40], decays[2], *tables[40:]]
+
+    @pytest.mark.parametrize("watchdog, law", [
+        ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
+    def test_event_on_a_qubit_the_group_never_touches_slides_out(
+            self, factoring_15, watchdog, law, gate_path):
+        _, layout, net = factoring_15
+        net = self.ran_before(fresh_copy(net))
+        groups, total = net.groups, len(net.gates)
+        several = [k for k, g in enumerate(groups) if g.parts]
+        i, j = several[1], several[4]
+        # to its group's start: a qubit no gate of the group touches, from
+        # inside the group's second block
+        early = event_at(groups[i].parts[1].start + 1, total,
+                         untouched_qubit(net, groups[i]))
+        # to its group's stop: the qubit whose last gate in the group comes
+        # first, from just after that gate
+        last = {}
+        for g in range(groups[j].start, groups[j].stop):
+            for w in mask_bits(net.gates[g][0] | net.gates[g][1]):
+                last[w] = g
+        qubit, gate = min(last.items(), key=lambda item: item[1])
+        assert groups[j].start < gate + 1 < groups[j].stop
+        late = event_at(gate + 1, total, qubit)
+        events = [early, late]
+        assert_matches_reference(init_state(130, layout), net,
+                                 NoiseSchedule(events, law), watchdog, verify_norm=True)
+        tables = [("table", g.start, g.stop) for g in groups]
+        decays = [f"decay event at t={ev.time}" for ev in events]
+        assert gate_path == ["the input state", *tables[:i], decays[0],
+                             *tables[i:j + 1], decays[1], *tables[j + 1:]]
+
+    @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("strict", GAMMA)])
+    def test_event_pinned_inside_a_group_runs_its_blocks(self, factoring_15,
+                                                         watchdog, law, gate_path):
+        _, layout, net = factoring_15
+        net = self.ran_before(fresh_copy(net))
+        groups, total = net.groups, len(net.gates)
+        k = [k for k, g in enumerate(groups) if g.parts][2]
+        parts = groups[k].parts
+        position = parts[1].start + 1
+        event = event_at(position, total, pinned_qubit(net, position))
+        assert_matches_reference(init_state(130, layout), net,
+                                 NoiseSchedule([event], law), watchdog, verify_norm=True)
+        tables = [("table", g.start, g.stop) for g in groups]
+        gate = list(net.gates[parts[1].start:position])
+        # the group's blocks: the first and last are lookups, and the event's
+        # block runs from its start, one gate forward and back, then its table
+        assert gate_path == ["the input state", *tables[:k],
+                             ("table", parts[0].start, parts[0].stop), gate,
+                             f"decay event at t={event.time}", gate,
+                             *(("table", p.start, p.stop) for p in parts[1:]),
+                             *tables[k + 1:]]
 
 
 class TestFourier:
