@@ -95,28 +95,23 @@ class Network:
         more than ``BLOCK_WIRES`` wires is a ``ValueError`` naming it."""
         ctrl, tgt = self.masks
         cuts = {chk.position for chk in self.checkpoints}
-        return _fuse(ctrl, tgt, self.qubit_count, _spans(ctrl | tgt, cuts))
+        return _fuse(ctrl, tgt, self.qubit_count, _spans(ctrl | tgt, cuts, FUSE_WIRES))
 
     @cached_property
     def groups(self) -> list[FusedBlock]:
         """The blocks in groups, built on first use, then cached: one per
         maximal run of consecutive blocks that together touch at most
-        ``BLOCK_WIRES`` wires and that no checkpoint position cuts.  A group
-        of one block is that block; a group of several is one ``FusedBlock``
-        over all their gates, with those blocks as its ``parts`` and its
-        table built by ``_fuse`` as theirs are."""
+        ``BLOCK_WIRES`` wires and that no checkpoint position cuts, cut by
+        the same ``_spans`` as the gates.  A group of one block is that
+        block; a group of several is one ``FusedBlock`` over all their
+        gates, with those blocks as its ``parts`` and its table built by
+        ``_fuse`` as theirs are."""
         blocks, (ctrl, tgt) = self.blocks, self.masks
-        cuts = {chk.position for chk in self.checkpoints}
+        positions = {chk.position for chk in self.checkpoints}
         touched = np.bitwise_or.reduceat(ctrl | tgt, [b.start for b in blocks])
-        runs, wires = [], 0
-        for block, mask in zip(blocks, touched.tolist()):
-            if runs and block.start not in cuts and (wires | mask).bit_count() <= BLOCK_WIRES:
-                runs[-1].append(block)
-                wires |= mask
-            else:
-                runs.append([block])
-                wires = mask
-        several = [tuple(run) for run in runs if len(run) > 1]
+        cuts = {i for i, block in enumerate(blocks) if block.start in positions}
+        runs = [tuple(blocks[a:b]) for a, b in _spans(touched, cuts, BLOCK_WIRES)]
+        several = [run for run in runs if len(run) > 1]
         fused = iter(_fuse(ctrl, tgt, self.qubit_count,
                            [(run[0].start, run[-1].stop) for run in several], several))
         return [next(fused) if len(run) > 1 else run[0] for run in runs]
@@ -416,10 +411,11 @@ def _fuse(ctrl: np.ndarray, tgt: np.ndarray, width: int,
     return blocks
 
 
-def _spans(wires: np.ndarray, cuts: set[int]) -> list[tuple[int, int]]:
-    """Maximal runs of gates, whose wire masks ``wires`` holds, touching <=
-    FUSE_WIRES wires, also cut at every position in ``cuts``."""
-    spans, start, seen, limit = [], 0, 0, FUSE_WIRES
+def _spans(wires: np.ndarray, cuts: set[int], limit: int) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive units, gates or blocks, whose wire masks
+    ``wires`` holds, touching at most ``limit`` wires together, also cut
+    before every index in ``cuts``: greedy, each run as long as it can be."""
+    spans, start, seen = [], 0, 0
     for g, mask in enumerate(wires.tolist()):
         touched = seen | mask
         if g > start and (g in cuts or touched.bit_count() > limit):

@@ -23,7 +23,9 @@ def modpow(x: int, a: int, n: int) -> int:
 
 
 def multiplicative_order(x: int, n: int) -> int:
-    """Least r > 0 with x**r = 1 (mod n); requires gcd(x, n) = 1."""
+    """Least r > 0 with x**r = 1 (mod n); requires n >= 2 and gcd(x, n) = 1."""
+    if n < 2:
+        raise ValueError(f"modulus n={n} must be at least 2")
     if math.gcd(x, n) != 1:
         raise ValueError(f"gcd({x}, {n}) != 1, no order exists")
     value, r = x % n, 1

@@ -153,9 +153,10 @@ def extract_factors(x: int, r: int, n: int) -> tuple[set[int] | None, str | None
     """Turn a verified order into factors of n, or explain why it cannot.
 
     Returns (factors, None) on success; (None, reason) when r is odd or
-    x**(r/2) = -1 (mod n), the two cases the gcd trick cannot use.
+    x**(r/2) = -1 (mod n), the two cases the gcd trick cannot use.  An r
+    below 1 or with x**r != 1 (mod n) is a ``ValueError``.
     """
-    if modpow(x, r, n) != 1:
+    if r < 1 or modpow(x, r, n) != 1:
         raise ValueError(f"{r} is not a valid order of {x} mod {n}")
     if r % 2 == 1:
         return None, "r odd"

@@ -14,6 +14,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -39,8 +40,9 @@ class SparseState:
     records are integers whose bit j stores the outcome of event j.  Each
     (comp, env) key appears at most once; the first-register transforms
     raise ``ValueError`` on a repeated key.  A ``qubit_count`` outside
-    ``0..MAX_WIDTH`` or an ``env_count`` outside ``0..MAX_EVENTS`` is a
-    ``ValueError`` when the state is made.
+    ``0..MAX_WIDTH``, an ``env_count`` outside ``0..MAX_EVENTS``, or
+    ``comp``, ``env`` and ``amp`` that are not 1-D arrays of one length are
+    a ``ValueError`` when the state is made.
     """
 
     qubit_count: int
@@ -54,6 +56,10 @@ class SparseState:
             raise ValueError(f"state width {self.qubit_count} outside 0..{MAX_WIDTH}")
         if not 0 <= self.env_count <= MAX_EVENTS:
             raise ValueError(f"env_count={self.env_count} outside 0..{MAX_EVENTS}")
+        shapes = [np.shape(a) for a in (self.comp, self.env, self.amp)]
+        if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) != 1:
+            raise ValueError("comp, env and amp must be 1-D arrays of one length, "
+                             "not of shapes {}, {} and {}".format(*shapes))
 
     @property
     def component_count(self) -> int:
@@ -267,15 +273,15 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     a group whose events all slide out of it is one lookup, and one with
     an event still inside walks its blocks.  An event strictly inside a
     block or group first slides, in order, through the gates not touching
-    its qubit (``_slide``): to the start, after the checkpoints there, or
-    to the stop, before them.  A block then runs from the end nearer to
-    the events still inside it, single gates going through the
-    ``apply_masks`` kernel (gates are self-inverse permutations): when the
-    last inner event is no farther from the block's start than the first
-    is from its stop, forward to the last event, that prefix undone in
-    reverse, then the table; otherwise the table, the suffix undone in
-    reverse back to the first event, then forward, stopping at events
-    only, as every checkpoint is a block boundary.  Clocks move only at
+    its qubit (``_slide``), so as to leave the widest stretch free of
+    events: to the start, after the checkpoints there, or to the stop,
+    before them.  In a block with events still inside, the table stands
+    for its widest event-free stretch, the latest on a tie, and the gates
+    on either side of it run twice through the ``apply_masks`` kernel
+    (gates are self-inverse permutations): forward from the start through
+    the earlier events and back, the table, then back from the stop to
+    the later events and forward, stopping at events only, as every
+    checkpoint is a block boundary.  Clocks move only at
     checkpoints, so the output is bit-identical to running every gate
     forward with each event at its own position.  A decay that would leave
     more than ``MAX_COMPONENTS`` components is a ``ComponentBudgetError``
@@ -347,17 +353,12 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                     amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
-    def forward(a: int, stops: list[int], b: int) -> None:
-        """Gates a..b-1, settling at each of ``stops``, ascending, in between."""
-        for s in stops:
-            apply_masks(comp, ctrl[a:s], tgt[a:s])
-            settle(s)
-            a = s
-        apply_masks(comp, ctrl[a:b], tgt[a:b])
-
-    def undo(a: int, b: int) -> None:
-        """Gates b-1 down to a; each gate is its own inverse."""
-        apply_masks(comp, ctrl[a:b][::-1], tgt[a:b][::-1])
+    def gates(a: int, b: int, back: bool = False) -> None:
+        """Gates a..b-1 if any, or b-1 down to a when ``back``: each gate is
+        its own inverse."""
+        if a < b:
+            step = -1 if back else 1
+            apply_masks(comp, ctrl[a:b][::step], tgt[a:b][::step])
 
     def walk(block: FusedBlock) -> None:
         """Gates block.start..block.stop-1 with the events among them."""
@@ -375,18 +376,18 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         elif block.parts:
             for part in block.parts:
                 walk(part)
-        elif inner[-1] - start <= stop - inner[0]:
-            # The gates between the nearer end and the events run twice;
-            # the table stands for those on the far side.
-            forward(start, inner[:-1], inner[-1])
-            settle(inner[-1])
-            undo(start, inner[-1])
+        else:  # the table stands for the widest event-free stretch
+            ends = [start, *inner, stop]
+            j = max(range(len(inner), -1, -1), key=lambda j: ends[j + 1] - ends[j])
+            for a, b in zip(ends, ends[1:j + 1]):  # forward through the earlier events
+                gates(a, b)
+                settle(b)
+            gates(start, ends[j], back=True)  # and back
             block.apply(comp)
-        else:
-            block.apply(comp)
-            undo(inner[0], stop)
-            settle(inner[0])
-            forward(inner[0], inner[1:], stop)
+            gates(ends[j + 1], stop, back=True)  # back to the later events
+            for a, b in zip(ends[j + 1:], ends[j + 2:]):  # and forward through them
+                settle(a)
+                gates(a, b)
 
     for block in units:
         walk(block)
@@ -400,8 +401,9 @@ def _slide(positions: list[int], events: Sequence[DecayEvent], wires: np.ndarray
     start..stop-1, whose control | target masks are ``wires``.  A decay
     commutes with the gates not touching its qubit, so each event may fire
     anywhere between the nearest gates around it that touch its qubit, or
-    the block's ends.  Events keep their order, packed all left or all
-    right, whichever leaves fewer gates to run twice from the nearer end."""
+    the block's ends.  Events keep their order: those before a split j are
+    packed left, the rest right, with the split that leaves the widest
+    stretch of the block free of events, the latest split on a tie."""
     low, high = [], []
     for pos, ev in zip(positions, events):
         touch = np.flatnonzero((wires >> ev.qubit) & 1) + start
@@ -410,12 +412,8 @@ def _slide(positions: list[int], events: Sequence[DecayEvent], wires: np.ndarray
         high.append(int(touch[at]) if at < len(touch) else stop)
     left = list(itertools.accumulate(low, max))
     right = list(itertools.accumulate(high[::-1], min))[::-1]
-
-    def twice(slots: list[int]) -> int:
-        inside = [s for s in slots if start < s < stop]
-        return min(inside[-1] - start, stop - inside[0]) if inside else 0
-
-    return min(left, right, key=twice)
+    splits = [left[:j] + right[j:] for j in range(len(left), -1, -1)]
+    return max(splits, key=lambda slots: max(map(sub, [*slots, stop], [start, *slots])))
 
 
 def _check_norm(amp: np.ndarray, where: str) -> None:

@@ -24,6 +24,18 @@ class TestModpow:
         with pytest.raises(ValueError):
             multiplicative_order(5, 15)
 
+    @pytest.mark.parametrize("x, n", [(2, 1), (3, -5), (1, 0), (1, 1)])
+    def test_order_refuses_a_modulus_below_two(self, x, n):
+        # unchecked, n = 1 and n = -5 looped forever and n = 0 divided by zero
+        with pytest.raises(ValueError, match=f"^modulus n={n} must be at least 2$"):
+            multiplicative_order(x, n)
+
+    @pytest.mark.parametrize("table", [direct_outcome_table, folded_outcome_table,
+                                       outcome_table_oracle])
+    def test_tables_refuse_a_modulus_below_two(self, table):
+        with pytest.raises(ValueError, match="^modulus n=1 must be at least 2$"):
+            table(1, 2, 8)
+
 
 class TestProbabilityOracle:
     @pytest.mark.parametrize("n,x,q", [(15, 7, 130), (15, 4, 130), (21, 2, 50),

@@ -73,6 +73,11 @@ class TestIdealDistribution:
         assert slice1[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(slice1[1:] <= 1e-12)
 
+    def test_modulus_below_two_refused(self):
+        # unchecked, the order search looped forever
+        with pytest.raises(ValueError, match="^modulus n=1 must be at least 2$"):
+            ideal_distribution(1, 2, 8)
+
 
 class TestContinuedFractions:
     def test_convergents_of_33_over_130(self):
@@ -131,6 +136,13 @@ class TestExtractFactors:
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             extract_factors(7, 3, 15)
+
+    @pytest.mark.parametrize("r", [0, -4])
+    def test_order_below_one_rejected(self, r):
+        # unchecked, pow(7, r, 15) is 1 for both, and r = -4 gave {3, 5}
+        # and r = 0 gave {1, 15}
+        with pytest.raises(ValueError, match=f"^{r} is not a valid order of 7 mod 15$"):
+            extract_factors(7, r, 15)
 
     def test_factors_always_divide(self):
         for x in (2, 4, 7, 8, 11, 13):

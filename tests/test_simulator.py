@@ -242,6 +242,18 @@ class TestRunBoundary:
         with pytest.raises(ValueError, match=f"^env_count={env_count} outside 0..63$"):
             single_component(2, 0, env_count=env_count)
 
+    @pytest.mark.parametrize("shapes", [((3,), (3,), (2,)), ((3,), (4,), (3,)),
+                                        ((2, 3), (2, 3), (2, 3)), ((), (), ())])
+    def test_arrays_not_1d_of_one_length_refused_when_made(self, shapes):
+        # unchecked, amp one entry short passed, and run() died after the
+        # gates inside the split with "boolean index did not match"
+        comp, env, amp = (np.zeros(shape, dtype=dtype) for shape, dtype in
+                          zip(shapes, (np.int64, np.int64, np.complex128)))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "comp, env and amp must be 1-D arrays of one length, not of "
+                "shapes {}, {} and {}".format(*shapes)) + "$"):
+            SparseState(2, 0, comp, env, amp)
+
     def test_widest_state_decays_on_its_top_qubit(self):
         state = single_component(MAX_WIDTH, 1 << 61)
         net = Network([gate_masks([61], 0)], MAX_WIDTH)
@@ -693,8 +705,8 @@ class TestFusedPass:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
                                                                monkeypatch):
-        # Short blocks, so the prefix and suffix paths meet events close
-        # to both ends and to each other.
+        # Short blocks, so events sit close to both ends and to each other,
+        # and the table's stretch falls at the start, the stop and between.
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)
         net = Network(random_gates(np.random.default_rng(100 + seed), 8, 80), 8,
                       [Checkpoint.of(40, [0, 1]), Checkpoint.of(60, [2])])
@@ -873,16 +885,19 @@ class TestWideGates:
 
 class TestEventBlocks:
     """An event inside a block first slides through the gates that do not
-    touch its qubit.  One that still sits inside runs from the end nearer
-    to it: single gates through the kernel out to the events and back, and
-    the block's table for the gates on the far side.  Every path agrees
-    bit for bit with the chunked gate-by-gate reference."""
+    touch its qubit.  With events still inside, the block's table stands
+    for its widest stretch with no event inside, the latest on a tie; the
+    gates on either side of that stretch run twice through the kernel,
+    forward from the start through the earlier events and back, and after
+    the table back from the stop to the later events and forward.  Every
+    path agrees bit for bit with the chunked gate-by-gate reference."""
 
     @staticmethod
     def long_blocks(net):
         return [b for b in net.blocks if b.stop - b.start >= 20]
 
-    def test_each_block_runs_from_its_nearer_end(self, factoring_15, gate_path):
+    def test_each_block_tables_its_widest_event_free_stretch(self, factoring_15,
+                                                             gate_path):
         _, layout, net = factoring_15
         near_start, near_end, middle, slid = self.long_blocks(net)[2:6]
         mid = (middle.start + middle.stop) // 2
@@ -900,16 +915,36 @@ class TestEventBlocks:
         first = list(net.gates[near_start.start:near_start.start + 1])
         last = list(net.gates[near_end.stop - 1:near_end.stop])
         halfway = list(net.gates[middle.start:mid])
-        # the first event: one gate forward and back, then the table; the
-        # second: the table, then one gate back and forward; the mid-block
-        # event runs from its block's start; the last slides to its
-        # block's start and runs no single gate
+        # the first event: one gate forward and back, then the table for the
+        # rest; the second: the table, then one gate back and forward; the
+        # mid-block event leaves two stretches as wide, and the later is the
+        # table's; the last slides to its block's start and runs no single
+        # gate
         assert [step for step in gate_path if step not in free] == [
             "the input state",
             first, decays[0], first, ("table", near_start.start, near_start.stop),
             ("table", near_end.start, near_end.stop), last, decays[1], last,
             halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop),
             decays[3], ("table", slid.start, slid.stop)]
+
+    def test_events_near_both_ends_leave_the_table_the_middle(self, factoring_15,
+                                                              gate_path):
+        # Two pinned events, two gates in from each end of one long block:
+        # the head runs forward and back, the table stands for the middle,
+        # and the tail runs back and forward.
+        _, layout, net = factoring_15
+        block = self.long_blocks(net)[6]
+        positions = [block.start + 2, block.stop - 2]
+        events = [event_at(p, len(net.gates), pinned_qubit(net, p)) for p in positions]
+        assert_matches_reference(init_state(130, layout), fresh_copy(net),
+                                 NoiseSchedule(events, GAMMA), "on", verify_norm=True)
+        decays = [f"decay event at t={ev.time}" for ev in events]
+        head = list(net.gates[block.start:positions[0]])
+        tail = list(net.gates[positions[1]:block.stop])
+        free = [("table", b.start, b.stop) for b in net.blocks if b is not block]
+        assert [step for step in gate_path if step not in free] == [
+            "the input state", head, decays[0], head[::-1],
+            ("table", block.start, block.stop), tail[::-1], decays[1], tail]
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
@@ -1070,6 +1105,22 @@ class TestSlide:
         assert gate_path == ["the input state",
                              *(f"decay event at t={ev.time}" for ev in events),
                              ("table", 0, 6)]
+
+    @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
+    def test_events_slide_apart_to_both_ends(self, watchdog, law, gate_path):
+        # One block of six gates.  Only gate 1 touches qubit 1, so the event
+        # before it can reach the start but not the stop; only gate 4 touches
+        # qubit 2, so the event before gate 5 can reach the stop but not the
+        # start.  The first slides to the start and the second to the stop,
+        # which leaves the whole block to its table and no single gate.
+        net = Network([gate_masks((), 0), gate_masks((), 1), gate_masks((), 0),
+                       gate_masks((), 0), gate_masks((), 2), gate_masks((), 0)], 3)
+        assert [(b.start, b.stop) for b in net.blocks] == [(0, 6)]
+        events = [event_at(1, 6, 1), event_at(5, 6, 2)]
+        assert_matches_reference(all_strings(3), fresh_copy(net),
+                                 NoiseSchedule(events, law), watchdog, verify_norm=True)
+        decays = [f"decay event at t={ev.time}" for ev in events]
+        assert gate_path == ["the input state", decays[0], ("table", 0, 6), decays[1]]
 
 
 class TestGroups:
