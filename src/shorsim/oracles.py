@@ -16,9 +16,12 @@ from .gates import Network, apply_network_batch
 
 
 def modpow(x: int, a: int, n: int) -> int:
-    """x**a mod n by repeated squaring (delegates to the built-in pow)."""
+    """x**a mod n by repeated squaring (delegates to the built-in pow); a
+    negative exponent is a ``ValueError``, not a modular inverse's power."""
     if n < 1:
         raise ValueError("modulus must be positive")
+    if a < 0:
+        raise ValueError(f"exponent a={a} must be at least 0")
     return pow(x, a, n)
 
 

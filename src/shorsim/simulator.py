@@ -40,9 +40,10 @@ class SparseState:
     records are integers whose bit j stores the outcome of event j.  Each
     (comp, env) key appears at most once; the first-register transforms
     raise ``ValueError`` on a repeated key.  A ``qubit_count`` outside
-    ``0..MAX_WIDTH``, an ``env_count`` outside ``0..MAX_EVENTS``, or
-    ``comp``, ``env`` and ``amp`` that are not 1-D arrays of one length are
-    a ``ValueError`` when the state is made.
+    ``0..MAX_WIDTH``, an ``env_count`` outside ``0..MAX_EVENTS``,
+    ``comp``, ``env`` and ``amp`` that are not 1-D arrays of one length, or
+    a ``comp`` or ``env`` that does not hold integers are a ``ValueError``
+    when the state is made.
     """
 
     qubit_count: int
@@ -60,6 +61,10 @@ class SparseState:
         if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) != 1:
             raise ValueError("comp, env and amp must be 1-D arrays of one length, "
                              "not of shapes {}, {} and {}".format(*shapes))
+        for name in ("comp", "env"):
+            dtype = np.asarray(getattr(self, name)).dtype
+            if not np.issubdtype(dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, not {dtype}")
 
     @property
     def component_count(self) -> int:

@@ -8,7 +8,7 @@ import pytest
 from shorsim import (Network, RegisterLayout, apply_network, apply_network_batch,
                      build_adder, concatenate, gate_masks, network_from_text,
                      network_to_text, validate_network)
-from shorsim.gates import MAX_WIDTH, Checkpoint, _extract
+from shorsim.gates import MAX_WIDTH, Checkpoint, _extract, apply_masks
 
 
 def random_network(rng, width, n_gates):
@@ -95,6 +95,52 @@ class TestApplyNetwork:
     def test_rejects_basis_string_too_wide(self):
         with pytest.raises(ValueError):
             apply_network(1 << 4, Network([], 4))
+
+
+def masks_oracle(comp, ctrl, tgt):
+    """The gate-by-gate numpy formula, in place: flip each target where every
+    control of its gate is set."""
+    for c, t in zip(ctrl.tolist(), tgt.tolist()):
+        comp ^= ((comp & c) == c) * t
+
+
+def random_masks(rng, width, count):
+    """Control and target mask arrays of ``count`` gates on ``width`` wires:
+    targets cycle through every wire from a random start, controls are a
+    random 0 to 3 of the other wires, and every fifth gate has none."""
+    targets = (rng.integers(width) + np.arange(count)) % width
+    ctrl, tgt = [], []
+    for g, t in enumerate(targets.tolist()):
+        others = np.delete(np.arange(width), t)
+        picks = rng.choice(others, size=min(len(others), rng.integers(4)), replace=False)
+        ctrl.append(0 if g % 5 == 0 else sum(1 << int(w) for w in picks))
+        tgt.append(1 << t)
+    return np.array(ctrl, dtype=np.int64), np.array(tgt, dtype=np.int64)
+
+
+class TestApplyMasks:
+    """The bit-plane kernel against the gate-by-gate formula it replaced."""
+
+    @pytest.mark.parametrize("width", [5, 26, 40, 62])
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 540, 3000])
+    def test_matches_the_gate_by_gate_formula(self, count, width):
+        rng = np.random.default_rng(count * 100 + width)
+        # half the strings repeat one of a few, so equal strings meet
+        comp = rng.integers(0, 1 << width, count)
+        comp[::2] = rng.integers(0, 1 << width, 3)[rng.integers(3, size=len(comp[::2]))]
+        ctrl, tgt = random_masks(rng, width, 2 * width + 3)  # every wire a target
+        for c, t in ((ctrl, tgt), (ctrl[::-1], tgt[::-1]), (ctrl[:0], tgt[:0])):
+            got, want = comp.copy(), comp.copy()
+            apply_masks(got, c, t)
+            masks_oracle(want, c, t)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_strings_not_int64_refused(self, dtype):
+        # read as int64 bytes, int32 strings came back unchanged
+        with pytest.raises(ValueError, match=f"^basis strings must be int64, not "
+                                             f"{np.dtype(dtype)}$"):
+            apply_masks(np.arange(4, dtype=dtype), np.array([1]), np.array([2]))
 
 
 class TestValidateNetwork:

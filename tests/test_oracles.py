@@ -17,6 +17,12 @@ class TestModpow:
         for x in (2, 7, 14):
             assert modpow(x, 0, 15) == 1
 
+    @pytest.mark.parametrize("a", [-1, -4])
+    def test_negative_exponent_refused(self, a):
+        # unchecked, modpow(7, -4, 15) returned 1, the power of 7's inverse
+        with pytest.raises(ValueError, match=f"^exponent a={a} must be at least 0$"):
+            modpow(7, a, 15)
+
     def test_order_of_seven_mod_fifteen(self):
         assert multiplicative_order(7, 15) == 4
 

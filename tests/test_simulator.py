@@ -254,6 +254,27 @@ class TestRunBoundary:
                 "shapes {}, {} and {}".format(*shapes)) + "$"):
             SparseState(2, 0, comp, env, amp)
 
+    @pytest.mark.parametrize("field, dtype", [("comp", np.float64), ("env", np.float64),
+                                              ("comp", np.bool_), ("env", np.complex128)])
+    def test_strings_and_records_not_integers_refused_when_made(self, field, dtype):
+        # unchecked, a float64 env passed, and run() with one event died
+        # inside the split with "ufunc 'bitwise_or' not supported"; a float
+        # comp was cast silently
+        arrays = {"comp": np.zeros(2, dtype=np.int64), "env": np.zeros(2, dtype=np.int64)}
+        arrays[field] = arrays[field].astype(dtype)
+        with pytest.raises(ValueError, match=f"^{field} must hold integers, not "
+                                             f"{np.dtype(dtype)}$"):
+            SparseState(2, 0, arrays["comp"], arrays["env"],
+                        np.full(2, 0.5 ** 0.5, dtype=np.complex128))
+
+    def test_any_integer_strings_and_records_accepted(self):
+        state = SparseState(2, 1, np.array([0, 3], dtype=np.uint8),
+                            np.array([0, 1], dtype=np.int32),
+                            np.full(2, 0.5 ** 0.5, dtype=np.complex128))
+        net = Network([gate_masks([0], 1)], 2)
+        out = run(state, net, NoiseSchedule([DecayEvent(0.5, 0)], STATIC_HALF))
+        assert sorted(out.as_dict()) == [(0, 0), (0, 3), (1, 1)]
+
     def test_widest_state_decays_on_its_top_qubit(self):
         state = single_component(MAX_WIDTH, 1 << 61)
         net = Network([gate_masks([61], 0)], MAX_WIDTH)
