@@ -11,7 +11,7 @@ import numpy as np
 
 from .arithmetic import (ArithParams, ResourceReport, build_modexp, gate_count_formula,
                          qubit_count_formula)
-from .gates import (RegisterLayout, apply_network_batch, network_to_text,
+from .gates import (Network, RegisterLayout, apply_network_batch, network_to_text,
                     validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
 from .pipeline import (ExperimentConfig, ideal_distribution, repetition_seeds,
@@ -299,9 +299,10 @@ def _cmd_verify() -> int:
         amp = np.full(len(values), len(values) ** -0.5, dtype=np.complex128)
         state = SparseState(net.qubit_count, 0, values, np.zeros_like(values), amp)
         want = apply_network_batch(values, net)
-        for name, which in (("fused", "from the network's first run"),
+        fresh = Network(net.gates, net.qubit_count, net.checkpoints)  # no masks compiled
+        for name, which in (("plane", "from a fresh network's first run, on bit planes"),
                             ("grouped", "from its second run, through its groups")):
-            out = run(state, net, NoiseSchedule([], StaticDecay(1.0))).comp
+            out = run(state, fresh, NoiseSchedule([], StaticDecay(1.0))).comp
             check(f"{name} pass equals apply_network_batch on a < q and 1,000 random "
                   f"basis strings, {which}, {instance}", np.array_equal(out, want))
         cfg = ExperimentConfig(n=n, x=x, q=q, seed=3)

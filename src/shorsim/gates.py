@@ -69,9 +69,8 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right.  ``masks``, ``blocks`` and ``groups`` are built on first use and
-    cached on the instance; equality and hashing compare the three fields
-    only."""
+    right.  ``masks`` and ``groups`` are built on first use and cached on
+    the instance; equality and hashing compare the three fields only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
@@ -89,27 +88,19 @@ class Network:
         return compile_masks(self)
 
     @cached_property
-    def blocks(self) -> list[FusedBlock]:
-        """The fused blocks, built on first use, then cached: one per maximal
-        run of gates touching at most ``FUSE_WIRES`` wires, also cut at every
-        checkpoint position, all built at once by ``_fuse``; a gate touching
-        more than ``BLOCK_WIRES`` wires is a ``ValueError`` naming it."""
-        ctrl, tgt = self.masks
-        cuts = {chk.position for chk in self.checkpoints}
-        return _fuse(ctrl, tgt, self.qubit_count, _spans(ctrl | tgt, cuts, FUSE_WIRES))
-
-    @cached_property
     def groups(self) -> list[FusedBlock]:
-        """The blocks in groups, built on first use, then cached: one per
-        maximal run of consecutive blocks that together touch at most
-        ``BLOCK_WIRES`` wires and that no checkpoint position cuts, cut by
-        the same ``_spans`` as the gates.  A group of one block is that
-        block; a group of several is one ``FusedBlock`` over all their
-        gates, with those blocks as its ``parts`` and its table built by
-        ``_fuse`` as theirs are."""
-        blocks, (ctrl, tgt) = self.blocks, self.masks
+        """Both table levels, built at once on first use, then cached: the
+        gates cut into blocks on at most ``FUSE_WIRES`` wires, and the blocks
+        into groups on at most ``BLOCK_WIRES``, each cut greedy (``_spans``)
+        and also at every checkpoint position.  A group of one block is that
+        block; one of several is a ``FusedBlock`` over their gates, with those
+        blocks as its ``parts``.  ``check_gate_wires`` runs first."""
+        ctrl, tgt = self.masks
+        wires = ctrl | tgt
+        check_gate_wires(wires)
         positions = {chk.position for chk in self.checkpoints}
-        touched = np.bitwise_or.reduceat(ctrl | tgt, [b.start for b in blocks])
+        blocks = _fuse(ctrl, tgt, self.qubit_count, _spans(wires, positions, FUSE_WIRES))
+        touched = np.bitwise_or.reduceat(wires, [b.start for b in blocks])
         cuts = {i for i, block in enumerate(blocks) if block.start in positions}
         runs = [tuple(blocks[a:b]) for a, b in _spans(touched, cuts, BLOCK_WIRES)]
         several = [run for run in runs if len(run) > 1]
@@ -422,14 +413,22 @@ def _gathers(touched: np.ndarray, width: int) -> list[tuple[tuple[int, np.ndarra
     return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
+def check_gate_wires(wires: np.ndarray) -> None:
+    """Refuse, naming the first, a gate whose mask in ``wires`` touches more
+    than ``BLOCK_WIRES`` wires, too many for a table index; every run checks."""
+    counts = np.bitwise_count(wires)
+    if (wide := np.flatnonzero(counts > BLOCK_WIRES)).size:
+        raise ValueError(f"gate {wide[0]} touches {counts[wide[0]]} wires; a fused "
+                         f"block holds at most {BLOCK_WIRES}")
+
+
 def _fuse(ctrl: np.ndarray, tgt: np.ndarray, width: int,
           spans: Sequence[tuple[int, int]],
           parts: Sequence[tuple[FusedBlock, ...]] = ()) -> list[FusedBlock]:
     """One ``FusedBlock`` per span (start, stop) of the gates whose masks
     ``ctrl`` and ``tgt`` hold, the spans ascending and disjoint, with the
-    matching ``parts``, if any, as its parts.  A span touching more than
-    ``BLOCK_WIRES`` wires, which only a lone gate can, is a ``ValueError``
-    naming its first gate.
+    matching ``parts``, if any, as its parts; no span may touch more than
+    ``BLOCK_WIRES`` wires.
 
     A gate's local masks are ``_extract`` of its masks at its span's wires.
     Spans with equal local gate lists and equal global targets share one
@@ -444,11 +443,6 @@ def _fuse(ctrl: np.ndarray, tgt: np.ndarray, width: int,
     rows = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
     ctrl, tgt = ctrl[rows], tgt[rows]
     touched = np.bitwise_or.reduceat(ctrl | tgt, firsts)
-    ks = np.bitwise_count(touched)
-    if (wide := np.flatnonzero(ks > BLOCK_WIRES)).size:  # a lone wide gate
-        b = int(wide[0])
-        raise ValueError(f"gate {starts[b]} touches {ks[b]} wires; a fused "
-                         f"block holds at most {BLOCK_WIRES}")
     local = _extract(np.stack([ctrl, tgt]), np.repeat(touched, lengths), width)
     tables: dict[tuple, np.ndarray] = {}
     blocks = []

@@ -18,7 +18,8 @@ from operator import sub
 
 import numpy as np
 
-from .gates import MAX_WIDTH, FusedBlock, Network, RegisterLayout, apply_masks
+from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, apply_masks,
+                    check_gate_wires)
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -41,9 +42,9 @@ class SparseState:
     (comp, env) key appears at most once; the first-register transforms
     raise ``ValueError`` on a repeated key.  A ``qubit_count`` outside
     ``0..MAX_WIDTH``, an ``env_count`` outside ``0..MAX_EVENTS``,
-    ``comp``, ``env`` and ``amp`` that are not 1-D arrays of one length, or
-    a ``comp`` or ``env`` that does not hold integers are a ``ValueError``
-    when the state is made.
+    ``comp``, ``env`` and ``amp`` that are not 1-D arrays of one length,
+    non-integer ``comp`` or ``env``, or a ``comp`` value outside
+    ``0..2**qubit_count - 1`` are a ``ValueError`` when the state is made.
     """
 
     qubit_count: int
@@ -65,6 +66,8 @@ class SparseState:
             dtype = np.asarray(getattr(self, name)).dtype
             if not np.issubdtype(dtype, np.integer):
                 raise ValueError(f"{name} must hold integers, not {dtype}")
+        if int(np.bitwise_or.reduce(self.comp)) >> self.qubit_count:  # or negative
+            raise ValueError(f"comp must hold basis strings in 0..2**{self.qubit_count} - 1")
 
     @property
     def component_count(self) -> int:
@@ -265,38 +268,34 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     Events fire before checkpoints at the same position.  ``event_log``
     receives one ``EventRecord`` per event, with the clock origin it used.
 
-    The network's ``masks`` and ``blocks`` are built on its first run and
-    cached on the ``Network`` object: its gate masks, validated once with
-    its checkpoints (a bad network is a ``ValueError`` before any gate,
-    and so is a gate touching more than 16 wires), and its fused blocks,
-    maximal runs of consecutive gates touching at most 14 wires, cut at
-    every checkpoint position so that projections and clock resets fall
-    between blocks.  A first run walks the blocks, each one table lookup.
-    A run that finds the blocks built (the network has run before, as a
-    rule) builds the network's ``groups`` once, runs of consecutive blocks
-    on at most 16 wires that no checkpoint position cuts, and walks those:
-    a group whose events all slide out of it is one lookup, and one with
-    an event still inside walks its blocks.  An event strictly inside a
-    block or group first slides, in order, through the gates not touching
-    its qubit (``_slide``), so as to leave the widest stretch free of
-    events: to the start, after the checkpoints there, or to the stop,
-    before them.  In a block with events still inside, the table stands
-    for its widest event-free stretch, the latest on a tie, and the gates
-    on either side of it run twice through the ``apply_masks`` kernel
-    (gates are self-inverse permutations): forward from the start through
-    the earlier events and back, the table, then back from the stop to
-    the later events and forward, stopping at events only, as every
-    checkpoint is a block boundary.  Clocks move only at
-    checkpoints, so the output is bit-identical to running every gate
-    forward with each event at its own position.  A decay that would leave
-    more than ``MAX_COMPONENTS`` components is a ``ComponentBudgetError``
-    naming the event, before its split.  At most 63 decay events fit the
-    environment record, every event qubit must lie inside the state, and
-    the network must be no wider than the state; each is checked before
-    any gate.  ``verify_norm`` checks the norm of the input state, once
-    the blocks or groups are built, and after every decay event; gates
-    and lookups permute basis strings and never touch an amplitude, so
-    they cannot move it.
+    A run that finds ``net.masks`` compiled is a rerun: the network ran
+    before (or went through ``apply_network_batch``) and, as a rule, will
+    run again.  A first run compiles and caches the masks, validated once
+    with the checkpoints (a bad network, or a gate on more than 16 wires
+    by ``check_gate_wires``, is a ``ValueError`` before any gate).  It
+    builds no table: the gates between consecutive stops, the event and
+    checkpoint positions, are one ``apply_masks`` kernel call.  A rerun
+    walks ``net.groups``, both table levels built on the first rerun:
+    groups of 14-wire blocks on at most 16 wires, cut at every checkpoint
+    position.  An event strictly inside a group or block first slides, in
+    order, through the gates not touching its qubit (``_slide``), to leave
+    the widest stretch free of events: to the start, after the checkpoints
+    there, or to the stop, before them.  A group with no event left inside
+    is one lookup, and one with an event inside walks its blocks
+    (``parts``).  In a block with events inside, the table stands for its
+    widest event-free stretch, the latest on a tie, and the gates on either
+    side run twice through the kernel (each gate is its own inverse):
+    forward from the start through the earlier events and back, the table,
+    then back from the stop to the later events and forward.  Clocks move
+    only at checkpoints, so the output is bit-identical to a first run's.
+    A decay that would leave more than ``MAX_COMPONENTS`` components is a
+    ``ComponentBudgetError`` naming the event, before its split.  At most
+    63 decay events fit the environment record, every event qubit must lie
+    inside the state, and the network must be no wider than the state; each
+    is checked before any gate.  ``verify_norm`` checks the norm of the
+    input state once the masks and any groups are built, and after every
+    decay event; gates and lookups permute basis strings and never touch an
+    amplitude, so they cannot move it.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -311,10 +310,11 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     if net.qubit_count > state.qubit_count:
         raise ValueError(f"network of {net.qubit_count} qubits is wider than "
                          f"the state's {state.qubit_count}")
-    # Built blocks mean, as a rule, that the network has run before and will
-    # again: it walks its groups.  A first run builds no group table.
-    units = net.groups if "blocks" in vars(net) else net.blocks
+    rerun = "masks" in vars(net)  # as above
     ctrl, tgt = net.masks
+    if not rerun:
+        check_gate_wires(ctrl | tgt)
+    units = net.groups if rerun else ()
     if verify_norm:
         _check_norm(state.amp, "the input state")
     total = len(net.gates)
@@ -358,12 +358,21 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                     amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
-    def gates(a: int, b: int, back: bool = False) -> None:
-        """Gates a..b-1 if any, or b-1 down to a when ``back``: each gate is
-        its own inverse."""
+    def stretch(a: int, b: int) -> None:
+        """Gates a..b-1, one kernel call between stops, firing what sits at
+        each stop from a through b: events, then checkpoints."""
+        settle(a)
+        while a < b:
+            stop = min([b, *positions[ei:ei + 1],
+                        *(chk.position for chk in checkpoints[ci:ci + 1])])
+            apply_masks(comp, ctrl[a:stop], tgt[a:stop])
+            settle(stop)
+            a = stop
+
+    def back(a: int, b: int) -> None:
+        """Gates b-1 down to a, if any: each gate is its own inverse."""
         if a < b:
-            step = -1 if back else 1
-            apply_masks(comp, ctrl[a:b][::step], tgt[a:b][::step])
+            apply_masks(comp, ctrl[a:b][::-1], tgt[a:b][::-1])
 
     def walk(block: FusedBlock) -> None:
         """Gates block.start..block.stop-1 with the events among them."""
@@ -384,19 +393,15 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         else:  # the table stands for the widest event-free stretch
             ends = [start, *inner, stop]
             j = max(range(len(inner), -1, -1), key=lambda j: ends[j + 1] - ends[j])
-            for a, b in zip(ends, ends[1:j + 1]):  # forward through the earlier events
-                gates(a, b)
-                settle(b)
-            gates(start, ends[j], back=True)  # and back
+            stretch(start, ends[j])  # forward through the earlier events
+            back(start, ends[j])  # and back
             block.apply(comp)
-            gates(ends[j + 1], stop, back=True)  # back to the later events
-            for a, b in zip(ends[j + 1:], ends[j + 2:]):  # and forward through them
-                settle(a)
-                gates(a, b)
+            back(ends[j + 1], stop)  # back to the later events
+            stretch(ends[j + 1], stop)  # and forward through them
 
-    for block in units:
-        walk(block)
-    settle(total)
+    for unit in units:
+        walk(unit)
+    stretch(total if rerun else 0, total)  # a rerun's units ran every gate
     return SparseState(state.qubit_count, env_count, comp, env, amp)
 
 

@@ -435,11 +435,13 @@ class TestMain:
         result = self.run_cli("verify")
         assert result.returncode == 0
         assert "FAIL" not in result.stdout
-        fused = [line for line in result.stdout.splitlines() if "fused pass" in line]
-        assert [line.startswith("PASS  fused pass equals apply_network_batch")
-                for line in fused] == [True, True]
-        assert fused[1].endswith("n=33 x=5 q=1100")  # 35 qubits: 5 gather bytes
+        plane = [line for line in result.stdout.splitlines() if "plane pass" in line]
+        assert [line.startswith("PASS  plane pass equals apply_network_batch")
+                and "first run, on bit planes" in line for line in plane] == [True, True]
+        assert plane[1].endswith("n=33 x=5 q=1100")  # 35 qubits: 5 gather bytes
         grouped = [line for line in result.stdout.splitlines() if "grouped pass" in line]
+        assert [line.startswith("PASS  grouped pass") and "through its groups" in line
+                for line in grouped] == [True, True]
         assert [line.split(", ")[-1] for line in grouped] == ["n=15 x=7 q=130",
                                                               "n=33 x=5 q=1100"]
         closed = [line for line in result.stdout.splitlines() if "closed-form" in line]

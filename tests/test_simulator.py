@@ -33,9 +33,23 @@ def single_component(qubit_count, comp, env=0, env_count=0, amp=1.0):
 
 
 def fresh_copy(net):
-    """An equal network with no cached masks, blocks or groups: its first
-    run walks the blocks, and only a later run its groups."""
+    """An equal network with no cached masks or groups: its first run runs
+    on bit planes and builds no table, and only a later run walks its
+    groups."""
     return Network(net.gates, net.qubit_count, net.checkpoints)
+
+
+def ran_before(net):
+    """An equal network with its masks compiled, as after a first run, so
+    that each of its runs walks its groups."""
+    net = fresh_copy(net)
+    net.masks
+    return net
+
+
+def blocks_of(net):
+    """The network's 14-wire blocks, which its groups tile as their parts."""
+    return [p for g in net.groups for p in g.parts or (g,)]
 
 
 class TestInitState:
@@ -196,7 +210,7 @@ class TestRunBoundary:
                               STATIC_HALF)
         with pytest.raises(ValueError, match="limit of 63"):
             run(init_state(130, layout), fresh, sched)
-        assert "masks" not in vars(fresh) and "blocks" not in vars(fresh)
+        assert "masks" not in vars(fresh) and "groups" not in vars(fresh)
 
     def test_recorded_events_count_toward_the_limit(self):
         state = single_component(1, 0, env_count=60)
@@ -267,6 +281,18 @@ class TestRunBoundary:
             SparseState(2, 0, arrays["comp"], arrays["env"],
                         np.full(2, 0.5 ** 0.5, dtype=np.complex128))
 
+    @pytest.mark.parametrize("value", [8, -1, 4])
+    def test_strings_outside_the_width_refused_when_made(self, value):
+        # unchecked, dump_state printed 1000 and -1 for a 2-qubit state, and
+        # apply_decay split the string -1 into -1 and -3
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "comp must hold basis strings in 0..2**2 - 1") + "$"):
+            SparseState(2, 0, np.array([0, value]), np.zeros(2, dtype=np.int64),
+                        np.full(2, 0.5 ** 0.5, dtype=np.complex128))
+        widest = np.array([0, (1 << MAX_WIDTH) - 1])
+        assert SparseState(MAX_WIDTH, 0, widest, np.zeros(2, dtype=np.int64),
+                           np.full(2, 0.5 ** 0.5, dtype=np.complex128)).component_count == 2
+
     def test_any_integer_strings_and_records_accepted(self):
         state = SparseState(2, 1, np.array([0, 3], dtype=np.uint8),
                             np.array([0, 1], dtype=np.int32),
@@ -293,7 +319,8 @@ class TestRunBoundary:
                 "components, past the budget of 23") + "$"):
             run(all_strings(4), net, NoiseSchedule([event], STATIC_HALF),
                 verify_norm=True)
-        assert gate_path == ["the input state"]
+        # a first run: gate 0 runs up to the event, and nothing after it
+        assert gate_path == ["the input state", list(net.gates[:1])]
         with pytest.raises(simulator.ComponentBudgetError,
                            match="^decay on qubit 0 would leave 24 components, "
                                  "past the budget of 23$"):
@@ -509,6 +536,29 @@ def untouched_qubit(net, block):
     return (~wires & (wires + 1)).bit_length() - 1
 
 
+def first_run_path(net, events):
+    """The path of a first run of ``net`` with ``verify_norm``: the input
+    state's check, then one kernel call between consecutive stops, the event
+    and checkpoint positions, each followed by the checks of the events at
+    its stop."""
+    total = len(net.gates)
+    positions = [min(math.ceil(ev.time * total), total) for ev in events]
+    stops = sorted({0, *positions, *(chk.position for chk in net.checkpoints), total})
+    path = ["the input state"]
+    for a, b in zip(stops, stops[1:]):
+        path.append(list(net.gates[a:b]))
+        path += [f"decay event at t={ev.time}" for ev, pos in zip(events, positions)
+                 if pos == b]
+    return path
+
+
+def lookups_but(net, *units):
+    """The lookups of the network's groups and blocks, but those of ``units``."""
+    skip = [(u.start, u.stop) for u in units]
+    return [("table", u.start, u.stop) for u in [*net.groups, *blocks_of(net)]
+            if (u.start, u.stop) not in skip]
+
+
 def group_lookups(net, path):
     """The lookups in ``path`` of the network's groups of several blocks."""
     wide = {("table", g.start, g.stop) for g in net.groups if g.parts}
@@ -523,7 +573,7 @@ def assert_groups_tile_and_cut(net):
     groups, cuts = net.groups, {c.position for c in net.checkpoints}
     assert [g.start for g in groups[1:]] == [g.stop for g in groups[:-1]]
     assert groups[0].start == 0 and groups[-1].stop == len(net.gates)
-    assert [b for g in groups for b in (g.parts or (g,))] == net.blocks
+    assert_blocks_cover_and_cut(net)  # the groups' parts
     for g, nxt in zip(groups, [*groups[1:], None]):
         assert touched_wires(net, g.start, g.stop).bit_count() <= gates.BLOCK_WIRES
         assert not cuts & set(range(g.start + 1, g.stop))
@@ -557,7 +607,7 @@ def assert_blocks_cover_and_cut(net):
     """The network's blocks, checked to tile its gates, to touch at most
     FUSE_WIRES wires each, and to start at every checkpoint inside the
     network, which lets ``run()`` stop single gates at events only."""
-    blocks = net.blocks
+    blocks = blocks_of(net)
     assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
     assert blocks[0].start == 0 and blocks[-1].stop == len(net.gates)
     starts = {b.start for b in blocks}
@@ -591,7 +641,7 @@ class TestFusedPass:
     def test_events_on_block_boundaries_and_inside_one_block(self, factoring_15,
                                                              watchdog, law):
         _, layout, net = factoring_15
-        blocks = net.blocks
+        blocks = blocks_of(net)
         total = len(net.gates)
         mid = blocks[len(blocks) // 2]
         assert mid.stop - mid.start > 8
@@ -609,7 +659,7 @@ class TestFusedPass:
 
     def test_norm_checked_after_every_event_only(self, factoring_15, gate_path):
         _, layout, net = factoring_15
-        blocks = net.blocks
+        blocks = blocks_of(net)
         total = len(net.gates)
         inside, slid = blocks[5], blocks[6]
         assert inside.stop - inside.start > 4 and slid.stop - slid.start > 2
@@ -620,15 +670,11 @@ class TestFusedPass:
                                         untouched_qubit(net, slid))],
                               STATIC_HALF)
         run(init_state(130, layout), fresh_copy(net), sched, verify_norm=True)
-        tables = [("table", b.start, b.stop) for b in blocks]
-        decays = [f"decay event at t={ev.time}" for ev in sched.events]
-        prefix = list(net.gates[inside.start:inside.start + 2])
-        # a first run: every other block is one lookup; the second event runs from its
-        # block's start: 2 gates forward, the 2 undone, then the table; the
-        # third slides to its block's start and runs no single gate
-        assert gate_path == ["the input state", *tables[:2], decays[0], *tables[2:5],
-                             prefix, decays[1], prefix[::-1], tables[5], decays[2],
-                             *tables[6:]]
+        # a first run: one kernel call between stops, each event's check
+        # right after the call that reaches it, and no other check
+        assert gate_path == first_run_path(net, sched.events)
+        assert [step for step in gate_path if isinstance(step, str)] == [
+            "the input state", *(f"decay event at t={ev.time}" for ev in sched.events)]
 
     def test_norm_drift_detected_on_both_paths(self, factoring_15, gate_path,
                                                monkeypatch):
@@ -641,26 +687,30 @@ class TestFusedPass:
             return comp, env, amp * 2.0
 
         monkeypatch.setattr(simulator, "_split", drifting_split)
-        first = net.blocks[0]
+        rerun = ran_before(net)
+        first = blocks_of(rerun)[0]
         assert first.stop > 3
         last = first.stop - 1
-        # an event just after gate 0 runs the first block from its start,
-        # one just before its last gate from its stop, and one on a qubit
-        # the block never touches slides to its start; each way the check
-        # follows the event
-        for position, qubit, before in (
+        # A first run reaches each event in one kernel call.  On a rerun an
+        # event just after gate 0 runs the first block from its start, one
+        # just before its last gate from its stop, and one on a qubit the
+        # block never touches slides to its start.  Each way the check
+        # follows the event.
+        for position, qubit, again in (
                 (1, pinned_qubit(net, 1), [list(net.gates[:1])]),
                 (last, pinned_qubit(net, last),
                  [("table", 0, first.stop), list(net.gates[last:first.stop])]),
                 (last, untouched_qubit(net, first), [])):
-            gate_path.clear()
             event = event_at(position, len(net.gates), qubit)
             where = f"decay event at t={event.time}"
-            with pytest.raises(AssertionError,
-                               match=f"norm drifted to .* after {where}$"):
-                run(state, fresh_copy(net), NoiseSchedule([event], STATIC_HALF),
-                    verify_norm=True)
-            assert gate_path == ["the input state", *before, where]
+            for each, before in ((fresh_copy(net), [list(net.gates[:position])]),
+                                 (rerun, again)):
+                gate_path.clear()
+                with pytest.raises(AssertionError,
+                                   match=f"norm drifted to .* after {where}$"):
+                    run(state, each, NoiseSchedule([event], STATIC_HALF),
+                        verify_norm=True)
+                assert gate_path == ["the input state", *before, where]
 
     @pytest.mark.parametrize("n_events", [0, 1])
     def test_input_norm_checked_before_any_gate(self, factoring_15, gate_path,
@@ -674,14 +724,22 @@ class TestFusedPass:
             run(state, net, sched, verify_norm=True)
         assert gate_path == ["the input state"]
 
-    def test_first_run_builds_the_blocks(self, factoring_15):
+    def test_first_run_builds_no_table_and_the_second_both_levels(self, factoring_15,
+                                                                  gate_path):
         _, layout, net = factoring_15
-        net = fresh_copy(net)
-        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-        masks, blocks = vars(net)["masks"], vars(net)["blocks"]
-        assert len(blocks) > 1
-        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
-        assert net.masks is masks and net.blocks is blocks
+        net, total = fresh_copy(net), len(net.gates)
+        sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
+        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        masks = vars(net)["masks"]
+        assert "groups" not in vars(net)
+        assert all(isinstance(step, list) for step in gate_path)  # no lookup
+        positions = {math.ceil(ev.time * total) for ev in sched.events}
+        stops = {*positions, *(chk.position for chk in net.checkpoints)} - {0, total}
+        assert len(gate_path) == len(stops) + 1
+        gate_path.clear()
+        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        assert net.masks is masks and "groups" in vars(net)
+        assert group_lookups(net, gate_path)
 
     def test_mask_callers_build_no_blocks(self, factoring_15, monkeypatch):
         _, layout, net = factoring_15
@@ -699,7 +757,7 @@ class TestFusedPass:
             in_wires=list(layout.reg1), out_wires=list(layout.reg2),
             zero_wires=layout.work_qubits)
         assert calls == [net]  # masks built and validated once, then cached
-        assert "masks" in vars(net) and "blocks" not in vars(net)
+        assert "masks" in vars(net) and "groups" not in vars(net)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("with_checkpoints", [False, True])
@@ -715,8 +773,8 @@ class TestFusedPass:
                 checkpoints.append(Checkpoint.of(pos, qubits))
         net = Network(gate_list, width, checkpoints)
         state = all_strings(width)
-        out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
-        assert len(net.blocks) > 1
+        out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))  # on planes
+        assert len(blocks_of(net)) > 1
         assert np.array_equal(out.comp, apply_network_batch(state.comp, net))
         sched = sample_schedule(3, width, seed, STATIC_HALF)
         for watchdog in ("off", "on", "strict"):  # these walk the groups
@@ -727,10 +785,11 @@ class TestFusedPass:
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
                                                                monkeypatch):
         # Short blocks, so events sit close to both ends and to each other,
-        # and the table's stretch falls at the start, the stop and between.
+        # and the table's stretch falls at the start, the stop and between;
+        # every run is a rerun, through the groups and their blocks.
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)
-        net = Network(random_gates(np.random.default_rng(100 + seed), 8, 80), 8,
-                      [Checkpoint.of(40, [0, 1]), Checkpoint.of(60, [2])])
+        net = ran_before(Network(random_gates(np.random.default_rng(100 + seed), 8, 80),
+                                 8, [Checkpoint.of(40, [0, 1]), Checkpoint.of(60, [2])]))
         sched = sample_schedule(8, 8, seed, GAMMA)
         for watchdog in ("off", "on", "strict"):
             assert_matches_reference(all_strings(8), net, sched, watchdog)
@@ -758,7 +817,7 @@ class TestFusedPass:
         sched = sample_schedule(4, width, seed, STATIC_HALF)
         for watchdog in ("off", "on", "strict"):
             assert_matches_reference(state, net, sched, watchdog)
-        blocks = net.blocks
+        blocks = blocks_of(net)
         assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
         # some block flips more than 8 wires, so its deltas span many bytes
         assert max(int(np.bitwise_or.reduce(b.table)).bit_count()
@@ -810,7 +869,7 @@ class TestWideFusedPass:
 
     def test_blocks_are_pinned(self, factoring_15, wide_instance):
         for q, _, net in ((130, *factoring_15[1:]), wide_instance):
-            assert block_digest(net.blocks) == BLOCK_DIGESTS[q]
+            assert block_digest(blocks_of(net)) == BLOCK_DIGESTS[q]
 
     def test_blocks_cover_the_gates_and_cut_at_checkpoints(self, wide_instance):
         net = wide_instance[2]
@@ -824,7 +883,7 @@ class TestWideFusedPass:
         for net in (factoring_15[2], wide_instance[2]):
             seen = set()
             assert any(g.parts for g in net.groups)
-            for b in [*net.blocks, *net.groups]:
+            for b in [*blocks_of(net), *net.groups]:
                 if id(b.table) in seen:
                     continue
                 seen.add(id(b.table))
@@ -859,7 +918,7 @@ class TestWideFusedPass:
         q, _, net = wide_instance
         width = net.qubit_count
         values = np.random.default_rng(q + 1).integers(0, 1 << width, 256)
-        blocks = net.blocks
+        blocks = blocks_of(net)
         assert len({byte for b in blocks for byte, _ in b.gather}) == (width + 7) // 8
         for b in blocks:
             comp = values.copy()
@@ -876,11 +935,13 @@ class TestWideGates:
         net = Network([gate_masks([], 17), gate_masks(range(1, 17), 0)], 18)
         # The event between the two gates would run gate 0 through the kernel.
         sched = NoiseSchedule([event_at(1, 2, 17)], StaticDecay(1.0))
+        for attempt in ("first run", "rerun: the masks were compiled"):
+            with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
+                run(single_component(18, 131070), net, sched, verify_norm=True)
+            assert gate_path == [], attempt
+        assert "masks" in vars(net)
         with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
-            run(single_component(18, 131070), net, sched, verify_norm=True)
-        assert gate_path == []
-        with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
-            net.blocks
+            net.groups
 
     def test_gate_on_seventeen_wires_kept_by_the_batch_kernel_and_oracles(self):
         net = Network([gate_masks(range(1, 17), 0), gate_masks([], 17)], 18)
@@ -899,9 +960,11 @@ class TestWideGates:
         state = SparseState(17, 0, values, np.zeros_like(values),
                             np.full(len(values), len(values) ** -0.5,
                                     dtype=np.complex128))
-        out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
-        assert [b.table.size for b in net.blocks] == [1 << 16, 2]
-        assert np.array_equal(out.comp, apply_network_batch(values, net))
+        want = apply_network_batch(values, fresh_copy(net))
+        for _ in range(2):  # on planes, then through the groups
+            out = run(state, net, NoiseSchedule([], StaticDecay(1.0)))
+            assert np.array_equal(out.comp, want)
+        assert [g.table.size for g in net.groups] == [1 << 16, 2]
 
 
 class TestEventBlocks:
@@ -915,38 +978,43 @@ class TestEventBlocks:
 
     @staticmethod
     def long_blocks(net):
-        return [b for b in net.blocks if b.stop - b.start >= 20]
+        """The longest block of each group, if of 20 gates or more, in order;
+        ``net`` runs as a rerun from here on, through its groups."""
+        longest = (max(g.parts or (g,), key=lambda b: b.stop - b.start)
+                   for g in net.groups)
+        return [b for b in longest if b.stop - b.start >= 20]
 
     def test_each_block_tables_its_widest_event_free_stretch(self, factoring_15,
                                                              gate_path):
         _, layout, net = factoring_15
         near_start, near_end, middle, slid = self.long_blocks(net)[2:6]
+        group = next(g for g in net.groups if g.start <= slid.start < g.stop)
         mid = (middle.start + middle.stop) // 2
         positions = [near_start.start + 1, near_end.stop - 1, mid]
         events = [event_at(p, len(net.gates), pinned_qubit(net, p))
                   for p in positions]
         events.append(event_at(slid.start + 5, len(net.gates),
-                               untouched_qubit(net, slid)))
-        assert_matches_reference(init_state(130, layout), fresh_copy(net),
+                               untouched_qubit(net, group)))
+        assert_matches_reference(init_state(130, layout), net,
                                  NoiseSchedule(events, GAMMA), "on",
                                  verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
-        free = [("table", b.start, b.stop) for b in net.blocks
-                if b not in (near_start, near_end, middle, slid)]
+        free = lookups_but(net, near_start, near_end, middle, group)
         first = list(net.gates[near_start.start:near_start.start + 1])
         last = list(net.gates[near_end.stop - 1:near_end.stop])
         halfway = list(net.gates[middle.start:mid])
-        # the first event: one gate forward and back, then the table for the
+        # each in its own group, the pinned events walk its blocks: the
+        # first event: one gate forward and back, then the table for the
         # rest; the second: the table, then one gate back and forward; the
         # mid-block event leaves two stretches as wide, and the later is the
-        # table's; the last slides to its block's start and runs no single
+        # table's; the last slides to its group's start and runs no single
         # gate
         assert [step for step in gate_path if step not in free] == [
             "the input state",
             first, decays[0], first, ("table", near_start.start, near_start.stop),
             ("table", near_end.start, near_end.stop), last, decays[1], last,
             halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop),
-            decays[3], ("table", slid.start, slid.stop)]
+            decays[3], ("table", group.start, group.stop)]
 
     def test_events_near_both_ends_leave_the_table_the_middle(self, factoring_15,
                                                               gate_path):
@@ -957,12 +1025,12 @@ class TestEventBlocks:
         block = self.long_blocks(net)[6]
         positions = [block.start + 2, block.stop - 2]
         events = [event_at(p, len(net.gates), pinned_qubit(net, p)) for p in positions]
-        assert_matches_reference(init_state(130, layout), fresh_copy(net),
+        assert_matches_reference(init_state(130, layout), net,
                                  NoiseSchedule(events, GAMMA), "on", verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
         head = list(net.gates[block.start:positions[0]])
         tail = list(net.gates[positions[1]:block.stop])
-        free = [("table", b.start, b.stop) for b in net.blocks if b is not block]
+        free = lookups_but(net, block)
         assert [step for step in gate_path if step not in free] == [
             "the input state", head, decays[0], head[::-1],
             ("table", block.start, block.stop), tail[::-1], decays[1], tail]
@@ -974,7 +1042,7 @@ class TestEventBlocks:
         _, layout, net = factoring_15
         total = len(net.gates)
         first, second, third = self.long_blocks(net)[:3]
-        blocks = net.blocks
+        blocks = blocks_of(net)
         nxt = blocks[blocks.index(third) + 1]
         positions = [first.start + 1, first.start + 2, first.start + 4,
                      second.stop - 3, second.stop - 1,
@@ -1023,19 +1091,19 @@ class TestSlide:
     @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
     def test_random_schedules_n15(self, factoring_15, watchdog, law, n_events,
                                   gate_path):
-        # The first schedule is a first run of a fresh network, through its
-        # blocks; the rest run again on one network, through its groups.
+        # The first schedule is a first run of a fresh network, on bit
+        # planes; the rest run again on one network, through its groups.
         _, layout, net = factoring_15
-        nets = [fresh_copy(net)] + [net] * 9
-        for seed, each in enumerate(nets):
+        again = ran_before(net)
+        for seed, each in enumerate([fresh_copy(net)] + [again] * 9):
             sched = sample_schedule(n_events, layout.qubit_count, 500 + seed, law)
             assert_rows_match_reference(init_state(130, layout), each, sched, watchdog)
-        assert group_lookups(net, gate_path)
+        assert group_lookups(again, gate_path)
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
     def test_random_schedules_n21_n33(self, wide_instance, watchdog, gate_path):
         q, layout, net = wide_instance
-        net.blocks  # as after a first run: each run walks the groups
+        net.masks  # as after a first run: each run walks the groups
         for seed in (4, 5):
             sched = sample_schedule(10, layout.qubit_count, seed, GAMMA)
             assert_rows_match_reference(init_state(q, layout), net, sched, watchdog)
@@ -1057,7 +1125,7 @@ class TestSlide:
         extra = (np.arange(130, dtype=np.int64) % 16) << layout.qubit_count
         state = SparseState(width, 0, base.comp | extra, base.env, base.amp)
         total = len(net.gates)
-        inner = [b for b in net.blocks if b.stop - b.start > 4][:4]
+        inner = [b for b in blocks_of(net) if b.stop - b.start > 4][:4]
         events = [event_at(b.start + 2, total, layout.qubit_count + k)
                   for k, b in enumerate(inner)]
         assert_matches_reference(state, net, NoiseSchedule(events, GAMMA), "on",
@@ -1077,13 +1145,12 @@ class TestSlide:
         # qubit 1 onto 0 first, so nothing decays.
         net = Network([gate_masks((), 1), gate_masks((), 0), gate_masks([0], 2),
                        gate_masks((), 1)], 3, [Checkpoint.of(1, [1])])
-        assert [(b.start, b.stop) for b in net.blocks] == [(0, 1), (1, 4)]
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 1), (1, 4)]
         state = SparseState.from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5,
                                              (0b010, 0): 0.5 ** 0.5})
         event = event_at(2, 4, 1)
-        _, log = assert_matches_reference(state, fresh_copy(net),
-                                          NoiseSchedule([event], GAMMA), watchdog,
-                                          verify_norm=True)
+        _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
+                                          watchdog, verify_norm=True)
         assert log[0].clock_origin == 0.25
         assert gate_path == ["the input state", ("table", 0, 1),
                              f"decay event at t={event.time}", ("table", 1, 4)]
@@ -1098,9 +1165,9 @@ class TestSlide:
         # branch.
         net = Network([gate_masks((), 1), gate_masks((), 0), gate_masks([0], 2),
                        gate_masks((), 1)], 3, [Checkpoint.of(3, [1])])
-        assert [(b.start, b.stop) for b in net.blocks] == [(0, 3), (3, 4)]
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 3), (3, 4)]
         event = event_at(2, 4, 1)
-        _, log = assert_matches_reference(single_component(3, 0), fresh_copy(net),
+        _, log = assert_matches_reference(single_component(3, 0), net,
                                           NoiseSchedule([event], GAMMA), watchdog,
                                           verify_norm=True)
         assert log[0].clock_origin == 0.0
@@ -1117,9 +1184,9 @@ class TestSlide:
         # order; each at its own nearer end would swap them.
         net = Network([gate_masks((), 0), gate_masks([0], 2), gate_masks((), 2),
                        gate_masks([2], 0), gate_masks((), 0), gate_masks((), 1)], 4)
-        assert [(b.start, b.stop) for b in net.blocks] == [(0, 6)]
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 6)]
         events = [event_at(4, 6, 3), event_at(5, 6, 1)]
-        _, log = assert_matches_reference(all_strings(4), fresh_copy(net),
+        _, log = assert_matches_reference(all_strings(4), net,
                                           NoiseSchedule(events, law), watchdog,
                                           verify_norm=True)
         assert [rec.qubit for rec in log] == [3, 1]
@@ -1136,9 +1203,9 @@ class TestSlide:
         # which leaves the whole block to its table and no single gate.
         net = Network([gate_masks((), 0), gate_masks((), 1), gate_masks((), 0),
                        gate_masks((), 0), gate_masks((), 2), gate_masks((), 0)], 3)
-        assert [(b.start, b.stop) for b in net.blocks] == [(0, 6)]
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 6)]
         events = [event_at(1, 6, 1), event_at(5, 6, 2)]
-        assert_matches_reference(all_strings(3), fresh_copy(net),
+        assert_matches_reference(all_strings(3), net,
                                  NoiseSchedule(events, law), watchdog, verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
         assert gate_path == ["the input state", decays[0], ("table", 0, 6), decays[1]]
@@ -1149,29 +1216,13 @@ class TestGroups:
     blocks on at most BLOCK_WIRES wires that no checkpoint position cuts.
     Its events first slide through the group's gates that do not touch
     their qubits; a group with none left inside is one lookup, and one
-    with an event still inside runs its blocks as a first run does.  Every
-    path agrees bit for bit with the chunked gate-by-gate reference."""
-
-    @staticmethod
-    def ran_before(net):
-        """``net`` with its blocks built, as after a first run, so that its
-        next run walks the groups."""
-        net.blocks
-        return net
-
-    def test_first_run_builds_no_group(self, factoring_15):
-        _, layout, net = factoring_15
-        net = fresh_copy(net)
-        sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
-        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
-        assert "blocks" in vars(net) and "groups" not in vars(net)
-        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
-        assert "groups" in vars(net)
+    with an event still inside walks its blocks, its parts.  Every path
+    agrees bit for bit with the chunked gate-by-gate reference."""
 
     def test_groups_tile_the_gates_and_span_no_checkpoint(self, factoring_15,
                                                           wide_instance):
         net = factoring_15[2]
-        assert (len(net.blocks), len(assert_groups_tile_and_cut(net))) == (200, 72)
+        assert (len(blocks_of(net)), len(assert_groups_tile_and_cut(net))) == (200, 72)
         net = wide_instance[2]
         assert len(net.checkpoints) > 10
         assert sum(1 for g in assert_groups_tile_and_cut(net) if g.parts) > 100
@@ -1203,7 +1254,7 @@ class TestGroups:
     def test_event_on_a_qubit_the_group_never_touches_slides_out(
             self, factoring_15, watchdog, law, gate_path):
         _, layout, net = factoring_15
-        net = self.ran_before(fresh_copy(net))
+        net = ran_before(net)
         groups, total = net.groups, len(net.gates)
         several = [k for k, g in enumerate(groups) if g.parts]
         i, j = several[1], several[4]
@@ -1232,7 +1283,7 @@ class TestGroups:
     def test_event_pinned_inside_a_group_runs_its_blocks(self, factoring_15,
                                                          watchdog, law, gate_path):
         _, layout, net = factoring_15
-        net = self.ran_before(fresh_copy(net))
+        net = ran_before(net)
         groups, total = net.groups, len(net.gates)
         k = [k for k, g in enumerate(groups) if g.parts][2]
         parts = groups[k].parts
