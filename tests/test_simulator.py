@@ -724,22 +724,20 @@ class TestFusedPass:
             run(state, net, sched, verify_norm=True)
         assert gate_path == ["the input state"]
 
-    def test_first_run_builds_no_table_and_the_second_both_levels(self, factoring_15,
-                                                                  gate_path):
+    def test_first_run_builds_the_blocks(self, factoring_15):
+        # the first run builds the masks the blocks are cut from; the blocks
+        # come on the second run, as the groups' parts, and later runs reuse
+        # both
         _, layout, net = factoring_15
-        net, total = fresh_copy(net), len(net.gates)
-        sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
-        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        net = fresh_copy(net)
+        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
         masks = vars(net)["masks"]
         assert "groups" not in vars(net)
-        assert all(isinstance(step, list) for step in gate_path)  # no lookup
-        positions = {math.ceil(ev.time * total) for ev in sched.events}
-        stops = {*positions, *(chk.position for chk in net.checkpoints)} - {0, total}
-        assert len(gate_path) == len(stops) + 1
-        gate_path.clear()
-        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
-        assert net.masks is masks and "groups" in vars(net)
-        assert group_lookups(net, gate_path)
+        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        groups = vars(net)["groups"]
+        assert net.masks is masks and len(blocks_of(net)) > len(groups) > 1
+        run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        assert net.masks is masks and net.groups is groups
 
     def test_mask_callers_build_no_blocks(self, factoring_15, monkeypatch):
         _, layout, net = factoring_15
@@ -1218,6 +1216,22 @@ class TestGroups:
     their qubits; a group with none left inside is one lookup, and one
     with an event still inside walks its blocks, its parts.  Every path
     agrees bit for bit with the chunked gate-by-gate reference."""
+
+    def test_first_run_builds_no_group(self, factoring_15, gate_path):
+        _, layout, net = factoring_15
+        net, total = fresh_copy(net), len(net.gates)
+        sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
+        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        masks = vars(net)["masks"]
+        assert "groups" not in vars(net)
+        assert all(isinstance(step, list) for step in gate_path)  # no lookup
+        positions = {math.ceil(ev.time * total) for ev in sched.events}
+        stops = {*positions, *(chk.position for chk in net.checkpoints)} - {0, total}
+        assert len(gate_path) == len(stops) + 1
+        gate_path.clear()
+        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        assert net.masks is masks and "groups" in vars(net)
+        assert group_lookups(net, gate_path)
 
     def test_groups_tile_the_gates_and_span_no_checkpoint(self, factoring_15,
                                                           wide_instance):
