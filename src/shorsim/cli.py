@@ -308,6 +308,15 @@ def _cmd_verify() -> int:
         cfg = ExperimentConfig(n=n, x=x, q=q, seed=3)
         schedule = sample_schedule(cfg.n_events, layout.qubit_count,
                                    repetition_seeds(cfg)[0], cfg.law)
+        for watchdog, groups in (("on", "groups"), ("strict", "checkpoint_groups")):
+            fresh, runs = Network(net.gates, net.qubit_count, net.checkpoints), []
+            for _ in range(2):
+                log = []
+                out = run(init_state(q, layout), fresh, schedule, watchdog, event_log=log)
+                runs.append((out.comp.tobytes(), out.env.tobytes(), out.amp.tobytes(), log))
+            check(f"{cfg.n_events}-event run, watchdog {watchdog}: a fresh network's first "
+                  f"run and its second, through its {groups}, give byte-equal states and "
+                  f"equal event logs, {instance}", runs[0] == runs[1])
         state = fourier_first_register(run(init_state(q, layout), net, schedule,
                                            cfg.watchdog), q, layout)
         rep = run_experiment(cfg).repetitions[0]

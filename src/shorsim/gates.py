@@ -10,6 +10,7 @@ the least significant bit.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -69,8 +70,9 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right.  ``masks`` and ``groups`` are built on first use and cached on
-    the instance; equality and hashing compare the three fields only."""
+    right.  ``masks``, ``groups``, ``checkpoint_groups`` and ``touches`` are
+    built on first use and cached on the instance; equality and hashing
+    compare the three fields only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
@@ -89,24 +91,55 @@ class Network:
 
     @cached_property
     def groups(self) -> list[FusedBlock]:
-        """Both table levels, built at once on first use, then cached: the
-        gates cut into blocks on at most ``FUSE_WIRES`` wires, and the blocks
-        into groups on at most ``BLOCK_WIRES``, each cut greedy (``_spans``)
-        and also at every checkpoint position.  A group of one block is that
-        block; one of several is a ``FusedBlock`` over their gates, with those
-        blocks as its ``parts``.  ``check_gate_wires`` runs first."""
+        """Both table levels: the gates cut into blocks on at most
+        ``FUSE_WIRES`` wires, also at every checkpoint position, and the
+        blocks into groups on at most ``BLOCK_WIRES``, which no checkpoint
+        cuts; each cut greedy (``_spans``).  A group of one block is that
+        block; one of several is a ``FusedBlock`` over their gates, with
+        those blocks as its ``parts``.  ``check_gate_wires`` runs first."""
+        return self._grouped(set())
+
+    @cached_property
+    def checkpoint_groups(self) -> list[FusedBlock]:
+        """The same blocks in groups also cut at every checkpoint position;
+        a group whose span ``groups`` holds too is the same object."""
+        return self._grouped({chk.position for chk in self.checkpoints})
+
+    @cached_property
+    def touches(self) -> tuple[array, ...]:
+        """Per qubit, the indices of the gates touching it, ascending, as C
+        ints copied from numpy's bytes: no Python int is made per entry."""
+        ctrl, tgt = self.masks
+        wires = ctrl | tgt
+        return tuple(array("i", np.flatnonzero(wires >> w & 1).astype(np.intc).tobytes())
+                     for w in range(self.qubit_count))
+
+    @cached_property
+    def _blocks(self) -> list[FusedBlock]:
         ctrl, tgt = self.masks
         wires = ctrl | tgt
         check_gate_wires(wires)
         positions = {chk.position for chk in self.checkpoints}
-        blocks = _fuse(ctrl, tgt, self.qubit_count, _spans(wires, positions, FUSE_WIRES))
-        touched = np.bitwise_or.reduceat(wires, [b.start for b in blocks])
-        cuts = {i for i, block in enumerate(blocks) if block.start in positions}
-        runs = [tuple(blocks[a:b]) for a, b in _spans(touched, cuts, BLOCK_WIRES)]
-        several = [run for run in runs if len(run) > 1]
-        fused = iter(_fuse(ctrl, tgt, self.qubit_count,
-                           [(run[0].start, run[-1].stop) for run in several], several))
-        return [next(fused) if len(run) > 1 else run[0] for run in runs]
+        return _fuse(ctrl, tgt, self.qubit_count, _spans(wires, positions, FUSE_WIRES))
+
+    @cached_property
+    def _fused(self) -> dict[tuple[int, int], FusedBlock]:
+        """Every group of several blocks built so far, by its (start, stop)."""
+        return {}
+
+    def _grouped(self, cuts: set[int]) -> list[FusedBlock]:
+        """The blocks in groups, also cut at each position in ``cuts``; each
+        span of several blocks is fused once, for either group set."""
+        blocks, (ctrl, tgt) = self._blocks, self.masks
+        touched = np.bitwise_or.reduceat(ctrl | tgt, [b.start for b in blocks])
+        cut = {i for i, block in enumerate(blocks) if block.start in cuts}
+        runs = {(blocks[a].start, blocks[b - 1].stop): tuple(blocks[a:b])
+                for a, b in _spans(touched, cut, BLOCK_WIRES)}
+        new = {span: run for span, run in runs.items()
+               if len(run) > 1 and span not in self._fused}
+        self._fused.update(zip(new, _fuse(ctrl, tgt, self.qubit_count, list(new),
+                                          list(new.values()))))
+        return [self._fused[span] if len(run) > 1 else run[0] for span, run in runs.items()]
 
 
 @dataclass(frozen=True)

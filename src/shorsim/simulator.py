@@ -14,12 +14,12 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import sub
+from operator import index, sub
 
 import numpy as np
 
-from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, apply_masks,
-                    check_gate_wires)
+from .gates import (MAX_WIDTH, Checkpoint, FusedBlock, Network, RegisterLayout,
+                    apply_masks, check_gate_wires)
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -90,6 +90,15 @@ class SparseState:
         return cls(qubit_count, env_count, comp, env, amp)
 
 
+def _integer(value, what: str) -> int:
+    """``operator.index`` of the value; what it refuses is a ``ValueError``
+    that says ``what`` must be an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class DecayEvent:
     """A sudden computer-environment interaction at ``time`` on one qubit.
@@ -144,7 +153,7 @@ class NoiseSchedule:
             raise ValueError("event times must lie strictly inside (0, 1)")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
-        if any(ev.qubit < 0 for ev in events):
+        if any(_integer(ev.qubit, f"{ev}: the qubit") < 0 for ev in events):
             raise ValueError("negative qubit index in schedule")
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "law", law)
@@ -176,8 +185,10 @@ class Distribution:
 def sample_schedule(n_events: int, n_qubits: int, seed: int,
                     law: StaticDecay | ExponentialDecay) -> NoiseSchedule:
     """Uniform random times (sorted) and uniform random qubits, seed-determined;
-    an ``n_events`` outside ``0..MAX_EVENTS`` or an ``n_qubits`` below 1 is a
-    ``ValueError``."""
+    an ``n_events`` or ``n_qubits`` that is not an integer, an ``n_events``
+    outside ``0..MAX_EVENTS`` or an ``n_qubits`` below 1 is a ``ValueError``."""
+    _integer(n_events, f"n_events={n_events!r}")
+    _integer(n_qubits, f"n_qubits={n_qubits!r}")
     if not 0 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events={n_events} outside 0..{MAX_EVENTS}")
     if n_qubits < 1:
@@ -260,13 +271,17 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     An event at time t fires just before gate index ceil(t * G), G being the
     gate count.  Each qubit has a watchdog clock that starts at 0 with the
     run.  With ``watchdog='on'`` every checkpoint resets the clocks of its
-    qubits to the current time, so later decays of those qubits use the
+    qubits to its position over G, so later decays of those qubits use the
     time since their last confirmation instead of the full elapsed time;
     register qubits never appear in checkpoints and keep counting from the
     start.  ``watchdog='strict'`` additionally projects the checkpoint
     qubits onto 0 and renormalizes, discarding detected-error branches.
-    Events fire before checkpoints at the same position.  ``event_log``
-    receives one ``EventRecord`` per event, with the clock origin it used.
+    Events fire before checkpoints at the same position, so each event's
+    clock origin, the last reset of its qubit strictly before its position
+    (0 with the watchdog off), and its persistence probability are fixed
+    before any gate.  ``event_log`` receives one ``EventRecord`` per event,
+    with that clock origin.  Only strict checkpoints act on the state, so
+    only a strict run stops, or cuts its groups, at checkpoints.
 
     A run that finds ``net.masks`` compiled is a rerun: the network ran
     before (or went through ``apply_network_batch``) and, as a rule, will
@@ -274,28 +289,31 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     with the checkpoints (a bad network, or a gate on more than 16 wires
     by ``check_gate_wires``, is a ``ValueError`` before any gate).  It
     builds no table: the gates between consecutive stops, the event and
-    checkpoint positions, are one ``apply_masks`` kernel call.  A rerun
-    walks ``net.groups``, both table levels built on the first rerun:
-    groups of 14-wire blocks on at most 16 wires, cut at every checkpoint
-    position.  An event strictly inside a group or block first slides, in
+    any strict checkpoint positions, are one ``apply_masks`` kernel call.
+    A rerun walks groups of 14-wire blocks on at most 16 wires, each set
+    built on the first rerun that walks it: ``net.groups`` with the
+    watchdog on or off, and ``net.checkpoint_groups``, also cut at every
+    checkpoint position, in strict mode; the blocks are cut there either
+    way.  An event strictly inside a group or block first slides, in
     order, through the gates not touching its qubit (``_slide``), to leave
     the widest stretch free of events: to the start, after the checkpoints
-    there, or to the stop, before them.  A group with no event left inside
-    is one lookup, and one with an event inside walks its blocks
-    (``parts``).  In a block with events inside, the table stands for its
-    widest event-free stretch, the latest on a tie, and the gates on either
-    side run twice through the kernel (each gate is its own inverse):
-    forward from the start through the earlier events and back, the table,
-    then back from the stop to the later events and forward.  Clocks move
-    only at checkpoints, so the output is bit-identical to a first run's.
-    A decay that would leave more than ``MAX_COMPONENTS`` components is a
-    ``ComponentBudgetError`` naming the event, before its split.  At most
-    63 decay events fit the environment record, every event qubit must lie
-    inside the state, and the network must be no wider than the state; each
-    is checked before any gate.  ``verify_norm`` checks the norm of the
-    input state once the masks and any groups are built, and after every
-    decay event; gates and lookups permute basis strings and never touch an
-    amplitude, so they cannot move it.
+    there, or to the stop, before them; with the watchdog on or off, also
+    across checkpoints.  A group with no event left inside is one lookup,
+    and one with an event inside walks its blocks (``parts``).  In a block
+    with events inside, the table stands for its widest event-free
+    stretch, the latest on a tie, and the gates on either side run twice
+    through the kernel (each gate is its own inverse): forward from the
+    start through the earlier events and back, the table, then back from
+    the stop to the later events and forward.  The output is bit-identical
+    to a first run's.  A decay that would leave more than
+    ``MAX_COMPONENTS`` components is a ``ComponentBudgetError`` naming the
+    event, before its split.  At most 63 decay events fit the environment
+    record, every event qubit must lie inside the state, and the network
+    must be no wider than the state; each is checked before any gate.
+    ``verify_norm`` checks the norm of the input state once the masks and
+    any groups are built, and after every decay event; gates and lookups
+    permute basis strings and never touch an amplitude, so they cannot
+    move it.
     """
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
@@ -314,7 +332,8 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     ctrl, tgt = net.masks
     if not rerun:
         check_gate_wires(ctrl | tgt)
-    units = net.groups if rerun else ()
+    strict = watchdog == "strict"
+    units = (net.checkpoint_groups if strict else net.groups) if rerun else ()
     if verify_norm:
         _check_norm(state.amp, "the input state")
     total = len(net.gates)
@@ -322,22 +341,24 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     env = state.env.copy()
     amp = state.amp.copy()
     env_count = state.env_count
-    last_reset = [0.0] * state.qubit_count
 
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
-    checkpoints = net.checkpoints  # in order: compiling checked that
+    origins = [_clock_origin(net.checkpoints, pos, ev.qubit, total)
+               if watchdog != "off" else 0.0 for pos, ev in zip(positions, events)]
+    p1s = [schedule.law.persist_probability(ev.time, origin)
+           for ev, origin in zip(events, origins)]
+    checkpoints = net.checkpoints if strict else ()  # in order: compiling checked that
     ei = ci = 0
 
     def settle(g: int) -> None:
-        """Fire the events, then the checkpoints, that sit before gate g."""
+        """Fire the events, then project at the checkpoints, that sit before
+        gate g."""
         nonlocal comp, env, amp, env_count, ei, ci
         while ei < len(events) and positions[ei] == g:
-            ev = events[ei]
-            origin = last_reset[ev.qubit]
-            p1 = schedule.law.persist_probability(ev.time, origin)
+            ev, p1 = events[ei], p1s[ei]
             if event_log is not None:
                 event_log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1,
-                                             origin))
+                                             origins[ei]))
             comp, env, amp = _split(comp, env, amp, env_count, ev.qubit, p1,
                                     f"decay event at t={ev.time} on qubit {ev.qubit}")
             env_count += 1
@@ -345,22 +366,16 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             if verify_norm:
                 _check_norm(amp, f"decay event at t={ev.time}")
         while ci < len(checkpoints) and checkpoints[ci].position == g:
-            chk = checkpoints[ci]
-            now = g / total if total else 0.0
-            if watchdog in ("on", "strict"):
-                for qb in chk.qubits:
-                    last_reset[qb] = now
-            if watchdog == "strict":
-                keep = (comp & chk.mask) == 0
-                weight = float(np.sum(np.abs(amp[keep]) ** 2))
-                if weight > 0.0:
-                    comp, env = comp[keep], env[keep]
-                    amp = amp[keep] / math.sqrt(weight)
+            keep = (comp & checkpoints[ci].mask) == 0
+            weight = float(np.sum(np.abs(amp[keep]) ** 2))
+            if weight > 0.0:
+                comp, env = comp[keep], env[keep]
+                amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
     def stretch(a: int, b: int) -> None:
         """Gates a..b-1, one kernel call between stops, firing what sits at
-        each stop from a through b: events, then checkpoints."""
+        each stop from a through b: events, then strict checkpoints."""
         settle(a)
         while a < b:
             stop = min([b, *positions[ei:ei + 1],
@@ -380,8 +395,8 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         settle(start)
         end = bisect.bisect_left(positions, stop, ei)
         if end > ei:
-            positions[ei:end] = _slide(positions[ei:end], events[ei:end],
-                                       ctrl[start:stop] | tgt[start:stop], start, stop)
+            positions[ei:end] = _slide(positions[ei:end], events[ei:end], net.touches,
+                                       start, stop)
             settle(start)  # the events slid to the start; its checkpoints have run
             end = bisect.bisect_left(positions, stop, ei)
         inner = sorted(set(positions[ei:end]))
@@ -405,21 +420,32 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     return SparseState(state.qubit_count, env_count, comp, env, amp)
 
 
-def _slide(positions: list[int], events: Sequence[DecayEvent], wires: np.ndarray,
-           start: int, stop: int) -> list[int]:
+def _clock_origin(checkpoints: Sequence[Checkpoint], position: int, qubit: int,
+                  total: int) -> float:
+    """The position over ``total`` of the last of ``checkpoints``, in order,
+    on ``qubit`` strictly before ``position``, or 0.0 if there is none."""
+    before = bisect.bisect_left(checkpoints, position, key=lambda chk: chk.position)
+    return next((chk.position / total for chk in reversed(checkpoints[:before])
+                 if chk.mask >> qubit & 1), 0.0)
+
+
+def _slide(positions: list[int], events: Sequence[DecayEvent],
+           touches: Sequence[Sequence[int]], start: int, stop: int) -> list[int]:
     """New positions for ``events`` at ``positions`` inside the block of gates
-    start..stop-1, whose control | target masks are ``wires``.  A decay
-    commutes with the gates not touching its qubit, so each event may fire
-    anywhere between the nearest gates around it that touch its qubit, or
-    the block's ends.  Events keep their order: those before a split j are
-    packed left, the rest right, with the split that leaves the widest
-    stretch of the block free of events, the latest split on a tie."""
+    start..stop-1; ``touches`` holds, per qubit, the ascending indices of
+    the gates touching it (``Network.touches``), and none for a qubit past
+    its end.  A decay commutes with the gates not touching its qubit, so
+    each event may fire anywhere between the nearest gates around it that
+    touch its qubit, or the block's ends.  Events keep their order: those
+    before a split j are packed left, the rest right, with the split that
+    leaves the widest stretch of the block free of events, the latest split
+    on a tie."""
     low, high = [], []
     for pos, ev in zip(positions, events):
-        touch = np.flatnonzero((wires >> ev.qubit) & 1) + start
-        at = int(np.searchsorted(touch, pos))
-        low.append(int(touch[at - 1]) + 1 if at else start)
-        high.append(int(touch[at]) if at < len(touch) else stop)
+        touch = touches[ev.qubit] if ev.qubit < len(touches) else ()
+        at = bisect.bisect_left(touch, pos)
+        low.append(max(touch[at - 1] + 1, start) if at else start)
+        high.append(min(touch[at], stop) if at < len(touch) else stop)
     left = list(itertools.accumulate(low, max))
     right = list(itertools.accumulate(high[::-1], min))[::-1]
     splits = [left[:j] + right[j:] for j in range(len(left), -1, -1)]

@@ -446,6 +446,12 @@ class TestMain:
                                                               "n=33 x=5 q=1100"]
         closed = [line for line in result.stdout.splitlines() if "closed-form" in line]
         assert len(closed) == 3
+        again = [line for line in result.stdout.splitlines() if "10-event run" in line]
+        assert [(line.split(":")[0], line.split(", ")[-1]) for line in again] == [
+            (f"PASS  10-event run, watchdog {mode}", instance)
+            for instance in ("n=15 x=7 q=130", "n=33 x=5 q=1100") for mode in ("on", "strict")]
+        assert ["through its checkpoint_groups" in line for line in again] == [
+            False, True, False, True]
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

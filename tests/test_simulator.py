@@ -394,6 +394,19 @@ class TestWatchdog:
         assert last / total > 0.95
         assert [rec.clock_origin for rec in logs["off"]] == [0.0] * 13
 
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_gate_free_network_counts_from_zero(self, watchdog):
+        # every position is 0, and no checkpoint lies strictly before an
+        # event there, so the clock origin is 0.0 on a first run and a rerun
+        net = Network([], 1, [Checkpoint.of(0, [0])])
+        p1 = math.exp(-2.5 * 0.5)
+        for _ in range(2):
+            log = []
+            run(single_component(1, 0b1), net, NoiseSchedule([DecayEvent(0.5, 0)], GAMMA),
+                watchdog, event_log=log)
+            assert log == [EventRecord(0.5, 0, p1, 1.0 - p1, 0.0)]
+        assert "masks" in vars(net)
+
     def test_strict_mode_keeps_only_clean_scratch(self, factoring_15):
         _, layout, net = factoring_15
         sched = sample_schedule(10, layout.qubit_count, 5, STATIC_HALF)
@@ -536,20 +549,27 @@ def untouched_qubit(net, block):
     return (~wires & (wires + 1)).bit_length() - 1
 
 
-def first_run_path(net, events):
+def first_run_path(net, events, watchdog="off"):
     """The path of a first run of ``net`` with ``verify_norm``: the input
     state's check, then one kernel call between consecutive stops, the event
-    and checkpoint positions, each followed by the checks of the events at
-    its stop."""
+    positions and, in strict mode only, the checkpoint positions, each
+    followed by the checks of the events at its stop."""
     total = len(net.gates)
     positions = [min(math.ceil(ev.time * total), total) for ev in events]
-    stops = sorted({0, *positions, *(chk.position for chk in net.checkpoints), total})
+    checkpoints = net.checkpoints if watchdog == "strict" else ()
+    stops = sorted({0, *positions, *(chk.position for chk in checkpoints), total})
     path = ["the input state"]
     for a, b in zip(stops, stops[1:]):
         path.append(list(net.gates[a:b]))
         path += [f"decay event at t={ev.time}" for ev, pos in zip(events, positions)
                  if pos == b]
     return path
+
+
+def walked_groups(net, watchdog):
+    """The groups a rerun of ``net`` walks in this watchdog mode: those cut
+    at every checkpoint in strict mode, the others with it on or off."""
+    return net.checkpoint_groups if watchdog == "strict" else net.groups
 
 
 def lookups_but(net, *units):
@@ -559,18 +579,18 @@ def lookups_but(net, *units):
             if (u.start, u.stop) not in skip]
 
 
-def group_lookups(net, path):
-    """The lookups in ``path`` of the network's groups of several blocks."""
-    wide = {("table", g.start, g.stop) for g in net.groups if g.parts}
+def group_lookups(net, path, watchdog="off"):
+    """The lookups in ``path`` of the groups of several blocks that a rerun
+    of the network walks in this watchdog mode."""
+    wide = {("table", g.start, g.stop) for g in walked_groups(net, watchdog) if g.parts}
     return [step for step in path if isinstance(step, tuple) and step in wide]
 
 
-def assert_groups_tile_and_cut(net):
-    """The network's groups, checked to tile its gates, each its parts in
-    order, to touch at most BLOCK_WIRES wires, to hold no checkpoint
-    position inside, and to be maximal: no group could take in the first
-    block of the next one."""
-    groups, cuts = net.groups, {c.position for c in net.checkpoints}
+def assert_groups_tile_and_cut(net, groups, cuts):
+    """``groups``, one group set of the network, checked to tile its gates,
+    each its parts in order, to touch at most BLOCK_WIRES wires, to hold no
+    position of ``cuts`` inside, and to be maximal: no group could take in
+    the first block of the next one unless a cut falls between them."""
     assert [g.start for g in groups[1:]] == [g.stop for g in groups[:-1]]
     assert groups[0].start == 0 and groups[-1].stop == len(net.gates)
     assert_blocks_cover_and_cut(net)  # the groups' parts
@@ -585,6 +605,20 @@ def assert_groups_tile_and_cut(net):
             first = (nxt.parts or (nxt,))[0]
             assert touched_wires(net, g.start, first.stop).bit_count() > gates.BLOCK_WIRES
     return groups
+
+
+def assert_group_sets(net):
+    """Both group sets of the network, checked: ``net.groups`` tile the
+    gates with no cut at checkpoints, ``net.checkpoint_groups`` with a cut
+    at every checkpoint position, both over the same blocks, and a group
+    whose span both sets hold is one object.  Returns both sets."""
+    groups = assert_groups_tile_and_cut(net, net.groups, set())
+    cut = assert_groups_tile_and_cut(net, net.checkpoint_groups,
+                                     {c.position for c in net.checkpoints})
+    assert [p for g in cut for p in g.parts or (g,)] == blocks_of(net)
+    spans = {(g.start, g.stop): g for g in groups}
+    assert all(spans.get((g.start, g.stop), g) is g for g in cut)
+    return groups, cut
 
 
 def random_gates(rng, width, count):
@@ -777,7 +811,7 @@ class TestFusedPass:
         sched = sample_schedule(3, width, seed, STATIC_HALF)
         for watchdog in ("off", "on", "strict"):  # these walk the groups
             assert_matches_reference(state, net, sched, watchdog)
-        assert_groups_tile_and_cut(net)
+        assert_group_sets(net)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
@@ -985,7 +1019,9 @@ class TestEventBlocks:
     def test_each_block_tables_its_widest_event_free_stretch(self, factoring_15,
                                                              gate_path):
         _, layout, net = factoring_15
-        near_start, near_end, middle, slid = self.long_blocks(net)[2:6]
+        long = self.long_blocks(net)
+        # the middle block's middle gate shares a qubit with the gate before
+        near_start, near_end, middle, slid = long[2], long[3], long[6], long[7]
         group = next(g for g in net.groups if g.start <= slid.start < g.stop)
         mid = (middle.start + middle.stop) // 2
         positions = [near_start.start + 1, near_end.stop - 1, mid]
@@ -1004,8 +1040,8 @@ class TestEventBlocks:
         # each in its own group, the pinned events walk its blocks: the
         # first event: one gate forward and back, then the table for the
         # rest; the second: the table, then one gate back and forward; the
-        # mid-block event leaves two stretches as wide, and the later is the
-        # table's; the last slides to its group's start and runs no single
+        # mid-block event leaves the later stretch, one gate wider, to the
+        # table; the last slides to its group's start and runs no single
         # gate
         assert [step for step in gate_path if step not in free] == [
             "the input state",
@@ -1096,7 +1132,7 @@ class TestSlide:
         for seed, each in enumerate([fresh_copy(net)] + [again] * 9):
             sched = sample_schedule(n_events, layout.qubit_count, 500 + seed, law)
             assert_rows_match_reference(init_state(130, layout), each, sched, watchdog)
-        assert group_lookups(again, gate_path)
+        assert group_lookups(again, gate_path, watchdog)
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
     def test_random_schedules_n21_n33(self, wide_instance, watchdog, gate_path):
@@ -1105,7 +1141,7 @@ class TestSlide:
         for seed in (4, 5):
             sched = sample_schedule(10, layout.qubit_count, seed, GAMMA)
             assert_rows_match_reference(init_state(q, layout), net, sched, watchdog)
-        assert group_lookups(net, gate_path)
+        assert group_lookups(net, gate_path, watchdog)
 
     @pytest.mark.parametrize("p1", [0.0, 1.0])
     @pytest.mark.parametrize("watchdog", ["off", "strict"])
@@ -1172,6 +1208,31 @@ class TestSlide:
         assert gate_path == ["the input state", ("table", 0, 3),
                              f"decay event at t={event.time}", ("table", 3, 4)]
 
+    @pytest.mark.parametrize("watchdog", ["on", "strict"])
+    def test_slides_across_a_checkpoint_on_its_qubit_only_when_not_strict(
+            self, watchdog, gate_path):
+        # No gate touches qubit 1, and the checkpoint on qubit 1 at 2 cuts
+        # the blocks 0..2 and 2..5.  The event before gate 3 counts from that
+        # checkpoint wherever it fires.  With the watchdog on, the one group
+        # 0..5 spans the checkpoint, and the event slides across it to the
+        # start; the strict groups are the two blocks, and the event slides
+        # to 2, after the checkpoint has projected qubit 1 onto 0.
+        net = ran_before(Network(
+            [gate_masks((), 0), gate_masks([0], 2), gate_masks((), 2),
+             gate_masks([2], 0), gate_masks((), 0)], 3, [Checkpoint.of(2, [1])]))
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 2), (2, 5)]
+        state = SparseState.from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5,
+                                             (0b011, 0): 0.5 ** 0.5})
+        event = event_at(3, 5, 1)
+        _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
+                                          watchdog, verify_norm=True)
+        assert log[0].clock_origin == 0.4
+        decay = f"decay event at t={event.time}"
+        assert gate_path == {
+            "on": ["the input state", decay, ("table", 0, 5)],
+            "strict": ["the input state", ("table", 0, 2), decay, ("table", 2, 5)],
+        }[watchdog]
+
     @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
     def test_events_keep_their_order_when_only_the_earlier_reaches_the_stop(
             self, watchdog, law, gate_path):
@@ -1211,35 +1272,63 @@ class TestSlide:
 
 class TestGroups:
     """A network that runs again walks its groups: runs of consecutive
-    blocks on at most BLOCK_WIRES wires that no checkpoint position cuts.
-    Its events first slide through the group's gates that do not touch
-    their qubits; a group with none left inside is one lookup, and one
-    with an event still inside walks its blocks, its parts.  Every path
-    agrees bit for bit with the chunked gate-by-gate reference."""
+    blocks on at most BLOCK_WIRES wires, which only in strict mode are also
+    cut at every checkpoint position (``net.checkpoint_groups``; with the
+    watchdog on or off, ``net.groups``).  Its events first slide through
+    the group's gates that do not touch their qubits; a group with none
+    left inside is one lookup, and one with an event still inside walks
+    its blocks, its parts.  Every path agrees bit for bit with the chunked
+    gate-by-gate reference."""
 
     def test_first_run_builds_no_group(self, factoring_15, gate_path):
+        # a strict first run stops at every event and checkpoint position;
+        # its second run builds the strict groups only
         _, layout, net = factoring_15
         net, total = fresh_copy(net), len(net.gates)
         sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
-        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
+        assert_rows_match_reference(init_state(130, layout), net, sched, "strict")
         masks = vars(net)["masks"]
-        assert "groups" not in vars(net)
+        assert not {"groups", "checkpoint_groups"} & vars(net).keys()
         assert all(isinstance(step, list) for step in gate_path)  # no lookup
         positions = {math.ceil(ev.time * total) for ev in sched.events}
         stops = {*positions, *(chk.position for chk in net.checkpoints)} - {0, total}
         assert len(gate_path) == len(stops) + 1
         gate_path.clear()
-        assert_rows_match_reference(init_state(130, layout), net, sched, "on")
-        assert net.masks is masks and "groups" in vars(net)
-        assert group_lookups(net, gate_path)
+        assert_rows_match_reference(init_state(130, layout), net, sched, "strict")
+        assert net.masks is masks and "checkpoint_groups" in vars(net)
+        assert "groups" not in vars(net)
+        assert group_lookups(net, gate_path, "strict")
+
+    @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
+    def test_first_run_stops_at_events_only(self, factoring_15, watchdog, law,
+                                            gate_path):
+        # with the watchdog on or off a checkpoint does not act on the
+        # state, so a first run makes one kernel call per distinct event
+        # position inside the gate list, plus one
+        _, layout, net = factoring_15
+        total = len(net.gates)
+        events = [*sample_schedule(10, layout.qubit_count, 7, law).events]
+        at = math.ceil(events[3].time * total)
+        events[3:5] = [DecayEvent((at - 0.5) / total, 2),  # two events before
+                       DecayEvent((at - 0.25) / total, 14)]  # one gate
+        sched = NoiseSchedule(events, law)
+        assert_rows_match_reference(init_state(130, layout), fresh_copy(net), sched,
+                                    watchdog)
+        positions = {math.ceil(ev.time * total) for ev in events}
+        assert len(positions) == 9 and all(0 < p < total for p in positions)
+        assert len(gate_path) == len(positions) + 1
+        assert gate_path == [step for step in first_run_path(net, events, watchdog)
+                             if isinstance(step, list)]
 
     def test_groups_tile_the_gates_and_span_no_checkpoint(self, factoring_15,
                                                           wide_instance):
         net = factoring_15[2]
-        assert (len(blocks_of(net)), len(assert_groups_tile_and_cut(net))) == (200, 72)
+        groups, cut = assert_group_sets(net)
+        assert (len(blocks_of(net)), len(groups), len(cut)) == (200, 40, 72)
         net = wide_instance[2]
         assert len(net.checkpoints) > 10
-        assert sum(1 for g in assert_groups_tile_and_cut(net) if g.parts) > 100
+        for each in assert_group_sets(net):
+            assert sum(1 for g in each if g.parts) > 100
 
     def test_second_run_without_inner_events_is_one_lookup_per_group(
             self, factoring_15, gate_path):
@@ -1253,7 +1342,11 @@ class TestGroups:
         assert gate_path == ["the input state", *tables]
         assert again.comp.tobytes() == first.comp.tobytes()
         assert np.array_equal(again.comp, apply_network_batch(state.comp, net))
-        # events on group boundaries fire between the lookups
+        # events on group boundaries fire between the lookups; a strict
+        # rerun builds and walks the groups cut at checkpoints
+        assert "checkpoint_groups" not in vars(net)
+        groups = net.checkpoint_groups
+        tables = [("table", g.start, g.stop) for g in groups]
         events = [event_at(groups[k].start, total, qb)
                   for k, qb in ((3, 14), (11, 2), (40, 20))]
         gate_path.clear()
@@ -1269,7 +1362,7 @@ class TestGroups:
             self, factoring_15, watchdog, law, gate_path):
         _, layout, net = factoring_15
         net = ran_before(net)
-        groups, total = net.groups, len(net.gates)
+        groups, total = walked_groups(net, watchdog), len(net.gates)
         several = [k for k, g in enumerate(groups) if g.parts]
         i, j = several[1], several[4]
         # to its group's start: a qubit no gate of the group touches, from
@@ -1298,7 +1391,7 @@ class TestGroups:
                                                          watchdog, law, gate_path):
         _, layout, net = factoring_15
         net = ran_before(net)
-        groups, total = net.groups, len(net.gates)
+        groups, total = walked_groups(net, watchdog), len(net.gates)
         k = [k for k, g in enumerate(groups) if g.parts][2]
         parts = groups[k].parts
         position = parts[1].start + 1
@@ -1640,8 +1733,29 @@ class TestSampleSchedule:
         with pytest.raises(ValueError, match=f"^n_qubits={n_qubits} must be at least 1$"):
             sample_schedule(3, n_qubits, 0, STATIC_HALF)
 
+    @pytest.mark.parametrize("n_events, n_qubits, name, value", [
+        (3, 2.5, "n_qubits", "2.5"), (3, "26", "n_qubits", "'26'"),
+        (2.0, 26, "n_events", "2.0")])
+    def test_counts_not_integers_refused(self, n_events, n_qubits, name, value):
+        # unchecked, a qubit count of 2.5 drew qubits from 0..2
+        with pytest.raises(ValueError, match=f"^{name}={value} must be an integer$"):
+            sample_schedule(n_events, n_qubits, 0, STATIC_HALF)
+
     def test_sixty_three_events(self):
         assert len(sample_schedule(MAX_EVENTS, 26, 0, STATIC_HALF).events) == MAX_EVENTS
+
+    @pytest.mark.parametrize("qubit", [1.5, 2.0, "3", None])
+    def test_event_qubits_not_integers_refused(self, qubit):
+        # unchecked, run() died with a TypeError inside the event loop
+        with pytest.raises(ValueError, match=re.escape(
+                f"DecayEvent(time=0.5, qubit={qubit!r}): the qubit must be an integer")):
+            NoiseSchedule([DecayEvent(0.25, 0), DecayEvent(0.5, qubit)], STATIC_HALF)
+
+    def test_numpy_integer_qubits_accepted(self, factoring_15):
+        _, layout, net = factoring_15
+        sched = NoiseSchedule([DecayEvent(0.5, np.int64(3)), DecayEvent(0.75, np.uint8(4))],
+                              STATIC_HALF)
+        assert_matches_reference(init_state(130, layout), net, sched)
 
     def test_schedule_invariants_enforced(self):
         with pytest.raises(ValueError):
