@@ -10,7 +10,6 @@ the least significant bit.
 from __future__ import annotations
 
 import sys
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -101,17 +100,16 @@ class Network:
 
     @cached_property
     def checkpoint_groups(self) -> list[FusedBlock]:
-        """The same blocks in groups also cut at every checkpoint position;
-        a group whose span ``groups`` holds too is the same object."""
+        """The same blocks in groups also cut at every checkpoint position."""
         return self._grouped({chk.position for chk in self.checkpoints})
 
     @cached_property
-    def touches(self) -> tuple[array, ...]:
-        """Per qubit, the indices of the gates touching it, ascending, as C
-        ints copied from numpy's bytes: no Python int is made per entry."""
+    def touches(self) -> tuple[memoryview, ...]:
+        """Per qubit, the indices of the gates touching it, ascending, as a
+        view of C ints: indexing it makes a Python int, storing it none."""
         ctrl, tgt = self.masks
         wires = ctrl | tgt
-        return tuple(array("i", np.flatnonzero(wires >> w & 1).astype(np.intc).tobytes())
+        return tuple(memoryview(np.flatnonzero(wires >> w & 1).astype(np.intc))
                      for w in range(self.qubit_count))
 
     @cached_property
@@ -122,24 +120,16 @@ class Network:
         positions = {chk.position for chk in self.checkpoints}
         return _fuse(ctrl, tgt, self.qubit_count, _spans(wires, positions, FUSE_WIRES))
 
-    @cached_property
-    def _fused(self) -> dict[tuple[int, int], FusedBlock]:
-        """Every group of several blocks built so far, by its (start, stop)."""
-        return {}
-
     def _grouped(self, cuts: set[int]) -> list[FusedBlock]:
-        """The blocks in groups, also cut at each position in ``cuts``; each
-        span of several blocks is fused once, for either group set."""
+        """The blocks in groups, also cut at each position in ``cuts``."""
         blocks, (ctrl, tgt) = self._blocks, self.masks
         touched = np.bitwise_or.reduceat(ctrl | tgt, [b.start for b in blocks])
         cut = {i for i, block in enumerate(blocks) if block.start in cuts}
-        runs = {(blocks[a].start, blocks[b - 1].stop): tuple(blocks[a:b])
-                for a, b in _spans(touched, cut, BLOCK_WIRES)}
-        new = {span: run for span, run in runs.items()
-               if len(run) > 1 and span not in self._fused}
-        self._fused.update(zip(new, _fuse(ctrl, tgt, self.qubit_count, list(new),
-                                          list(new.values()))))
-        return [self._fused[span] if len(run) > 1 else run[0] for span, run in runs.items()]
+        runs = [tuple(blocks[a:b]) for a, b in _spans(touched, cut, BLOCK_WIRES)]
+        several = [run for run in runs if len(run) > 1]
+        fused = iter(_fuse(ctrl, tgt, self.qubit_count,
+                           [(run[0].start, run[-1].stop) for run in several], several))
+        return [next(fused) if len(run) > 1 else run[0] for run in runs]
 
 
 @dataclass(frozen=True)
@@ -275,7 +265,7 @@ def apply_masks(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray) -> None:
     """
     if comp.dtype != np.int64:
         raise ValueError(f"basis strings must be int64, not {comp.dtype}")
-    controls, targets = ctrl.tolist(), tgt.tolist()
+    controls, targets = memoryview(ctrl), memoryview(tgt)  # ints made one at a time
     moved = reduce(or_, targets, 0)
     before = _read_planes(comp, reduce(or_, controls, moved))
     after = _run_gates(list(before), controls, targets, (1 << len(comp)) - 1)

@@ -142,6 +142,9 @@ class ExponentialDecay:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
+    """Decay events in time order under one law; each event's qubit is kept
+    as the Python int that ``operator.index`` makes of it."""
+
     events: tuple[DecayEvent, ...]
     law: StaticDecay | ExponentialDecay
 
@@ -153,7 +156,9 @@ class NoiseSchedule:
             raise ValueError("event times must lie strictly inside (0, 1)")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
-        if any(_integer(ev.qubit, f"{ev}: the qubit") < 0 for ev in events):
+        events = tuple(DecayEvent(ev.time, _integer(ev.qubit, f"{ev}: the qubit"))
+                       for ev in events)
+        if any(ev.qubit < 0 for ev in events):
             raise ValueError("negative qubit index in schedule")
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "law", law)
@@ -187,8 +192,8 @@ def sample_schedule(n_events: int, n_qubits: int, seed: int,
     """Uniform random times (sorted) and uniform random qubits, seed-determined;
     an ``n_events`` or ``n_qubits`` that is not an integer, an ``n_events``
     outside ``0..MAX_EVENTS`` or an ``n_qubits`` below 1 is a ``ValueError``."""
-    _integer(n_events, f"n_events={n_events!r}")
-    _integer(n_qubits, f"n_qubits={n_qubits!r}")
+    n_events = _integer(n_events, f"n_events={n_events!r}")
+    n_qubits = _integer(n_qubits, f"n_qubits={n_qubits!r}")
     if not 0 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events={n_events} outside 0..{MAX_EVENTS}")
     if n_qubits < 1:
