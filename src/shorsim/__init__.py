@@ -14,7 +14,7 @@ from .pipeline import (ExperimentConfig, FactorReport, continued_fraction_order,
 from .simulator import (DecayEvent, Distribution, ExponentialDecay,
                         NoiseSchedule, SparseState, StaticDecay, apply_decay,
                         distribution_ed, distribution_ned, dump_state,
-                        fourier_first_register, init_state,
+                        event_records, fourier_first_register, init_state,
                         inverse_fourier_first_register, outcome_tables, run,
                         sample_schedule)
 

@@ -13,12 +13,21 @@ from .arithmetic import ArithParams, build_modexp
 from .gates import RegisterLayout
 from .oracles import modpow, multiplicative_order
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
-                        init_state, outcome_tables, run, sample_schedule)
+                        _integer, init_state, outcome_tables, run, sample_schedule)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a reproducible experiment needs, range-checked when made."""
+    """Everything a reproducible experiment needs, checked when made.
+
+    Each integer field is kept as the Python int that ``operator.index``
+    makes of it, and one that is not an integer is a ``ValueError``.  So is
+    a field out of range, named: ``sample_from`` or ``watchdog`` not one of
+    its values, ``repetitions`` or ``samples`` below 1, a negative ``seed``,
+    ``n_events`` outside ``0..MAX_EVENTS``, and whatever
+    ``ArithParams.range_problem`` refuses of n, x and q.  A base sharing a
+    factor with n passes, for the gcd shortcut.
+    """
 
     n: int = 15
     x: int = 7
@@ -32,6 +41,9 @@ class ExperimentConfig:
     sample_from: str = "ned"  # or "ed": post-select runs with clean scratch
 
     def __post_init__(self):
+        for name in ("n", "x", "q", "n_events", "seed", "repetitions", "samples"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _integer(value, f"{name}={value!r}"))
         for name, ok, rule in [
                 ("sample_from", self.sample_from in ("ned", "ed"), "be 'ned' or 'ed'"),
                 ("watchdog", self.watchdog in ("off", "on", "strict"),
@@ -43,6 +55,8 @@ class ExperimentConfig:
                  f"lie in 0..{MAX_EVENTS}")]:
             if not ok:
                 raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
+        if problem := ArithParams.range_problem(self.n, self.x, self.q):
+            raise ValueError(f"{problem[0]}: {problem[1]}")
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import index, sub
+from numbers import Real
+from operator import index
 
 import numpy as np
 
-from .gates import (MAX_WIDTH, Checkpoint, FusedBlock, Network, RegisterLayout,
-                    apply_masks, check_gate_wires)
+from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, apply_masks,
+                    check_gate_wires)
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -118,6 +119,9 @@ class StaticDecay:
     p1: float
 
     def __post_init__(self):
+        if not isinstance(self.p1, Real):
+            raise ValueError(f"persistence probability p1={self.p1!r} must be a real "
+                             "number")
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError(f"persistence probability p1={self.p1} must lie in [0, 1]")
 
@@ -133,6 +137,8 @@ class ExponentialDecay:
     gamma: float
 
     def __post_init__(self):
+        if not isinstance(self.gamma, Real):
+            raise ValueError(f"decay rate gamma={self.gamma!r} must be a real number")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"decay rate gamma={self.gamma} must be finite and >= 0")
 
@@ -143,7 +149,8 @@ class ExponentialDecay:
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Decay events in time order under one law; each event's qubit is kept
-    as the Python int that ``operator.index`` makes of it."""
+    as the Python int that ``operator.index`` makes of it, and a time that is
+    not a real number is a ``ValueError`` naming the event."""
 
     events: tuple[DecayEvent, ...]
     law: StaticDecay | ExponentialDecay
@@ -151,6 +158,9 @@ class NoiseSchedule:
     def __init__(self, events: Sequence[DecayEvent],
                  law: StaticDecay | ExponentialDecay):
         events = tuple(events)
+        for ev in events:
+            if not isinstance(ev.time, Real):
+                raise ValueError(f"{ev}: the time must be a real number")
         times = [ev.time for ev in events]
         if any(not 0.0 < t < 1.0 for t in times):
             raise ValueError("event times must lie strictly inside (0, 1)")
@@ -166,10 +176,12 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class EventRecord:
-    """What the run loop actually applied for one decay event."""
+    """One decay event as ``run()`` applies it (``event_records``): time, qubit,
+    gate ``position`` before any slide, p1, p2 = 1 - p1 and p1's clock origin."""
 
     time: float
     qubit: int
+    position: int
     p1: float
     p2: float
     clock_origin: float
@@ -268,67 +280,79 @@ def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
     return SparseState(state.qubit_count, state.env_count + 1, comp, env, amp)
 
 
+def event_records(net: Network, schedule: NoiseSchedule,
+                  watchdog: str = "off") -> list[EventRecord]:
+    """One ``EventRecord`` per event of the schedule, in order, as ``run()``
+    applies them in this watchdog mode.  An event at time t fires just
+    before gate ceil(t * G) of G.  With the watchdog 'on' or 'strict', each
+    checkpoint resets its qubits' clocks to its position over G (no register
+    qubit is in one), after the events at that position: so an event's
+    clock origin is its qubit's last reset strictly before it, 0.0 if none
+    or with the watchdog 'off', and p1 is the law's from there.  Reads only
+    ``net.gates`` and ``net.checkpoints``, as given (``run()`` validates
+    them), so no masks are compiled and a network's next run stays its
+    first.  An unknown mode is a ``ValueError``."""
+    if watchdog not in ("off", "on", "strict"):
+        raise ValueError(f"unknown watchdog mode {watchdog!r}")
+    total = len(net.gates)
+    resets = net.checkpoints if watchdog != "off" and total else ()  # G = 0: none before
+    records = []
+    for ev in schedule.events:
+        position = math.ceil(ev.time * total)
+        before = bisect.bisect_left(resets, position, key=lambda chk: chk.position)
+        origin = next((chk.position / total for chk in reversed(resets[:before])
+                       if chk.mask >> ev.qubit & 1), 0.0)
+        p1 = schedule.law.persist_probability(ev.time, origin)
+        records.append(EventRecord(ev.time, ev.qubit, position, p1, 1.0 - p1, origin))
+    return records
+
+
 def run(state: SparseState, net: Network, schedule: NoiseSchedule,
-        watchdog: str = "off", *, event_log: list[EventRecord] | None = None,
-        verify_norm: bool = False) -> SparseState:
+        watchdog: str = "off", *, verify_norm: bool = False) -> SparseState:
     """Evolve through the network with decay events interleaved.
 
-    An event at time t fires just before gate index ceil(t * G), G being the
-    gate count.  Each qubit has a watchdog clock that starts at 0 with the
-    run.  With ``watchdog='on'`` every checkpoint resets the clocks of its
-    qubits to its position over G, so later decays of those qubits use the
-    time since their last confirmation instead of the full elapsed time;
-    register qubits never appear in checkpoints and keep counting from the
-    start.  ``watchdog='strict'`` additionally projects the checkpoint
-    qubits onto 0 and renormalizes, discarding detected-error branches.
-    Events fire before checkpoints at the same position, so each event's
-    clock origin, the last reset of its qubit strictly before its position
-    (0 with the watchdog off), and its persistence probability are fixed
-    before any gate.  ``event_log`` receives one ``EventRecord`` per event,
-    with that clock origin.  Only strict checkpoints act on the state, so
-    only a strict run stops, or cuts its groups, at checkpoints.
+    Each event fires with the p1 of its ``event_records`` record, before
+    gate ``position`` or where it slides to.  ``watchdog='strict'`` also
+    projects each checkpoint's qubits onto 0 after the events there and
+    renormalizes, discarding detected-error branches; only a strict run
+    stops, or cuts its groups, at checkpoints.
 
     A run that finds ``net.masks`` compiled is a rerun: the network ran
     before (or went through ``apply_network_batch``) and, as a rule, will
-    run again.  A first run compiles and caches the masks, validated once
-    with the checkpoints (a bad network, or a gate on more than 16 wires
-    by ``check_gate_wires``, is a ``ValueError`` before any gate).  It
-    builds no table: the gates between consecutive stops, the event and
-    any strict checkpoint positions, are one ``apply_masks`` kernel call.
-    A rerun walks groups of 14-wire blocks on at most 16 wires, each set
-    built on the first rerun that walks it: ``net.groups`` with the
-    watchdog on or off, and ``net.checkpoint_groups``, also cut at every
-    checkpoint position, in strict mode; the blocks are cut there either
-    way.  An event strictly inside a group or block first slides, in
-    order, through the gates not touching its qubit (``_slide``), to leave
-    the widest stretch free of events: to the start, after the checkpoints
-    there, or to the stop, before them; with the watchdog on or off, also
-    across checkpoints.  A group with no event left inside is one lookup,
-    and one with an event inside walks its blocks (``parts``).  In a block
-    with events inside, the table stands for its widest event-free
-    stretch, the latest on a tie, and the gates on either side run twice
-    through the kernel (each gate is its own inverse): forward from the
-    start through the earlier events and back, the table, then back from
-    the stop to the later events and forward.  The output is bit-identical
-    to a first run's.  A decay that would leave more than
+    run again.  A first run compiles, validates and caches the masks, and
+    builds no table: the gates between stops, events and strict
+    checkpoints, are one ``apply_masks`` kernel call.  A rerun walks groups
+    of 14-wire blocks on at most 16 wires, built on the first rerun that
+    walks them: ``net.groups``, or in strict mode ``net.checkpoint_groups``,
+    also cut at every checkpoint position, as the blocks always are.  An
+    event strictly inside a group or block first slides, in order, through
+    the gates not touching its qubit (``_slide``), to leave the widest
+    stretch free of events: to the start, after the checkpoints there, or
+    to the stop, before them; unless strict, also across checkpoints.  A
+    group with no event left inside is one lookup, and one with an event
+    inside walks its blocks (``parts``).  In a block with events inside,
+    the table stands for the widest event-free stretch that ``_slide``
+    left, and the gates on either side run twice through the kernel (each
+    gate is its own inverse): forward from the start through the earlier
+    events and back, the table, then back from the stop to the later events
+    and forward.  The output is bit-identical to a first run's.
+
+    Each of these is a ``ValueError`` before any gate: a bad network, a gate
+    on more than 16 wires (``check_gate_wires``), more than 63 events in
+    the environment record, an event qubit outside the state, and a network
+    wider than the state.  A decay that would leave more than
     ``MAX_COMPONENTS`` components is a ``ComponentBudgetError`` naming the
-    event, before its split.  At most 63 decay events fit the environment
-    record, every event qubit must lie inside the state, and the network
-    must be no wider than the state; each is checked before any gate.
-    ``verify_norm`` checks the norm of the input state once the masks and
-    any groups are built, and after every decay event; gates and lookups
-    permute basis strings and never touch an amplitude, so they cannot
-    move it.
+    event, before its split.  ``verify_norm`` checks the norm of the input
+    state once the masks and any groups are built, and after every decay
+    event; gates and lookups only permute basis strings.
     """
-    if watchdog not in ("off", "on", "strict"):
-        raise ValueError(f"unknown watchdog mode {watchdog!r}")
-    events = schedule.events
-    if state.env_count + len(events) > MAX_EVENTS:
-        raise ValueError(f"{state.env_count} recorded plus {len(events)} new "
+    records = event_records(net, schedule, watchdog)
+    if state.env_count + len(records) > MAX_EVENTS:
+        raise ValueError(f"{state.env_count} recorded plus {len(records)} new "
                          f"decay events exceed the limit of {MAX_EVENTS}")
-    for ev in events:
-        if ev.qubit >= state.qubit_count:
-            raise ValueError(f"event qubit {ev.qubit} outside state width "
+    for rec in records:
+        if rec.qubit >= state.qubit_count:
+            raise ValueError(f"event qubit {rec.qubit} outside state width "
                              f"{state.qubit_count}")
     if net.qubit_count > state.qubit_count:
         raise ValueError(f"network of {net.qubit_count} qubits is wider than "
@@ -345,28 +369,19 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     comp = state.comp.astype(np.int64)  # a private contiguous copy
     env = state.env.copy()
     amp = state.amp.copy()
-    env_count = state.env_count
 
-    positions = [min(math.ceil(ev.time * total), total) for ev in events]
-    origins = [_clock_origin(net.checkpoints, pos, ev.qubit, total)
-               if watchdog != "off" else 0.0 for pos, ev in zip(positions, events)]
-    p1s = [schedule.law.persist_probability(ev.time, origin)
-           for ev, origin in zip(events, origins)]
+    positions = [rec.position for rec in records]  # where each event fires
     checkpoints = net.checkpoints if strict else ()  # in order: compiling checked that
     ei = ci = 0
 
     def settle(g: int) -> None:
         """Fire the events, then project at the checkpoints, that sit before
         gate g."""
-        nonlocal comp, env, amp, env_count, ei, ci
-        while ei < len(events) and positions[ei] == g:
-            ev, p1 = events[ei], p1s[ei]
-            if event_log is not None:
-                event_log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1,
-                                             origins[ei]))
-            comp, env, amp = _split(comp, env, amp, env_count, ev.qubit, p1,
+        nonlocal comp, env, amp, ei, ci
+        while ei < len(records) and positions[ei] == g:
+            ev = records[ei]
+            comp, env, amp = _split(comp, env, amp, state.env_count + ei, ev.qubit, ev.p1,
                                     f"decay event at t={ev.time} on qubit {ev.qubit}")
-            env_count += 1
             ei += 1
             if verify_norm:
                 _check_norm(amp, f"decay event at t={ev.time}")
@@ -399,52 +414,42 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
         start, stop = block.start, block.stop
         settle(start)
         end = bisect.bisect_left(positions, stop, ei)
+        a, b = start, stop  # the widest event-free stretch
         if end > ei:
-            positions[ei:end] = _slide(positions[ei:end], events[ei:end], net.touches,
-                                       start, stop)
+            positions[ei:end], (a, b) = _slide(positions[ei:end], records[ei:end],
+                                               net.touches, start, stop)
             settle(start)  # the events slid to the start; its checkpoints have run
-            end = bisect.bisect_left(positions, stop, ei)
-        inner = sorted(set(positions[ei:end]))
-        if not inner:
+        if (a, b) == (start, stop):  # no event left inside
             block.apply(comp)
         elif block.parts:
             for part in block.parts:
                 walk(part)
         else:  # the table stands for the widest event-free stretch
-            ends = [start, *inner, stop]
-            j = max(range(len(inner), -1, -1), key=lambda j: ends[j + 1] - ends[j])
-            stretch(start, ends[j])  # forward through the earlier events
-            back(start, ends[j])  # and back
+            stretch(start, a)  # forward through the earlier events
+            back(start, a)  # and back
             block.apply(comp)
-            back(ends[j + 1], stop)  # back to the later events
-            stretch(ends[j + 1], stop)  # and forward through them
+            back(b, stop)  # back to the later events
+            stretch(b, stop)  # and forward through them
 
     for unit in units:
         walk(unit)
     stretch(total if rerun else 0, total)  # a rerun's units ran every gate
-    return SparseState(state.qubit_count, env_count, comp, env, amp)
+    return SparseState(state.qubit_count, state.env_count + ei, comp, env, amp)
 
 
-def _clock_origin(checkpoints: Sequence[Checkpoint], position: int, qubit: int,
-                  total: int) -> float:
-    """The position over ``total`` of the last of ``checkpoints``, in order,
-    on ``qubit`` strictly before ``position``, or 0.0 if there is none."""
-    before = bisect.bisect_left(checkpoints, position, key=lambda chk: chk.position)
-    return next((chk.position / total for chk in reversed(checkpoints[:before])
-                 if chk.mask >> qubit & 1), 0.0)
-
-
-def _slide(positions: list[int], events: Sequence[DecayEvent],
-           touches: Sequence[Sequence[int]], start: int, stop: int) -> list[int]:
+def _slide(positions: list[int], events: Sequence[EventRecord],
+           touches: Sequence[Sequence[int]], start: int, stop: int,
+           ) -> tuple[list[int], tuple[int, int]]:
     """New positions for ``events`` at ``positions`` inside the block of gates
-    start..stop-1; ``touches`` holds, per qubit, the ascending indices of
-    the gates touching it (``Network.touches``), and none for a qubit past
-    its end.  A decay commutes with the gates not touching its qubit, so
-    each event may fire anywhere between the nearest gates around it that
-    touch its qubit, or the block's ends.  Events keep their order: those
-    before a split j are packed left, the rest right, with the split that
-    leaves the widest stretch of the block free of events, the latest split
-    on a tie."""
+    start..stop-1, and the widest stretch (a, b) of the block they leave
+    free of events, the latest on a tie: (start, stop) when none is left
+    strictly inside.  ``touches`` holds, per qubit, the ascending indices
+    of the gates touching it (``Network.touches``), and none for a qubit
+    past its end.  A decay commutes with the gates not touching its qubit,
+    so each event may fire anywhere between the nearest gates around it
+    that touch its qubit, or the block's ends.  Events keep their order:
+    those before a split j are packed left, the rest right, with the split
+    whose widest stretch is widest, the latest split on a tie."""
     low, high = [], []
     for pos, ev in zip(positions, events):
         touch = touches[ev.qubit] if ev.qubit < len(touches) else ()
@@ -453,8 +458,12 @@ def _slide(positions: list[int], events: Sequence[DecayEvent],
         high.append(min(touch[at], stop) if at < len(touch) else stop)
     left = list(itertools.accumulate(low, max))
     right = list(itertools.accumulate(high[::-1], min))[::-1]
-    splits = [left[:j] + right[j:] for j in range(len(left), -1, -1)]
-    return max(splits, key=lambda slots: max(map(sub, [*slots, stop], [start, *slots])))
+    splits = []  # the latest first, as max keeps the first on a tie
+    for j in range(len(left), -1, -1):
+        ends = [start, *left[:j], *right[j:], stop]
+        width, a = max((b - a, a) for a, b in zip(ends, ends[1:]))  # the latest on a tie
+        splits.append((width, ends[1:-1], (a, a + width)))
+    return max(splits, key=lambda split: split[0])[1:]
 
 
 def _check_norm(amp: np.ndarray, where: str) -> None:

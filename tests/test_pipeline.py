@@ -164,7 +164,24 @@ CONFIG_REFUSALS = [
     ("n_events", -1, "n_events must lie in 0..63, got -1"),
     ("n_events", 64, "n_events must lie in 0..63, got 64"),
     ("seed", -1, "seed must be at least 0, got -1"),
-    ("watchdog", "bogus", "watchdog must be 'off', 'on' or 'strict', got 'bogus'")]
+    ("watchdog", "bogus", "watchdog must be 'off', 'on' or 'strict', got 'bogus'"),
+    # n, x and q as ArithParams.range_problem refuses them, before the gcd
+    # shortcut: unchecked, x=15, 0 or 30 "factored" 15 into {1, 15}
+    ("n", 2, "n: cannot factor 2"),
+    ("x", 15, "x: base 15 must lie strictly between 1 and 15"),
+    ("x", 0, "x: base 0 must lie strictly between 1 and 15"),
+    ("x", 30, "x: base 30 must lie strictly between 1 and 15"),
+    ("q", 1, "q: q must lie in 2..65536, got 1"),
+    ("q", 65537, "q: q must lie in 2..65536, got 65537"),
+    # integer fields that are not integers: unchecked, they failed deep in
+    # the run with an AttributeError or a TypeError
+    ("n", 15.0, "n=15.0 must be an integer"),
+    ("x", "7", "x='7' must be an integer"),
+    ("q", 130.5, "q=130.5 must be an integer"),
+    ("n_events", 2.5, "n_events=2.5 must be an integer"),
+    ("seed", 1.5, "seed=1.5 must be an integer"),
+    ("repetitions", 2.5, "repetitions=2.5 must be an integer"),
+    ("samples", 2.5, "samples=2.5 must be an integer")]
 
 
 class TestRunExperiment:
@@ -233,6 +250,22 @@ class TestRunExperiment:
         ("watchdog", "off"), ("watchdog", "strict"), ("seed", 0)])
     def test_field_at_the_edge_of_its_range_accepted(self, field, value):
         assert getattr(ExperimentConfig(**{field: value}), field) == value
+
+    def test_numpy_integer_fields_kept_as_python_ints(self):
+        # unchecked, n=np.int64(15) died in the run on n.bit_length()
+        names = ("n", "x", "q", "n_events", "seed", "repetitions", "samples")
+        cfg = ExperimentConfig(n=np.int64(15), x=np.uint8(7), q=np.int32(16),
+                               n_events=np.int16(2), seed=np.uint64(3),
+                               repetitions=np.int8(2), samples=np.int64(3))
+        assert [type(getattr(cfg, name)) for name in names] == [int] * len(names)
+        assert [getattr(cfg, name) for name in names] == [15, 7, 16, 2, 3, 2, 3]
+        assert len(run_experiment(cfg).repetitions) == 2
+
+    def test_shared_factor_base_in_range_still_shortcuts(self):
+        # x=5 passes the range check; q=1 with it no longer does
+        assert ExperimentConfig(x=5).x == 5
+        with pytest.raises(ValueError, match="^q: q must lie in 2..65536, got 1$"):
+            ExperimentConfig(x=5, q=1)
 
     def test_noisy_run_with_ed_sampling(self):
         cfg = ExperimentConfig(n=15, x=7, q=16, n_events=3,

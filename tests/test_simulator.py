@@ -11,10 +11,10 @@ import pytest
 
 from shorsim import (ArithParams, Network, RegisterLayout, apply_decay,
                      apply_network_batch, build_modexp, distribution_ed,
-                     distribution_ned, dump_state, fourier_first_register, gates,
-                     init_state, inverse_fourier_first_register,
-                     network_from_text, outcome_tables, run, sample_schedule,
-                     simulator)
+                     distribution_ned, dump_state, event_records,
+                     fourier_first_register, gates, init_state,
+                     inverse_fourier_first_register, network_from_text,
+                     outcome_tables, run, sample_schedule, simulator)
 from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks, gate_masks, mask_bits
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
@@ -133,6 +133,23 @@ class TestDecayLaws:
         with pytest.raises(ValueError, match="gamma=.* must be finite and >= 0"):
             ExponentialDecay(gamma)
 
+    @pytest.mark.parametrize("p1", [None, "0.5", 1 + 0j])
+    def test_static_law_needs_a_number(self, p1):
+        # unchecked, the range check raised a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"persistence probability p1={p1!r} must be a real number")):
+            StaticDecay(p1)
+
+    @pytest.mark.parametrize("gamma", [None, "0.5", 1 + 0j])
+    def test_exponential_law_needs_a_number(self, gamma):
+        with pytest.raises(ValueError, match=re.escape(
+                f"decay rate gamma={gamma!r} must be a real number")):
+            ExponentialDecay(gamma)
+
+    def test_numpy_floats_are_numbers(self):
+        assert StaticDecay(np.float32(0.5)).p1 == 0.5
+        assert ExponentialDecay(np.float32(2.5)).persist_probability(0.0, 0.0) == 1.0
+
     def test_bounds_are_laws(self):
         assert StaticDecay(0.0).p1 == 0.0 and StaticDecay(1.0).p1 == 1.0
         assert ExponentialDecay(0.0).persist_probability(0.9, 0.0) == 1.0
@@ -189,13 +206,23 @@ class TestRun:
     def test_event_log_reports_probabilities(self, factoring_15):
         _, layout, net = factoring_15
         sched = sample_schedule(5, layout.qubit_count, 2, ExponentialDecay(2.5))
-        log = []
-        run(init_state(130, layout), net, sched, event_log=log)
+        log = event_records(net, sched)
         assert len(log) == 5
         for record, event in zip(log, sched.events):
             assert record.time == event.time and record.qubit == event.qubit
             assert record.p1 == pytest.approx(math.exp(-2.5 * event.time))
             assert record.p2 == pytest.approx(1 - record.p1)
+
+    def test_event_records_leave_the_next_run_a_first_run(self, factoring_15, gate_path):
+        _, layout, net = factoring_15
+        net = fresh_copy(net)
+        sched = sample_schedule(10, layout.qubit_count, 5, GAMMA)
+        for mode in ("off", "on", "strict"):
+            event_records(net, sched, mode)
+        assert "masks" not in vars(net)
+        run(init_state(130, layout), net, sched, "on")
+        assert "masks" in vars(net) and "groups" not in vars(net)
+        assert all(isinstance(step, list) for step in gate_path)  # no lookup
 
 
 class TestRunBoundary:
@@ -341,6 +368,14 @@ class TestRunBoundary:
             run(single_component(2, 0), net, NoiseSchedule([], STATIC_HALF),
                 "strict")
 
+    def test_checkpoint_before_a_gate_free_network_rejected(self):
+        # event_records reads the checkpoints before run() validates them;
+        # unguarded, the clock origin -1 / 0 was a ZeroDivisionError
+        net = Network([], 1, [Checkpoint(-1, 1)])
+        sched = NoiseSchedule([DecayEvent(0.5, 0)], GAMMA)
+        with pytest.raises(ValueError, match="^checkpoint 0: position -1 outside 0..0$"):
+            run(single_component(1, 1), net, sched, "on")
+
     def test_checkpoint_qubit_below_zero_rejected(self):
         # unchecked, qubit -1 would index the clocks from the end and reset
         # qubit 1's clock; the index path refuses it, and run() refuses a
@@ -356,11 +391,7 @@ class TestWatchdog:
     def test_decay_probability_never_larger_with_watchdog(self, factoring_15):
         _, layout, net = factoring_15
         sched = sample_schedule(10, layout.qubit_count, 5, ExponentialDecay(2.5))
-        logs = {}
-        for mode in ("on", "off"):
-            logs[mode] = []
-            run(init_state(130, layout), net, sched, watchdog=mode,
-                event_log=logs[mode])
+        logs = {mode: event_records(net, sched, mode) for mode in ("on", "off")}
         for rec_on, rec_off in zip(logs["on"], logs["off"]):
             assert rec_on.p2 <= rec_off.p2 + 1e-15
         assert any(rec_on.p2 < rec_off.p2
@@ -369,9 +400,7 @@ class TestWatchdog:
     def test_clock_origins_never_exceed_event_time(self, factoring_15):
         _, layout, net = factoring_15
         sched = sample_schedule(10, layout.qubit_count, 8, ExponentialDecay(2.5))
-        log = []
-        run(init_state(130, layout), net, sched, watchdog="on", event_log=log)
-        for rec in log:
+        for rec in event_records(net, sched, "on"):
             assert rec.clock_origin <= rec.time
 
     def test_register_clocks_never_reset(self, factoring_15):
@@ -385,11 +414,8 @@ class TestWatchdog:
         last = max(chk.position for chk in net.checkpoints
                    if scratch in chk.qubits
                    and chk.position < math.ceil(events[-1].time * total))
-        logs = {}
-        for mode in ("off", "on"):
-            logs[mode] = []
-            run(init_state(130, layout), net, NoiseSchedule(events, GAMMA),
-                watchdog=mode, event_log=logs[mode])
+        logs = {mode: event_records(net, NoiseSchedule(events, GAMMA), mode)
+                for mode in ("off", "on")}
         assert [rec.clock_origin for rec in logs["on"]] == [0.0] * 12 + [last / total]
         assert last / total > 0.95
         assert [rec.clock_origin for rec in logs["off"]] == [0.0] * 13
@@ -397,14 +423,18 @@ class TestWatchdog:
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
     def test_gate_free_network_counts_from_zero(self, watchdog):
         # every position is 0, and no checkpoint lies strictly before an
-        # event there, so the clock origin is 0.0 on a first run and a rerun
+        # event there, so the clock origin is 0.0; a first run and a rerun
+        # both fire the event with that p1, then project in strict mode
         net = Network([], 1, [Checkpoint.of(0, [0])])
         p1 = math.exp(-2.5 * 0.5)
+        sched = NoiseSchedule([DecayEvent(0.5, 0)], GAMMA)
+        assert event_records(net, sched, watchdog) == [
+            EventRecord(0.5, 0, 0, p1, 1.0 - p1, 0.0)]
         for _ in range(2):
-            log = []
-            run(single_component(1, 0b1), net, NoiseSchedule([DecayEvent(0.5, 0)], GAMMA),
-                watchdog, event_log=log)
-            assert log == [EventRecord(0.5, 0, p1, 1.0 - p1, 0.0)]
+            out = run(single_component(1, 0b1), net, sched, watchdog)
+            assert out.as_dict() == pytest.approx(
+                {(0b0, 1): 1.0} if watchdog == "strict"
+                else {(0b1, 0): math.sqrt(p1), (0b0, 1): math.sqrt(1.0 - p1)})
         assert "masks" in vars(net)
 
     def test_strict_mode_keeps_only_clean_scratch(self, factoring_15):
@@ -437,7 +467,8 @@ def chunked_reference(state, net, sched, watchdog="off"):
     events fire first, each with p1 from the law and its qubit's clock;
     then each checkpoint resets its qubits' clocks ('on', 'strict') and,
     in 'strict', projects them onto 0 and renormalises.  Returns the final
-    state and the event records, which carry each event's clock origin."""
+    state and the event records, which carry each event's position and clock
+    origin."""
     total = len(net.gates)
     clocks = np.zeros(state.qubit_count)
     log = []
@@ -454,7 +485,7 @@ def chunked_reference(state, net, sched, watchdog="off"):
             if pos == stop:
                 origin = float(clocks[ev.qubit])
                 p1 = sched.law.persist_probability(ev.time, origin)
-                log.append(EventRecord(ev.time, ev.qubit, p1, 1.0 - p1, origin))
+                log.append(EventRecord(ev.time, ev.qubit, pos, p1, 1.0 - p1, origin))
                 state = apply_decay(state, ev.qubit, p1)
         for chk in net.checkpoints:
             if chk.position != stop or watchdog == "off":
@@ -473,11 +504,11 @@ def chunked_reference(state, net, sched, watchdog="off"):
 
 
 def assert_matches_reference(state, net, sched, watchdog="off", **kw):
-    """run() equals the chunked reference: snapshot byte for byte, and the
-    event records with their clock origins."""
-    log = []
-    out = run(state, net, sched, watchdog, event_log=log, **kw)
-    got = (dump_state(out), log)
+    """run() equals the chunked reference: snapshot byte for byte, and
+    event_records the reference's records, with positions and clock
+    origins."""
+    out = run(state, net, sched, watchdog, **kw)
+    got = (dump_state(out), event_records(net, sched, watchdog))
     want, want_log = chunked_reference(state, net, sched, watchdog)
     assert got == (dump_state(want), want_log)
     return got
@@ -486,12 +517,13 @@ def assert_matches_reference(state, net, sched, watchdog="off", **kw):
 def assert_rows_match_reference(state, net, sched, watchdog="off"):
     """run() equals the chunked reference row for row: comp, env and amp
     byte for byte and in the same order, which makes the snapshots
-    byte-equal too, and the same event records with their clock origins.
-    It formats no snapshot, so it is the cheaper check on large states."""
-    log = []
-    out = run(state, net, sched, watchdog, event_log=log)
+    byte-equal too, and event_records the reference's records, with
+    positions and clock origins.  It formats no snapshot, so it is the
+    cheaper check on large states."""
+    out = run(state, net, sched, watchdog)
     want, want_log = chunked_reference(state, net, sched, watchdog)
-    assert (log, out.env_count) == (want_log, want.env_count)
+    assert event_records(net, sched, watchdog) == want_log
+    assert out.env_count == want.env_count
     for got, ref in ((out.comp, want.comp), (out.env, want.env), (out.amp, want.amp)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -1097,11 +1129,11 @@ class TestEventBlocks:
         # qubit 1 after the last gate counts from the checkpoint's reset.
         net = Network([gate_masks((), 1), gate_masks((), 0)], 2, [Checkpoint.of(1, [1])])
         sched = NoiseSchedule([event_at(1, 2, 1), event_at(2, 2, 1)], GAMMA)
-        log = []
-        out = run(single_component(2, 0), net, sched, watchdog, event_log=log)
+        out = run(single_component(2, 0), net, sched, watchdog)
         p1, later = math.exp(-2.5 * 0.25), math.exp(-2.5 * (0.75 - 0.5))
-        assert log == [EventRecord(0.25, 1, p1, 1.0 - p1, 0.0),
-                       EventRecord(0.75, 1, later, 1.0 - later, 0.5)]
+        assert event_records(net, sched, watchdog) == [
+            EventRecord(0.25, 1, 1, p1, 1.0 - p1, 0.0),
+            EventRecord(0.75, 1, 2, later, 1.0 - later, 0.5)]
         if watchdog == "strict":
             assert out.as_dict() == {(0b01, 1): 1.0}
         else:
@@ -1140,6 +1172,36 @@ class TestSlide:
             sched = sample_schedule(10, layout.qubit_count, seed, GAMMA)
             assert_rows_match_reference(init_state(q, layout), net, sched, watchdog)
         assert group_lookups(net, gate_path, watchdog)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slide_on_random_blocks(self, seed):
+        # _slide alone, on random gates touching random qubits, a random
+        # block and events strictly inside it, some on qubits past the end
+        # of touches.
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            total = int(rng.integers(2, 30))
+            touches = [np.flatnonzero(rng.random(total) < rng.random()).tolist()
+                       for _ in range(int(rng.integers(1, 5)))]
+            start = int(rng.integers(0, total - 1))
+            stop = int(rng.integers(start + 2, total + 1))
+            count = int(rng.integers(1, 5))
+            positions = sorted(rng.integers(start + 1, stop, count).tolist())
+            events = [DecayEvent(0.5, int(rng.integers(0, len(touches) + 2)))
+                      for _ in positions]
+            slid, (a, b) = simulator._slide(positions, events, touches, start, stop)
+            assert slid == sorted(slid)  # the events keep their order
+            for pos, new, ev in zip(positions, slid, events):
+                touch = touches[ev.qubit] if ev.qubit < len(touches) else []
+                assert max([start, *(g + 1 for g in touch if g < pos)]) <= new
+                assert new <= min([stop, *(g for g in touch if g >= pos)])
+            ends = [start, *slid, stop]
+            gaps = list(zip(ends, ends[1:]))
+            widest = max(hi - lo for lo, hi in gaps)
+            assert (a, b) == [gap for gap in gaps if gap[1] - gap[0] == widest][-1]
+            assert not [pos for pos in slid if a < pos < b]
+            inside = [pos for pos in slid if start < pos < stop]
+            assert ((a, b) == (start, stop)) == (not inside)
 
     @pytest.mark.parametrize("p1", [0.0, 1.0])
     @pytest.mark.parametrize("watchdog", ["off", "strict"])
@@ -1748,6 +1810,17 @@ class TestSampleSchedule:
         with pytest.raises(ValueError, match=re.escape(
                 f"DecayEvent(time=0.5, qubit={qubit!r}): the qubit must be an integer")):
             NoiseSchedule([DecayEvent(0.25, 0), DecayEvent(0.5, qubit)], STATIC_HALF)
+
+    @pytest.mark.parametrize("time", [None, "0.5", 1 + 0j])
+    def test_event_times_not_numbers_refused(self, time):
+        # unchecked, the time checks raised a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"DecayEvent(time={time!r}, qubit=0): the time must be a real number")):
+            NoiseSchedule([DecayEvent(time, 0)], STATIC_HALF)
+
+    def test_numpy_float_times_accepted(self):
+        sched = NoiseSchedule([DecayEvent(np.float32(0.5), 0)], STATIC_HALF)
+        assert sched.events[0].time == 0.5
 
     @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
     def test_numpy_integer_qubits_accepted(self, factoring_15, watchdog):
