@@ -43,19 +43,17 @@ class ArithParams:
 
     @classmethod
     def create(cls, n: int, x: int, q: int) -> ArithParams:
-        problem = cls.range_problem(n, x, q)
-        if problem is not None:
+        if problem := cls.range_problem(n, x, q):
             raise ValueError(problem[1])
-        g = math.gcd(x, n)
-        if g != 1:
+        if (g := math.gcd(x, n)) != 1:
             raise ValueError(f"gcd({x}, {n}) = {g}; {g} is already a factor of {n}")
         # The usual choice N^2 <= q <= 2 N^2 is advisory and not enforced.
         return cls(n, x, q, n.bit_length())
 
     @staticmethod
-    def range_problem(n: int, x: int | None, q: int) -> tuple[str, str] | None:
-        """The first of n, x (None: drawn later) and q out of range, as
-        (name, message); a base sharing a factor with n is in range.
+    def range_problem(n: int, x: int, q: int) -> tuple[str, str] | None:
+        """The first of n, x and q out of range, as (name, message); a base
+        sharing a factor with n is in range.
 
         q lies in ``2..MAX_Q``.  q is the component count of the initial
         state, and the outcome tables and the CSV give every second-register
@@ -66,7 +64,7 @@ class ArithParams:
         """
         if n < 3:
             return "n", f"cannot factor {n}"
-        if x is not None and not 1 < x < n:
+        if not 1 < x < n:
             return "x", f"base {x} must lie strictly between 1 and {n}"
         if not 2 <= q <= MAX_Q:
             return "q", f"q must lie in 2..{MAX_Q}, got {q}"
@@ -89,19 +87,13 @@ class ResourceReport:
 
 
 def mod_inverse(c: int, n: int) -> int:
-    """The multiplicative inverse of c mod n, via the extended Euclid algorithm."""
+    """The multiplicative inverse of c mod n, ``pow(c, -1, n)``."""
     if not 0 < c < n:
         raise ValueError(f"need 0 < c < n, got c={c}, n={n}")
-    r0, r1 = n, c
-    s0, s1 = 0, 1
-    while r1:
-        k = r0 // r1
-        r0, r1 = r1, r0 - k * r1
-        s0, s1 = s1, s0 - k * s1
-    if r0 != 1:
-        raise ValueError(f"gcd({c}, {n}) = {r0}; {r0} is a factor of {n}, "
+    if (g := math.gcd(c, n)) != 1:
+        raise ValueError(f"gcd({c}, {n}) = {g}; {g} is a factor of {n}, "
                          "no modular inverse exists")
-    return s0 % n
+    return pow(c, -1, n)
 
 
 def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import nullcontext
@@ -14,9 +15,9 @@ from .arithmetic import (ArithParams, ResourceReport, build_modexp, gate_count_f
 from .gates import (Network, RegisterLayout, apply_network_batch, network_to_text,
                     validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
-from .pipeline import (ExperimentConfig, ideal_distribution, repetition_seeds,
-                       run_experiment)
-from .simulator import (MAX_EVENTS, ComponentBudgetError, Distribution,
+from .pipeline import (ConfigError, ExperimentConfig, ideal_distribution,
+                       repetition_seeds, run_experiment)
+from .simulator import (ComponentBudgetError, Distribution,
                         ExponentialDecay, NoiseSchedule, SparseState, StaticDecay,
                         distribution_ed, distribution_ned,
                         fourier_first_register, init_state, run, sample_schedule)
@@ -61,14 +62,14 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
     """Turn `run` arguments into a config.
 
     A value out of range is a usage error: a decay law that is not a
-    probability or a finite rate >= 0, ``--reps`` below 1, a negative
-    ``--seed``, an instance that ``ArithParams.range_problem`` refuses, an
-    ``--r2-slice`` outside ``0..2**L - 1``, ``--format gnuplot`` without
-    both ``--r2-slice`` and a non-empty ``--out``, an ``--out`` whose
-    directory does not exist, and an ``--out`` naming a directory, or for
-    gnuplot a prefix one of whose files is one.  A base sharing a factor
-    with n passes, for the gcd shortcut.  ``--x random`` draws the base
-    from ``2..n-1`` with a generator seeded by ``--seed``.
+    probability or a finite rate >= 0, whatever ``ExperimentConfig``
+    refuses, as ``--<flag>: <its message>``, an ``--r2-slice`` outside
+    ``0..2**L - 1``, ``--format gnuplot`` without both ``--r2-slice`` and a
+    non-empty ``--out``, an ``--out`` whose directory does not exist, and
+    an ``--out`` naming a directory, or for gnuplot a prefix one of whose
+    files is one.  A base sharing a factor with n passes, for the gcd
+    shortcut.  ``--x random`` draws the base from ``2..n-1`` with a
+    generator seeded by ``--seed``, once the config has accepted them.
     """
     argv = list(argv)
     if argv and argv[0] == "run":
@@ -82,7 +83,7 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
     laws = parser.add_mutually_exclusive_group()
     laws.add_argument("--p1", type=float, default=None,
                      help="time-independent persistence probability")
-    laws.add_argument("--gamma", type=float, default=None,
+    laws.add_argument("--gamma", type=float, default=2.5,
                      help="exponential decay rate (default 2.5)")
     add("--watchdog", choices=["on", "off", "strict"], default="on")
     add("--seed", type=int, default=1)
@@ -91,30 +92,23 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
     add("--out", default=None)
     add("--format", choices=["csv", "json", "gnuplot"], default="csv")
     args = parser.parse_args(argv)
-    if not 0 <= args.events <= MAX_EVENTS:
-        parser.error(f"--events must lie in 0..{MAX_EVENTS}")
-    if args.reps < 1:
-        parser.error(f"--reps: {args.reps} repetitions, need at least 1")
-    if args.seed < 0:
-        parser.error(f"--seed: {args.seed} is negative, need at least 0")
     try:
-        if args.p1 is not None:
-            law = StaticDecay(args.p1)
-        else:
-            law = ExponentialDecay(args.gamma if args.gamma is not None else 2.5)
+        law = StaticDecay(args.p1) if args.p1 is not None else ExponentialDecay(args.gamma)
     except ValueError as err:
         parser.error(f"--{'p1' if args.p1 is not None else 'gamma'}: {err}")
-    x = args.x
-    if x != "random":
-        try:
-            x = int(x)
-        except ValueError:
-            parser.error(f"--x: {x!r} is neither an integer nor 'random'")
-    problem = ArithParams.range_problem(args.n, None if x == "random" else x, args.q)
-    if problem is not None:
-        parser.error(f"--{problem[0]}: {problem[1]}")
+    try:
+        x = args.x if args.x == "random" else int(args.x)
+    except ValueError:
+        parser.error(f"--x: {args.x!r} is neither an integer nor 'random'")
+    try:  # a random base stands in as 2 until n and the seed pass
+        cfg = ExperimentConfig(n=args.n, x=2 if x == "random" else x, q=args.q,
+                               n_events=args.events, law=law, watchdog=args.watchdog,
+                               seed=args.seed, repetitions=args.reps)
+    except ConfigError as err:
+        flag = {"n_events": "events", "repetitions": "reps"}.get(err.field, err.field)
+        parser.error(f"--{flag}: {str(err).removeprefix(err.field + ': ')}")
     if x == "random":
-        x = int(np.random.default_rng(args.seed).integers(2, args.n))
+        cfg = dataclasses.replace(cfg, x=int(np.random.default_rng(cfg.seed).integers(2, cfg.n)))
     width = 1 << args.n.bit_length()
     if args.r2_slice is not None and not 0 <= args.r2_slice < width:
         parser.error(f"--r2-slice: {args.r2_slice} outside 0..{width - 1}")
@@ -122,9 +116,6 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
         parser.error("--format: gnuplot output needs --out and --r2-slice")
     _check_out(parser, [*_gnuplot_files(args.out).values()] if args.format == "gnuplot"
                else [args.out])
-    cfg = ExperimentConfig(n=args.n, x=x, q=args.q, n_events=args.events,
-                           law=law, watchdog=args.watchdog, seed=args.seed,
-                           repetitions=args.reps)
     return cfg, args
 
 
@@ -213,10 +204,8 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         print(f"shorsim run: error: {err}", file=sys.stderr)
         return 1
     if report.repetitions:  # none after the gcd shortcut
-        ned_mean = np.mean([rep.ned.table for rep in report.repetitions], axis=0)
-        ed_mean = np.mean([rep.ed.table for rep in report.repetitions], axis=0)
-        ned = Distribution(ned_mean, "ned")
-        ed = Distribution(ed_mean, "ed")
+        ned = Distribution(np.mean([r.ned.table for r in report.repetitions], axis=0), "ned")
+        ed = Distribution(np.mean([r.ed.table for r in report.repetitions], axis=0), "ed")
         if args.format == "gnuplot":
             exact = ideal_distribution(cfg.n, report.x, cfg.q).table
             emit_distribution(ned, ed, "gnuplot", None, exact=exact,
@@ -236,8 +225,7 @@ def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     directory, is a usage error too."""
     _check_out(parser, [args.out])
     q = args.q if args.q is not None else args.n * args.n
-    problem = ArithParams.range_problem(args.n, args.x, q)
-    if problem is not None:
+    if problem := ArithParams.range_problem(args.n, args.x, q):
         flag, message = problem
         if flag == "q" and args.q is None:
             flag, message = "n", ("the default q = n^2 is out of range "

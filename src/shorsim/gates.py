@@ -14,13 +14,23 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, groupby
-from operator import or_
+from operator import index, or_
 from typing import NamedTuple
 
 import numpy as np
 
 
 MAX_WIDTH = 62  # basis strings and gate masks are int64
+
+
+def _integer(value, name: str, owner=None) -> int:
+    """``operator.index`` of the value; what it refuses is a ``ValueError``
+    saying that ``name=value``, or ``owner``'s ``name``, must be an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        what = f"{owner}: the {name}" if owner is not None else f"{name}={value!r}"
+        raise ValueError(f"{what} must be an integer") from None
 
 
 def qubit_mask(qubits: Iterable[int]) -> int:
@@ -58,8 +68,8 @@ class Checkpoint(NamedTuple):
 
     @classmethod
     def of(cls, position: int, qubits: Iterable[int]) -> Checkpoint:
-        """The checkpoint on qubit indices; negative indices are refused here."""
-        return cls(int(position), qubit_mask(qubits))
+        """The checkpoint on qubit indices; refuses a non-integer position, a negative index."""
+        return cls(_integer(position, "position"), qubit_mask(qubits))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -69,8 +79,8 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right.  ``masks``, ``groups``, ``checkpoint_groups`` and ``touches`` are
-    built on first use and cached on the instance; equality and hashing
+    right, on an integer ``qubit_count`` of qubits.  The properties below
+    are built on first use and cached on the instance; equality and hashing
     compare the three fields only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
@@ -80,8 +90,25 @@ class Network:
     def __init__(self, gates: Iterable[tuple[int, int]], qubit_count: int,
                  checkpoints: Iterable[Checkpoint] = ()):
         object.__setattr__(self, "gates", tuple(gates))
-        object.__setattr__(self, "qubit_count", int(qubit_count))
+        object.__setattr__(self, "qubit_count", _integer(qubit_count, "qubit_count"))
         object.__setattr__(self, "checkpoints", tuple(checkpoints))
+
+    @cached_property
+    def checkpoint_problems(self) -> tuple[str, ...]:
+        """Every problem of the checkpoints, with no masks compiled: a position
+        outside ``0..len(gates)`` or below an earlier one, a mask negative or not
+        below ``2**qubit_count``; ``compile_masks`` and ``event_records`` refuse the first."""
+        problems, last, count, width = [], 0, len(self.gates), self.qubit_count
+        for k, (position, mask) in enumerate(self.checkpoints):
+            if not last <= position <= count:
+                problems.append(f"checkpoint {k}: position {position} outside {last}..{count}")
+            if mask < 0:
+                problems.append(f"checkpoint {k}: negative mask")
+            elif high := mask >> width:
+                low = width + (high & -high).bit_length() - 1
+                problems.append(f"checkpoint {k}: qubit {low} outside width {width}")
+            last = max(last, position)
+        return tuple(problems)
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +229,8 @@ class RegisterLayout:
 def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The gate masks as two int64 arrays, and every problem of the network,
     all gates checked at once: a target not one bit or among the controls, a
-    mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a checkpoint
-    position outside ``0..len(gates)`` or decreasing, a checkpoint mask
-    negative or not below ``2**qubit_count``."""
+    mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), then the
+    ``checkpoint_problems``."""
     width, count = net.qubit_count, len(net.gates)
     try:
         flat = np.fromiter(chain.from_iterable(net.gates), np.int64, 2 * count)
@@ -227,17 +253,7 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
         else:
             problem = f"target {t.bit_length() - 1} is also a control"
         problems.append(f"gate {i}: {problem}")
-    last = 0
-    for k, (position, mask) in enumerate(net.checkpoints):
-        if not last <= position <= count:
-            problems.append(f"checkpoint {k}: position {position} outside {last}..{count}")
-        if mask < 0:
-            problems.append(f"checkpoint {k}: negative mask")
-        elif high := mask >> width:
-            low = width + (high & -high).bit_length() - 1
-            problems.append(f"checkpoint {k}: qubit {low} outside width {width}")
-        last = max(last, position)
-    return ctrl, tgt, problems
+    return ctrl, tgt, [*problems, *net.checkpoint_problems]
 
 
 def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +342,9 @@ def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.
 
 
 def apply_network(bits: int, net: Network) -> int:
-    """Apply the network to one basis string: a one-row ``apply_network_batch``."""
+    """Apply the network to one basis string: a one-row ``apply_network_batch``;
+    a string that is not an integer, or does not fit the width, is refused."""
+    bits = _integer(bits, "bits")
     if not 0 <= bits < 1 << net.qubit_count:
         raise ValueError(f"basis string {bits} does not fit {net.qubit_count} qubits")
     return int(apply_network_batch([bits], net)[0])

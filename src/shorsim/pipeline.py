@@ -10,10 +10,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import ArithParams, build_modexp
-from .gates import RegisterLayout
+from .gates import RegisterLayout, _integer
 from .oracles import modpow, multiplicative_order
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
-                        _integer, init_state, outcome_tables, run, sample_schedule)
+                        check_law, init_state, outcome_tables, run, sample_schedule)
+
+
+class ConfigError(ValueError):
+    """An ``ExperimentConfig`` refusal; ``field`` names the field refused."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -21,10 +29,11 @@ class ExperimentConfig:
     """Everything a reproducible experiment needs, checked when made.
 
     Each integer field is kept as the Python int that ``operator.index``
-    makes of it, and one that is not an integer is a ``ValueError``.  So is
-    a field out of range, named: ``sample_from`` or ``watchdog`` not one of
-    its values, ``repetitions`` or ``samples`` below 1, a negative ``seed``,
-    ``n_events`` outside ``0..MAX_EVENTS``, and whatever
+    makes of it, and one that is not an integer is a ``ConfigError`` (a
+    ``ValueError``) naming the field.  So is a ``law`` that ``check_law``
+    refuses, and a field out of range: ``sample_from`` or ``watchdog`` not
+    one of its values, ``repetitions`` or ``samples`` below 1, a negative
+    ``seed``, ``n_events`` outside ``0..MAX_EVENTS``, and whatever
     ``ArithParams.range_problem`` refuses of n, x and q.  A base sharing a
     factor with n passes, for the gcd shortcut.
     """
@@ -42,8 +51,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n", "x", "q", "n_events", "seed", "repetitions", "samples"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, _integer(value, f"{name}={value!r}"))
+            try:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
+            except ValueError as err:
+                raise ConfigError(name, str(err)) from None
+        try:
+            check_law(self.law)
+        except ValueError as err:
+            raise ConfigError("law", str(err)) from None
         for name, ok, rule in [
                 ("sample_from", self.sample_from in ("ned", "ed"), "be 'ned' or 'ed'"),
                 ("watchdog", self.watchdog in ("off", "on", "strict"),
@@ -54,9 +69,9 @@ class ExperimentConfig:
                 ("n_events", 0 <= self.n_events <= MAX_EVENTS,
                  f"lie in 0..{MAX_EVENTS}")]:
             if not ok:
-                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
+                raise ConfigError(name, f"{name} must {rule}, got {getattr(self, name)!r}")
         if problem := ArithParams.range_problem(self.n, self.x, self.q):
-            raise ValueError(f"{problem[0]}: {problem[1]}")
+            raise ConfigError(problem[0], f"{problem[0]}: {problem[1]}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> FactorReport:
     if n % 2 == 0 or _is_prime(n):
         warnings.warn(f"n={n} is even or prime; the run is only a demonstration",
                       stacklevel=2)
-    g = math.gcd(x, n)
-    if g != 1:
+    if (g := math.gcd(x, n)) != 1:
         return FactorReport(n, x, cfg.q, None, {g, n // g},
                             stats={"shortcut": f"gcd({x}, {n}) = {g}",
                                    "success_rate": 1.0})
@@ -235,12 +249,10 @@ def run_experiment(cfg: ExperimentConfig) -> FactorReport:
         rep_rng = np.random.default_rng(rep_seed)
         source = ned if cfg.sample_from == "ned" else ed
         traces = []
-        rep_order = None
         for c, r2 in _sample_outcomes(source, cfg.samples, rep_rng):
             order, tried = continued_fraction_order(c, cfg.q, n, x)
             traces.append(SampleTrace(c, r2, tuple(tried), order))
-            if order is not None and rep_order is None:
-                rep_order = order
+        rep_order = next((t.verified_order for t in traces if t.verified_order is not None), None)
         factors = None
         if rep_order is not None:
             orders[rep_order] = orders.get(rep_order, 0) + 1
@@ -253,25 +265,13 @@ def run_experiment(cfg: ExperimentConfig) -> FactorReport:
                                                    rep_order, factors))
     report.order = min((o for o, cnt in orders.items()
                         if cnt == max(orders.values())), default=None)
-    for rep in report.repetitions:
-        if rep.factors:
-            report.factors = rep.factors
-            break
+    report.factors = next((rep.factors for rep in report.repetitions if rep.factors), None)
     report.stats = {"repetitions": cfg.repetitions,
                     "samples_per_repetition": cfg.samples,
-                    "success_rate": successes / max(cfg.repetitions, 1),
+                    "success_rate": successes / cfg.repetitions,
                     "orders_seen": orders}
     return report
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))

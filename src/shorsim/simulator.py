@@ -15,12 +15,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Real
-from operator import index
 
 import numpy as np
 
-from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, apply_masks,
-                    check_gate_wires)
+from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, _integer,
+                    apply_masks, check_gate_wires)
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -91,15 +90,6 @@ class SparseState:
         return cls(qubit_count, env_count, comp, env, amp)
 
 
-def _integer(value, what: str) -> int:
-    """``operator.index`` of the value; what it refuses is a ``ValueError``
-    that says ``what`` must be an integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer") from None
-
-
 @dataclass(frozen=True)
 class DecayEvent:
     """A sudden computer-environment interaction at ``time`` on one qubit.
@@ -146,17 +136,25 @@ class ExponentialDecay:
         return math.exp(-self.gamma * max(time - last_reset, 0.0))
 
 
+def check_law(law) -> None:
+    """Refuse, with a ``ValueError`` naming it, a decay law without a callable
+    ``persist_probability``; ``NoiseSchedule`` and ``ExperimentConfig`` call it."""
+    if not callable(getattr(law, "persist_probability", None)):
+        raise ValueError(f"law={law!r} has no callable persist_probability")
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Decay events in time order under one law; each event's qubit is kept
-    as the Python int that ``operator.index`` makes of it, and a time that is
-    not a real number is a ``ValueError`` naming the event."""
+    """Decay events in time order under one law (``check_law``); each event's
+    qubit is kept as the Python int that ``operator.index`` makes of it, and
+    a time that is not a real number is a ``ValueError`` naming the event."""
 
     events: tuple[DecayEvent, ...]
     law: StaticDecay | ExponentialDecay
 
     def __init__(self, events: Sequence[DecayEvent],
                  law: StaticDecay | ExponentialDecay):
+        check_law(law)
         events = tuple(events)
         for ev in events:
             if not isinstance(ev.time, Real):
@@ -166,7 +164,7 @@ class NoiseSchedule:
             raise ValueError("event times must lie strictly inside (0, 1)")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
-        events = tuple(DecayEvent(ev.time, _integer(ev.qubit, f"{ev}: the qubit"))
+        events = tuple(DecayEvent(ev.time, _integer(ev.qubit, "qubit", ev))
                        for ev in events)
         if any(ev.qubit < 0 for ev in events):
             raise ValueError("negative qubit index in schedule")
@@ -204,8 +202,8 @@ def sample_schedule(n_events: int, n_qubits: int, seed: int,
     """Uniform random times (sorted) and uniform random qubits, seed-determined;
     an ``n_events`` or ``n_qubits`` that is not an integer, an ``n_events``
     outside ``0..MAX_EVENTS`` or an ``n_qubits`` below 1 is a ``ValueError``."""
-    n_events = _integer(n_events, f"n_events={n_events!r}")
-    n_qubits = _integer(n_qubits, f"n_qubits={n_qubits!r}")
+    n_events = _integer(n_events, "n_events")
+    n_qubits = _integer(n_qubits, "n_qubits")
     if not 0 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events={n_events} outside 0..{MAX_EVENTS}")
     if n_qubits < 1:
@@ -289,13 +287,16 @@ def event_records(net: Network, schedule: NoiseSchedule,
     qubit is in one), after the events at that position: so an event's
     clock origin is its qubit's last reset strictly before it, 0.0 if none
     or with the watchdog 'off', and p1 is the law's from there.  Reads only
-    ``net.gates`` and ``net.checkpoints``, as given (``run()`` validates
-    them), so no masks are compiled and a network's next run stays its
-    first.  An unknown mode is a ``ValueError``."""
+    ``net.gates`` and ``net.checkpoints``, so no masks are compiled and a
+    network's next run stays its first.  An unknown mode is a
+    ``ValueError``, and so is the first of ``net.checkpoint_problems``, the
+    text ``run()`` refuses the network with."""
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
+    if net.checkpoint_problems:
+        raise ValueError(net.checkpoint_problems[0])
     total = len(net.gates)
-    resets = net.checkpoints if watchdog != "off" and total else ()  # G = 0: none before
+    resets = net.checkpoints if watchdog != "off" else ()
     records = []
     for ev in schedule.events:
         position = math.ceil(ev.time * total)

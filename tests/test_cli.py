@@ -80,6 +80,23 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--events", "64"], "--events: n_events must lie in 0..63, got 64"),
+        (["--reps", "0"], "--reps: repetitions must be at least 1, got 0"),
+        (["--seed", "-1"], "--seed: seed must be at least 0, got -1"),
+        (["--x", "random", "--seed", "-1"], "--seed: seed must be at least 0, got -1"),
+        (["--x", "1"], "--x: base 1 must lie strictly between 1 and 15"),
+        (["--x", "random", "--n", "2"], "--n: cannot factor 2"),
+        (["--q", "1"], "--q: q must lie in 2..65536, got 1")])
+    def test_config_refusal_carries_the_configs_text_after_the_flag(self, argv, line,
+                                                                    capsys):
+        # the config's own message, its field named by the flag; the n, x
+        # and q messages as they were, with no second field name
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["run", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"shorsim run: error: {line}"
+
     @pytest.mark.parametrize("argv, want", [
         (["--q", str(MAX_Q)], (15, MAX_Q)), (["--n", "65535"], (65535, 130))])
     def test_largest_instances_accepted(self, argv, want):

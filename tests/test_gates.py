@@ -212,6 +212,11 @@ class TestOneValidator:
             apply_network_batch([0], net)
         assert "masks" not in vars(net)
 
+    def test_checkpoints_checked_once_without_masks(self):
+        net = Network([(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)])
+        assert net.checkpoint_problems == ("checkpoint 1: position 1 outside 2..3",)
+        assert "masks" not in vars(net) and "checkpoint_problems" in vars(net)
+
     def test_every_bad_gate_reported_in_order(self):
         net = Network([gate_masks({2}, 2), (0, 1), (0, 1 << 4),
                        (0, 0b101)], 3)
@@ -233,6 +238,29 @@ class TestOneValidator:
         assert chk.qubits == (0, 3)
         with pytest.raises(ValueError, match="^negative qubit index -1$"):
             Checkpoint.of(4, [0, -1])
+
+
+class TestIntegerArguments:
+    """A width, a checkpoint position and a basis string are integers:
+    numpy integers pass as Python ints, anything else is a ValueError."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Network([(0, 1)], 2.5), "qubit_count=2.5 must be an integer"),
+        (lambda: Checkpoint.of(1.5, [0]), "position=1.5 must be an integer"),
+        (lambda: apply_network(1.5, Network([(0, 1)], 1)), "bits=1.5 must be an integer")],
+        ids=["width", "checkpoint-position", "basis-string"])
+    def test_non_integer_refused(self, make, message):
+        # unchecked, int() truncated each: width 2, position 1, and
+        # string 1.5 ran as 1 and came out 0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_numpy_integers_pass_as_ints(self):
+        net = Network([(0, 1)], np.int64(1))
+        chk = Checkpoint.of(np.uint8(1), [0])
+        assert type(net.qubit_count) is int and net.qubit_count == 1
+        assert type(chk.position) is int and chk.position == 1
+        assert apply_network(np.int64(1), net) == 0
 
 
 class TestLayout:

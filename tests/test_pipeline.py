@@ -13,7 +13,7 @@ from shorsim import (ExperimentConfig, continued_fraction_order,
 from shorsim.cli import parse_config
 from shorsim.oracles import (direct_outcome_table, folded_outcome_table,
                              outcome_table_oracle)
-from shorsim.pipeline import convergents
+from shorsim.pipeline import ConfigError, convergents
 from shorsim.simulator import Distribution, StaticDecay
 
 
@@ -181,7 +181,11 @@ CONFIG_REFUSALS = [
     ("n_events", 2.5, "n_events=2.5 must be an integer"),
     ("seed", 1.5, "seed=1.5 must be an integer"),
     ("repetitions", 2.5, "repetitions=2.5 must be an integer"),
-    ("samples", 2.5, "samples=2.5 must be an integer")]
+    ("samples", 2.5, "samples=2.5 must be an integer"),
+    # a law without a persistence probability, through NoiseSchedule's check:
+    # unchecked, law=None died in the run with an AttributeError
+    ("law", None, "law=None has no callable persist_probability"),
+    ("law", "x", "law='x' has no callable persist_probability")]
 
 
 class TestRunExperiment:
@@ -242,8 +246,9 @@ class TestRunExperiment:
                              ids=[f"{field}={value}" for field, value, _ in CONFIG_REFUSALS])
     def test_field_out_of_range_refused(self, field, value, message):
         # refused when the config is made, so before any simulation
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
             ExperimentConfig(**{field: value})
+        assert err.value.field == field
 
     @pytest.mark.parametrize("field, value", [
         ("repetitions", 1), ("samples", 1), ("n_events", 0), ("n_events", 63),
@@ -266,6 +271,12 @@ class TestRunExperiment:
         assert ExperimentConfig(x=5).x == 5
         with pytest.raises(ValueError, match="^q: q must lie in 2..65536, got 1$"):
             ExperimentConfig(x=5, q=1)
+
+    @pytest.mark.parametrize("law", [None, "x"])
+    def test_law_refused_before_the_gcd_shortcut(self, law):
+        # unchecked, x=5 "factored" 15 through the shortcut with any law
+        with pytest.raises(ConfigError, match="has no callable persist_probability$"):
+            ExperimentConfig(x=5, law=law)
 
     def test_noisy_run_with_ed_sampling(self):
         cfg = ExperimentConfig(n=15, x=7, q=16, n_events=3,

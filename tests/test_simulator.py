@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ class TestDecayLaws:
     def test_bounds_are_laws(self):
         assert StaticDecay(0.0).p1 == 0.0 and StaticDecay(1.0).p1 == 1.0
         assert ExponentialDecay(0.0).persist_probability(0.9, 0.0) == 1.0
+
+    @pytest.mark.parametrize("law", [None, "x", SimpleNamespace(persist_probability=0.5)],
+                             ids=["None", "str", "not-callable"])
+    def test_schedule_law_without_a_persistence_probability_refused(self, law):
+        # unchecked, event_records died with an AttributeError on law=None
+        message = f"law={law!r} has no callable persist_probability"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseSchedule([DecayEvent(0.5, 0)], law)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseSchedule([], law)
 
     def test_run_checks_each_event_probability(self):
         # a law object that does not check itself still cannot split with
@@ -369,12 +380,27 @@ class TestRunBoundary:
                 "strict")
 
     def test_checkpoint_before_a_gate_free_network_rejected(self):
-        # event_records reads the checkpoints before run() validates them;
-        # unguarded, the clock origin -1 / 0 was a ZeroDivisionError
+        # unchecked, event_records' clock origin -1 / 0 was a ZeroDivisionError
         net = Network([], 1, [Checkpoint(-1, 1)])
         sched = NoiseSchedule([DecayEvent(0.5, 0)], GAMMA)
         with pytest.raises(ValueError, match="^checkpoint 0: position -1 outside 0..0$"):
             run(single_component(1, 1), net, sched, "on")
+        with pytest.raises(ValueError, match="^checkpoint 0: position -1 outside 0..0$"):
+            event_records(net, sched, "on")
+
+    @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
+    def test_event_records_refuse_the_checkpoints_run_refuses(self, watchdog):
+        # unchecked, event_records gave the event at t=0.6 the clock origin
+        # 0.25 of the out-of-order checkpoint that run() refuses
+        checkpoints = [Checkpoint(3, 1), Checkpoint(1, 1)]
+        nets = [Network([gate_masks((), 0)] * 4, 1, checkpoints) for _ in range(2)]
+        sched = NoiseSchedule([DecayEvent(0.6, 0)], GAMMA)
+        with pytest.raises(ValueError) as refused:
+            run(single_component(1, 1), nets[0], sched, watchdog)
+        assert str(refused.value) == "checkpoint 1: position 1 outside 3..4"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            event_records(nets[1], sched, watchdog)
+        assert "masks" not in vars(nets[1])
 
     def test_checkpoint_qubit_below_zero_rejected(self):
         # unchecked, qubit -1 would index the clocks from the end and reset
