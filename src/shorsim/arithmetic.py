@@ -32,6 +32,15 @@ from .gates import (MAX_WIDTH, Checkpoint, Network, RegisterLayout, concatenate,
 MAX_Q = 1 << 16  # largest q; see ArithParams.range_problem
 
 
+class ConfigError(ValueError):
+    """A refused input (``ArithParams.create``, ``ExperimentConfig``); ``field``
+    names the field refused."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ArithParams:
     """Classical inputs of a factoring instance: N, the base x, and q."""
@@ -43,10 +52,12 @@ class ArithParams:
 
     @classmethod
     def create(cls, n: int, x: int, q: int) -> ArithParams:
+        """The instance; what ``range_problem`` refuses, and a base sharing a
+        factor with n, is a ``ConfigError`` naming the field."""
         if problem := cls.range_problem(n, x, q):
-            raise ValueError(problem[1])
+            raise ConfigError(*problem)
         if (g := math.gcd(x, n)) != 1:
-            raise ValueError(f"gcd({x}, {n}) = {g}; {g} is already a factor of {n}")
+            raise ConfigError("x", f"gcd({x}, {n}) = {g}; {g} is already a factor of {n}")
         # The usual choice N^2 <= q <= 2 N^2 is advisory and not enforced.
         return cls(n, x, q, n.bit_length())
 

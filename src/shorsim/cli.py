@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .arithmetic import (ArithParams, ResourceReport, build_modexp, gate_count_formula,
-                         qubit_count_formula)
+from .arithmetic import (ArithParams, ConfigError, ResourceReport, build_modexp,
+                         gate_count_formula, qubit_count_formula)
 from .gates import (Network, RegisterLayout, apply_network_batch, network_to_text,
                     validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
-from .pipeline import (ConfigError, ExperimentConfig, ideal_distribution,
+from .pipeline import (ExperimentConfig, ideal_distribution,
                        repetition_seeds, run_experiment)
 from .simulator import (ComponentBudgetError, Distribution,
                         ExponentialDecay, NoiseSchedule, SparseState, StaticDecay,
@@ -225,16 +225,13 @@ def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     directory, is a usage error too."""
     _check_out(parser, [args.out])
     q = args.q if args.q is not None else args.n * args.n
-    if problem := ArithParams.range_problem(args.n, args.x, q):
-        flag, message = problem
-        if flag == "q" and args.q is None:
-            flag, message = "n", ("the default q = n^2 is out of range "
-                                  f"({message}); pass --q")
-        parser.error(f"--{flag}: {message}")
     try:
         params = ArithParams.create(args.n, args.x, q)
-    except ValueError as err:  # the gcd rule, the one check left
-        parser.error(f"--x: {err}")
+    except ConfigError as err:
+        flag, message = err.field, str(err)
+        if flag == "q" and args.q is None:
+            flag, message = "n", f"the default q = n^2 is out of range ({message}); pass --q"
+        parser.error(f"--{flag}: {message}")
     layout = RegisterLayout.for_factoring(params.bits, q=params.q)
     net = build_modexp(params, layout)
     if args.report:
@@ -293,10 +290,12 @@ def _cmd_verify() -> int:
             out = run(state, fresh, NoiseSchedule([], StaticDecay(1.0))).comp
             check(f"{name} pass equals apply_network_batch on a < q and 1,000 random "
                   f"basis strings, {which}, {instance}", np.array_equal(out, want))
-        cfg = ExperimentConfig(n=n, x=x, q=q, seed=3)
+        # seed 1: each rerun below fires events at block edges (3 at N=15, 6 at N=33)
+        cfg = ExperimentConfig(n=n, x=x, q=q, seed=1)
         schedule = sample_schedule(cfg.n_events, layout.qubit_count,
                                    repetition_seeds(cfg)[0], cfg.law)
-        for watchdog, groups in (("on", "groups"), ("strict", "checkpoint_groups")):
+        for watchdog, groups in (("off", "groups"), ("on", "groups"),
+                                 ("strict", "checkpoint_groups")):
             fresh, runs = Network(net.gates, net.qubit_count, net.checkpoints), []
             for _ in range(2):
                 out = run(init_state(q, layout), fresh, schedule, watchdog)

@@ -10,7 +10,7 @@ the least significant bit.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, groupby
@@ -287,6 +287,39 @@ def apply_masks(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray) -> None:
     after = _run_gates(list(before), controls, targets, (1 << len(comp)) - 1)
     _xor_planes(comp, ((w, after[w] ^ before[w]) for w in mask_bits(moved)
                        if after[w] != before[w]))
+
+
+def decay_through(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray, qubit: int,
+                  check: Callable[[int], object]) -> tuple[np.ndarray, np.ndarray]:
+    """A decay on ``qubit`` just after the gates that ``apply_masks`` would
+    run, carried back before them, on a contiguous int64 array of basis
+    strings that it leaves as it is: the mask of the strings whose ``qubit``
+    is 1 after the gates, and, in order, each of those strings with that bit
+    cleared after the gates and the gates then run back, last gate first.
+    ``check`` gets the number of strings hit before the mask or any decayed
+    string is made.
+
+    One plane read, the gates forward and back through ``_run_gates``, and
+    one XOR of the changed planes into a copy: a string not hit comes back
+    as it was, so only the hit strings' planes change.
+    """
+    if comp.dtype != np.int64:
+        raise ValueError(f"basis strings must be int64, not {comp.dtype}")
+    controls, targets = memoryview(ctrl), memoryview(tgt)
+    moved = reduce(or_, targets, 1 << qubit)
+    before = _read_planes(comp, reduce(or_, controls, moved))
+    ones = (1 << len(comp)) - 1
+    planes = _run_gates(list(before), controls, targets, ones)
+    hit, planes[qubit] = planes[qubit], 0
+    check(hit.bit_count())
+    _run_gates(planes, controls[::-1], targets[::-1], ones)
+    mask = np.unpackbits(np.frombuffer(hit.to_bytes((len(comp) + 7) >> 3, "little"),
+                                       dtype=np.uint8), count=len(comp),
+                         bitorder="little").view(bool)
+    decayed = comp.copy()
+    _xor_planes(decayed, ((w, planes[w] ^ before[w]) for w in mask_bits(moved)
+                          if planes[w] != before[w]))
+    return mask, decayed[mask]
 
 
 def _read_planes(comp: np.ndarray, wires: int) -> list[int]:

@@ -9,19 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import ArithParams, build_modexp
+from .arithmetic import ArithParams, ConfigError, build_modexp
 from .gates import RegisterLayout, _integer
 from .oracles import modpow, multiplicative_order
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
                         check_law, init_state, outcome_tables, run, sample_schedule)
-
-
-class ConfigError(ValueError):
-    """An ``ExperimentConfig`` refusal; ``field`` names the field refused."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)

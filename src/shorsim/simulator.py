@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, _integer,
-                    apply_masks, check_gate_wires)
+                    apply_masks, check_gate_wires, decay_through)
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -137,8 +137,11 @@ class ExponentialDecay:
 
 
 def check_law(law) -> None:
-    """Refuse, with a ``ValueError`` naming it, a decay law without a callable
-    ``persist_probability``; ``NoiseSchedule`` and ``ExperimentConfig`` call it."""
+    """Refuse, with a ``ValueError`` naming it, a law class in place of a law
+    and a law without a callable ``persist_probability``; ``NoiseSchedule``
+    and ``ExperimentConfig`` call it."""
+    if isinstance(law, type):
+        raise ValueError(f"law={law!r} is a class, not a law")
     if not callable(getattr(law, "persist_probability", None)):
         raise ValueError(f"law={law!r} has no callable persist_probability")
 
@@ -231,23 +234,41 @@ def init_state(q: int, layout: RegisterLayout) -> SparseState:
     return SparseState(layout.qubit_count, 0, comp, env, amp)
 
 
-def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
-           qubit: int, p1: float, where: str,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hits(comp: np.ndarray, qubit: int, p1: float, where: str,
+          gates: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The hit mask and decayed strings of a decay on ``qubit``, here or
+    carried back through ``gates``, control and target masks
+    (``decay_through``).  A p1 outside [0, 1], or a split past
+    ``MAX_COMPONENTS`` (``ComponentBudgetError`` naming ``where``, from the
+    count of strings hit), is a ``ValueError`` before any decayed string."""
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"persistence probability {p1} outside [0, 1]")
-    bit = np.int64(1 << qubit)
+
+    def check(hits: int) -> None:
+        count = len(comp) + hits if 0.0 < p1 < 1.0 else len(comp)
+        if count > MAX_COMPONENTS:
+            raise ComponentBudgetError(f"{where} would leave {count} components, "
+                                       f"past the budget of {MAX_COMPONENTS}")
+    if gates:
+        return decay_through(comp, *gates, qubit, check)
+    bit = np.int64(1 << qubit)  # basis strings of any integer dtype
     hit = (comp & bit) != 0
+    check(int(np.count_nonzero(hit)))
+    return hit, comp[hit] ^ bit
+
+
+def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
+           p1: float, hit: np.ndarray, decayed: np.ndarray,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every component, the hit ones weighted sqrt(p1) (dropped if p1 is 0),
+    then unless p1 is 1 each hit one's decayed branch: its string from
+    ``decayed``, record bit ``env_index`` set, weight sqrt(1 - p1)."""
     p2 = 1.0 - p1
-    count = len(comp) + int(np.count_nonzero(hit)) if 0.0 < p1 < 1.0 else len(comp)
-    if count > MAX_COMPONENTS:
-        raise ComponentBudgetError(f"{where} would leave {count} components, "
-                                   f"past the budget of {MAX_COMPONENTS}")
     stay = amp.copy()
     stay[hit] *= math.sqrt(p1)
     parts_c, parts_e, parts_a = [comp], [env], [stay]
     if p2 > 0.0:
-        parts_c.append(comp[hit] ^ bit)
+        parts_c.append(decayed)
         parts_e.append(env[hit] | np.int64(1 << env_index))
         parts_a.append(amp[hit] * math.sqrt(p2))
     if p1 == 0.0:
@@ -273,8 +294,8 @@ def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
         raise ValueError(f"qubit {qubit} outside state width {state.qubit_count}")
     if state.env_count >= MAX_EVENTS:
         raise ValueError(f"the environment record holds at most {MAX_EVENTS} events")
-    comp, env, amp = _split(state.comp, state.env, state.amp, state.env_count,
-                            qubit, p1, f"decay on qubit {qubit}")
+    comp, env, amp = _split(state.comp, state.env, state.amp, state.env_count, p1,
+                            *_hits(state.comp, qubit, p1, f"decay on qubit {qubit}"))
     return SparseState(state.qubit_count, state.env_count + 1, comp, env, amp)
 
 
@@ -333,10 +354,11 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     group with no event left inside is one lookup, and one with an event
     inside walks its blocks (``parts``).  In a block with events inside,
     the table stands for the widest event-free stretch that ``_slide``
-    left, and the gates on either side run twice through the kernel (each
-    gate is its own inverse): forward from the start through the earlier
-    events and back, the table, then back from the stop to the later events
-    and forward.  The output is bit-identical to a first run's.
+    left, and the events on either side of it fire at the block's edges,
+    in order, each carried there through the gates between (each gate is
+    its own inverse; ``decay_through``): those before the stretch at the
+    start, then the table, then those after it at the stop.  A rerun makes
+    no kernel call.  The output is bit-identical to a first run's.
 
     Each of these is a ``ValueError`` before any gate: a bad network, a gate
     on more than 16 wires (``check_gate_wires``), more than 63 events in
@@ -375,17 +397,22 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     checkpoints = net.checkpoints if strict else ()  # in order: compiling checked that
     ei = ci = 0
 
+    def fire(*gates: np.ndarray) -> None:
+        """Split on the next event here, or carried back through ``gates`` (``_hits``)."""
+        nonlocal comp, env, amp, ei
+        ev = records[ei]
+        comp, env, amp = _split(comp, env, amp, state.env_count + ei, ev.p1, *_hits(
+            comp, ev.qubit, ev.p1, f"decay event at t={ev.time} on qubit {ev.qubit}", gates))
+        ei += 1
+        if verify_norm:
+            _check_norm(amp, f"decay event at t={ev.time}")
+
     def settle(g: int) -> None:
         """Fire the events, then project at the checkpoints, that sit before
         gate g."""
-        nonlocal comp, env, amp, ei, ci
+        nonlocal comp, env, amp, ci
         while ei < len(records) and positions[ei] == g:
-            ev = records[ei]
-            comp, env, amp = _split(comp, env, amp, state.env_count + ei, ev.qubit, ev.p1,
-                                    f"decay event at t={ev.time} on qubit {ev.qubit}")
-            ei += 1
-            if verify_norm:
-                _check_norm(amp, f"decay event at t={ev.time}")
+            fire()
         while ci < len(checkpoints) and checkpoints[ci].position == g:
             keep = (comp & checkpoints[ci].mask) == 0
             weight = float(np.sum(np.abs(amp[keep]) ** 2))
@@ -405,11 +432,6 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             settle(stop)
             a = stop
 
-    def back(a: int, b: int) -> None:
-        """Gates b-1 down to a, if any: each gate is its own inverse."""
-        if a < b:
-            apply_masks(comp, ctrl[a:b][::-1], tgt[a:b][::-1])
-
     def walk(block: FusedBlock) -> None:
         """Gates block.start..block.stop-1 with the events among them."""
         start, stop = block.start, block.stop
@@ -426,11 +448,11 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
             for part in block.parts:
                 walk(part)
         else:  # the table stands for the widest event-free stretch
-            stretch(start, a)  # forward through the earlier events
-            back(start, a)  # and back
+            while ei < end and positions[ei] <= a:  # at the start, through start..pos-1
+                fire(ctrl[start:positions[ei]], tgt[start:positions[ei]])
             block.apply(comp)
-            back(b, stop)  # back to the later events
-            stretch(b, stop)  # and forward through them
+            while ei < end and positions[ei] < stop:  # at the stop, through stop-1..pos
+                fire(ctrl[positions[ei]:stop][::-1], tgt[positions[ei]:stop][::-1])
 
     for unit in units:
         walk(unit)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from shorsim import (ArithParams, RegisterLayout, apply_network,
                      build_controlled_multiplier, build_mod_adder,
                      build_modexp, gate_count_formula, mod_inverse,
                      network_to_text, resource_estimate, validate_network)
+from shorsim.arithmetic import ConfigError
 from shorsim.gates import Checkpoint, Network
 from shorsim.oracles import exhaustive_network_check
 
@@ -250,6 +252,18 @@ class TestArithParams:
     def test_base_range_enforced(self):
         with pytest.raises(ValueError):
             ArithParams.create(15, 1, 130)
+
+    @pytest.mark.parametrize("n, x, q, field, message", [
+        (2, 7, 130, "n", "cannot factor 2"),
+        (15, 1, 130, "x", "base 1 must lie strictly between 1 and 15"),
+        (15, 5, 130, "x", "gcd(5, 15) = 5; 5 is already a factor of 15"),
+        (15, 7, 1, "q", "q must lie in 2..65536, got 1"),
+        (262145, 3, 4, "n", "n=262145 with q=4 needs 65 qubits; at most 62 are supported")])
+    def test_refusal_names_its_field(self, n, x, q, field, message):
+        # shorsim build turns the field into its flag
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
+            ArithParams.create(n, x, q)
+        assert err.value.field == field
 
     def test_bit_width(self):
         assert ArithParams.create(15, 7, 130).bits == 4

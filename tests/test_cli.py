@@ -414,22 +414,36 @@ class TestMain:
         assert main(["build", "--report"]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["--n", "1"], "--n"), (["--x", "1"], "--x"), (["--x", "5"], "--x"),
-        (["--q", "1"], "--q")], ids=["n1", "x1", "x5-shares-a-factor", "q1"])
-    def test_build_bad_instance_is_a_usage_error(self, argv, flag, capsys):
+    @pytest.mark.parametrize("argv, text", [
+        (["--n", "1"], "--n: cannot factor 1"),
+        (["--n", "2"], "--n: cannot factor 2"),
+        (["--x", "1"], "--x: base 1 must lie strictly between 1 and 15"),
+        (["--x", "15"], "--x: base 15 must lie strictly between 1 and 15"),
+        (["--x", "5"], "--x: gcd(5, 15) = 5; 5 is already a factor of 15"),
+        (["--n", "21", "--x", "14", "--q", "512"],
+         "--x: gcd(14, 21) = 7; 7 is already a factor of 21"),
+        (["--q", "1"], "--q: q must lie in 2..65536, got 1"),
+        (["--q", "65537"], "--q: q must lie in 2..65536, got 65537"),
+        (["--n", "262145", "--x", "3", "--q", "4"],
+         "--n: n=262145 with q=4 needs 65 qubits; at most 62 are supported"),
+        (["--n", "1", "--x", "5", "--q", "1"], "--n: cannot factor 1")],
+        ids=["n1", "n2", "x1", "x15", "x5-shares-a-factor", "x14-shares-a-factor",
+             "q1", "q65537", "too-wide", "n-first"])
+    def test_build_bad_instance_is_a_usage_error(self, argv, text, capsys):
+        # ArithParams.create's refusal, under the flag of the field it names
         with pytest.raises(SystemExit) as exc:
             main(["build", *argv])
         assert exc.value.code == 2
-        assert f"error: {flag}: " in capsys.readouterr().err.splitlines()[-1]
+        assert capsys.readouterr().err.splitlines()[-1] == f"shorsim: error: {text}"
 
     def test_build_default_q_out_of_range_names_n(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["build", "--n", "257", "--x", "3"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "shorsim: error: --n: the default q = n^2 is out of range "
-            "(q must lie in 2..65536, got 66049); pass --q")
+        for n, q in ((257, 66049), (262145, 68720001025)):
+            with pytest.raises(SystemExit) as exc:
+                main(["build", "--n", str(n), "--x", "3"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "shorsim: error: --n: the default q = n^2 is out of range "
+                f"(q must lie in 2..65536, got {q}); pass --q")
 
     def test_default_run_never_imports_numpy_ma(self, tmp_path):
         # numpy 2.x imports numpy.ma lazily, for instance from np.unique.
@@ -466,9 +480,10 @@ class TestMain:
         again = [line for line in result.stdout.splitlines() if "10-event run" in line]
         assert [(line.split(":")[0], line.split(", ")[-1]) for line in again] == [
             (f"PASS  10-event run, watchdog {mode}", instance)
-            for instance in ("n=15 x=7 q=130", "n=33 x=5 q=1100") for mode in ("on", "strict")]
+            for instance in ("n=15 x=7 q=130", "n=33 x=5 q=1100")
+            for mode in ("off", "on", "strict")]
         assert ["through its checkpoint_groups" in line for line in again] == [
-            False, True, False, True]
+            False, False, True, False, False, True]
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

@@ -8,7 +8,7 @@ import pytest
 from shorsim import (Network, RegisterLayout, apply_network, apply_network_batch,
                      build_adder, concatenate, gate_masks, network_from_text,
                      network_to_text, validate_network)
-from shorsim.gates import MAX_WIDTH, Checkpoint, _extract, apply_masks
+from shorsim.gates import MAX_WIDTH, Checkpoint, _extract, apply_masks, decay_through
 
 
 def random_network(rng, width, n_gates):
@@ -138,9 +138,56 @@ class TestApplyMasks:
     @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
     def test_strings_not_int64_refused(self, dtype):
         # read as int64 bytes, int32 strings came back unchanged
-        with pytest.raises(ValueError, match=f"^basis strings must be int64, not "
-                                             f"{np.dtype(dtype)}$"):
+        message = f"^basis strings must be int64, not {np.dtype(dtype)}$"
+        with pytest.raises(ValueError, match=message):
             apply_masks(np.arange(4, dtype=dtype), np.array([1]), np.array([2]))
+        with pytest.raises(ValueError, match=message):
+            decay_through(np.arange(4, dtype=dtype), np.array([1]), np.array([2]), 0, print)
+
+
+class TestDecayThrough:
+    """A decay carried back through gates against the gate-by-gate formula:
+    the hit mask is the qubit's bit after the gates, and each hit string's
+    decayed string is the formula run back over its forward string with
+    that bit cleared."""
+
+    @pytest.mark.parametrize("width", [1, 5, 12, 16])
+    @pytest.mark.parametrize("count", [0, 1, 9, 40])
+    def test_matches_the_gate_by_gate_formula(self, count, width):
+        rng = np.random.default_rng(count * 100 + width)
+        comp = rng.integers(0, 1 << width, 300)
+        comp[::2] = rng.integers(0, 1 << width, 3)[rng.integers(3, size=150)]
+        kept = comp.copy()
+        ctrl, tgt = random_masks(rng, width, count)
+        for c, t in ((ctrl, tgt), (ctrl[::-1], tgt[::-1])):  # forward or reversed
+            forward = comp.copy()
+            masks_oracle(forward, c, t)
+            for qubit in range(width):
+                want_hit = (forward >> qubit & 1) == 1
+                want = forward[want_hit] ^ (1 << qubit)
+                masks_oracle(want, c[::-1], t[::-1])
+                counts = []
+                hit, decayed = decay_through(comp, c, t, qubit, counts.append)
+                assert hit.dtype == bool and hit.tobytes() == want_hit.tobytes()
+                assert decayed.dtype == np.int64 and decayed.tobytes() == want.tobytes()
+                assert counts == [np.count_nonzero(want_hit)]
+                assert comp.tobytes() == kept.tobytes()  # left as it was
+
+    def test_no_strings(self):
+        counts = []
+        hit, decayed = decay_through(np.zeros(0, np.int64), np.array([0, 1]),
+                                     np.array([1, 4]), 2, counts.append)
+        assert hit.shape == decayed.shape == (0,) and counts == [0]
+
+    def test_what_the_check_raises_is_raised(self):
+        # what the check raises, the primitive raises, the strings untouched
+        comp = np.arange(16, dtype=np.int64)
+
+        def refuse(hits):
+            raise OverflowError(hits)
+        with pytest.raises(OverflowError, match="^8$"):
+            decay_through(comp, np.array([0]), np.array([1]), 0, refuse)
+        assert np.array_equal(comp, np.arange(16))
 
 
 class TestValidateNetwork:

@@ -185,7 +185,10 @@ CONFIG_REFUSALS = [
     # a law without a persistence probability, through NoiseSchedule's check:
     # unchecked, law=None died in the run with an AttributeError
     ("law", None, "law=None has no callable persist_probability"),
-    ("law", "x", "law='x' has no callable persist_probability")]
+    ("law", "x", "law='x' has no callable persist_probability"),
+    # a law class: unchecked, its unbound persist_probability passed, and
+    # the run died with a TypeError for the missing argument
+    ("law", StaticDecay, f"law={StaticDecay!r} is a class, not a law")]
 
 
 class TestRunExperiment:

@@ -165,6 +165,15 @@ class TestDecayLaws:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             NoiseSchedule([], law)
 
+    @pytest.mark.parametrize("law", [StaticDecay, ExponentialDecay])
+    def test_schedule_law_class_refused(self, law):
+        # unchecked, the unbound persist_probability passed as callable, and
+        # event_records died with a TypeError for its missing argument
+        message = f"law={law!r} is a class, not a law"
+        for events in ([DecayEvent(0.5, 0)], []):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                NoiseSchedule(events, law)
+
     def test_run_checks_each_event_probability(self):
         # a law object that does not check itself still cannot split with
         # p1 > 1: run() and apply_decay share the check
@@ -369,6 +378,30 @@ class TestRunBoundary:
         monkeypatch.setattr(simulator, "MAX_COMPONENTS", 24)
         out = run(all_strings(4), net, NoiseSchedule([event], STATIC_HALF))
         assert out.component_count == 24
+        # A rerun with the event pinned inside its one block, between two
+        # gates on its qubit: it fires at the block's start, carried back
+        # through gate 0, and is refused from the hit plane's count, before
+        # the hit mask or any decayed string is made (no plane is written).
+        monkeypatch.setattr(simulator, "MAX_COMPONENTS", 23)
+        pinned = ran_before(Network([gate_masks((), 0), gate_masks([1], 0)], 4))
+        assert [(g.start, g.stop, g.parts) for g in pinned.groups] == [(0, 2, ())]
+        writes, write = [], gates._xor_planes
+        monkeypatch.setattr(gates, "_xor_planes",
+                            lambda *args: writes.append(1) or write(*args))
+        gate_path.clear()
+        with pytest.raises(simulator.ComponentBudgetError, match="^" + re.escape(
+                f"decay event at t={event.time} on qubit 0 would leave 24 "
+                "components, past the budget of 23") + "$"):
+            run(all_strings(4), pinned, NoiseSchedule([event], STATIC_HALF),
+                verify_norm=True)
+        assert gate_path == ["the input state", ("fire", pinned.gates[:1])]
+        assert writes == []
+        for p1 in (0.0, 1.0):
+            out = run(all_strings(4), pinned, NoiseSchedule([event], StaticDecay(p1)))
+            assert out.component_count == 16
+        monkeypatch.setattr(simulator, "MAX_COMPONENTS", 24)
+        assert_matches_reference(all_strings(4), pinned, NoiseSchedule([event], STATIC_HALF))
+        assert writes
 
     def test_checkpoint_beyond_the_gates_rejected_in_strict_mode(self):
         # unchecked, the projection at position 7 would never happen and
@@ -558,16 +591,22 @@ def assert_rows_match_reference(state, net, sched, watchdog="off"):
 def gate_path(monkeypatch):
     """The path run() takes, in order: each call of the single-gate kernel
     as its list of (control, target) mask pairs, the network's own gate
-    form, each table lookup as ("table", start, stop),
-    and each norm check as its label.  The kernel and the lookups still
-    run, and the norm checks still raise."""
+    form, each event carried through gates as ("fire", a tuple of the
+    pairs it is carried back through, in the order given), each table
+    lookup as ("table", start, stop), and each norm check as its label.
+    The kernel, the firings and the lookups still run, and the norm checks
+    still raise."""
     path = []
-    kernel, lookup, check = (simulator.apply_masks, gates.FusedBlock.apply,
-                             simulator._check_norm)
+    kernel, fire, lookup, check = (simulator.apply_masks, simulator.decay_through,
+                                   gates.FusedBlock.apply, simulator._check_norm)
 
     def gates_run(comp, ctrl, tgt):
         path.append(list(zip(ctrl.tolist(), tgt.tolist())))
         kernel(comp, ctrl, tgt)
+
+    def fired(comp, ctrl, tgt, qubit, hits_checked):
+        path.append(("fire", tuple(zip(ctrl.tolist(), tgt.tolist()))))
+        return fire(comp, ctrl, tgt, qubit, hits_checked)
 
     def table_run(block, comp):
         path.append(("table", block.start, block.stop))
@@ -578,6 +617,7 @@ def gate_path(monkeypatch):
         check(amp, label)
 
     monkeypatch.setattr(simulator, "apply_masks", gates_run)
+    monkeypatch.setattr(simulator, "decay_through", fired)
     monkeypatch.setattr(gates.FusedBlock, "apply", table_run)
     monkeypatch.setattr(simulator, "_check_norm", norm_checked)
     return path
@@ -782,14 +822,15 @@ class TestFusedPass:
         assert first.stop > 3
         last = first.stop - 1
         # A first run reaches each event in one kernel call.  On a rerun an
-        # event just after gate 0 runs the first block from its start, one
-        # just before its last gate from its stop, and one on a qubit the
-        # block never touches slides to its start.  Each way the check
-        # follows the event.
+        # event just after gate 0 fires at the first block's start, carried
+        # back through gate 0; one just before its last gate fires at its
+        # stop, after the table, carried back through that gate; and one on
+        # a qubit the block never touches slides to its start.  Each way
+        # the check follows the event.
         for position, qubit, again in (
-                (1, pinned_qubit(net, 1), [list(net.gates[:1])]),
+                (1, pinned_qubit(net, 1), [("fire", net.gates[:1])]),
                 (last, pinned_qubit(net, last),
-                 [("table", 0, first.stop), list(net.gates[last:first.stop])]),
+                 [("table", 0, first.stop), ("fire", net.gates[last:first.stop][::-1])]),
                 (last, untouched_qubit(net, first), [])):
             event = event_at(position, len(net.gates), qubit)
             where = f"decay event at t={event.time}"
@@ -1058,11 +1099,12 @@ class TestWideGates:
 class TestEventBlocks:
     """An event inside a block first slides through the gates that do not
     touch its qubit.  With events still inside, the block's table stands
-    for its widest stretch with no event inside, the latest on a tie; the
-    gates on either side of that stretch run twice through the kernel,
-    forward from the start through the earlier events and back, and after
-    the table back from the stop to the later events and forward.  Every
-    path agrees bit for bit with the chunked gate-by-gate reference."""
+    for its widest stretch with no event inside, the latest on a tie; each
+    event before that stretch fires at the block's start, carried back
+    through the gates from there to it, and each one after it fires at the
+    stop, after the table, carried back through the gates from the stop to
+    it, last gate first.  A rerun makes no kernel call.  Every path agrees
+    bit for bit with the chunked gate-by-gate reference."""
 
     @staticmethod
     def long_blocks(net):
@@ -1090,27 +1132,30 @@ class TestEventBlocks:
                                  verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
         free = lookups_but(net, near_start, near_end, middle, group)
-        first = list(net.gates[near_start.start:near_start.start + 1])
-        last = list(net.gates[near_end.stop - 1:near_end.stop])
-        halfway = list(net.gates[middle.start:mid])
+        first = net.gates[near_start.start:near_start.start + 1]
+        last = net.gates[near_end.stop - 1:near_end.stop]
+        halfway = net.gates[middle.start:mid]
         # each in its own group, the pinned events walk its blocks: the
-        # first event: one gate forward and back, then the table for the
-        # rest; the second: the table, then one gate back and forward; the
-        # mid-block event leaves the later stretch, one gate wider, to the
-        # table; the last slides to its group's start and runs no single
-        # gate
+        # first event fires at its block's start, carried back through one
+        # gate, then the table; the second fires after the table, carried
+        # back through the block's last gate; the mid-block event leaves the
+        # later stretch, one gate wider, to the table and fires at the
+        # start, carried back through the gates before it; the last slides
+        # to its group's start and is carried through no gate
         assert [step for step in gate_path if step not in free] == [
             "the input state",
-            first, decays[0], first, ("table", near_start.start, near_start.stop),
-            ("table", near_end.start, near_end.stop), last, decays[1], last,
-            halfway, decays[2], halfway[::-1], ("table", middle.start, middle.stop),
+            ("fire", first), decays[0], ("table", near_start.start, near_start.stop),
+            ("table", near_end.start, near_end.stop), ("fire", last[::-1]), decays[1],
+            ("fire", halfway), decays[2], ("table", middle.start, middle.stop),
             decays[3], ("table", group.start, group.stop)]
+        assert not [step for step in gate_path if isinstance(step, list)]  # no kernel call
 
     def test_events_near_both_ends_leave_the_table_the_middle(self, factoring_15,
                                                               gate_path):
         # Two pinned events, two gates in from each end of one long block:
-        # the head runs forward and back, the table stands for the middle,
-        # and the tail runs back and forward.
+        # the first fires at the start, carried back through the head, the
+        # table stands for the middle, and the second fires at the stop,
+        # carried back through the tail, last gate first.
         _, layout, net = factoring_15
         block = self.long_blocks(net)[6]
         positions = [block.start + 2, block.stop - 2]
@@ -1118,12 +1163,13 @@ class TestEventBlocks:
         assert_matches_reference(init_state(130, layout), net,
                                  NoiseSchedule(events, GAMMA), "on", verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
-        head = list(net.gates[block.start:positions[0]])
-        tail = list(net.gates[positions[1]:block.stop])
+        head = net.gates[block.start:positions[0]]
+        tail = net.gates[positions[1]:block.stop]
+        assert len(head) == len(tail) == 2
         free = lookups_but(net, block)
         assert [step for step in gate_path if step not in free] == [
-            "the input state", head, decays[0], head[::-1],
-            ("table", block.start, block.stop), tail[::-1], decays[1], tail]
+            "the input state", ("fire", head), decays[0],
+            ("table", block.start, block.stop), ("fire", tail[::-1]), decays[1]]
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
@@ -1485,12 +1531,13 @@ class TestGroups:
         assert_matches_reference(init_state(130, layout), net,
                                  NoiseSchedule([event], law), watchdog, verify_norm=True)
         tables = [("table", g.start, g.stop) for g in groups]
-        gate = list(net.gates[parts[1].start:position])
-        # the group's blocks: the first and last are lookups, and the event's
-        # block runs from its start, one gate forward and back, then its table
+        gate = net.gates[parts[1].start:position]
+        # the group's blocks: the first and last are lookups, and the event
+        # fires at its block's start, carried back through one gate, then
+        # the block's table
         assert gate_path == ["the input state", *tables[:k],
-                             ("table", parts[0].start, parts[0].stop), gate,
-                             f"decay event at t={event.time}", gate,
+                             ("table", parts[0].start, parts[0].stop), ("fire", gate),
+                             f"decay event at t={event.time}",
                              *(("table", p.start, p.stop) for p in parts[1:]),
                              *tables[k + 1:]]
 
