@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -1731,6 +1735,15 @@ class TestKernelsAgainstReference:
         assert_kernels_match_reference(state, layout, 8)
 
 
+def rows_state(layout, rows, q, seed):
+    """One component in each of ``rows`` (rest, env) groups."""
+    rng = np.random.default_rng(seed)
+    comp = ((np.arange(rows, dtype=np.int64) << layout.reg2.start)
+            | rng.integers(0, q, rows))
+    amp = (rng.normal(size=rows) + 1j * rng.normal(size=rows)) / math.sqrt(2 * rows)
+    return SparseState(layout.qubit_count, 2, comp, rng.integers(0, 4, rows), amp)
+
+
 def assert_tables_match_reference(state, layout, q):
     """outcome_tables equals the bincount tables of the transformed state,
     byte for byte, and returns them."""
@@ -1822,12 +1835,7 @@ class TestOutcomeTables:
         # then both tables and 1 MB for the per-component arrays
         bound = 48 * simulator.TABLE_CHUNK + 2 * q * 16 * 8 + (1 << 20)
         for rows in (1000, 4000):  # 1.0 and 4.1 million transformed rows
-            # one component in each of ``rows`` (rest, env) groups
-            rng = np.random.default_rng(rows)
-            comp = ((np.arange(rows, dtype=np.int64) << layout.reg2.start)
-                    | rng.integers(0, q, rows))
-            amp = (rng.normal(size=rows) + 1j * rng.normal(size=rows)) / math.sqrt(2 * rows)
-            state = SparseState(layout.qubit_count, 2, comp, rng.integers(0, 4, rows), amp)
+            state = rows_state(layout, rows, q, seed=rows)
             tracemalloc.start()
             try:
                 outcome_tables(state, layout, q)
@@ -1835,6 +1843,204 @@ class TestOutcomeTables:
             finally:
                 tracemalloc.stop()
             assert rows * q >= 10 ** 6 and peak < bound < 16 * rows * q
+
+
+@pytest.fixture(params=["split", "inline"])
+def split(request, monkeypatch):
+    """The transform and table passes forced into two halves on two threads
+    (threshold 0, two CPUs) or forced inline; yields the threads started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Counted)
+    if request.param == "split":
+        monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+    else:
+        monkeypatch.setattr(simulator, "SPLIT_MIN", sys.maxsize)
+    yield started
+    assert bool(started) == (request.param == "split")
+    assert not any(t.is_alive() for t in started)
+
+
+def in_a_thread(call, timeout=30.0):
+    """What ``call()`` returns or raises, failing if it takes past ``timeout``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:
+            outcome["raised"] = exc
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the call hung"
+    return outcome
+
+
+class TestSplitPasses:
+    """Transforms and tables byte for byte, split in two halves or not."""
+
+    def test_empty_state(self, split):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        empty = np.zeros(0, dtype=np.int64)
+        state = SparseState(layout.qubit_count, 0, empty, empty.copy(),
+                            np.zeros(0, dtype=np.complex128))
+        assert_kernels_match_reference(state, layout, 8)
+        assert_tables_match_reference(state, layout, 8)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_one_row_and_an_odd_row_count(self, split, rows):
+        layout = RegisterLayout.for_factoring(4, q=130)
+        state = rows_state(layout, rows, 130, seed=rows)
+        assert len(simulator._rows(state, 130, layout)[0]) == rows
+        assert_kernels_match_reference(state, layout, 130)
+        assert_tables_match_reference(state, layout, 130)
+
+    def test_signed_zero_group(self, split):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        amps = {(a | 7 << 3, 2): complex(-0.0, -0.0) for a in range(5)}
+        amps[(1 | 2 << 3, 0)] = 0.5 + 0.5j
+        state = SparseState.from_dict(layout.qubit_count, 3, amps)
+        assert_kernels_match_reference(state, layout, 5)
+        assert_tables_match_reference(state, layout, 5)
+
+    def test_selection_that_keeps_nothing(self, factoring_15, split):
+        _, layout, net = factoring_15
+        state = run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
+        state.comp |= np.int64(1 << layout.add_work.start)
+        forward = fourier_first_register(state, 130, layout)
+        assert not distribution_ed(forward, layout, 130).table.any()
+        assert_kernels_match_reference(state, layout, 130)
+        assert_tables_match_reference(state, layout, 130)
+
+    def test_noisy_n21_state(self, split):
+        layout = RegisterLayout.for_factoring(5, q=512)
+        net = build_modexp(ArithParams.create(21, 2, 512), layout)
+        sched = sample_schedule(10, layout.qubit_count, 5, GAMMA)
+        state = run(init_state(512, layout), net, sched, "on")
+        assert_kernels_match_reference(state, layout, 512)
+        assert_tables_match_reference(state, layout, 512)
+
+    def test_bad_states_raise_as_before(self, split):
+        layout = RegisterLayout.for_factoring(2, q=8)
+        repeated = SparseState(layout.qubit_count, 1,
+                               np.array([3, 5, 3], dtype=np.int64),
+                               np.array([1, 1, 1], dtype=np.int64),
+                               np.full(3, 3 ** -0.5, dtype=np.complex128))
+        with pytest.raises(ValueError, match="^repeated \\(comp, env\\) key in the sparse state$"):
+            fourier_first_register(repeated, 8, layout)
+        beyond = single_component(layout.qubit_count, 7)
+        for call in (fourier_first_register, inverse_fourier_first_register):
+            with pytest.raises(ValueError, match="^component with first-register value >= q$"):
+                call(beyond, 4, layout)
+        for call in (distribution_ned, distribution_ed):
+            with pytest.raises(ValueError, match="^component with first-register value >= q$"):
+                call(beyond, layout, 4)
+
+    def test_a_failure_in_the_worker_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        layout = RegisterLayout.for_factoring(4, q=130)
+        transform_rows = simulator._transform_rows
+
+        def failing_upper_half(dense, rows, *args):
+            if rows.start:  # the worker's half
+                raise MemoryError("in the worker")
+            transform_rows(dense, rows, *args)
+        monkeypatch.setattr(simulator, "_transform_rows", failing_upper_half)
+        outcome = in_a_thread(lambda: fourier_first_register(
+            rows_state(layout, 9, 130, seed=9), 130, layout))
+        assert "value" not in outcome
+        assert isinstance(outcome["raised"], MemoryError)
+
+    def test_the_caller_waits_for_the_worker_before_raising(self, monkeypatch):
+        monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        done = []
+
+        def part(lo, hi):
+            if lo == 0:
+                raise KeyError("in the lower half")
+            time.sleep(0.2)
+            done.append((lo, hi))
+        outcome = in_a_thread(lambda: simulator._in_halves(10, 10, part))
+        assert isinstance(outcome["raised"], KeyError)
+        assert done == [(5, 10)]
+
+    @pytest.mark.parametrize("cpus, splits", [(1, False), (2, True)])
+    def test_split_needs_the_threshold_and_two_cpus(self, monkeypatch, cpus, splits):
+        monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+        calls = []
+        simulator._in_halves(10, simulator.SPLIT_MIN - 1, lambda lo, hi: calls.append((lo, hi)))
+        assert calls == [(0, 10)]
+        calls.clear()
+        simulator._in_halves(10, simulator.SPLIT_MIN, lambda lo, hi: calls.append((lo, hi)))
+        assert sorted(calls) == ([(0, 5), (5, 10)] if splits else [(0, 10)])
+
+    def test_no_thread_below_the_threshold_or_on_one_cpu(self):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity call on this platform")
+        # a fresh interpreter, so that nothing else has started a thread
+        code = """
+import os, threading
+import numpy as np
+from shorsim import RegisterLayout, fourier_first_register, init_state, simulator
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self), start(self))[1]
+layout = RegisterLayout.for_factoring(4, q=130)
+fourier_first_register(init_state(130, layout), 130, layout)
+below = (len(started), threading.active_count())
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+rows = simulator.SPLIT_MIN // 130 + 1
+comp = np.arange(rows, dtype=np.int64) << layout.reg2.start
+state = simulator.SparseState(layout.qubit_count, 0, comp, np.zeros(rows, dtype=np.int64),
+                              np.full(rows, rows ** -0.5, dtype=np.complex128))
+assert len(fourier_first_register(state, 130, layout).amp) >= simulator.SPLIT_MIN
+print(*below, len(started), threading.active_count())
+"""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=60)
+        assert result.stdout.split() == ["0", "1", "0", "1"], result.stderr
+
+
+class TestIntegerQ:
+    @pytest.mark.parametrize("call, text", [
+        (lambda layout, state: init_state(130.5, layout), "q=130.5"),
+        (lambda layout, state: fourier_first_register(state, 130.0, layout), "q=130.0"),
+        (lambda layout, state: inverse_fourier_first_register(state, 130.0, layout),
+         "q=130.0"),
+        (lambda layout, state: distribution_ned(state, layout, 130.0), "q=130.0"),
+        (lambda layout, state: distribution_ed(state, layout, 130.0), "q=130.0"),
+        (lambda layout, state: outcome_tables(state, layout, 130.0), "q=130.0")],
+        ids=["init_state", "fourier_first_register", "inverse_fourier_first_register",
+             "distribution_ned", "distribution_ed", "outcome_tables"])
+    def test_non_integer_q_refused(self, call, text):
+        # unchecked, numpy or range raised a TypeError deep inside
+        layout = RegisterLayout.for_factoring(4, q=130)
+        with pytest.raises(ValueError, match=f"^{re.escape(text)} must be an integer$"):
+            call(layout, init_state(130, layout))
+
+    def test_numpy_integer_q_passes(self, factoring_15):
+        _, layout, net = factoring_15
+        sched = sample_schedule(10, layout.qubit_count, 3, GAMMA)
+        state = run(init_state(np.int64(130), layout), net, sched)
+        assert state.amp.tobytes() == run(init_state(130, layout), net, sched).amp.tobytes()
+        forward = fourier_first_register(state, np.int64(130), layout)
+        assert_same_bytes(forward, fourier_first_register(state, 130, layout))
+        assert_same_bytes(inverse_fourier_first_register(forward, np.int64(130), layout),
+                          inverse_fourier_first_register(forward, 130, layout))
+        for call in (distribution_ned, distribution_ed):
+            assert (call(forward, layout, np.int64(130)).table.tobytes()
+                    == call(forward, layout, 130).table.tobytes())
+        for got, want in zip(outcome_tables(state, layout, np.int64(130)),
+                             outcome_tables(state, layout, 130)):
+            assert got.table.tobytes() == want.table.tobytes()
 
 
 class TestSampleSchedule:
