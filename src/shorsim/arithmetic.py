@@ -25,8 +25,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .gates import (MAX_WIDTH, Checkpoint, Network, RegisterLayout, concatenate,
-                    qubit_mask)
+from .gates import (MAX_WIDTH, Checkpoint, Network, RegisterLayout, _integer,
+                    concatenate, qubit_mask)
 
 
 MAX_Q = 1 << 16  # largest q; see ArithParams.range_problem
@@ -41,6 +41,14 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def config_integer(value, field: str) -> int:
+    """``gates._integer`` of a field's value, refusing with a ``ConfigError``."""
+    try:
+        return _integer(value, field)
+    except ValueError as err:
+        raise ConfigError(field, str(err)) from None
+
+
 @dataclass(frozen=True)
 class ArithParams:
     """Classical inputs of a factoring instance: N, the base x, and q."""
@@ -52,8 +60,10 @@ class ArithParams:
 
     @classmethod
     def create(cls, n: int, x: int, q: int) -> ArithParams:
-        """The instance; what ``range_problem`` refuses, and a base sharing a
-        factor with n, is a ``ConfigError`` naming the field."""
+        """The instance; an n, x or q that is not an integer, what
+        ``range_problem`` refuses, and a base sharing a factor with n, is a
+        ``ConfigError`` naming the field."""
+        n, x, q = config_integer(n, "n"), config_integer(x, "x"), config_integer(q, "q")
         if problem := cls.range_problem(n, x, q):
             raise ConfigError(*problem)
         if (g := math.gcd(x, n)) != 1:
@@ -284,8 +294,9 @@ def resource_estimate(bits: int) -> ResourceReport:
     The qubit total is ``qubit_count_formula``.  The exact gate count comes
     from building the chain for the canonical instance n = 2**L - 1, x = 2;
     the polynomial estimate is reported alongside for comparison.  For
-    L = 1 no valid instance exists, so only the formula values are filled in.
-    """
+    L = 1 no valid instance exists, so only the formula values are filled
+    in.  A ``bits`` that is not an integer, or below 1, is a ``ValueError``."""
+    bits = _integer(bits, "bits")
     if bits < 1:
         raise ValueError("bit width must be positive")
     exact = None

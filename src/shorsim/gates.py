@@ -50,9 +50,10 @@ def mask_bits(mask: int) -> tuple[int, ...]:
 
 
 def gate_masks(controls: Iterable[int], target: int) -> tuple[int, int]:
-    """The gate on qubit indices as its (control mask, target mask) pair:
-    flip the target iff every control is 1.  Negative indices are refused."""
-    return qubit_mask(controls), qubit_mask([target])
+    """The gate on qubit indices as its (control mask, target mask) pair of
+    ints: flip the target iff every control is 1.  Refuses non-integers, negatives."""
+    return (qubit_mask(_integer(c, "control") for c in controls),
+            qubit_mask([_integer(target, "target")]))
 
 
 class Checkpoint(NamedTuple):
@@ -68,8 +69,9 @@ class Checkpoint(NamedTuple):
 
     @classmethod
     def of(cls, position: int, qubits: Iterable[int]) -> Checkpoint:
-        """The checkpoint on qubit indices; refuses a non-integer position, a negative index."""
-        return cls(_integer(position, "position"), qubit_mask(qubits))
+        """The checkpoint on qubit indices; refuses non-integers, a negative index."""
+        return cls(_integer(position, "position"),
+                   qubit_mask(_integer(q, "qubit") for q in qubits))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -560,9 +562,9 @@ def validate_network(net: Network, layout: RegisterLayout | None = None) -> list
 
 
 def concatenate(nets: Sequence[Network], qubit_count: int | None = None) -> Network:
-    """Run networks back to back, shifting checkpoint positions accordingly."""
+    """Run networks back to back, shifting checkpoint positions; none make the empty network."""
     if qubit_count is None:
-        qubit_count = max(net.qubit_count for net in nets)
+        qubit_count = max((net.qubit_count for net in nets), default=0)
     gates: list[tuple[int, int]] = []
     checkpoints: list[Checkpoint] = []
     for net in nets:

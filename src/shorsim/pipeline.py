@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import ArithParams, ConfigError, build_modexp
-from .gates import RegisterLayout, _integer
+from .arithmetic import ArithParams, ConfigError, build_modexp, config_integer
+from .gates import RegisterLayout
 from .oracles import modpow, multiplicative_order
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
                         check_law, init_state, outcome_tables, run, sample_schedule)
@@ -43,10 +43,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n", "x", "q", "n_events", "seed", "repetitions", "samples"):
-            try:
-                object.__setattr__(self, name, _integer(getattr(self, name), name))
-            except ValueError as err:
-                raise ConfigError(name, str(err)) from None
+            object.__setattr__(self, name, config_integer(getattr(self, name), name))
         try:
             check_law(self.law)
         except ValueError as err:

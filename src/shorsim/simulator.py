@@ -210,14 +210,18 @@ class Distribution:
 def sample_schedule(n_events: int, n_qubits: int, seed: int,
                     law: StaticDecay | ExponentialDecay) -> NoiseSchedule:
     """Uniform random times (sorted) and uniform random qubits, seed-determined;
-    an ``n_events`` or ``n_qubits`` that is not an integer, an ``n_events``
-    outside ``0..MAX_EVENTS`` or an ``n_qubits`` below 1 is a ``ValueError``."""
+    an ``n_events``, ``n_qubits`` or ``seed`` that is not an integer, an
+    ``n_events`` outside ``0..MAX_EVENTS``, an ``n_qubits`` below 1 or a
+    negative ``seed`` is a ``ValueError``."""
     n_events = _integer(n_events, "n_events")
     n_qubits = _integer(n_qubits, "n_qubits")
+    seed = _integer(seed, "seed")
     if not 0 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events={n_events} outside 0..{MAX_EVENTS}")
     if n_qubits < 1:
         raise ValueError(f"n_qubits={n_qubits} must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be at least 0")
     rng = np.random.default_rng(seed)
     while True:
         times = np.sort(rng.random(n_events))
@@ -244,11 +248,14 @@ def init_state(q: int, layout: RegisterLayout) -> SparseState:
     return SparseState(layout.qubit_count, 0, comp, env, amp)
 
 
-def _hits(comp: np.ndarray, qubit: int, p1: float, where: str,
-          gates: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The hit mask and decayed strings of a decay on ``qubit``, here or
-    carried back through ``gates``, control and target masks
-    (``decay_through``).  A p1 outside [0, 1], or a split past
+def _decay(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
+           qubit: int, p1: float, where: str, gates: Sequence[np.ndarray] = (),
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A decay on ``qubit``, here or carried back through ``gates``, control
+    and target masks (``decay_through``): every component, the hit ones
+    weighted sqrt(p1) (dropped if p1 is 0), then unless p1 is 1 each hit
+    one's decayed branch, its qubit cleared, record bit ``env_index`` set,
+    weight sqrt(1 - p1).  A p1 outside [0, 1], or a split past
     ``MAX_COMPONENTS`` (``ComponentBudgetError`` naming ``where``, from the
     count of strings hit), is a ``ValueError`` before any decayed string."""
     if not 0.0 <= p1 <= 1.0:
@@ -260,32 +267,20 @@ def _hits(comp: np.ndarray, qubit: int, p1: float, where: str,
             raise ComponentBudgetError(f"{where} would leave {count} components, "
                                        f"past the budget of {MAX_COMPONENTS}")
     if gates:
-        return decay_through(comp, *gates, qubit, check)
-    bit = np.int64(1 << qubit)  # basis strings of any integer dtype
-    hit = (comp & bit) != 0
-    check(int(np.count_nonzero(hit)))
-    return hit, comp[hit] ^ bit
-
-
-def _split(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
-           p1: float, hit: np.ndarray, decayed: np.ndarray,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every component, the hit ones weighted sqrt(p1) (dropped if p1 is 0),
-    then unless p1 is 1 each hit one's decayed branch: its string from
-    ``decayed``, record bit ``env_index`` set, weight sqrt(1 - p1)."""
-    p2 = 1.0 - p1
+        hit, decayed = decay_through(comp, *gates, qubit, check)
+    else:
+        bit = np.int64(1 << qubit)  # basis strings of any integer dtype
+        hit = (comp & bit) != 0
+        check(int(np.count_nonzero(hit)))
+        decayed = comp[hit] ^ bit
     stay = amp.copy()
     stay[hit] *= math.sqrt(p1)
-    parts_c, parts_e, parts_a = [comp], [env], [stay]
-    if p2 > 0.0:
-        parts_c.append(decayed)
-        parts_e.append(env[hit] | np.int64(1 << env_index))
-        parts_a.append(amp[hit] * math.sqrt(p2))
-    if p1 == 0.0:
-        keep = ~hit
-        parts_c[0], parts_e[0], parts_a[0] = comp[keep], env[keep], stay[keep]
-    return (np.concatenate(parts_c), np.concatenate(parts_e),
-            np.concatenate(parts_a))
+    keep = ~hit if p1 == 0.0 else slice(None)
+    parts = [(comp[keep], env[keep], stay[keep])]
+    if p1 < 1.0:
+        parts.append((decayed, env[hit] | np.int64(1 << env_index),
+                      amp[hit] * math.sqrt(1.0 - p1)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
@@ -295,18 +290,19 @@ def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
     (weight sqrt(p1), environment bit 0) and a decayed branch with the qubit
     flipped to 0 (weight sqrt(1 - p1), environment bit 1).  Components
     already in the ground state are untouched apart from the record growing
-    by one 0 bit.  A p1 outside [0, 1] is a ``ValueError``, and a split
-    that would leave more than ``MAX_COMPONENTS`` components is a
+    by one 0 bit.  A qubit that is not an integer or lies outside the state,
+    and a p1 outside [0, 1], is a ``ValueError``, and a split that would
+    leave more than ``MAX_COMPONENTS`` components is a
     ``ComponentBudgetError`` (a ``ValueError``) before any array is made;
-    ``run()`` makes both checks for each event too.
+    ``run()`` makes these checks and this step (``_decay``) for each event.
     """
+    qubit = _integer(qubit, "qubit")
     if not 0 <= qubit < state.qubit_count:
         raise ValueError(f"qubit {qubit} outside state width {state.qubit_count}")
     if state.env_count >= MAX_EVENTS:
         raise ValueError(f"the environment record holds at most {MAX_EVENTS} events")
-    comp, env, amp = _split(state.comp, state.env, state.amp, state.env_count, p1,
-                            *_hits(state.comp, qubit, p1, f"decay on qubit {qubit}"))
-    return SparseState(state.qubit_count, state.env_count + 1, comp, env, amp)
+    return SparseState(state.qubit_count, state.env_count + 1, *_decay(
+        state.comp, state.env, state.amp, state.env_count, qubit, p1, f"decay on qubit {qubit}"))
 
 
 def event_records(net: Network, schedule: NoiseSchedule,
@@ -358,17 +354,17 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     walks them: ``net.groups``, or in strict mode ``net.checkpoint_groups``,
     also cut at every checkpoint position, as the blocks always are.  An
     event strictly inside a group or block first slides, in order, through
-    the gates not touching its qubit (``_slide``), to leave the widest
-    stretch free of events: to the start, after the checkpoints there, or
-    to the stop, before them; unless strict, also across checkpoints.  A
-    group with no event left inside is one lookup, and one with an event
-    inside walks its blocks (``parts``).  In a block with events inside,
-    the table stands for the widest event-free stretch that ``_slide``
-    left, and the events on either side of it fire at the block's edges,
-    in order, each carried there through the gates between (each gate is
-    its own inverse; ``decay_through``): those before the stretch at the
-    start, then the table, then those after it at the stop.  A rerun makes
-    no kernel call.  The output is bit-identical to a first run's.
+    the gates not touching its qubit (``_slide``), toward the nearer edge
+    it can reach, the start on a tie: to the start, after the checkpoints
+    there, or to the stop, before them; unless strict, also across
+    checkpoints.  A group with no event left inside is one lookup, and one
+    with an event inside walks its blocks (``parts``).  In a block with
+    events inside, those bound for the start fire there, in order, each
+    carried back through the gates between (each gate is its own inverse;
+    ``decay_through``), then the table runs, then the rest fire at the
+    stop, carried back from it; of the splits that keep the events' order,
+    this one carries the fewest gates.  A rerun makes no kernel call.  The
+    output is bit-identical to a first run's.
 
     Each of these is a ``ValueError`` before any gate: a bad network, a gate
     on more than 16 wires (``check_gate_wires``), more than 63 events in
@@ -408,11 +404,11 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     ei = ci = 0
 
     def fire(*gates: np.ndarray) -> None:
-        """Split on the next event here, or carried back through ``gates`` (``_hits``)."""
+        """Split on the next event here, or carried back through ``gates`` (``_decay``)."""
         nonlocal comp, env, amp, ei
         ev = records[ei]
-        comp, env, amp = _split(comp, env, amp, state.env_count + ei, ev.p1, *_hits(
-            comp, ev.qubit, ev.p1, f"decay event at t={ev.time} on qubit {ev.qubit}", gates))
+        comp, env, amp = _decay(comp, env, amp, state.env_count + ei, ev.qubit, ev.p1,
+                                f"decay event at t={ev.time} on qubit {ev.qubit}", gates)
         ei += 1
         if verify_norm:
             _check_norm(amp, f"decay event at t={ev.time}")
@@ -431,34 +427,23 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                 amp = amp[keep] / math.sqrt(weight)
             ci += 1
 
-    def stretch(a: int, b: int) -> None:
-        """Gates a..b-1, one kernel call between stops, firing what sits at
-        each stop from a through b: events, then strict checkpoints."""
-        settle(a)
-        while a < b:
-            stop = min([b, *positions[ei:ei + 1],
-                        *(chk.position for chk in checkpoints[ci:ci + 1])])
-            apply_masks(comp, ctrl[a:stop], tgt[a:stop])
-            settle(stop)
-            a = stop
-
     def walk(block: FusedBlock) -> None:
         """Gates block.start..block.stop-1 with the events among them."""
         start, stop = block.start, block.stop
         settle(start)
-        end = bisect.bisect_left(positions, stop, ei)
-        a, b = start, stop  # the widest event-free stretch
+        end = split = bisect.bisect_left(positions, stop, ei)
         if end > ei:
-            positions[ei:end], (a, b) = _slide(positions[ei:end], records[ei:end],
-                                               net.touches, start, stop)
+            positions[ei:end], k = _slide(positions[ei:end], records[ei:end],
+                                          net.touches, start, stop)
+            split = ei + k  # the events before it go to the start
             settle(start)  # the events slid to the start; its checkpoints have run
-        if (a, b) == (start, stop):  # no event left inside
+        if ei == end or positions[ei] == stop:  # no event left inside
             block.apply(comp)
         elif block.parts:
             for part in block.parts:
                 walk(part)
-        else:  # the table stands for the widest event-free stretch
-            while ei < end and positions[ei] <= a:  # at the start, through start..pos-1
+        else:
+            while ei < split:  # at the start, through start..pos-1
                 fire(ctrl[start:positions[ei]], tgt[start:positions[ei]])
             block.apply(comp)
             while ei < end and positions[ei] < stop:  # at the stop, through stop-1..pos
@@ -466,23 +451,31 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
 
     for unit in units:
         walk(unit)
-    stretch(total if rerun else 0, total)  # a rerun's units ran every gate
+    a = total if rerun else 0  # a rerun's units ran every gate
+    settle(a)
+    while a < total:  # one kernel call between stops: events, strict checkpoints
+        stop = min([total, *positions[ei:ei + 1],
+                    *(chk.position for chk in checkpoints[ci:ci + 1])])
+        apply_masks(comp, ctrl[a:stop], tgt[a:stop])
+        settle(stop)
+        a = stop
     return SparseState(state.qubit_count, state.env_count + ei, comp, env, amp)
 
 
 def _slide(positions: list[int], events: Sequence[EventRecord],
            touches: Sequence[Sequence[int]], start: int, stop: int,
-           ) -> tuple[list[int], tuple[int, int]]:
+           ) -> tuple[list[int], int]:
     """New positions for ``events`` at ``positions`` inside the block of gates
-    start..stop-1, and the widest stretch (a, b) of the block they leave
-    free of events, the latest on a tie: (start, stop) when none is left
-    strictly inside.  ``touches`` holds, per qubit, the ascending indices
-    of the gates touching it (``Network.touches``), and none for a qubit
-    past its end.  A decay commutes with the gates not touching its qubit,
-    so each event may fire anywhere between the nearest gates around it
-    that touch its qubit, or the block's ends.  Events keep their order:
-    those before a split j are packed left, the rest right, with the split
-    whose widest stretch is widest, the latest split on a tie."""
+    start..stop-1, and the count k of the first of them that go to its
+    start, the rest toward its stop.  ``touches`` holds, per qubit, the
+    ascending indices of the gates touching it (``Network.touches``), none
+    for a qubit past its end.  A decay commutes with the gates not touching
+    its qubit, so an event may fire anywhere between the gates around it
+    that touch its qubit, or the block's ends.  In order, event i can reach
+    ``left[i]`` toward the start and ``right[i]`` toward the stop, and goes
+    to the nearer edge, the start on a tie: iff ``left[i] - start <= stop -
+    right[i]``.  As ``left[i] + right[i]`` never decreases, these are the
+    first k, and no order-keeping split carries fewer gates to the edges."""
     low, high = [], []
     for pos, ev in zip(positions, events):
         touch = touches[ev.qubit] if ev.qubit < len(touches) else ()
@@ -491,12 +484,8 @@ def _slide(positions: list[int], events: Sequence[EventRecord],
         high.append(min(touch[at], stop) if at < len(touch) else stop)
     left = list(itertools.accumulate(low, max))
     right = list(itertools.accumulate(high[::-1], min))[::-1]
-    splits = []  # the latest first, as max keeps the first on a tie
-    for j in range(len(left), -1, -1):
-        ends = [start, *left[:j], *right[j:], stop]
-        width, a = max((b - a, a) for a, b in zip(ends, ends[1:]))  # the latest on a tie
-        splits.append((width, ends[1:-1], (a, a + width)))
-    return max(splits, key=lambda split: split[0])[1:]
+    k = sum(a + b <= start + stop for a, b in zip(left, right))
+    return left[:k] + right[k:], k
 
 
 def _check_norm(amp: np.ndarray, where: str) -> None:

@@ -265,6 +265,21 @@ class TestArithParams:
             ArithParams.create(n, x, q)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("n, x, q, field, message", [
+        (15.0, 7, 130, "n", "n=15.0 must be an integer"),
+        (15, "7", 130, "x", "x='7' must be an integer"),
+        (15, 7, 130.5, "q", "q=130.5 must be an integer")])
+    def test_non_integer_names_its_field(self, n, x, q, field, message):
+        # unchecked, range_problem raised AttributeError on float.bit_length
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
+            ArithParams.create(n, x, q)
+        assert err.value.field == field
+
+    def test_numpy_integers_pass_as_ints(self):
+        params = ArithParams.create(np.int64(15), np.uint8(7), np.int32(130))
+        assert params == ArithParams.create(15, 7, 130)
+        assert [type(v) for v in (params.n, params.x, params.q)] == [int] * 3
+
     def test_bit_width(self):
         assert ArithParams.create(15, 7, 130).bits == 4
         assert ArithParams.create(21, 2, 450).bits == 5
@@ -278,6 +293,13 @@ class TestResources:
         report = resource_estimate(1)
         assert report.qubits == 13
         assert report.elementary_gates is None
+
+    @pytest.mark.parametrize("bits", [2.5, "4"])
+    def test_non_integer_bits_refused(self, bits):
+        # unchecked, 2.5 raised a TypeError from <<
+        with pytest.raises(ValueError, match=f"^bits={re.escape(repr(bits))} must be an "
+                                             "integer$"):
+            resource_estimate(bits)
 
     def test_formula_value_at_four_bits(self):
         # 240*64 + 484*16 + 182*4

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from shorsim import RegisterLayout, arithmetic, cli, oracles, pipeline
+from shorsim import Network, RegisterLayout, arithmetic, cli, oracles, pipeline, simulator
 from shorsim.arithmetic import MAX_Q, build_modexp
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
@@ -496,6 +496,28 @@ class TestMain:
             for mode in ("off", "on", "strict")]
         assert ["through its checkpoint_groups" in line for line in again] == [
             False, False, True, False, False, True]
+
+    @pytest.mark.parametrize("n, x, q", [(15, 7, 130), (33, 5, 1100)])
+    def test_verify_reruns_reach_the_edge_path(self, monkeypatch, n, x, q):
+        # verify's byte-equal check of a first run and a rerun covers events
+        # fired at block edges only while its seed-1 schedule puts some there
+        through, passes = simulator.decay_through, []
+
+        def counted(*args):
+            passes.append(args[3])
+            return through(*args)
+        monkeypatch.setattr(simulator, "decay_through", counted)
+        layout = RegisterLayout.for_factoring(n.bit_length(), q=q)
+        net = build_modexp(arithmetic.ArithParams.create(n, x, q), layout)
+        cfg = pipeline.ExperimentConfig(n=n, x=x, q=q, seed=1)
+        schedule = simulator.sample_schedule(cfg.n_events, layout.qubit_count,
+                                             pipeline.repetition_seeds(cfg)[0], cfg.law)
+        for watchdog in ("off", "on", "strict"):
+            fresh = Network(net.gates, net.qubit_count, net.checkpoints)
+            simulator.run(simulator.init_state(q, layout), fresh, schedule, watchdog)
+            passes.clear()
+            simulator.run(simulator.init_state(q, layout), fresh, schedule, watchdog)
+            assert passes, watchdog
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

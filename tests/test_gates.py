@@ -294,11 +294,16 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("make, message", [
         (lambda: Network([(0, 1)], 2.5), "qubit_count=2.5 must be an integer"),
         (lambda: Checkpoint.of(1.5, [0]), "position=1.5 must be an integer"),
-        (lambda: apply_network(1.5, Network([(0, 1)], 1)), "bits=1.5 must be an integer")],
-        ids=["width", "checkpoint-position", "basis-string"])
+        (lambda: apply_network(1.5, Network([(0, 1)], 1)), "bits=1.5 must be an integer"),
+        (lambda: gate_masks([1.0], 0), "control=1.0 must be an integer"),
+        (lambda: gate_masks([1], 0.0), "target=0.0 must be an integer"),
+        (lambda: Checkpoint.of(1, [1.5]), "qubit=1.5 must be an integer")],
+        ids=["width", "checkpoint-position", "basis-string", "gate-control",
+             "gate-target", "checkpoint-qubit"])
     def test_non_integer_refused(self, make, message):
-        # unchecked, int() truncated each: width 2, position 1, and
-        # string 1.5 ran as 1 and came out 0
+        # unchecked, int() truncated the first three: width 2, position 1,
+        # and string 1.5 ran as 1 and came out 0; the indices raised a raw
+        # TypeError from <<
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
@@ -308,6 +313,19 @@ class TestIntegerArguments:
         assert type(net.qubit_count) is int and net.qubit_count == 1
         assert type(chk.position) is int and chk.position == 1
         assert apply_network(np.int64(1), net) == 0
+
+    def test_gates_and_checkpoints_from_numpy_indices_hold_ints(self):
+        # unchecked, the masks were numpy integers, and network_to_text died
+        # on np.int64's missing bit_length
+        gate = gate_masks([np.int64(1), np.uint8(2)], np.int64(0))
+        chk = Checkpoint.of(3, [np.int64(2)])
+        assert gate == (0b110, 0b1) and chk == Checkpoint(3, 0b100)
+        assert [type(m) for m in (*gate, chk.mask)] == [int] * 3
+        net = Network([gate], 3, [chk])
+        text = network_to_text(net)
+        assert text == "T 0 1 2\nCHK 3 2\n"
+        back = network_from_text(text, qubit_count=3)
+        assert (back.gates, back.checkpoints) == (net.gates, net.checkpoints)
 
 
 class TestLayout:
@@ -367,6 +385,12 @@ def test_concatenate_shifts_checkpoints():
     assert merged.checkpoints == (Checkpoint(2, 0b10), Checkpoint(2, 0b100),
                                   Checkpoint(3, 0b100))
     assert len(merged.gates) == 3
+
+
+def test_concatenate_nothing_is_the_empty_network():
+    # unchecked, max() of no widths raised
+    assert concatenate([]) == Network([], 0)
+    assert concatenate([], 4) == Network([], 4)
 
 
 def extract_reference(value, mask):

@@ -126,6 +126,20 @@ class TestApplyDecay:
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             apply_decay(single_component(1, 0b1), 0, p1)
 
+    @pytest.mark.parametrize("qubit", [1.5, 1.0, "1", None])
+    def test_non_integer_qubit_refused(self, qubit):
+        # unchecked, 1.5 passed the width check and died in 1 << qubit
+        with pytest.raises(ValueError, match=re.escape(
+                f"qubit={qubit!r} must be an integer")):
+            apply_decay(single_component(2, 0b11), qubit, 0.5)
+
+    def test_numpy_integer_qubit_gives_the_same_bytes(self):
+        state = all_strings(3)
+        for qubit in (np.int64(1), np.uint8(1)):
+            got, want = apply_decay(state, qubit, 0.3), apply_decay(state, 1, 0.3)
+            for a, b in ((got.comp, want.comp), (got.env, want.env), (got.amp, want.amp)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 class TestDecayLaws:
     @pytest.mark.parametrize("p1", [1.5, -0.1, math.nan])
@@ -814,13 +828,13 @@ class TestFusedPass:
                                                monkeypatch):
         _, layout, net = factoring_15
         state = init_state(130, layout)
-        split = simulator._split
+        decay = simulator._decay
 
-        def drifting_split(*args):
-            comp, env, amp = split(*args)
+        def drifting_decay(*args):
+            comp, env, amp = decay(*args)
             return comp, env, amp * 2.0
 
-        monkeypatch.setattr(simulator, "_split", drifting_split)
+        monkeypatch.setattr(simulator, "_decay", drifting_decay)
         rerun = ran_before(net)
         first = blocks_of(rerun)[0]
         assert first.stop > 3
@@ -918,8 +932,8 @@ class TestFusedPass:
     def test_random_small_networks_run_blocks_from_either_end(self, seed,
                                                                monkeypatch):
         # Short blocks, so events sit close to both ends and to each other,
-        # and the table's stretch falls at the start, the stop and between;
-        # every run is a rerun, through the groups and their blocks.
+        # and fire at the start, at the stop and at both; every run is a
+        # rerun, through the groups and their blocks.
         monkeypatch.setattr(gates, "FUSE_WIRES", 4)
         net = ran_before(Network(random_gates(np.random.default_rng(100 + seed), 8, 80),
                                  8, [Checkpoint.of(40, [0, 1]), Checkpoint.of(60, [2])]))
@@ -1102,13 +1116,14 @@ class TestWideGates:
 
 class TestEventBlocks:
     """An event inside a block first slides through the gates that do not
-    touch its qubit.  With events still inside, the block's table stands
-    for its widest stretch with no event inside, the latest on a tie; each
-    event before that stretch fires at the block's start, carried back
-    through the gates from there to it, and each one after it fires at the
-    stop, after the table, carried back through the gates from the stop to
-    it, last gate first.  A rerun makes no kernel call.  Every path agrees
-    bit for bit with the chunked gate-by-gate reference."""
+    touch its qubit, toward the nearer edge it can reach in order, the
+    start on a tie.  With events still inside, each bound for the start
+    fires there, carried back through the gates from there to it, then the
+    block's table runs, and each bound for the stop fires there, carried
+    back through the gates from the stop to it, last gate first: the fewest
+    gates carried of any split that keeps the events' order.  A rerun makes
+    no kernel call.  Every path agrees bit for bit with the chunked
+    gate-by-gate reference."""
 
     @staticmethod
     def long_blocks(net):
@@ -1118,8 +1133,8 @@ class TestEventBlocks:
                    for g in net.groups)
         return [b for b in longest if b.stop - b.start >= 20]
 
-    def test_each_block_tables_its_widest_event_free_stretch(self, factoring_15,
-                                                             gate_path):
+    def test_each_block_fires_its_events_at_their_nearer_edges(self, factoring_15,
+                                                               gate_path):
         _, layout, net = factoring_15
         long = self.long_blocks(net)
         # the middle block's middle gate shares a qubit with the gate before
@@ -1142,8 +1157,8 @@ class TestEventBlocks:
         # each in its own group, the pinned events walk its blocks: the
         # first event fires at its block's start, carried back through one
         # gate, then the table; the second fires after the table, carried
-        # back through the block's last gate; the mid-block event leaves the
-        # later stretch, one gate wider, to the table and fires at the
+        # back through the block's last gate; the mid-block event is no
+        # farther from the start than from the stop, so it fires at the
         # start, carried back through the gates before it; the last slides
         # to its group's start and is carried through no gate
         assert [step for step in gate_path if step not in free] == [
@@ -1223,8 +1238,10 @@ class TestEventBlocks:
 class TestSlide:
     """An event inside a block fires anywhere between the gates of the block
     that touch its qubit, and at the block's start or stop when none comes
-    between, so most events run no single gate.  The output stays bit for
-    bit that of the chunked gate-by-gate reference."""
+    between, so most events run no single gate.  ``_slide`` sends each
+    event, in order, to the nearer edge it can reach, the start on a tie,
+    which carries the fewest gates of any order-keeping split.  The output
+    stays bit for bit that of the chunked gate-by-gate reference."""
 
     @pytest.mark.parametrize("n_events", [10, 20])
     @pytest.mark.parametrize("law", [GAMMA, STATIC_HALF], ids=["gamma", "p1"])
@@ -1265,19 +1282,33 @@ class TestSlide:
             positions = sorted(rng.integers(start + 1, stop, count).tolist())
             events = [DecayEvent(0.5, int(rng.integers(0, len(touches) + 2)))
                       for _ in positions]
-            slid, (a, b) = simulator._slide(positions, events, touches, start, stop)
+            slid, k = simulator._slide(positions, events, touches, start, stop)
             assert slid == sorted(slid)  # the events keep their order
+            lows, highs = [], []
             for pos, new, ev in zip(positions, slid, events):
                 touch = touches[ev.qubit] if ev.qubit < len(touches) else []
-                assert max([start, *(g + 1 for g in touch if g < pos)]) <= new
-                assert new <= min([stop, *(g for g in touch if g >= pos)])
-            ends = [start, *slid, stop]
-            gaps = list(zip(ends, ends[1:]))
-            widest = max(hi - lo for lo, hi in gaps)
-            assert (a, b) == [gap for gap in gaps if gap[1] - gap[0] == widest][-1]
-            assert not [pos for pos in slid if a < pos < b]
+                lows.append(max([start, *(g + 1 for g in touch if g < pos)]))
+                highs.append(min([stop, *(g for g in touch if g >= pos)]))
+                assert lows[-1] <= new <= highs[-1]
+
+            def edges(j):
+                """Split j: the first j events as near the start, the rest
+                as near the stop, as their order allows."""
+                return ([max(lows[:i + 1]) for i in range(j)]
+                        + [min(highs[i:]) for i in range(j, count)])
+
+            def carried(slid, j):
+                return (sum(pos - start for pos in slid[:j])
+                        + sum(stop - pos for pos in slid[j:]))
+            splits = [(carried(edges(j), j), edges(j)) for j in range(count + 1)]
+            assert slid == edges(k)
+            fewest = min(total for total, _ in splits)
+            assert carried(slid, k) == fewest
+            # a tie goes to the start: no later split carries as few
+            assert k == max(j for j, (total, _) in enumerate(splits) if total == fewest)
             inside = [pos for pos in slid if start < pos < stop]
-            assert ((a, b) == (start, stop)) == (not inside)
+            assert (not inside) == any(all(pos in (start, stop) for pos in ends)
+                                       for _, ends in splits)
 
     @pytest.mark.parametrize("p1", [0.0, 1.0])
     @pytest.mark.parametrize("watchdog", ["off", "strict"])
@@ -1404,6 +1435,27 @@ class TestSlide:
                                  NoiseSchedule(events, law), watchdog, verify_norm=True)
         decays = [f"decay event at t={ev.time}" for ev in events]
         assert gate_path == ["the input state", decays[0], ("table", 0, 6), decays[1]]
+
+    def test_each_event_fires_at_its_nearer_edge(self, gate_path):
+        # One block of 20 gates, alternating X0 and CNOT 0->1, so every gate
+        # touches qubit 0 and an event on it cannot slide.  Of the events
+        # before gates 6, 12 and 13, the first fires at the start, carried
+        # back through 6 gates, and the other two at the stop, through 8 and
+        # 7: 21 gates, where firing all three at the start would carry 31.
+        net = Network([gate_masks([0], 1) if g % 2 else gate_masks((), 0)
+                       for g in range(20)], 3)
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 20)]
+        run(all_strings(3), net, NoiseSchedule([], STATIC_HALF))  # the first run
+        gate_path.clear()
+        events = [event_at(p, 20, 0) for p in (6, 12, 13)]
+        assert_matches_reference(all_strings(3), net, NoiseSchedule(events, STATIC_HALF),
+                                 verify_norm=True)
+        decays = [f"decay event at t={ev.time}" for ev in events]
+        assert gate_path == [
+            "the input state", ("fire", net.gates[:6]), decays[0], ("table", 0, 20),
+            ("fire", net.gates[12:][::-1]), decays[1],
+            ("fire", net.gates[13:][::-1]), decays[2]]
+        assert sum(len(step[1]) for step in gate_path if step[0] == "fire") == 21
 
 
 class TestGroups:
@@ -2079,6 +2131,20 @@ class TestSampleSchedule:
         # unchecked, a qubit count of 2.5 drew qubits from 0..2
         with pytest.raises(ValueError, match=f"^{name}={value} must be an integer$"):
             sample_schedule(n_events, n_qubits, 0, STATIC_HALF)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed=-1 must be at least 0"), (1.5, "seed=1.5 must be an integer"),
+        ("1", "seed='1' must be an integer")])
+    def test_bad_seed_refused(self, seed, message):
+        # unchecked, numpy raised "expected non-negative integer" for -1 and
+        # a TypeError from SeedSequence for 1.5
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_schedule(3, 26, seed, STATIC_HALF)
+
+    def test_numpy_integer_seed_gives_the_same_schedule(self):
+        want = sample_schedule(10, 26, 7, STATIC_HALF)
+        for seed in (np.int64(7), np.uint16(7)):
+            assert sample_schedule(10, 26, seed, STATIC_HALF) == want
 
     def test_sixty_three_events(self):
         assert len(sample_schedule(MAX_EVENTS, 26, 0, STATIC_HALF).events) == MAX_EVENTS
