@@ -33,6 +33,16 @@ def _integer(value, name: str, owner=None) -> int:
         raise ValueError(f"{what} must be an integer") from None
 
 
+def _integers(values, name: str, width: int | None = None) -> None:
+    """Refuse, as a ``ValueError`` naming ``name``, an array not of an integer
+    dtype and, given a ``width``, basis strings outside ``0..2**width - 1``."""
+    dtype = np.asarray(values).dtype
+    if not np.issubdtype(dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, not {dtype}")
+    if width is not None and int(np.bitwise_or.reduce(values)) >> width:  # or negative
+        raise ValueError(f"{name} must hold basis strings in 0..2**{width} - 1")
+
+
 def qubit_mask(qubits: Iterable[int]) -> int:
     """The bit mask of some qubit indices; a negative index is a ``ValueError``."""
     mask = 0
@@ -124,7 +134,7 @@ class Network:
         blocks into groups on at most ``BLOCK_WIRES``, which no checkpoint
         cuts; each cut greedy (``_spans``).  A group of one block is that
         block; one of several is a ``FusedBlock`` over their gates, with
-        those blocks as its ``parts``.  ``check_gate_wires`` runs first."""
+        those blocks as its ``parts``.  Every network that compiles fuses."""
         return self._grouped(set())
 
     @cached_property
@@ -136,18 +146,15 @@ class Network:
     def touches(self) -> tuple[memoryview, ...]:
         """Per qubit, the indices of the gates touching it, ascending, as a
         view of C ints: indexing it makes a Python int, storing it none."""
-        ctrl, tgt = self.masks
-        wires = ctrl | tgt
+        wires = np.bitwise_or(*self.masks)
         return tuple(memoryview(np.flatnonzero(wires >> w & 1).astype(np.intc))
                      for w in range(self.qubit_count))
 
     @cached_property
     def _blocks(self) -> list[FusedBlock]:
         ctrl, tgt = self.masks
-        wires = ctrl | tgt
-        check_gate_wires(wires)
         positions = {chk.position for chk in self.checkpoints}
-        return _fuse(ctrl, tgt, self.qubit_count, _spans(wires, positions, FUSE_WIRES))
+        return _fuse(ctrl, tgt, self.qubit_count, _spans(ctrl | tgt, positions, FUSE_WIRES))
 
     def _grouped(self, cuts: set[int]) -> list[FusedBlock]:
         """The blocks in groups, also cut at each position in ``cuts``."""
@@ -169,7 +176,8 @@ class RegisterLayout:
     be read off directly), reg2 holds the mod-N value, ``mult_work`` is the
     multiplier accumulator plus one overflow wire, ``add_work`` is the adder
     ripple scratch, ``modn_flag`` records the mod-N comparison branch and
-    ``swap_ancilla`` is a reserved scratch wire.
+    ``swap_ancilla`` is a reserved scratch wire.  The first overlap, flag not
+    an integer or gap below ``swap_ancilla`` is a ``ValueError`` when made.
     """
 
     reg1: range
@@ -196,6 +204,17 @@ class RegisterLayout:
         swap_ancilla = pos + 1
         return cls(reg1, reg2, mult_work, add_work, modn_flag, swap_ancilla)
 
+    def __post_init__(self):
+        seen: dict[int, str] = {}
+        for name in ("reg1", "reg2", "mult_work", "add_work", "modn_flag", "swap_ancilla"):
+            role = getattr(self, name)
+            for idx in role if isinstance(role, range) else [_integer(role, name)]:
+                if idx in seen:
+                    raise ValueError(f"{name} overlaps {seen[idx]} at qubit {idx}")
+                seen[idx] = name
+        if sorted(seen) != list(range(self.qubit_count)):
+            raise ValueError("layout does not cover a contiguous index range")
+
     @property
     def qubit_count(self) -> int:
         return self.swap_ancilla + 1
@@ -211,28 +230,12 @@ class RegisterLayout:
     def work_mask(self) -> int:
         return qubit_mask(self.work_qubits)
 
-    def validate(self) -> list[str]:
-        problems = []
-        ranges = [("reg1", self.reg1), ("reg2", self.reg2),
-                  ("mult_work", self.mult_work), ("add_work", self.add_work),
-                  ("modn_flag", range(self.modn_flag, self.modn_flag + 1)),
-                  ("swap_ancilla", range(self.swap_ancilla, self.swap_ancilla + 1))]
-        seen: dict[int, str] = {}
-        for name, rng in ranges:
-            for idx in rng:
-                if idx in seen:
-                    problems.append(f"{name} overlaps {seen[idx]} at qubit {idx}")
-                seen[idx] = name
-        if sorted(seen) != list(range(self.qubit_count)):
-            problems.append("layout does not cover a contiguous index range")
-        return problems
-
 
 def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The gate masks as two int64 arrays, and every problem of the network,
     all gates checked at once: a target not one bit or among the controls, a
-    mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), then the
-    ``checkpoint_problems``."""
+    mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a gate on
+    more than ``BLOCK_WIRES`` wires, then the ``checkpoint_problems``."""
     width, count = net.qubit_count, len(net.gates)
     try:
         flat = np.fromiter(chain.from_iterable(net.gates), np.int64, 2 * count)
@@ -244,7 +247,9 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
     problems = []
     outside = ((ctrl | tgt) >> width) != 0  # negative masks too
     not_one_bit = (tgt == 0) | ((tgt & (tgt - 1)) != 0)
-    for i in np.flatnonzero(outside | not_one_bit | ((ctrl & tgt) != 0)).tolist():
+    counts = np.bitwise_count(np.where(outside, 0, ctrl | tgt).astype(np.int64))
+    bad = outside | not_one_bit | ((ctrl & tgt) != 0) | (counts > BLOCK_WIRES)
+    for i in np.flatnonzero(bad).tolist():
         c, t = int(ctrl[i]), int(tgt[i])
         if c < 0 or t < 0:
             problem = "negative mask"
@@ -252,8 +257,10 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
             problem = f"touches qubit {(c | t).bit_length() - 1} outside width {width}"
         elif not_one_bit[i]:
             problem = f"target mask {t:#x} is not one qubit"
-        else:
+        elif c & t:
             problem = f"target {t.bit_length() - 1} is also a control"
+        else:
+            problem = f"touches {counts[i]} wires; a fused block holds at most {BLOCK_WIRES}"
         problems.append(f"gate {i}: {problem}")
     return ctrl, tgt, [*problems, *net.checkpoint_problems]
 
@@ -261,7 +268,7 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
 def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """The validated (control_mask, target_mask) int64 arrays of a network,
     built afresh on every call (``Network.masks`` caches them); the first
-    problem ``validate_network`` reports is a ``ValueError``."""
+    problem ``validate_network`` reports (a gate on 17+ wires too) is a ``ValueError``."""
     ctrl, tgt, problems = _checked_masks(net)
     if problems:
         raise ValueError(problems[0])
@@ -281,8 +288,6 @@ def apply_masks(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray) -> None:
     wires touched and 18 MB with all 62, below a state's 32 bytes per
     component.
     """
-    if comp.dtype != np.int64:
-        raise ValueError(f"basis strings must be int64, not {comp.dtype}")
     controls, targets = memoryview(ctrl), memoryview(tgt)  # ints made one at a time
     moved = reduce(or_, targets, 0)
     before = _read_planes(comp, reduce(or_, controls, moved))
@@ -305,8 +310,6 @@ def decay_through(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray, qubit: in
     one XOR of the changed planes into a copy: a string not hit comes back
     as it was, so only the hit strings' planes change.
     """
-    if comp.dtype != np.int64:
-        raise ValueError(f"basis strings must be int64, not {comp.dtype}")
     controls, targets = memoryview(ctrl), memoryview(tgt)
     moved = reduce(or_, targets, 1 << qubit)
     before = _read_planes(comp, reduce(or_, controls, moved))
@@ -326,9 +329,12 @@ def decay_through(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray, qubit: in
 
 def _read_planes(comp: np.ndarray, wires: int) -> list[int]:
     """The bit plane of each wire in the mask ``wires`` of a contiguous int64
-    array, at that wire's index in the list (0 at the other indices): bit i
-    of plane w is bit w of ``comp[i]``.  Each byte of wires is one
-    ``np.packbits`` of its byte column, which packs any non-zero as a 1."""
+    array (another dtype is a ``ValueError``), at that wire's index in the
+    list (0 at the other indices): bit i of plane w is bit w of ``comp[i]``.
+    Each byte of wires is one ``np.packbits`` of its byte column, which
+    packs any non-zero as a 1."""
+    if comp.dtype != np.int64:
+        raise ValueError(f"basis strings must be int64, not {comp.dtype}")
     raw, planes = comp.view(np.uint8), [0] * wires.bit_length()
     for byte in range((wires.bit_length() + 7) >> 3):
         if bits := mask_bits(wires >> 8 * byte & 255):
@@ -370,8 +376,11 @@ def _xor_planes(comp: np.ndarray, flips: Iterable[tuple[int, int]]) -> None:
 
 
 def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.ndarray:
-    """Apply the network to many basis strings at once, gate by gate."""
-    out = np.asarray(values, dtype=np.int64).copy()
+    """Apply the network to many basis strings at once, gate by gate, into a new
+    int64 array; strings a ``MAX_WIDTH``-qubit ``SparseState`` refuses are a ``ValueError``."""
+    out = np.asarray(values) if len(values) else np.zeros(0, np.int64)  # [] is float
+    _integers(out, "values", MAX_WIDTH)
+    out = out.astype(np.int64)
     apply_masks(out, *net.masks)
     return out
 
@@ -412,9 +421,9 @@ class FusedBlock:
     ``tab[idx]`` but skips numpy's general advanced-indexing path: with the
     strided byte and uint16 indices used here it is about 2x faster.  A
     lookup costs 3 to 10 single gates at 130 to 40,000 components, the
-    gates run as 26-gate ``apply_masks`` calls.
-    ``parts`` are the blocks that a group (``Network.groups``) fuses, in
-    order, and empty for a block of gates.
+    gates run as 26-gate ``apply_masks`` calls; compiling refuses a gate on
+    more than BLOCK_WIRES wires.  ``parts`` are the blocks that a group
+    (``Network.groups``) fuses, in order, and empty for a block of gates.
     """
 
     start: int
@@ -489,22 +498,13 @@ def _gathers(touched: np.ndarray, width: int) -> list[tuple[tuple[int, np.ndarra
     return [tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
-def check_gate_wires(wires: np.ndarray) -> None:
-    """Refuse, naming the first, a gate whose mask in ``wires`` touches more
-    than ``BLOCK_WIRES`` wires, too many for a table index; every run checks."""
-    counts = np.bitwise_count(wires)
-    if (wide := np.flatnonzero(counts > BLOCK_WIRES)).size:
-        raise ValueError(f"gate {wide[0]} touches {counts[wide[0]]} wires; a fused "
-                         f"block holds at most {BLOCK_WIRES}")
-
-
 def _fuse(ctrl: np.ndarray, tgt: np.ndarray, width: int,
           spans: Sequence[tuple[int, int]],
           parts: Sequence[tuple[FusedBlock, ...]] = ()) -> list[FusedBlock]:
     """One ``FusedBlock`` per span (start, stop) of the gates whose masks
     ``ctrl`` and ``tgt`` hold, the spans ascending and disjoint, with the
     matching ``parts``, if any, as its parts; no span may touch more than
-    ``BLOCK_WIRES`` wires.
+    ``BLOCK_WIRES`` wires, which ``_spans`` of compiled masks never do.
 
     A gate's local masks are ``_extract`` of its masks at its span's wires.
     Spans with equal local gate lists and equal global targets share one
@@ -550,14 +550,13 @@ def _spans(wires: np.ndarray, cuts: set[int], limit: int) -> list[tuple[int, int
 
 
 def validate_network(net: Network, layout: RegisterLayout | None = None) -> list[str]:
-    """Every structural problem, those ``net.masks`` raises the first of and
-    the layout's; an empty list means the network is well formed."""
+    """Every structural problem, those ``net.masks`` raises the first of, and
+    a layout of another width (a layout checks its roles when made); an
+    empty list means the network is well formed and can be fused."""
     problems = _checked_masks(net)[2]
-    if layout is not None:
-        problems.extend(layout.validate())
-        if layout.qubit_count != net.qubit_count:
-            problems.append(f"layout has {layout.qubit_count} qubits, "
-                            f"network has {net.qubit_count}")
+    if layout is not None and layout.qubit_count != net.qubit_count:
+        problems.append(f"layout has {layout.qubit_count} qubits, "
+                        f"network has {net.qubit_count}")
     return problems
 
 

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Network, apply_network_batch
+from .gates import Network, _integer, apply_network_batch
 
 
 def modpow(x: int, a: int, n: int) -> int:
     """x**a mod n by repeated squaring (delegates to the built-in pow); a
     negative exponent is a ``ValueError``, not a modular inverse's power."""
+    x, a, n = _integer(x, "x"), _integer(a, "a"), _integer(n, "n")
     if n < 1:
         raise ValueError("modulus must be positive")
     if a < 0:
@@ -27,6 +28,7 @@ def modpow(x: int, a: int, n: int) -> int:
 
 def multiplicative_order(x: int, n: int) -> int:
     """Least r > 0 with x**r = 1 (mod n); requires n >= 2 and gcd(x, n) = 1."""
+    x, n = _integer(x, "x"), _integer(n, "n")
     if n < 2:
         raise ValueError(f"modulus n={n} must be at least 2")
     if math.gcd(x, n) != 1:
@@ -44,6 +46,7 @@ def direct_outcome_table(n: int, x: int, q: int) -> np.ndarray:
     For each residue class x**k the amplitude at c is the plain sum of the
     phases exp(2 pi i a c / q) over every a < q mapping to that class.
     """
+    n, x, q = _integer(n, "n"), _integer(x, "x"), _integer(q, "q")
     r = multiplicative_order(x, n)
     table = np.zeros((q, 1 << n.bit_length()))
     c = np.arange(q)
@@ -61,6 +64,7 @@ def folded_outcome_table(n: int, x: int, q: int) -> np.ndarray:
     exp(2 pi i b {rc}/q), where {rc} is the representative of r*c (mod q)
     in (-q/2, q/2].
     """
+    n, x, q = _integer(n, "n"), _integer(x, "x"), _integer(q, "q")
     r = multiplicative_order(x, n)
     table = np.zeros((q, 1 << n.bit_length()))
     for k in range(min(r, q)):

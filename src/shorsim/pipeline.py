@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import ArithParams, ConfigError, build_modexp, config_integer
-from .gates import RegisterLayout
+from .gates import RegisterLayout, _integer
 from .oracles import modpow, multiplicative_order
 from .simulator import (MAX_EVENTS, Distribution, ExponentialDecay, StaticDecay,
                         check_law, init_state, outcome_tables, run, sample_schedule)
@@ -110,6 +110,7 @@ def ideal_distribution(n: int, x: int, q: int) -> Distribution:
     f = 0.  One column per class, so time and memory grow as q, not q**2;
     ``oracles.outcome_table_oracle`` sums the same phases two other ways.
     """
+    n, x, q = _integer(n, "n"), _integer(x, "x"), _integer(q, "q")
     r = multiplicative_order(x, n)
     table = np.zeros((q, 1 << n.bit_length()))
     f = np.arange(q, dtype=np.int64) * r % q
@@ -149,6 +150,7 @@ def continued_fraction_order(c: int, q: int, n: int, x: int,
     instance c = q/2).  Returns (least verified order or None, convergents
     tried).  c = 0 carries no information and always fails.
     """
+    c, q, n, x = _integer(c, "c"), _integer(q, "q"), _integer(n, "n"), _integer(x, "x")
     if not 0 <= c < q:
         raise ValueError(f"measured value {c} outside [0, {q})")
     if c == 0:
@@ -174,6 +176,7 @@ def extract_factors(x: int, r: int, n: int) -> tuple[set[int] | None, str | None
     x**(r/2) = -1 (mod n), the two cases the gcd trick cannot use.  An r
     below 1 or with x**r != 1 (mod n) is a ``ValueError``.
     """
+    x, r, n = _integer(x, "x"), _integer(r, "r"), _integer(n, "n")
     if r < 1 or modpow(x, r, n) != 1:
         raise ValueError(f"{r} is not a valid order of {x} mod {n}")
     if r % 2 == 1:

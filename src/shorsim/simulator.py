@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, _integer,
-                    apply_masks, check_gate_wires, decay_through)
+                    _integers, apply_masks, decay_through)
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
@@ -69,12 +69,8 @@ class SparseState:
         if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) != 1:
             raise ValueError("comp, env and amp must be 1-D arrays of one length, "
                              "not of shapes {}, {} and {}".format(*shapes))
-        for name in ("comp", "env"):
-            dtype = np.asarray(getattr(self, name)).dtype
-            if not np.issubdtype(dtype, np.integer):
-                raise ValueError(f"{name} must hold integers, not {dtype}")
-        if int(np.bitwise_or.reduce(self.comp)) >> self.qubit_count:  # or negative
-            raise ValueError(f"comp must hold basis strings in 0..2**{self.qubit_count} - 1")
+        _integers(self.comp, "comp", self.qubit_count)
+        _integers(self.env, "env")
 
     @property
     def component_count(self) -> int:
@@ -366,14 +362,14 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     this one carries the fewest gates.  A rerun makes no kernel call.  The
     output is bit-identical to a first run's.
 
-    Each of these is a ``ValueError`` before any gate: a bad network, a gate
-    on more than 16 wires (``check_gate_wires``), more than 63 events in
-    the environment record, an event qubit outside the state, and a network
-    wider than the state.  A decay that would leave more than
-    ``MAX_COMPONENTS`` components is a ``ComponentBudgetError`` naming the
-    event, before its split.  ``verify_norm`` checks the norm of the input
-    state once the masks and any groups are built, and after every decay
-    event; gates and lookups only permute basis strings.
+    Each of these is a ``ValueError`` before any gate, every time: a network
+    that does not compile (``compile_masks``; a gate on more than 16 wires
+    too), over 63 events in the environment record, an event qubit outside
+    the state, a network wider than the state.  A decay that would leave
+    more than ``MAX_COMPONENTS`` components is a ``ComponentBudgetError``
+    naming the event, before its split.  ``verify_norm`` checks the norm of
+    the input state once the masks and any groups are built, and after
+    every decay event; gates and lookups only permute basis strings.
     """
     records = event_records(net, schedule, watchdog)
     if state.env_count + len(records) > MAX_EVENTS:
@@ -388,8 +384,6 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
                          f"the state's {state.qubit_count}")
     rerun = "masks" in vars(net)  # as above
     ctrl, tgt = net.masks
-    if not rerun:
-        check_gate_wires(ctrl | tgt)
     strict = watchdog == "strict"
     units = (net.checkpoint_groups if strict else net.groups) if rerun else ()
     if verify_norm:

@@ -176,6 +176,27 @@ class TestParseConfig:
         report = json.loads(capsys.readouterr().err)
         assert report["stats"]["shortcut"] == "gcd(12, 15) = 3"
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--watchdog", "off"],
+         "6817e48cc1e8c8f5477c9d0acf0f01c0d3f776e04d5a5bb7ea1ce6ad923f8c51"),
+        (["--watchdog", "on"],
+         "432ee1ff5a141d58ce974bccbf8759a210f062bef6627392e3cc7672138d93ea"),
+        (["--watchdog", "strict"],
+         "221e3550fba692302adbd32abb93e1ab3126b98de495307c58d44b9a3e860fb3"),
+        (["--n", "21", "--x", "2", "--q", "512", "--watchdog", "strict"],
+         "979f19f5ef8166baba40429e8e8bfda7c5b060e407f721f95da685223f9fb3eb"),
+        (["--n", "33", "--x", "5", "--q", "1100", "--watchdog", "on"],
+         "4076e7ecd9901066ade9b7ff98fb202ff8d63875eddcb3120dc88b5b26e30fa8")],
+        ids=["n15-off", "n15-on", "n15-strict", "n21-strict", "n33-on"])
+    def test_run_output_is_pinned(self, argv, digest, tmp_path, capsys):
+        # SHA-256 of the CSV and then the stderr report; the second
+        # repetition reruns the network, so first runs, group walks and
+        # events fired at block edges all reach the bytes
+        out = tmp_path / "a.csv"
+        assert main(["run", *argv, "--reps", "2", "--seed", "1", "--out", str(out)]) == 0
+        got = out.read_bytes() + capsys.readouterr().err.encode()
+        assert hashlib.sha256(got).hexdigest() == digest
+
     @pytest.mark.parametrize("argv, field, want", [
         (["--ev", "5"], "n_events", 5), (["--events=5"], "n_events", 5),
         (["--gam", "2"], "law", ExponentialDecay(2.0)),

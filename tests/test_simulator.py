@@ -14,12 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shorsim import (ArithParams, Network, RegisterLayout, apply_decay,
+from shorsim import (ArithParams, Network, RegisterLayout, apply_decay, apply_network,
                      apply_network_batch, build_modexp, distribution_ed,
                      distribution_ned, dump_state, event_records,
                      fourier_first_register, gates, init_state,
                      inverse_fourier_first_register, network_from_text,
-                     outcome_tables, run, sample_schedule, simulator)
+                     outcome_tables, run, sample_schedule, simulator,
+                     validate_network)
 from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks, gate_masks, mask_bits
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
@@ -1080,24 +1081,36 @@ class TestWideGates:
 
     def test_gate_on_seventeen_wires_refused_before_any_gate(self, gate_path):
         net = Network([gate_masks([], 17), gate_masks(range(1, 17), 0)], 18)
+        problem = "gate 1: touches 17 wires; a fused block holds at most 16"
+        assert validate_network(net) == [problem]
+        message = f"^{re.escape(problem)}$"
         # The event between the two gates would run gate 0 through the kernel.
         sched = NoiseSchedule([event_at(1, 2, 17)], StaticDecay(1.0))
-        for attempt in ("first run", "rerun: the masks were compiled"):
-            with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
+        for attempt in ("first run", "second run: nothing was cached"):
+            with pytest.raises(ValueError, match=message):
                 run(single_component(18, 131070), net, sched, verify_norm=True)
             assert gate_path == [], attempt
-        assert "masks" in vars(net)
-        with pytest.raises(ValueError, match="gate 1 touches 17 wires"):
-            net.groups
+            assert "masks" not in vars(net), attempt
+        for refused in (lambda: net.groups, lambda: compile_masks(net),
+                        lambda: apply_network_batch([131070], net),
+                        lambda: apply_network(131070, net),
+                        lambda: exhaustive_network_check(net, lambda a: a, [0], [0])):
+            with pytest.raises(ValueError, match=message):
+                refused()
+        assert gate_path == [] and "masks" not in vars(net)
 
-    def test_gate_on_seventeen_wires_kept_by_the_batch_kernel_and_oracles(self):
+    def test_gate_on_seventeen_wires_refused_by_the_kernel_and_oracles(self):
+        # the only network check was run()'s: apply_network_batch gave
+        # [262143] and the exhaustive check found no mismatch
         net = Network([gate_masks(range(1, 17), 0), gate_masks([], 17)], 18)
-        with pytest.raises(ValueError, match="gate 0 touches 17 wires"):
+        message = f"^{re.escape('gate 0: touches 17 wires; a fused block holds at most 16')}$"
+        with pytest.raises(ValueError, match=message):
             run(single_component(18, 131070), net, NoiseSchedule([], StaticDecay(1.0)))
-        assert apply_network_batch([131070], net).tolist() == [262143]
-        assert not exhaustive_network_check(
-            net, lambda a: int(a == 65535), range(1 << 16),
-            in_wires=list(range(1, 17)), out_wires=[0])
+        with pytest.raises(ValueError, match=message):
+            apply_network_batch([131070], net)
+        with pytest.raises(ValueError, match=message):
+            exhaustive_network_check(net, lambda a: int(a == 65535), range(1 << 16),
+                                     in_wires=list(range(1, 17)), out_wires=[0])
 
     def test_gate_on_sixteen_wires_runs(self):
         net = Network([gate_masks(range(1, 16), 0), gate_masks([], 16)], 17)
