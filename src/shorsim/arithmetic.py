@@ -284,7 +284,9 @@ def qubit_count_formula(bits: int) -> int:
 
 
 def gate_count_formula(bits: int) -> int:
-    """Polynomial estimate of the elementary-gate count of the full chain."""
+    """Polynomial estimate of the elementary-gate count of the full chain; a
+    ``bits`` that is not an integer is a ``ValueError``."""
+    bits = _integer(bits, "bits")
     return 240 * bits**3 + 484 * bits**2 + 182 * bits
 
 

@@ -306,7 +306,7 @@ def _cmd_verify() -> int:
         state = fourier_first_register(run(init_state(q, layout), net, schedule,
                                            cfg.watchdog), q, layout)
         rep = run_experiment(cfg).repetitions[0]
-        check("run_experiment's tables equal the bincount tables of the transformed "
+        check("run_experiment's tables equal distribution_ned's and _ed's of the transformed "
               f"state, byte for byte, noisy run {instance} seed {cfg.seed}",
               rep.ned.table.tobytes() == distribution_ned(state, layout, q).table.tobytes()
               and rep.ed.table.tobytes() == distribution_ed(state, layout, q).table.tobytes())

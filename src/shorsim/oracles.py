@@ -131,13 +131,16 @@ def exhaustive_network_check(net: Network, semantic: Callable[[int], int],
     back from ``out_wires`` must equal ``semantic(value)``.  All
     ``zero_wires`` must come back 0 and the ``set_wires`` must stay 1; when
     the output lives on different wires than the input, the input must
-    additionally be preserved.  Returns every counterexample found.
+    additionally be preserved.  Returns every counterexample found.  A
+    domain value or a wire that is not an integer is a ``ValueError``.
     """
-    values = np.fromiter(domain, dtype=np.int64)
+    values = np.array([_integer(v, "value") for v in domain], dtype=np.int64)
+    in_wires, zero_wires, set_wires = ([_integer(w, "wire") for w in wires]
+                                       for wires in (in_wires, zero_wires, set_wires))
+    reads_back = out_wires is None
+    out_wires = in_wires if reads_back else [_integer(w, "wire") for w in out_wires]
     if values.size == 0:
         return []
-    reads_back = out_wires is None
-    out_wires = in_wires if reads_back else out_wires
     start = _scatter(values, in_wires)
     for wire in set_wires:
         start |= 1 << wire

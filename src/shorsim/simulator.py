@@ -25,11 +25,11 @@ from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, _integer,
 
 NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
-TABLE_CHUNK = 1 << 16  # dense elements per step of outcome_tables
-# Elements from which a DFT or table pass splits over two threads
-# (``_in_halves``).  Two- over one-thread time, median of 61 pairs on a 2-vCPU
-# Xeon VM: DFT 1.03x at 1.3e5 elements, 0.84x at 2.7e5, 0.71x at 1.1e6; ned
-# and ed 1.04x at 2.0e5, 0.96x at 2.7e5, 0.77x at 1.1e6.
+TABLE_CHUNK = 1 << 16  # elements per step of the table and norm passes
+# Dense elements from which the first-register transform splits its rows over
+# two threads (``_in_halves``).  Two- over one-thread time, median of 61 pairs
+# on a 2-vCPU Xeon VM: 1.03x at 1.3e5 elements, 0.84x at 2.7e5, 0.71x at
+# 1.1e6.  The table passes never split: they stream ``TABLE_CHUNK`` slices.
 SPLIT_MIN = 1 << 18
 # Components a decay may leave: 32 bytes each in comp, env and amp, and a few
 # times that while an event splits the state and the tables group it.
@@ -47,11 +47,13 @@ class SparseState:
     ``env_count`` is the number of decay interactions so far; environment
     records are integers whose bit j stores the outcome of event j.  Each
     (comp, env) key appears at most once; the first-register transforms
-    raise ``ValueError`` on a repeated key.  A ``qubit_count`` outside
-    ``0..MAX_WIDTH``, an ``env_count`` outside ``0..MAX_EVENTS``,
-    ``comp``, ``env`` and ``amp`` that are not 1-D arrays of one length,
-    non-integer ``comp`` or ``env``, or a ``comp`` value outside
-    ``0..2**qubit_count - 1`` are a ``ValueError`` when the state is made.
+    raise ``ValueError`` on a repeated key.  A ``qubit_count`` or
+    ``env_count`` that is not an integer (numpy integers become Python
+    ints), a ``qubit_count`` outside ``0..MAX_WIDTH``, an ``env_count``
+    outside ``0..MAX_EVENTS``, ``comp``, ``env`` and ``amp`` that are not
+    1-D arrays of one length, non-integer ``comp`` or ``env``, or a
+    ``comp`` value outside ``0..2**qubit_count - 1`` are a ``ValueError``
+    when the state is made.
     """
 
     qubit_count: int
@@ -61,6 +63,8 @@ class SparseState:
     amp: np.ndarray
 
     def __post_init__(self):
+        self.qubit_count = _integer(self.qubit_count, "qubit_count")
+        self.env_count = _integer(self.env_count, "env_count")
         if not 0 <= self.qubit_count <= MAX_WIDTH:
             raise ValueError(f"state width {self.qubit_count} outside 0..{MAX_WIDTH}")
         if not 0 <= self.env_count <= MAX_EVENTS:
@@ -77,7 +81,7 @@ class SparseState:
         return len(self.amp)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
+        return _norm_squared(self.amp)
 
     def as_dict(self) -> dict[tuple[int, int], complex]:
         return {(int(c), int(e)): complex(a)
@@ -482,8 +486,25 @@ def _slide(positions: list[int], events: Sequence[EventRecord],
     return left[:k] + right[k:], k
 
 
+def _norm_squared(amp: np.ndarray) -> float:
+    """The sum of |amp|^2 with no array the size of the state: the squared
+    parts of ``TABLE_CHUNK`` amplitudes at a time are summed pairwise in one
+    buffer, and those sums added with ``math.fsum``.  Not ``np.vdot``, whose
+    BLAS threads spin on after the call and take the transform worker's CPU,
+    nor ``np.einsum``, whose running sum drifted 4.6e-14 from ``math.fsum``
+    on noisy N=15 run states (this pass: 2.2e-16)."""
+    parts = np.ascontiguousarray(amp, dtype=np.complex128).view(np.float64)
+    step = 2 * TABLE_CHUNK
+    squares = np.empty(min(len(parts), step))
+    sums = []
+    for lo in range(0, len(parts), step):
+        chunk = parts[lo:lo + step]
+        sums.append(np.square(chunk, out=squares[:len(chunk)]).sum())
+    return math.fsum(sums)
+
+
 def _check_norm(amp: np.ndarray, where: str) -> None:
-    norm = float(np.sum(np.abs(amp) ** 2))
+    norm = _norm_squared(amp)
     if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"norm drifted to {norm} after {where}")
 
@@ -616,44 +637,45 @@ def inverse_fourier_first_register(state: SparseState, q: int,
 
 
 def _tables(state: SparseState, layout: RegisterLayout, q: int,
-            select: np.ndarray | None) -> np.ndarray:
+            ed: bool) -> np.ndarray:
     q = _integer(q, "q")
-    comp, amp = state.comp, state.amp
-    if select is not None:
-        comp, amp = comp[select], amp[select]
     width = 1 << len(layout.reg2)
-    cell = np.empty(len(comp), dtype=np.int64)
-    weights = np.empty(len(comp))
+    work = np.int64(layout.work_mask())
+    table = np.zeros(q * width)
+    size = min(len(state.comp), TABLE_CHUNK)
+    cell = np.empty(size, dtype=np.int64)
+    weights = np.empty(size)
     r2 = weights.view(np.int64)  # holds r2 until the weights overwrite it
-
-    def part(lo: int, hi: int) -> None:
-        c, r, w = cell[lo:hi], r2[lo:hi], weights[lo:hi]
-        np.right_shift(comp[lo:hi], layout.reg1.start, out=c)
+    for lo in range(0, len(state.comp), TABLE_CHUNK):
+        comp, amp = state.comp[lo:lo + TABLE_CHUNK], state.amp[lo:lo + TABLE_CHUNK]
+        if ed:
+            keep = np.bitwise_and(comp, work, out=cell[:len(comp)]) == 0
+            comp, amp = comp[keep], amp[keep]
+        c, r, w = cell[:len(comp)], r2[:len(comp)], weights[:len(comp)]
+        np.right_shift(comp, layout.reg1.start, out=c)
         c &= (1 << len(layout.reg1)) - 1
         c *= width  # cell = r1 * width + r2
-        np.right_shift(comp[lo:hi], layout.reg2.start, out=r)
+        np.right_shift(comp, layout.reg2.start, out=r)
         r &= width - 1
         c += r
-        np.abs(amp[lo:hi], out=w)
+        if len(c) and c.max() >= q * width:
+            raise ValueError("component with first-register value >= q")
+        np.abs(amp, out=w)
         np.square(w, out=w)
-    _in_halves(len(comp), len(comp), part)
-    if np.any(cell >= q * width):
-        raise ValueError("component with first-register value >= q")
-    table = np.bincount(cell, weights, minlength=q * width)
-    # bincount returns integers when the selection keeps nothing
-    return table.astype(np.float64, copy=False).reshape(q, width)
+        # add.at adds element by element in index order, as bincount does.
+        np.add.at(table, c, w)
+    return table.reshape(q, width)
 
 
 def distribution_ned(state: SparseState, layout: RegisterLayout,
                      q: int) -> Distribution:
-    """P(r1, r2) with scratch wires and environment traced out: one
-    ``np.bincount`` of |amp|^2 by cell.  From ``SPLIT_MIN`` (2^18)
-    components, where the table passes took 0.96x one thread's time, a
-    process that may run on two or more CPUs computes the upper half's
-    cells and weights on a worker thread; the range check and the bincount
-    stay whole and in element order, so the bytes do not change.  A one-CPU
-    process never starts the worker."""
-    return Distribution(_tables(state, layout, q, None), "ned")
+    """P(r1, r2) with scratch wires and environment traced out: |amp|^2
+    added by cell into one zeroed table with ``np.add.at``, ``TABLE_CHUNK``
+    components at a time, in element order as ``np.bincount`` adds them.
+    Each slice's cells are range-checked before they are added, and its
+    cells and weights go into buffers of one slice, so no array the size of
+    the state is made.  The pass runs in the calling thread."""
+    return Distribution(_tables(state, layout, q, False), "ned")
 
 
 def distribution_ed(state: SparseState, layout: RegisterLayout,
@@ -661,11 +683,11 @@ def distribution_ed(state: SparseState, layout: RegisterLayout,
     """Joint probability of (r1, r2) *and* all scratch wires reading 0.
 
     Not renormalized; pointwise it can only lose weight relative to the
-    no-error-detection table.  The selected components take the pass of
-    ``distribution_ned``, split from ``SPLIT_MIN`` of them as it is.
+    no-error-detection table.  The pass of ``distribution_ned``, with each
+    slice first cut to its components whose scratch wires are clean; only
+    those are range-checked.
     """
-    keep = (state.comp & np.int64(layout.work_mask())) == 0
-    return Distribution(_tables(state, layout, q, keep), "ed")
+    return Distribution(_tables(state, layout, q, True), "ed")
 
 
 def outcome_tables(state: SparseState, layout: RegisterLayout,
@@ -677,8 +699,8 @@ def outcome_tables(state: SparseState, layout: RegisterLayout,
     one r2 value and one scratch flag, so column r2 of a table is the sum of
     |F(c)|^2 over its rows.  The rows are transformed ``TABLE_CHUNK`` dense
     elements at a time (at least one row), and each row is added into its r2
-    accumulator in ascending row order, the order in which ``np.bincount``
-    adds them in the reference; the ed table takes only the rows whose
+    accumulator in ascending row order, the order in which
+    ``distribution_ned`` adds them; the ed table takes only the rows whose
     scratch wires are clean.  Raises what the transform raises.
     """
     q = _integer(q, "q")

@@ -8,14 +8,14 @@ import pytest
 
 import shorsim
 from shorsim import (ArithParams, DecayEvent, ExperimentConfig, Network, NoiseSchedule,
-                     RegisterLayout, StaticDecay, apply_decay, apply_network,
+                     RegisterLayout, SparseState, StaticDecay, apply_decay, apply_network,
                      apply_network_batch, build_adder, concatenate,
                      continued_fraction_order, distribution_ed, distribution_ned,
-                     extract_factors, fourier_first_register, gate_masks,
-                     ideal_distribution, init_state, inverse_fourier_first_register,
-                     modpow, multiplicative_order, network_from_text, network_to_text,
-                     outcome_table_oracle, outcome_tables, resource_estimate,
-                     sample_schedule, validate_network)
+                     exhaustive_network_check, extract_factors, fourier_first_register,
+                     gate_count_formula, gate_masks, ideal_distribution, init_state,
+                     inverse_fourier_first_register, modpow, multiplicative_order,
+                     network_from_text, network_to_text, outcome_table_oracle,
+                     outcome_tables, resource_estimate, sample_schedule, validate_network)
 from shorsim.gates import MAX_WIDTH, Checkpoint, _extract, apply_masks, decay_through
 from shorsim.oracles import direct_outcome_table, folded_outcome_table
 
@@ -350,6 +350,11 @@ def first_state():
     return init_state(130, FACTORING)
 
 
+def first_state_arrays():
+    state = first_state()
+    return state.comp, state.env, state.amp
+
+
 # One row set over shorsim's exports (``test_every_export_has_rows_or_an_
 # exemption``): the export, a call refusing a non-integer, and the message.
 NON_INTEGER_ROWS = [
@@ -425,6 +430,22 @@ NON_INTEGER_ROWS = [
                  "q=130.0 must be an integer", id="outcome-tables"),
     pytest.param(resource_estimate, lambda: resource_estimate(2.5),
                  "bits=2.5 must be an integer", id="resource-estimate"),
+    # unchecked, the domain value 1.5 was checked as 1, the wire 1.5 raised a
+    # raw TypeError from <<, the formula returned 7230.0, the width 2.5 raised
+    # a raw TypeError from >> and the record count 1.5 made a state
+    pytest.param(exhaustive_network_check,
+                 lambda: exhaustive_network_check(Network([], 2), int, [1.5], [0, 1]),
+                 "value=1.5 must be an integer", id="exhaustive-check-domain"),
+    pytest.param(exhaustive_network_check,
+                 lambda: exhaustive_network_check(Network([], 2), int, [1], [0, 1.5]),
+                 "wire=1.5 must be an integer", id="exhaustive-check-wire"),
+    pytest.param(gate_count_formula, lambda: gate_count_formula(2.5),
+                 "bits=2.5 must be an integer", id="gate-count-formula"),
+    pytest.param(SparseState, lambda: SparseState(2.5, 0, *first_state_arrays()),
+                 "qubit_count=2.5 must be an integer", id="state-width"),
+    pytest.param(SparseState, lambda: SparseState(FACTORING.qubit_count, 1.5,
+                                                  *first_state_arrays()),
+                 "env_count=1.5 must be an integer", id="state-env-count"),
 ]
 
 # Exports without rows, each with its reason.
@@ -436,8 +457,6 @@ EXEMPT = {
     "ResourceReport": "a result record; resource_estimate fills it",
     "StaticDecay": "takes a real number, refused in test_simulator.py's TestDecayLaws",
     "ExponentialDecay": "takes a real number, refused in test_simulator.py's TestDecayLaws",
-    "SparseState": "non-integer comp and env refused when made (test_simulator.py's "
-                   "TestRunBoundary); qubit_count and env_count left (ROADMAP item 6)",
     "build_modexp": "takes an ArithParams and a RegisterLayout, both checked when made",
     "dump_state": "takes a SparseState only",
     "event_records": "takes a Network, a NoiseSchedule and a mode name",
@@ -445,13 +464,11 @@ EXEMPT = {
     "run_experiment": "takes an ExperimentConfig, checked when made",
     "network_to_text": "takes a Network only",
     "validate_network": "takes a Network and a RegisterLayout, no integer",
-    "exhaustive_network_check": LEFT,
     "build_adder": LEFT,
     "build_bit_adder": LEFT,
     "build_controlled_multiplier": LEFT,
     "build_mod_adder": LEFT,
     "controlled_swap": LEFT,
-    "gate_count_formula": LEFT,
     "mod_inverse": LEFT,
 }
 
@@ -492,6 +509,10 @@ class TestIntegerArguments:
         assert type(net.qubit_count) is int and net.qubit_count == 1
         assert type(chk.position) is int and chk.position == 1
         assert apply_network(np.int64(1), net) == 0
+        state = SparseState(np.int64(FACTORING.qubit_count), np.uint8(0), *first_state_arrays())
+        assert type(state.qubit_count) is int and type(state.env_count) is int
+        assert type(gate_count_formula(np.int64(4))) is int
+        assert exhaustive_network_check(net, lambda v: v ^ 1, np.arange(2), [np.int64(0)]) == []
 
     def test_gates_and_checkpoints_from_numpy_indices_hold_ints(self):
         # unchecked, the masks were numpy integers, and network_to_text died

@@ -1810,8 +1810,8 @@ def rows_state(layout, rows, q, seed):
 
 
 def assert_tables_match_reference(state, layout, q):
-    """outcome_tables equals the bincount tables of the transformed state,
-    byte for byte, and returns them."""
+    """outcome_tables equals the distribution_ned/ed tables of the
+    transformed state, byte for byte, and returns them."""
     forward = fourier_first_register(state, q, layout)
     got = outcome_tables(state, layout, q)
     for table, want in zip(got, (distribution_ned(forward, layout, q),
@@ -1910,6 +1910,147 @@ class TestOutcomeTables:
             assert rows * q >= 10 ** 6 and peak < bound < 16 * rows * q
 
 
+def slices_state(layout, q, slices, seed):
+    """``slices`` whole ``TABLE_CHUNK`` slices and a short last one of
+    components with first-register values below q, random r2 values and
+    amplitudes, and a scratch wire set in about half of them and in every
+    component of the second slice, so that ed keeps nothing there.  Keys
+    may repeat: the table passes do not group components."""
+    chunk = simulator.TABLE_CHUNK
+    n = slices * chunk + 3
+    rng = np.random.default_rng(seed)
+    comp = (rng.integers(0, q, n) << layout.reg1.start
+            | rng.integers(0, 1 << len(layout.reg2), n) << layout.reg2.start)
+    dirty = rng.random(n) < 0.5
+    dirty[chunk:2 * chunk] = True
+    comp[dirty] |= 1 << layout.add_work.start
+    amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return SparseState(layout.qubit_count, 0, comp, np.zeros(n, dtype=np.int64), amp)
+
+
+def clean(state, layout):
+    return (state.comp & np.int64(layout.work_mask())) == 0
+
+
+class TestStreamedTables:
+    """distribution_ned and distribution_ed add each TABLE_CHUNK slice of the
+    state into one table, byte for byte as the np.add.at reference over the
+    whole state, with buffers of one slice."""
+
+    @pytest.mark.parametrize("chunk", [None, 5], ids=["TABLE_CHUNK", "5"])
+    def test_tables_match_the_reference_across_slices(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(simulator, "TABLE_CHUNK", chunk)
+        chunk = simulator.TABLE_CHUNK
+        layout = RegisterLayout.for_factoring(4, q=130)
+        state = slices_state(layout, 130, 3, seed=chunk)
+        keep = clean(state, layout)
+        assert keep.any() and not keep[chunk:2 * chunk].any()
+        for got, select in ((distribution_ned(state, layout, 130), None),
+                            (distribution_ed(state, layout, 130), keep)):
+            want = reference_table(state, layout, 130, select)
+            assert got.table.dtype == want.dtype and got.table.shape == want.shape
+            assert got.table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 5], ids=["TABLE_CHUNK", "5"])
+    def test_a_beyond_q_only_in_the_last_slice(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(simulator, "TABLE_CHUNK", chunk)
+        layout = RegisterLayout.for_factoring(4, q=130)
+        state = slices_state(layout, 130, 2, seed=3)
+        dirt = np.int64(layout.work_mask() | layout.reg1_mask())
+        state.comp[-1] = state.comp[-1] & ~dirt | 130 << layout.reg1.start
+        for call in (distribution_ned, distribution_ed):
+            with pytest.raises(ValueError, match="^component with first-register value >= q$"):
+                call(state, layout, 130)
+        state.comp[-1] |= 1 << layout.add_work.start  # ed discards it
+        with pytest.raises(ValueError, match="^component with first-register value >= q$"):
+            distribution_ned(state, layout, 130)
+        got = distribution_ed(state, layout, 130).table
+        assert got.tobytes() == reference_table(state, layout, 130,
+                                                clean(state, layout)).tobytes()
+
+    def test_table_passes_start_no_thread(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        layout = RegisterLayout.for_factoring(4, q=130)
+        forward = fourier_first_register(rows_state(layout, 9, 130, seed=9), 130, layout)
+        assert len(started) == 1  # the transform split
+        distribution_ned(forward, layout, 130)
+        distribution_ed(forward, layout, 130)
+        assert len(started) == 1
+
+    def test_traced_peak_is_set_by_the_chunk_not_the_state(self):
+        q = 130
+        layout = RegisterLayout.for_factoring(4, q=q)
+        # per slice element: cells and weights (8 bytes each) and, for ed,
+        # the keep mask (1) and the kept components and amplitudes (8 + 16);
+        # then the table and 1 MB for the rest
+        bound = 41 * simulator.TABLE_CHUNK + q * 16 * 8 + (1 << 20)
+        for slices in (16, 32):  # 1.0 and 2.1 million components
+            state = slices_state(layout, q, slices, seed=slices)
+            for call in (lambda: distribution_ned(state, layout, q),
+                         lambda: distribution_ed(state, layout, q),
+                         state.norm_squared):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert len(state.amp) >= 10 ** 6 and peak < bound < 8 * len(state.amp)
+
+
+class TestNormSquared:
+    """One norm pass for SparseState.norm_squared and run's norm checks,
+    within 1e-15 of math.fsum over the squared parts."""
+
+    @staticmethod
+    def exact(amp):
+        parts = np.ascontiguousarray(amp, dtype=np.complex128).view(np.float64)
+        return math.fsum((parts * parts).tolist())
+
+    def test_within_1e_15_of_fsum(self, factoring_15):
+        _, layout, net = factoring_15
+        empty = np.zeros(0, dtype=np.int64)
+        states = [SparseState(layout.qubit_count, 0, empty, empty.copy(),
+                              np.zeros(0, dtype=np.complex128)),
+                  init_state(130, layout)]
+        for seed in range(4):
+            sched = sample_schedule(20, layout.qubit_count, seed, STATIC_HALF)
+            for watchdog in ("off", "strict"):
+                states.append(run(init_state(130, layout), net, sched, watchdog))
+        states.append(fourier_first_register(states[-1], 130, layout))
+        big = slices_state(layout, 130, 3, seed=1)
+        big.amp /= math.sqrt(self.exact(big.amp))
+        states.append(big)
+        assert max(len(s.amp) for s in states) > 2 * simulator.TABLE_CHUNK
+        for state in states:
+            want = self.exact(state.amp)
+            assert want == 0.0 or abs(want - 1.0) < 1e-12
+            assert abs(state.norm_squared() - want) <= 1e-15
+
+    def test_run_checks_the_norm_with_the_same_pass(self, factoring_15, monkeypatch):
+        _, layout, net = factoring_15
+        seen = []
+        norm_squared = simulator._norm_squared
+
+        def counted(amp):
+            seen.append(len(amp))
+            return norm_squared(amp)
+        monkeypatch.setattr(simulator, "_norm_squared", counted)
+        sched = sample_schedule(3, layout.qubit_count, 1, STATIC_HALF)
+        run(init_state(130, layout), fresh_copy(net), sched, verify_norm=True)
+        assert len(seen) == 4 and seen[0] == 130  # the input, then each event
+
+
 @pytest.fixture(params=["split", "inline"])
 def split(request, monkeypatch):
     """The transform and table passes forced into two halves on two threads
@@ -2003,9 +2144,10 @@ class TestSplitPasses:
         for call in (fourier_first_register, inverse_fourier_first_register):
             with pytest.raises(ValueError, match="^component with first-register value >= q$"):
                 call(beyond, 4, layout)
-        for call in (distribution_ned, distribution_ed):
-            with pytest.raises(ValueError, match="^component with first-register value >= q$"):
-                call(beyond, layout, 4)
+        # Both are refused before any row is transformed.  A good state on
+        # the same path splits, as the fixture checks; the table passes,
+        # which never split, are checked in TestStreamedTables.
+        fourier_first_register(single_component(layout.qubit_count, 3), 4, layout)
 
     def test_a_failure_in_the_worker_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
