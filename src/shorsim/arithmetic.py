@@ -14,7 +14,8 @@ The building blocks, smallest first:
 * the modular-exponentiation chain driving one multiplier per exponent bit.
 
 All builders take explicit wire lists of qubit indices so they compose
-freely, and emit each gate as a (control mask, target mask) pair; the
+freely (an argument that is not an integer, or a negative wire, is a
+``ValueError``), and emit each gate as a (control mask, target mask) pair; the
 top-level chain uses a :class:`~shorsim.gates.RegisterLayout`.  Every block
 restores its scratch wires to 0 on in-domain inputs, which the exhaustive
 checker in :mod:`shorsim.oracles` verifies wire by wire.
@@ -108,7 +109,9 @@ class ResourceReport:
 
 
 def mod_inverse(c: int, n: int) -> int:
-    """The multiplicative inverse of c mod n, ``pow(c, -1, n)``."""
+    """The multiplicative inverse of c mod n, ``pow(c, -1, n)``; a c or n
+    that is not an integer is a ``ValueError``."""
+    c, n = _integer(c, "c"), _integer(n, "n")
     if not 0 < c < n:
         raise ValueError(f"need 0 < c < n, got c={c}, n={n}")
     if (g := math.gcd(c, n)) != 1:
@@ -127,13 +130,15 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
     ``carry_wire=None`` for the cheaper top column that only needs the low
     bit.  Everything is conditioned on ``controls``.
     """
+    const_bit = _integer(const_bit, "const_bit")
     wires = [sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else [])
     if len(set(wires)) != len(wires):
         raise ValueError(f"bit adder wires must be distinct, got {wires}")
-    ctl, s, k = qubit_mask(controls), 1 << sum_wire, 1 << keep_wire
+    ctl, s = qubit_mask(controls), 1 << _integer(sum_wire, "sum_wire")
+    k = 1 << _integer(keep_wire, "keep_wire")
     gates = []
     if carry_wire is not None:
-        carry = 1 << carry_wire
+        carry = 1 << _integer(carry_wire, "carry_wire")
         gates.append((ctl | s | k, carry))
         if const_bit:
             gates += [(ctl | s, carry), (ctl | k, carry)]
@@ -145,7 +150,7 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
 
 def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
     """Exchange wires a and b; three NOTs, only the middle one controlled."""
-    a, b = 1 << a, 1 << b
+    a, b = 1 << _integer(a, "a"), 1 << _integer(b, "b")
     return [(b, a), (qubit_mask(controls) | a, b), (b, a)]
 
 
@@ -159,12 +164,12 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
     three sets the top scratch bit and un-ripples ``2**m - y`` so the
     leftover copy of ``X`` cancels back to 0.
     """
-    m = len(reg)
+    m, y = len(reg), _integer(y, "y")
     if not 0 <= y < (1 << m):
         raise ValueError(f"constant {y} does not fit in {m} bits")
     if len(work) < m + 1:
         raise ValueError(f"adder on {m} wires needs {m + 1} scratch wires")
-    qubit_count = 1 + max([*reg, *work, *controls])
+    qubit_count = qubit_mask([*reg, *work, *controls]).bit_length()
     if y == 0:
         return Network([], qubit_count)
     gates = []
@@ -173,7 +178,7 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
         gates += build_bit_adder((y >> i) & 1, controls, work[i], reg[i], carry)
     for i in range(m):
         gates += controlled_swap(controls, reg[i], work[i])
-    gates.append((qubit_mask(controls), 1 << work[m]))
+    gates.append((qubit_mask(controls), qubit_mask([work[m]])))
     complement = (1 << m) - y
     unwind = []
     for i in range(m):
@@ -195,26 +200,26 @@ def build_mod_adder(y: int, n: int, value: Sequence[int], flag_lo: int,
     un-add to restore the scratch.  Correct only for in-range inputs --
     out-of-range values leave garbage that the exhaustive checker flags.
     """
-    bits = len(value)
+    bits, y, n = len(value), _integer(y, "y"), _integer(n, "n")
     if not 0 <= y < n:
         raise ValueError(f"addend {y} must lie in [0, {n})")
     if n.bit_length() > bits:
         raise ValueError(f"modulus {n} does not fit in {bits} bits")
     if len(work) < bits + 3:
         raise ValueError(f"mod-{n} adder needs {bits + 3} scratch wires")
+    qubit_count = qubit_mask([*value, flag_lo, flag_hi, *work, *controls]).bit_length()
     gates = []
     gates += build_adder(y, [*value, flag_lo], work[:bits + 2], controls).gates
     gates += build_adder((1 << (bits + 1)) - n, [*value, flag_lo, flag_hi],
                          work[:bits + 3], controls).gates
     gates += build_adder(n, [*value, flag_hi], work[:bits + 2],
                          (*controls, flag_lo)).gates
-    gates.append((qubit_mask(controls), 1 << flag_hi))
+    gates.append((qubit_mask(controls), qubit_mask([flag_hi])))
     recompute = build_adder((1 << bits) - y, [*value, flag_hi],
                             work[:bits + 2], controls).gates
     gates += recompute
-    gates.append((qubit_mask((*controls, flag_hi)), 1 << flag_lo))
+    gates.append((qubit_mask((*controls, flag_hi)), qubit_mask([flag_lo])))
     gates += reversed(recompute)
-    qubit_count = 1 + max([*value, flag_lo, flag_hi, *work, *controls])
     scratch = qubit_mask([*work, flag_lo, flag_hi])
     return Network(gates, qubit_count, [Checkpoint(len(gates), scratch)])
 
@@ -234,7 +239,8 @@ def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
     bits = len(reg)
     if len(acc) != bits:
         raise ValueError("accumulator and input register must have equal width")
-    inverse = mod_inverse(c, n)  # raises when gcd(c, n) != 1
+    inverse = mod_inverse(c, n)  # refuses a non-integer, and gcd(c, n) != 1
+    qubit_count = qubit_mask([*reg, *acc, flag_lo, flag_hi, *work, *controls]).bit_length()
     scratch = qubit_mask([*work, flag_lo, flag_hi])
     gates: list[tuple[int, int]] = []
     checkpoints: list[Checkpoint] = []
@@ -249,7 +255,6 @@ def build_controlled_multiplier(c: int, n: int, reg: Sequence[int],
     for i in range(bits):
         gates += controlled_swap(controls, reg[i], acc[i])
     checkpoints.append(Checkpoint(len(gates), qubit_mask(acc) | scratch))
-    qubit_count = 1 + max([*reg, *acc, flag_lo, flag_hi, *work, *controls])
     return Network(gates, qubit_count, checkpoints)
 
 

@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", help="simulate a factoring experiment")  # parse_config parses it
 
     buildp = sub.add_parser("build", help="emit the exponentiation network")
-    buildp.add_argument("--n", type=int, default=15)
-    buildp.add_argument("--x", type=int, default=7)
+    buildp.add_argument("--n", type=int, default=ExperimentConfig.n)
+    buildp.add_argument("--x", type=int, default=ExperimentConfig.x)
     buildp.add_argument("--q", type=int, default=None)
     buildp.add_argument("--out", default=None)
     buildp.add_argument("--report", action="store_true",
@@ -76,18 +76,18 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
         argv = argv[1:]
     parser = argparse.ArgumentParser(prog="shorsim run")
     add = parser.add_argument
-    add("--n", type=int, default=15)
-    add("--x", default="7")
-    add("--q", type=int, default=130)
-    add("--events", type=int, default=10)
+    add("--n", type=int, default=ExperimentConfig.n)
+    add("--x", default=str(ExperimentConfig.x))
+    add("--q", type=int, default=ExperimentConfig.q)
+    add("--events", type=int, default=ExperimentConfig.n_events)
     laws = parser.add_mutually_exclusive_group()
     laws.add_argument("--p1", type=float, default=None,
                      help="time-independent persistence probability")
-    laws.add_argument("--gamma", type=float, default=2.5,
-                     help="exponential decay rate (default 2.5)")
-    add("--watchdog", choices=["on", "off", "strict"], default="on")
-    add("--seed", type=int, default=1)
-    add("--reps", type=int, default=1)
+    laws.add_argument("--gamma", type=float, default=ExperimentConfig.law.gamma,
+                     help="exponential decay rate (default %(default)s)")
+    add("--watchdog", choices=["on", "off", "strict"], default=ExperimentConfig.watchdog)
+    add("--seed", type=int, default=ExperimentConfig.seed)
+    add("--reps", type=int, default=ExperimentConfig.repetitions)
     add("--r2-slice", type=int, default=None)
     add("--out", default=None)
     add("--format", choices=["csv", "json", "gnuplot"], default="csv")

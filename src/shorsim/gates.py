@@ -44,9 +44,12 @@ def _integers(values, name: str, width: int | None = None) -> None:
 
 
 def qubit_mask(qubits: Iterable[int]) -> int:
-    """The bit mask of some qubit indices; a negative index is a ``ValueError``."""
+    """The bit mask of some qubit indices; an index that is not an integer,
+    or is negative, is a ``ValueError``."""
     mask = 0
     for q in qubits:
+        if type(q) is not int:  # skips the call on the builders' hot path
+            q = _integer(q, "qubit")
         if q < 0:
             raise ValueError(f"negative qubit index {q}")
         mask |= 1 << q
@@ -80,8 +83,7 @@ class Checkpoint(NamedTuple):
     @classmethod
     def of(cls, position: int, qubits: Iterable[int]) -> Checkpoint:
         """The checkpoint on qubit indices; refuses non-integers, a negative index."""
-        return cls(_integer(position, "position"),
-                   qubit_mask(_integer(q, "qubit") for q in qubits))
+        return cls(_integer(position, "position"), qubit_mask(qubits))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -91,9 +93,11 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right, on an integer ``qubit_count`` of qubits.  The properties below
-    are built on first use and cached on the instance; equality and hashing
-    compare the three fields only."""
+    right, on an integer ``qubit_count`` of qubits.  The first checkpoint at
+    a position outside ``0..len(gates)`` or below an earlier one, or with a
+    mask negative or not below ``2**qubit_count``, is a ``ValueError`` when
+    made.  The properties below are built on first use and cached on the
+    instance; equality and hashing compare the three fields only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
@@ -102,25 +106,18 @@ class Network:
     def __init__(self, gates: Iterable[tuple[int, int]], qubit_count: int,
                  checkpoints: Iterable[Checkpoint] = ()):
         object.__setattr__(self, "gates", tuple(gates))
-        object.__setattr__(self, "qubit_count", _integer(qubit_count, "qubit_count"))
+        object.__setattr__(self, "qubit_count", width := _integer(qubit_count, "qubit_count"))
         object.__setattr__(self, "checkpoints", tuple(checkpoints))
-
-    @cached_property
-    def checkpoint_problems(self) -> tuple[str, ...]:
-        """Every problem of the checkpoints, with no masks compiled: a position
-        outside ``0..len(gates)`` or below an earlier one, a mask negative or not
-        below ``2**qubit_count``; ``compile_masks`` and ``event_records`` refuse the first."""
-        problems, last, count, width = [], 0, len(self.gates), self.qubit_count
+        last, count = 0, len(self.gates)
         for k, (position, mask) in enumerate(self.checkpoints):
             if not last <= position <= count:
-                problems.append(f"checkpoint {k}: position {position} outside {last}..{count}")
+                raise ValueError(f"checkpoint {k}: position {position} outside {last}..{count}")
             if mask < 0:
-                problems.append(f"checkpoint {k}: negative mask")
-            elif high := mask >> width:
+                raise ValueError(f"checkpoint {k}: negative mask")
+            if high := mask >> width:
                 low = width + (high & -high).bit_length() - 1
-                problems.append(f"checkpoint {k}: qubit {low} outside width {width}")
-            last = max(last, position)
-        return tuple(problems)
+                raise ValueError(f"checkpoint {k}: qubit {low} outside width {width}")
+            last = position
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +189,11 @@ class RegisterLayout:
         """Pack a layout for factoring an L-bit number.
 
         reg1 is as wide as q-1 needs, or 2L+1 qubits when no q is given
-        (enough for any q up to 2 N^2).
+        (enough for any q up to 2 N^2).  A ``bits`` or ``q`` that is not an
+        integer is a ``ValueError``.
         """
-        reg1_width = (q - 1).bit_length() if q is not None else 2 * bits + 1
+        bits = _integer(bits, "bits")
+        reg1_width = (_integer(q, "q") - 1).bit_length() if q is not None else 2 * bits + 1
         pos = 0
         reg1 = range(pos, pos + reg1_width); pos = reg1.stop
         reg2 = range(pos, pos + bits); pos = reg2.stop
@@ -232,10 +231,10 @@ class RegisterLayout:
 
 
 def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The gate masks as two int64 arrays, and every problem of the network,
-    all gates checked at once: a target not one bit or among the controls, a
-    mask not below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a gate on
-    more than ``BLOCK_WIRES`` wires, then the ``checkpoint_problems``."""
+    """The gate masks as two int64 arrays, and every problem of the gates, all
+    checked at once: a target not one bit or among the controls, a mask not
+    below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a gate on more than
+    ``BLOCK_WIRES`` wires."""
     width, count = net.qubit_count, len(net.gates)
     try:
         flat = np.fromiter(chain.from_iterable(net.gates), np.int64, 2 * count)
@@ -262,13 +261,13 @@ def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
         else:
             problem = f"touches {counts[i]} wires; a fused block holds at most {BLOCK_WIRES}"
         problems.append(f"gate {i}: {problem}")
-    return ctrl, tgt, [*problems, *net.checkpoint_problems]
+    return ctrl, tgt, problems
 
 
 def compile_masks(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """The validated (control_mask, target_mask) int64 arrays of a network,
     built afresh on every call (``Network.masks`` caches them); the first
-    problem ``validate_network`` reports (a gate on 17+ wires too) is a ``ValueError``."""
+    gate problem ``validate_network`` reports is a ``ValueError``."""
     ctrl, tgt, problems = _checked_masks(net)
     if problems:
         raise ValueError(problems[0])
@@ -550,9 +549,10 @@ def _spans(wires: np.ndarray, cuts: set[int], limit: int) -> list[tuple[int, int
 
 
 def validate_network(net: Network, layout: RegisterLayout | None = None) -> list[str]:
-    """Every structural problem, those ``net.masks`` raises the first of, and
-    a layout of another width (a layout checks its roles when made); an
-    empty list means the network is well formed and can be fused."""
+    """Every problem of the gates, those ``net.masks`` raises the first of,
+    and a layout of another width (a network checks its checkpoints, and a
+    layout its roles, when made); an empty list means the network is well
+    formed and can be fused."""
     problems = _checked_masks(net)[2]
     if layout is not None and layout.qubit_count != net.qubit_count:
         problems.append(f"layout has {layout.qubit_count} qubits, "

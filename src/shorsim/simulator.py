@@ -315,13 +315,9 @@ def event_records(net: Network, schedule: NoiseSchedule,
     clock origin is its qubit's last reset strictly before it, 0.0 if none
     or with the watchdog 'off', and p1 is the law's from there.  Reads only
     ``net.gates`` and ``net.checkpoints``, so no masks are compiled and a
-    network's next run stays its first.  An unknown mode is a
-    ``ValueError``, and so is the first of ``net.checkpoint_problems``, the
-    text ``run()`` refuses the network with."""
+    network's next run stays its first.  An unknown mode is a ``ValueError``."""
     if watchdog not in ("off", "on", "strict"):
         raise ValueError(f"unknown watchdog mode {watchdog!r}")
-    if net.checkpoint_problems:
-        raise ValueError(net.checkpoint_problems[0])
     total = len(net.gates)
     resets = net.checkpoints if watchdog != "off" else ()
     records = []
@@ -398,7 +394,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     amp = state.amp.copy()
 
     positions = [rec.position for rec in records]  # where each event fires
-    checkpoints = net.checkpoints if strict else ()  # in order: compiling checked that
+    checkpoints = net.checkpoints if strict else ()  # in order, as the network checked
     ei = ci = 0
 
     def fire(*gates: np.ndarray) -> None:

@@ -34,6 +34,12 @@ class TestParseConfig:
         assert cfg.law == ExponentialDecay(2.5)
         assert cfg.watchdog == "on"
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        # stated once, in ExperimentConfig's fields
+        assert parse_config(["run"])[0] == pipeline.ExperimentConfig()
+        build = cli.build_parser().parse_args(["build"])
+        assert (build.n, build.x) == (pipeline.ExperimentConfig.n, pipeline.ExperimentConfig.x)
+
     def test_static_law_configuration(self):
         cfg, _ = parse_config(["run", "--n", "15", "--x", "7", "--q", "130",
                                "--events", "10", "--p1", "0.5"])

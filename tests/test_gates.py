@@ -9,13 +9,15 @@ import pytest
 import shorsim
 from shorsim import (ArithParams, DecayEvent, ExperimentConfig, Network, NoiseSchedule,
                      RegisterLayout, SparseState, StaticDecay, apply_decay, apply_network,
-                     apply_network_batch, build_adder, concatenate,
-                     continued_fraction_order, distribution_ed, distribution_ned,
-                     exhaustive_network_check, extract_factors, fourier_first_register,
-                     gate_count_formula, gate_masks, ideal_distribution, init_state,
-                     inverse_fourier_first_register, modpow, multiplicative_order,
-                     network_from_text, network_to_text, outcome_table_oracle,
-                     outcome_tables, resource_estimate, sample_schedule, validate_network)
+                     apply_network_batch, build_adder, build_bit_adder,
+                     build_controlled_multiplier, build_mod_adder, concatenate,
+                     continued_fraction_order, controlled_swap, distribution_ed,
+                     distribution_ned, exhaustive_network_check, extract_factors,
+                     fourier_first_register, gate_count_formula, gate_masks,
+                     ideal_distribution, init_state, inverse_fourier_first_register,
+                     mod_inverse, modpow, multiplicative_order, network_from_text,
+                     network_to_text, outcome_table_oracle, outcome_tables,
+                     resource_estimate, sample_schedule, validate_network)
 from shorsim.gates import MAX_WIDTH, Checkpoint, _extract, apply_masks, decay_through
 from shorsim.oracles import direct_outcome_table, folded_outcome_table
 
@@ -252,14 +254,13 @@ class TestValidateNetwork:
         assert str(err.value) == message
 
     def test_checkpoint_beyond_gate_count_reported(self):
-        net = Network([gate_masks((), 0)], 2, [Checkpoint.of(5, {1})])
-        assert validate_network(net) == ["checkpoint 0: position 5 outside 0..1"]
+        with pytest.raises(ValueError, match="^checkpoint 0: position 5 outside 0..1$"):
+            Network([gate_masks((), 0)], 2, [Checkpoint.of(5, {1})])
 
     def test_decreasing_checkpoints_reported(self):
-        net = Network([gate_masks((), 0)] * 3, 2,
-                      [Checkpoint.of(2, {1}), Checkpoint.of(1, {1})])
         # a position below the one before it
-        assert validate_network(net) == ["checkpoint 1: position 1 outside 2..3"]
+        with pytest.raises(ValueError, match=r"^checkpoint 1: position 1 outside 2..3$"):
+            Network([gate_masks((), 0)] * 3, 2, [Checkpoint.of(2, {1}), Checkpoint.of(1, {1})])
 
     def test_layout_mismatch_reported(self):
         layout = RegisterLayout.for_factoring(4, q=130)
@@ -268,7 +269,8 @@ class TestValidateNetwork:
 
 
 class TestOneValidator:
-    """validate_network and compiling share one check over the mask arrays."""
+    """validate_network and compiling share one check over the mask arrays;
+    a network checks its checkpoints when made."""
 
     @pytest.mark.parametrize("net, message", [
         (Network([(0, 1), (0, 1 << 5)], 3),
@@ -279,24 +281,12 @@ class TestOneValidator:
         (Network([(0b1, 0)], 3), "gate 0: target mask 0x0 is not one qubit"),
         (Network([gate_masks({0, 1}, 1)], 3), "gate 0: target 1 is also a control"),
         (Network([], 63), "networks wider than 62 qubits are not supported"),
-        (Network([(0, 1)], 2, [Checkpoint(-1, 0b1)]),
-         "checkpoint 0: position -1 outside 0..1"),
-        (Network([(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)]),
-         "checkpoint 1: position 1 outside 2..3"),
-        (Network([(0, 1)], 2, [Checkpoint(1, 0b100)]),
-         "checkpoint 0: qubit 2 outside width 2"),
-        (Network([(0, 1)], 2, [Checkpoint(1, 1 << 70 | 0b1001)]),
-         "checkpoint 0: qubit 3 outside width 2"),
-        (Network([(0, 1)], 2, [Checkpoint(1, -1)]),
-         "checkpoint 0: negative mask"),
         (Network([gate_masks([], 17), gate_masks(range(1, 17), 0)], 18),
          "gate 1: touches 17 wires; a fused block holds at most 16"),
         (Network([gate_masks(range(1, 16), 0), (0, 1 << 20)], 18),
          "gate 1: touches qubit 20 outside width 18"),
     ], ids=["wide", "beyond-int64", "negative", "two-targets", "no-target",
-            "target-control", "width", "chk-negative", "chk-decreasing",
-            "chk-qubit", "chk-lowest-qubit-beyond-int64", "chk-negative-mask",
-            "seventeen-wires", "sixteen-wires-pass"])
+            "target-control", "width", "seventeen-wires", "sixteen-wires-pass"])
     def test_compiling_raises_the_first_reported_problem(self, net, message):
         assert validate_network(net) == [message]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -305,10 +295,29 @@ class TestOneValidator:
             apply_network_batch([0], net)
         assert "masks" not in vars(net)
 
-    def test_checkpoints_checked_once_without_masks(self):
-        net = Network([(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)])
-        assert net.checkpoint_problems == ("checkpoint 1: position 1 outside 2..3",)
-        assert "masks" not in vars(net) and "checkpoint_problems" in vars(net)
+    @pytest.mark.parametrize("gates, width, checkpoints, message", [
+        ([(0, 1)], 2, [Checkpoint(-1, 0b1)], "checkpoint 0: position -1 outside 0..1"),
+        ([(0, 1)] * 3, 2, [Checkpoint(2, 0b10), Checkpoint(1, 0b10)],
+         "checkpoint 1: position 1 outside 2..3"),
+        ([(0, 1)], 2, [Checkpoint(1, 0b100)], "checkpoint 0: qubit 2 outside width 2"),
+        ([(0, 1)], 2, [Checkpoint(1, 1 << 70 | 0b1001)],
+         "checkpoint 0: qubit 3 outside width 2"),
+        ([(0, 1)], 2, [Checkpoint(1, -1)], "checkpoint 0: negative mask"),
+        # the first bad checkpoint, its position checked before its mask
+        ([(0, 1)], 2, [Checkpoint(1, 0b1), Checkpoint(2, -1), Checkpoint(0, 0b100)],
+         "checkpoint 1: position 2 outside 1..1"),
+    ], ids=["chk-negative", "chk-decreasing", "chk-qubit", "chk-lowest-qubit-beyond-int64",
+            "chk-negative-mask", "chk-first-problem"])
+    def test_checkpoint_refused_when_made(self, gates, width, checkpoints, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Network(gates, width, checkpoints)
+
+    def test_concatenation_narrower_than_a_checkpoint_refused(self):
+        # the text parser's refusal is TestRunBoundary's
+        part = Network([(0, 1)], 3, [Checkpoint(1, 0b100)])
+        assert concatenate([part, part]).checkpoints == (Checkpoint(1, 4), Checkpoint(2, 4))
+        with pytest.raises(ValueError, match=r"^checkpoint 0: qubit 2 outside width 2$"):
+            concatenate([part], 2)
 
     def test_every_bad_gate_reported_in_order(self):
         net = Network([gate_masks({2}, 2), (0, 1), (0, 1 << 4),
@@ -446,10 +455,31 @@ NON_INTEGER_ROWS = [
     pytest.param(SparseState, lambda: SparseState(FACTORING.qubit_count, 1.5,
                                                   *first_state_arrays()),
                  "env_count=1.5 must be an integer", id="state-env-count"),
+    # unchecked, << raised a raw TypeError on the wire 1.5, the control 1.5
+    # and the constant 5.0, n.bit_length() an AttributeError, math.gcd(),
+    # pow() and range() a TypeError, and (q - 1).bit_length() an AttributeError
+    pytest.param(build_bit_adder, lambda: build_bit_adder(1, [], 0, 1.5, 2),
+                 "keep_wire=1.5 must be an integer", id="bit-adder-wire"),
+    pytest.param(controlled_swap, lambda: controlled_swap([1.5], 2, 3),
+                 "qubit=1.5 must be an integer", id="swap-control"),
+    pytest.param(build_adder, lambda: build_adder(5.0, [0, 1, 2], [3, 4, 5, 6]),
+                 "y=5.0 must be an integer", id="adder-constant"),
+    pytest.param(build_mod_adder,
+                 lambda: build_mod_adder(7, 15.0, [0, 1, 2, 3], 4, 5, range(6, 13)),
+                 "n=15.0 must be an integer", id="mod-adder-modulus"),
+    pytest.param(build_controlled_multiplier,
+                 lambda: build_controlled_multiplier(7.0, 15, [0, 1, 2, 3], [4, 5, 6, 7],
+                                                     8, 9, range(10, 17)),
+                 "c=7.0 must be an integer", id="multiplier-factor"),
+    pytest.param(mod_inverse, lambda: mod_inverse(7.0, 15), "c=7.0 must be an integer",
+                 id="mod-inverse"),
+    pytest.param(RegisterLayout, lambda: RegisterLayout.for_factoring(2.5),
+                 "bits=2.5 must be an integer", id="layout-bits"),
+    pytest.param(RegisterLayout, lambda: RegisterLayout.for_factoring(4, q=130.0),
+                 "q=130.0 must be an integer", id="layout-q"),
 ]
 
 # Exports without rows, each with its reason.
-LEFT = "left (ROADMAP item 6): its integer arguments do not go through gates._integer yet"
 EXEMPT = {
     "DecayEvent": "a plain record; NoiseSchedule refuses its qubit (row schedule-qubit)",
     "Distribution": "a result record of a table and a variant name",
@@ -464,12 +494,6 @@ EXEMPT = {
     "run_experiment": "takes an ExperimentConfig, checked when made",
     "network_to_text": "takes a Network only",
     "validate_network": "takes a Network and a RegisterLayout, no integer",
-    "build_adder": LEFT,
-    "build_bit_adder": LEFT,
-    "build_controlled_multiplier": LEFT,
-    "build_mod_adder": LEFT,
-    "controlled_swap": LEFT,
-    "mod_inverse": LEFT,
 }
 
 
@@ -514,16 +538,33 @@ class TestIntegerArguments:
         assert type(gate_count_formula(np.int64(4))) is int
         assert exhaustive_network_check(net, lambda v: v ^ 1, np.arange(2), [np.int64(0)]) == []
 
+    def test_numpy_integers_pass_the_builders(self):
+        # unchecked, the builders' masks were numpy integers, which
+        # network_to_text refused, and for_factoring's q had no bit_length
+        i = np.int64
+        assert RegisterLayout.for_factoring(i(4), q=i(130)) == FACTORING
+        for make in (lambda w, k: build_adder(k(5), w[:3], w[3:7], w[7:8]),
+                     lambda w, k: build_mod_adder(k(7), k(15), w[:4], w[4], w[5], w[6:13],
+                                                  w[13:14]),
+                     lambda w, k: build_controlled_multiplier(k(7), k(15), w[:4], w[4:8],
+                                                              w[8], w[9], w[10:17])):
+            net, want = make([i(w) for w in range(17)], i), make(list(range(17)), int)
+            assert network_to_text(net) == network_to_text(want)
+            assert all(type(m) is int for gate in net.gates for m in gate)
+        assert build_bit_adder(i(1), [i(0)], i(1), i(2), i(3)) == build_bit_adder(1, [0], 1, 2, 3)
+        assert controlled_swap([i(0)], i(1), i(2)) == controlled_swap([0], 1, 2)
+        assert mod_inverse(i(7), i(15)) == 13
+
     def test_gates_and_checkpoints_from_numpy_indices_hold_ints(self):
         # unchecked, the masks were numpy integers, and network_to_text died
         # on np.int64's missing bit_length
         gate = gate_masks([np.int64(1), np.uint8(2)], np.int64(0))
-        chk = Checkpoint.of(3, [np.int64(2)])
-        assert gate == (0b110, 0b1) and chk == Checkpoint(3, 0b100)
+        chk = Checkpoint.of(1, [np.int64(2)])
+        assert gate == (0b110, 0b1) and chk == Checkpoint(1, 0b100)
         assert [type(m) for m in (*gate, chk.mask)] == [int] * 3
         net = Network([gate], 3, [chk])
         text = network_to_text(net)
-        assert text == "T 0 1 2\nCHK 3 2\n"
+        assert text == "T 0 1 2\nCHK 1 2\n"
         back = network_from_text(text, qubit_count=3)
         assert (back.gates, back.checkpoints) == (net.gates, net.checkpoints)
 

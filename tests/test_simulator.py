@@ -422,47 +422,41 @@ class TestRunBoundary:
         assert_matches_reference(all_strings(4), pinned, NoiseSchedule([event], STATIC_HALF))
         assert writes
 
+    # A network checks its checkpoints when made, so neither run() nor
+    # event_records ever sees one of these.
+
     def test_checkpoint_beyond_the_gates_rejected_in_strict_mode(self):
         # unchecked, the projection at position 7 would never happen and
         # the run would return comp [3] unprojected
-        net = network_from_text("T 0\nT 1 0\nCHK 7 1\n")
-        with pytest.raises(ValueError,
-                           match="^checkpoint 0: position 7 outside 0..2$"):
-            run(single_component(2, 0), net, NoiseSchedule([], STATIC_HALF),
-                "strict")
+        with pytest.raises(ValueError, match="^checkpoint 0: position 7 outside 0..2$"):
+            network_from_text("T 0\nT 1 0\nCHK 7 1\n")
 
     def test_checkpoint_before_a_gate_free_network_rejected(self):
         # unchecked, event_records' clock origin -1 / 0 was a ZeroDivisionError
-        net = Network([], 1, [Checkpoint(-1, 1)])
-        sched = NoiseSchedule([DecayEvent(0.5, 0)], GAMMA)
         with pytest.raises(ValueError, match="^checkpoint 0: position -1 outside 0..0$"):
-            run(single_component(1, 1), net, sched, "on")
-        with pytest.raises(ValueError, match="^checkpoint 0: position -1 outside 0..0$"):
-            event_records(net, sched, "on")
+            Network([], 1, [Checkpoint(-1, 1)])
 
     @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
     def test_event_records_refuse_the_checkpoints_run_refuses(self, watchdog):
         # unchecked, event_records gave the event at t=0.6 the clock origin
         # 0.25 of the out-of-order checkpoint that run() refuses
         checkpoints = [Checkpoint(3, 1), Checkpoint(1, 1)]
-        nets = [Network([gate_masks((), 0)] * 4, 1, checkpoints) for _ in range(2)]
+        with pytest.raises(ValueError, match="^checkpoint 1: position 1 outside 3..4$"):
+            Network([gate_masks((), 0)] * 4, 1, checkpoints)
+        net = Network([gate_masks((), 0)] * 4, 1, checkpoints[::-1])
         sched = NoiseSchedule([DecayEvent(0.6, 0)], GAMMA)
-        with pytest.raises(ValueError) as refused:
-            run(single_component(1, 1), nets[0], sched, watchdog)
-        assert str(refused.value) == "checkpoint 1: position 1 outside 3..4"
-        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
-            event_records(nets[1], sched, watchdog)
-        assert "masks" not in vars(nets[1])
+        [record] = event_records(net, sched, watchdog)
+        assert record.clock_origin == (0.0 if watchdog == "off" else 0.25)
+        assert "masks" not in vars(net)
 
     def test_checkpoint_qubit_below_zero_rejected(self):
         # unchecked, qubit -1 would index the clocks from the end and reset
-        # qubit 1's clock; the index path refuses it, and run() refuses a
-        # negative mask before any gate
+        # qubit 1's clock; the index path refuses it, and a network refuses
+        # a negative mask
         with pytest.raises(ValueError, match="^negative qubit index -1$"):
             Checkpoint.of(1, [-1])
-        net = Network([gate_masks((), 1)], 2, [Checkpoint(1, -1)])
         with pytest.raises(ValueError, match="^checkpoint 0: negative mask$"):
-            run(single_component(2, 0), net, NoiseSchedule([], GAMMA), "on")
+            Network([gate_masks((), 1)], 2, [Checkpoint(1, -1)])
 
 
 class TestWatchdog:
@@ -1809,13 +1803,17 @@ def rows_state(layout, rows, q, seed):
     return SparseState(layout.qubit_count, 2, comp, rng.integers(0, 4, rows), amp)
 
 
-def assert_tables_match_reference(state, layout, q):
-    """outcome_tables equals the distribution_ned/ed tables of the
-    transformed state, byte for byte, and returns them."""
+def reference_tables(state, layout, q):
+    """The distribution_ned/ed tables of the transformed state."""
     forward = fourier_first_register(state, q, layout)
+    return distribution_ned(forward, layout, q), distribution_ed(forward, layout, q)
+
+
+def assert_tables_match_reference(state, layout, q, reference=None):
+    """outcome_tables equals the ``reference_tables``, or ``reference`` if
+    given, byte for byte, and returns them."""
     got = outcome_tables(state, layout, q)
-    for table, want in zip(got, (distribution_ned(forward, layout, q),
-                                 distribution_ed(forward, layout, q))):
+    for table, want in zip(got, reference or reference_tables(state, layout, q)):
         assert table.variant == want.variant
         assert table.table.dtype == want.table.dtype == np.float64
         assert table.table.shape == want.table.shape
@@ -1862,8 +1860,12 @@ class TestOutcomeTables:
         step = max(1, chunk // 130)  # rows per chunk
         # some r2 value has rows in the first chunk and in a later one
         assert set(r2[:step].tolist()) & set(r2[step:].tolist())
+        # the reference at the default chunk: at chunk 1 its passes would
+        # cut the state into one-element slices; TestStreamedTables covers
+        # how they slice
+        reference = reference_tables(state, layout, 130)
         monkeypatch.setattr(simulator, "TABLE_CHUNK", chunk)
-        assert_tables_match_reference(state, layout, 130)
+        assert_tables_match_reference(state, layout, 130, reference)
 
     def test_no_clean_rows(self, factoring_15):
         _, layout, net = factoring_15
