@@ -25,9 +25,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .gates import (MAX_WIDTH, Checkpoint, Network, RegisterLayout, _integer,
-                    concatenate, qubit_mask)
+                    concatenate, qubit_bits, qubit_mask)
 
 
 MAX_Q = 1 << 16  # largest q; see ArithParams.range_problem
@@ -120,6 +122,31 @@ def mod_inverse(c: int, n: int) -> int:
     return pow(c, -1, n)
 
 
+def _bit_adder(const_bit: int, ctl: int, s: int, k: int, carry: int) -> list[tuple[int, int]]:
+    """``build_bit_adder`` on masks, unchecked: the control mask ``ctl``, and
+    the one-bit masks of the sum, keep and carry wires, ``carry`` 0 for none."""
+    gates = []
+    if carry:
+        gates.append((ctl | s | k, carry))
+        if const_bit:
+            gates += [(ctl | s, carry), (ctl | k, carry)]
+    gates.append((ctl | k, s))
+    if const_bit:
+        gates.append((ctl, s))
+    return gates
+
+
+def _swap(ctl: int, a: int, b: int) -> list[tuple[int, int]]:
+    """``controlled_swap`` on the control mask and two one-bit masks, unchecked."""
+    return [(b, a), (ctl | a, b), (b, a)]
+
+
+def _distinct_column(wires: list) -> None:
+    """Refuse a ripple column whose wires, named as given, repeat."""
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"bit adder wires must be distinct, got {wires}")
+
+
 def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
                     keep_wire: int, carry_wire: int | None) -> list[tuple[int, int]]:
     """One ripple column: add ``keep_wire + const_bit`` into ``sum_wire``.
@@ -131,27 +158,17 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
     bit.  Everything is conditioned on ``controls``.
     """
     const_bit = _integer(const_bit, "const_bit")
-    wires = [sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else [])
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"bit adder wires must be distinct, got {wires}")
+    _distinct_column([sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else []))
     ctl, s = qubit_mask(controls), 1 << _integer(sum_wire, "sum_wire")
     k = 1 << _integer(keep_wire, "keep_wire")
-    gates = []
-    if carry_wire is not None:
-        carry = 1 << _integer(carry_wire, "carry_wire")
-        gates.append((ctl | s | k, carry))
-        if const_bit:
-            gates += [(ctl | s, carry), (ctl | k, carry)]
-    gates.append((ctl | k, s))
-    if const_bit:
-        gates.append((ctl, s))
-    return gates
+    carry = 1 << _integer(carry_wire, "carry_wire") if carry_wire is not None else 0
+    return _bit_adder(const_bit, ctl, s, k, carry)
 
 
 def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
     """Exchange wires a and b; three NOTs, only the middle one controlled."""
     a, b = 1 << _integer(a, "a"), 1 << _integer(b, "b")
-    return [(b, a), (qubit_mask(controls) | a, b), (b, a)]
+    return _swap(qubit_mask(controls), a, b)
 
 
 def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
@@ -162,28 +179,36 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
     correct when ``X + y`` fits in ``len(reg)`` bits.  Stage one ripples the
     sum into the scratch wires, stage two swaps it into the register, stage
     three sets the top scratch bit and un-ripples ``2**m - y`` so the
-    leftover copy of ``X`` cancels back to 0.
+    leftover copy of ``X`` cancels back to 0.  Each wire is checked and made
+    a mask once, and a ripple column whose wires repeat is refused as
+    ``build_bit_adder`` refuses it; the columns and swaps are then built on
+    the masks, unchecked.
     """
     m, y = len(reg), _integer(y, "y")
     if not 0 <= y < (1 << m):
         raise ValueError(f"constant {y} does not fit in {m} bits")
     if len(work) < m + 1:
         raise ValueError(f"adder on {m} wires needs {m + 1} scratch wires")
-    qubit_count = qubit_mask([*reg, *work, *controls]).bit_length()
+    regs, works, ctl = qubit_bits(reg), qubit_bits(work), qubit_mask(controls)
+    qubit_count = reduce(or_, regs + works, ctl).bit_length()
     if y == 0:
         return Network([], qubit_count)
+    if reduce(or_, regs + works[:m + 1]).bit_count() < 2 * m + 1:
+        # a wire repeats: refuse the first column that repeats one, in build order
+        for i in range(m):
+            _distinct_column([work[i], reg[i]] + ([work[i + 1]] if i < m - 1 else []))
+        _distinct_column([work[m - 1], reg[m - 1], work[m]])
     gates = []
     for i in range(m):
-        carry = work[i + 1] if i < m - 1 else None
-        gates += build_bit_adder((y >> i) & 1, controls, work[i], reg[i], carry)
+        carry = works[i + 1] if i < m - 1 else 0
+        gates += _bit_adder((y >> i) & 1, ctl, works[i], regs[i], carry)
     for i in range(m):
-        gates += controlled_swap(controls, reg[i], work[i])
-    gates.append((qubit_mask(controls), qubit_mask([work[m]])))
+        gates += _swap(ctl, regs[i], works[i])
+    gates.append((ctl, works[m]))
     complement = (1 << m) - y
     unwind = []
     for i in range(m):
-        unwind += build_bit_adder((complement >> i) & 1, controls,
-                                  work[i], reg[i], work[i + 1])
+        unwind += _bit_adder((complement >> i) & 1, ctl, works[i], regs[i], works[i + 1])
     gates += reversed(unwind)
     return Network(gates, qubit_count)
 

@@ -121,24 +121,37 @@ def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]
 
 CSV_CHUNK_ROWS = 1 << 16  # CSV rows or JSON records formatted and written at a time
 _TWELVE_DIGITS = "{:.12g}".format
-# Each text format's head, record template, separator, tail, and the steps
-# that turn a probability into its text (JSON's is the float the 12-digit
-# text parses to, as json.dump writes it: 1.0 stays "1.0", 5e-324 "5e-324").
+# Each text format's head; the record separator; the templates of a
+# record's r1 and r2 pieces, each ending with what follows its number; what
+# follows the ned text and the ed text; the tail; and the steps that turn a
+# probability into its text (JSON's is the float the 12-digit text parses
+# to, as json.dump writes it: 1.0 stays "1.0", 5e-324 "5e-324").
 _TEXT_FORMATS = {
-    "csv": ("r1,r2,p_ned,p_ed\n", "{},{},{},{}\n".format, "", "", (_TWELVE_DIGITS,)),
-    "json": ("[", '{{"r1": {}, "r2": {}, "p_ned": {}, "p_ed": {}}}'.format, ", ", "]\n",
+    "csv": ("r1,r2,p_ned,p_ed\n", "", "{},", "{},", ",", "\n", "", (_TWELVE_DIGITS,)),
+    "json": ("[", ", ", '{{"r1": {}, "r2": ', '{}, "p_ned": ', ', "p_ed": ', "}", "]\n",
              (_TWELVE_DIGITS, float, repr)),
 }
 
 
-def _number_texts(values: np.ndarray, steps: tuple) -> list[str]:
-    """The text of each value: ``steps`` applied in turn, once per distinct
-    bit pattern (so -0.0 stays apart from 0.0)."""
-    bits, which = np.unique(values.astype(np.float64, copy=False).view(np.int64),
-                            return_inverse=True)
+def _bit_patterns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of some values as float64, as ascending
+    int64 (so -0.0 stays apart from 0.0), and each value's index among them."""
+    return np.unique(values.astype(np.float64, copy=False).view(np.int64),
+                     return_inverse=True)
+
+
+def _texts(bits: np.ndarray, steps: tuple) -> list[str]:
+    """The text of each float64 bit pattern: ``steps`` applied in turn."""
     texts = bits.view(np.float64).tolist()
     for step in steps:
         texts = list(map(step, texts))
+    return texts
+
+
+def _number_texts(values: np.ndarray, steps: tuple) -> list[str]:
+    """The text of each value, made once per distinct bit pattern."""
+    bits, which = _bit_patterns(values)
+    texts = _texts(bits, steps)
     return [texts[i] for i in which.tolist()]
 
 
@@ -150,11 +163,16 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
 
     csv/json go to ``sink``, formatted and written ``CSV_CHUNK_ROWS`` rows
     at a time (whole first-register rows), so memory stays bounded whatever
-    q is; json is a list of records, the bytes ``json.dump`` gives.  gnuplot
-    needs a non-empty ``out_path`` as a file prefix and ``r2_slice`` to pick
-    the plotted column, and writes its ``_gnuplot_files``: a script plotting
-    exact, traced and post-selected series stacked, and their data.  Every format
-    rounds probabilities to 12 significant digits, each distinct value once.
+    q is; json is a list of records, the bytes ``json.dump`` gives.  A
+    chunk is one join of text pieces with no per-record template: each
+    first-register text repeated per column, the second-register texts made
+    once, and the probability texts, each piece carrying the punctuation
+    after it; a bit pattern found in either table is formatted once per
+    chunk.  gnuplot needs a non-empty ``out_path`` as a file prefix and
+    ``r2_slice`` to pick the plotted column, and writes its
+    ``_gnuplot_files``: a script plotting exact, traced and post-selected
+    series stacked, and their data, each distinct value formatted once.
+    Every format rounds probabilities to 12 significant digits.
     """
     if fmt == "gnuplot":
         if not out_path or r2_slice is None:
@@ -180,18 +198,30 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
         return
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    head, record, sep, tail, steps = _TEXT_FORMATS[fmt]
+    head, sep, r1_form, r2_form, ned_end, ed_end, tail, steps = _TEXT_FORMATS[fmt]
     q, width = ned.table.shape
     columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
     chunk = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))  # first-register rows
+    r2_texts = np.array([r2_form.format(r2) for r2 in columns], dtype=object)
     sink.write(head)
     for a in range(0, q if columns else 0, chunk):
         b = min(a + chunk, q)
-        r1 = np.repeat(np.arange(a, b), len(columns)).tolist()
-        p_ned, p_ed = (_number_texts(table[a:b, columns].ravel(), steps)
-                       for table in (ned.table, ed.table))
-        sink.write((sep if a else "") + sep.join(map(record, r1, columns * (b - a),
-                                                      p_ned, p_ed)))
+        (ned_bits, ned_which), (ed_bits, ed_which) = (
+            _bit_patterns(table[a:b, columns].ravel()) for table in (ned.table, ed.table))
+        bits, where = np.unique(np.concatenate([ned_bits, ed_bits]), return_inverse=True)
+        texts = _texts(bits, steps)
+        # each record's four pieces, each carrying the punctuation after it
+        pieces = np.empty((b - a, len(columns), 4), dtype=object)
+        pieces[..., 0] = np.array([sep + r1_form.format(r1) for r1 in range(a, b)],
+                                  dtype=object)[:, None]
+        pieces[..., 1] = r2_texts
+        for k, end, which in ((2, ned_end, where[:len(ned_bits)][ned_which]),
+                              (3, ed_end, where[len(ned_bits):][ed_which])):
+            pieces[..., k] = np.array([text + end for text in texts],
+                                      dtype=object)[which].reshape(b - a, len(columns))
+        if not a:  # no separator before the first record
+            pieces[0, 0, 0] = r1_form.format(0)
+        sink.write("".join(pieces.ravel().tolist()))
     sink.write(tail)
 
 

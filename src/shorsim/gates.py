@@ -43,23 +43,36 @@ def _integers(values, name: str, width: int | None = None) -> None:
         raise ValueError(f"{name} must hold basis strings in 0..2**{width} - 1")
 
 
-def qubit_mask(qubits: Iterable[int]) -> int:
-    """The bit mask of some qubit indices; an index that is not an integer,
-    or is negative, is a ``ValueError``."""
-    mask = 0
+def qubit_bits(qubits: Iterable[int]) -> list[int]:
+    """The one-bit mask of each qubit index, in order; an index that is not
+    an integer, or is negative, is a ``ValueError``."""
+    bits = []
     for q in qubits:
         if type(q) is not int:  # skips the call on the builders' hot path
             q = _integer(q, "qubit")
         if q < 0:
             raise ValueError(f"negative qubit index {q}")
-        mask |= 1 << q
-    return mask
+        bits.append(1 << q)
+    return bits
+
+
+def qubit_mask(qubits: Iterable[int]) -> int:
+    """The bit mask of some qubit indices, refused as ``qubit_bits`` refuses."""
+    return reduce(or_, qubit_bits(qubits), 0)
 
 
 @lru_cache(maxsize=1 << 16)  # a network has a few thousand distinct masks
 def mask_bits(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of a non-negative mask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The indices of the set bits of a mask, ascending, one step per set
+    bit (the lowest, ``mask & -mask``); a negative mask is a ``ValueError``."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def gate_masks(controls: Iterable[int], target: int) -> tuple[int, int]:
@@ -93,11 +106,13 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right, on an integer ``qubit_count`` of qubits.  The first checkpoint at
-    a position outside ``0..len(gates)`` or below an earlier one, or with a
-    mask negative or not below ``2**qubit_count``, is a ``ValueError`` when
-    made.  The properties below are built on first use and cached on the
-    instance; equality and hashing compare the three fields only."""
+    right, on an integer ``qubit_count`` of qubits.  The first checkpoint
+    with a position or mask that is not an integer, a position outside
+    ``0..len(gates)`` or below an earlier one, or a mask negative or not
+    below ``2**qubit_count``, is a ``ValueError`` when made; numpy integers
+    are kept as ints.  The properties below are built on first use and
+    cached on the instance; equality and hashing compare the three fields
+    only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
@@ -107,17 +122,19 @@ class Network:
                  checkpoints: Iterable[Checkpoint] = ()):
         object.__setattr__(self, "gates", tuple(gates))
         object.__setattr__(self, "qubit_count", width := _integer(qubit_count, "qubit_count"))
-        object.__setattr__(self, "checkpoints", tuple(checkpoints))
-        last, count = 0, len(self.gates)
-        for k, (position, mask) in enumerate(self.checkpoints):
+        checked, last, count = [], 0, len(self.gates)
+        for k, (position, mask) in enumerate(checkpoints):
+            position = _integer(position, "position", f"checkpoint {k}")
             if not last <= position <= count:
                 raise ValueError(f"checkpoint {k}: position {position} outside {last}..{count}")
-            if mask < 0:
+            if (mask := _integer(mask, "mask", f"checkpoint {k}")) < 0:
                 raise ValueError(f"checkpoint {k}: negative mask")
             if high := mask >> width:
                 low = width + (high & -high).bit_length() - 1
                 raise ValueError(f"checkpoint {k}: qubit {low} outside width {width}")
+            checked.append(Checkpoint(position, mask))
             last = position
+        object.__setattr__(self, "checkpoints", tuple(checked))
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,10 @@ import pytest
 from shorsim import (ArithParams, RegisterLayout, apply_network,
                      apply_network_batch, build_adder, build_bit_adder,
                      build_controlled_multiplier, build_mod_adder,
-                     build_modexp, gate_count_formula, mod_inverse,
+                     build_modexp, controlled_swap, gate_count_formula, mod_inverse,
                      network_to_text, resource_estimate, validate_network)
 from shorsim.arithmetic import ConfigError
-from shorsim.gates import Checkpoint, Network
+from shorsim.gates import Checkpoint, Network, qubit_mask
 from shorsim.oracles import exhaustive_network_check
 
 
@@ -147,6 +147,99 @@ class TestModAdder:
     def test_rejects_addend_outside_modulus(self):
         with pytest.raises(ValueError):
             self.build(15)
+
+
+def composed_adder(y, reg, work, controls=()):
+    """build_adder for an in-range y and enough scratch, composed from the
+    exported column and swap builders, each checking its own wires."""
+    m = len(reg)
+    qubit_count = qubit_mask([*reg, *work, *controls]).bit_length()
+    if y == 0:
+        return Network([], qubit_count)
+    gates = []
+    for i in range(m):
+        gates += build_bit_adder(y >> i & 1, controls, work[i], reg[i],
+                                 work[i + 1] if i < m - 1 else None)
+    for i in range(m):
+        gates += controlled_swap(controls, reg[i], work[i])
+    gates.append((qubit_mask(controls), qubit_mask([work[m]])))
+    unwind = [gate for i in range(m) for gate in build_bit_adder(
+        ((1 << m) - y) >> i & 1, controls, work[i], reg[i], work[i + 1])]
+    return Network(gates + unwind[::-1], qubit_count)
+
+
+def outcome(make):
+    """The network a builder makes, or the text of its refusal."""
+    try:
+        return make()
+    except ValueError as err:
+        return str(err)
+
+
+class TestAdderRefusals:
+    """The adders refuse a wire once, as the column and swap builders
+    refused it one column at a time: the same inputs, the same text."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: build_adder(1, [0, 1, 2], [3, 3, 4, 5]),
+         "bit adder wires must be distinct, got [3, 0, 3]"),
+        (lambda: build_adder(1, [0, 1, 2], [3, 0, 4, 5]),
+         "bit adder wires must be distinct, got [3, 0, 0]"),
+        (lambda: build_adder(1, [0, 1], [2, 1, 4]),
+         "bit adder wires must be distinct, got [1, 1]"),
+        (lambda: build_adder(1, [0, 1], [2, 3, 1]),  # only un-rippling uses work[2]
+         "bit adder wires must be distinct, got [3, 1, 1]"),
+        (lambda: build_adder(1, [np.int64(0)], [np.int64(0), 1]),
+         "bit adder wires must be distinct, got [np.int64(0), np.int64(0)]"),
+        (lambda: build_adder(1, [0, 0], [1.5, 2, 3]), "qubit=1.5 must be an integer"),
+        (lambda: build_adder(1, [0, -1], [2, 3, 4]), "negative qubit index -1"),
+        (lambda: build_adder(1, [0], [1, 2], [0.5]), "qubit=0.5 must be an integer"),
+        (lambda: build_adder(4, [0, 1], [2, 3, 4]), "constant 4 does not fit in 2 bits"),
+        (lambda: build_adder(1, [0, 1], [2, 3]), "adder on 2 wires needs 3 scratch wires"),
+        (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4, 5, [0, *range(6, 12)]),
+         "bit adder wires must be distinct, got [0, 0, 6]"),
+        (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4, 5, [6, 7, 8, 9, 10, 4, 11]),
+         "bit adder wires must be distinct, got [10, 4, 4]"),
+        (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4.5, 5, range(6, 13)),
+         "qubit=4.5 must be an integer"),
+        (lambda: build_bit_adder(1, [], 1, 1, 2),
+         "bit adder wires must be distinct, got [1, 1, 2]"),
+        (lambda: build_bit_adder(1, [], 1, 2, 1),
+         "bit adder wires must be distinct, got [1, 2, 1]"),
+        (lambda: build_bit_adder(1, [], 1, 1, None),
+         "bit adder wires must be distinct, got [1, 1]"),
+        (lambda: build_bit_adder(1, [0.5], 1, 2, 3), "qubit=0.5 must be an integer"),
+        (lambda: build_bit_adder(1, [], -1, 2, 3), "negative shift count"),
+    ], ids=["column", "column-carry", "top-column", "unwind-column", "numpy-named-as-given",
+            "non-integer-first", "negative", "control", "constant", "scratch",
+            "mod-value-in-work", "mod-flag-in-work", "mod-flag", "bit-sum-keep",
+            "bit-sum-carry", "bit-top", "bit-control", "bit-negative"])
+    def test_refused_with_the_same_text(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_a_repeat_outside_every_column_passes(self):
+        # work[2] is reg[0], but no column holds both
+        net = build_adder(1, [0, 1], [2, 3, 0])
+        assert net.gates == composed_adder(1, [0, 1], [2, 3, 0]).gates and net.gates
+        assert build_adder(0, [0, 0], [0, 1, 2]) == Network([], 3)  # nothing built
+
+    def test_random_wires_as_the_composed_adder(self):
+        rng = np.random.default_rng(32)
+        seen = set()
+        for _ in range(2000):
+            m = int(rng.integers(1, 5))
+            pick = [0, 1, 2, 3, 4, 5, 6, 7, 8, -1, 1.5, np.int64(3)]
+            reg, work, controls = ([pick[k] for k in rng.choice(len(pick), size, p=[0.1] * 9
+                                                                  + [0.03, 0.03, 0.04])]
+                                   for size in (m, m + 1, int(rng.integers(0, 3))))
+            y = int(rng.integers(0, 1 << m))
+            got = outcome(lambda: build_adder(y, reg, work, controls))
+            assert got == outcome(lambda: composed_adder(y, reg, work, controls)), (
+                y, reg, work, controls)
+            seen.add(got.split(", got")[0] if isinstance(got, str) else "network")
+        assert seen == {"network", "bit adder wires must be distinct", "negative qubit index -1",
+                        "qubit=1.5 must be an integer"}
 
 
 class TestMultiplier:

@@ -278,10 +278,11 @@ class TestEmitDistribution:
         assert '"p_ned": 5e-324' in sink.getvalue()
         assert '"p_ned": -0.0' in sink.getvalue()
 
-    @pytest.mark.parametrize("q, width, chunk, r2_slice", [
-        (2100, 32, None, None), (7, 4, 10, None), (9, 4, 3, 2)],
-        ids=["beyond-one-chunk", "partial-last-chunk", "sliced"])
-    def test_chunked_csv_equals_the_one_shot_join(self, q, width, chunk, r2_slice,
+    @pytest.mark.parametrize("q, width, chunk, r2_slice, apart", [
+        (2100, 32, None, None, False), (7, 4, 10, None, False), (9, 4, 3, 2, False),
+        (7, 4, 10, None, True)],
+        ids=["beyond-one-chunk", "partial-last-chunk", "sliced", "tables-apart"])
+    def test_chunked_csv_equals_the_one_shot_join(self, q, width, chunk, r2_slice, apart,
                                                    monkeypatch):
         # CSV and JSON alike, JSON against json.dump's bytes
         if chunk is not None:
@@ -290,13 +291,27 @@ class TestEmitDistribution:
         ned.table[0, 0], ed.table[0, 0] = 1.0, 0.0  # json: 1.0 and 0.0, not 1 and 0
         columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
         assert q * len(columns) > cli.CSV_CHUNK_ROWS
-        # repeated values, both zeros and the least subnormal, on both sides
-        # of the first chunk boundary
         cells = np.arange(q * width).reshape(q, width)[:, columns].ravel()
         boundary = cli.CSV_CHUNK_ROWS // len(columns) * len(columns)
         around = cells[boundary - 3:boundary + 3]
-        ned.table.flat[around] = [0.0, -0.0, 5e-324, -0.0, 5e-324, 0.0]
-        ed.table.flat[around] = [5e-324, 5e-324, -0.0, 0.0, 0.0, -0.0]
+        if apart:
+            # the tables' distinct values differ on both sides of the first
+            # chunk boundary: some only in ned (-0.0 among them), some only in
+            # ed (0.0 among them), 0.5 and 0.125 in both
+            ned.table.flat[around] = [0.25, -0.0, 0.5, 0.125, 1 / 3, 0.5]
+            ed.table.flat[around] = [0.5, 0.75, 0.0, 2 / 3, 0.125, 0.75]
+            ned_bits, ed_bits = ned.table.view(np.int64), ed.table.view(np.int64)
+            for part in (around[:3], around[3:]):  # as bit patterns: -0.0 is not 0.0
+                in_ned, in_ed = set(ned_bits.flat[part].tolist()), set(ed_bits.flat[part].tolist())
+                assert in_ned - in_ed and in_ed - in_ned and in_ned & in_ed
+            negative_zero = np.float64(-0.0).view(np.int64)
+            assert negative_zero in ned_bits and negative_zero not in ed_bits
+            assert 0 in ed_bits and 0 not in ned_bits
+        else:
+            # repeated values, both zeros and the least subnormal, on both
+            # sides of the first chunk boundary
+            ned.table.flat[around] = [0.0, -0.0, 5e-324, -0.0, 5e-324, 0.0]
+            ed.table.flat[around] = [5e-324, 5e-324, -0.0, 0.0, 0.0, -0.0]
         csv_text = "r1,r2,p_ned,p_ed\n" + "".join(
             f"{r1},{r2},{ned.table[r1, r2]:.12g},{ed.table[r1, r2]:.12g}\n"
             for r1 in range(q) for r2 in columns)

@@ -18,7 +18,8 @@ from shorsim import (ArithParams, DecayEvent, ExperimentConfig, Network, NoiseSc
                      mod_inverse, modpow, multiplicative_order, network_from_text,
                      network_to_text, outcome_table_oracle, outcome_tables,
                      resource_estimate, sample_schedule, validate_network)
-from shorsim.gates import MAX_WIDTH, Checkpoint, _extract, apply_masks, decay_through
+from shorsim.gates import (MAX_WIDTH, Checkpoint, _extract, apply_masks, decay_through,
+                           mask_bits)
 from shorsim.oracles import direct_outcome_table, folded_outcome_table
 
 
@@ -312,6 +313,23 @@ class TestOneValidator:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Network(gates, width, checkpoints)
 
+    def test_checkpoint_not_of_integers_refused_when_made(self):
+        # unchecked, a float position passed and a strict run() died slicing
+        # the masks, a float mask raised a TypeError from >>, and a numpy
+        # mask beyond the width raised an AttributeError from bit_length
+        gates = [(0, 1)] * 3
+        for checkpoint, message in (
+                (Checkpoint(1.5, 1), "checkpoint 0: the position must be an integer"),
+                (Checkpoint(1, 1.5), "checkpoint 0: the mask must be an integer"),
+                (Checkpoint(1, np.int64(4)), "checkpoint 0: qubit 2 outside width 2")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Network(gates, 2, [checkpoint])
+        # numpy integers within the width become ints: the same network bytes
+        net = Network(gates, 3, [Checkpoint(np.uint8(1), np.int64(4))])
+        assert net.checkpoints == (Checkpoint(1, 4),)
+        assert [type(v) for v in net.checkpoints[0]] == [int, int]
+        assert network_to_text(net) == network_to_text(Network(gates, 3, [Checkpoint(1, 4)]))
+
     def test_concatenation_narrower_than_a_checkpoint_refused(self):
         # the text parser's refusal is TestRunBoundary's
         part = Network([(0, 1)], 3, [Checkpoint(1, 0b100)])
@@ -601,6 +619,23 @@ class TestLayout:
         layout = RegisterLayout.for_factoring(4)
         assert len(layout.reg1) == 9
         assert layout.qubit_count == 27
+
+
+class TestMaskBits:
+    @staticmethod
+    def naive(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def test_equals_the_naive_definition(self):
+        rng = np.random.default_rng(62)
+        masks = [0, 1 << 61, (1 << 62) - 1, *rng.integers(0, 1 << 62, 1000).tolist()]
+        for mask in masks:
+            assert mask_bits(mask) == self.naive(mask), mask
+
+    @pytest.mark.parametrize("mask", [-1, -(1 << 61), -6])
+    def test_negative_mask_refused(self, mask):
+        with pytest.raises(ValueError, match=f"^mask {mask} is negative$"):
+            mask_bits(mask)
 
 
 class TestSerialization:
