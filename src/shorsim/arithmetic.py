@@ -14,11 +14,11 @@ The building blocks, smallest first:
 * the modular-exponentiation chain driving one multiplier per exponent bit.
 
 All builders take explicit wire lists of qubit indices so they compose
-freely (an argument that is not an integer, or a negative wire, is a
-``ValueError``), and emit each gate as a (control mask, target mask) pair; the
-top-level chain uses a :class:`~shorsim.gates.RegisterLayout`.  Every block
-restores its scratch wires to 0 on in-domain inputs, which the exhaustive
-checker in :mod:`shorsim.oracles` verifies wire by wire.
+freely (a non-integer argument, a negative wire and adder wires that repeat
+or hold a control are a ``ValueError``), and emit each gate as a (control
+mask, target mask) pair; the chain uses a :class:`~shorsim.gates.RegisterLayout`.
+Every block restores its scratch wires to 0 on in-domain inputs, which the
+exhaustive checker in :mod:`shorsim.oracles` verifies wire by wire.
 """
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ def mod_inverse(c: int, n: int) -> int:
     return pow(c, -1, n)
 
 
-def _bit_adder(const_bit: int, ctl: int, s: int, k: int, carry: int) -> list[tuple[int, int]]:
+def _bit_adder(const_bit: int, ctl: int, s: int, k: int, carry: int = 0) -> list[tuple[int, int]]:
     """``build_bit_adder`` on masks, unchecked: the control mask ``ctl``, and
     the one-bit masks of the sum, keep and carry wires, ``carry`` 0 for none."""
     gates = []
@@ -141,12 +141,6 @@ def _swap(ctl: int, a: int, b: int) -> list[tuple[int, int]]:
     return [(b, a), (ctl | a, b), (b, a)]
 
 
-def _distinct_column(wires: list) -> None:
-    """Refuse a ripple column whose wires, named as given, repeat."""
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"bit adder wires must be distinct, got {wires}")
-
-
 def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
                     keep_wire: int, carry_wire: int | None) -> list[tuple[int, int]]:
     """One ripple column: add ``keep_wire + const_bit`` into ``sum_wire``.
@@ -158,16 +152,17 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
     bit.  Everything is conditioned on ``controls``.
     """
     const_bit = _integer(const_bit, "const_bit")
-    _distinct_column([sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else []))
-    ctl, s = qubit_mask(controls), 1 << _integer(sum_wire, "sum_wire")
-    k = 1 << _integer(keep_wire, "keep_wire")
-    carry = 1 << _integer(carry_wire, "carry_wire") if carry_wire is not None else 0
-    return _bit_adder(const_bit, ctl, s, k, carry)
+    column = [sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else [])
+    bits = qubit_bits([_integer(wire, name) for wire, name
+                       in zip(column, ("sum_wire", "keep_wire", "carry_wire"))])
+    if len(set(bits)) != len(bits):
+        raise ValueError(f"bit adder wires must be distinct, got {column}")
+    return _bit_adder(const_bit, qubit_mask(controls), *bits)
 
 
 def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
     """Exchange wires a and b; three NOTs, only the middle one controlled."""
-    a, b = 1 << _integer(a, "a"), 1 << _integer(b, "b")
+    a, b = qubit_bits([_integer(a, "a"), _integer(b, "b")])
     return _swap(qubit_mask(controls), a, b)
 
 
@@ -179,10 +174,10 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
     correct when ``X + y`` fits in ``len(reg)`` bits.  Stage one ripples the
     sum into the scratch wires, stage two swaps it into the register, stage
     three sets the top scratch bit and un-ripples ``2**m - y`` so the
-    leftover copy of ``X`` cancels back to 0.  Each wire is checked and made
-    a mask once, and a ripple column whose wires repeat is refused as
-    ``build_bit_adder`` refuses it; the columns and swaps are then built on
-    the masks, unchecked.
+    leftover copy of ``X`` cancels back to 0.  Each wire is made a mask
+    once.  Unless y is 0, which builds no gate, the m register wires and
+    the first m + 1 scratch wires must be 2m + 1 distinct wires, none a
+    control, or the build is a ``ValueError`` naming the lists as given.
     """
     m, y = len(reg), _integer(y, "y")
     if not 0 <= y < (1 << m):
@@ -193,11 +188,10 @@ def build_adder(y: int, reg: Sequence[int], work: Sequence[int],
     qubit_count = reduce(or_, regs + works, ctl).bit_length()
     if y == 0:
         return Network([], qubit_count)
-    if reduce(or_, regs + works[:m + 1]).bit_count() < 2 * m + 1:
-        # a wire repeats: refuse the first column that repeats one, in build order
-        for i in range(m):
-            _distinct_column([work[i], reg[i]] + ([work[i + 1]] if i < m - 1 else []))
-        _distinct_column([work[m - 1], reg[m - 1], work[m]])
+    used = reduce(or_, regs + works[:m + 1])
+    if used.bit_count() < 2 * m + 1 or used & ctl:
+        raise ValueError(f"adder wires must be distinct and not controls, got reg={list(reg)}, "
+                         f"work={list(work)}, controls={list(controls)}")
     gates = []
     for i in range(m):
         carry = works[i + 1] if i < m - 1 else 0
@@ -288,13 +282,12 @@ def build_modexp(params: ArithParams, layout: RegisterLayout) -> Network:
 
     A NOT seeds the result register with 1, then each exponent bit drives a
     controlled multiplier by the precomputed factor ``x**(2**i) mod n``.
-    Exponent wires are only ever used as controls.
+    Exponent wires are only ever used as controls; an ``add_work`` too
+    narrow is the mod-N adder's refusal.
     """
     bits = params.bits
     if len(layout.reg2) != bits or len(layout.mult_work) != bits + 1:
         raise ValueError("layout width does not match the modulus size")
-    if len(layout.add_work) < bits + 3:
-        raise ValueError("layout adder scratch is too narrow")
     acc = list(layout.mult_work)[:bits]
     flag_hi = layout.mult_work[bits]
     flag_lo = layout.modn_flag

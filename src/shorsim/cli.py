@@ -12,8 +12,8 @@ import numpy as np
 
 from .arithmetic import (ArithParams, ConfigError, ResourceReport, build_modexp,
                          gate_count_formula, qubit_count_formula)
-from .gates import (Network, RegisterLayout, apply_network_batch, network_to_text,
-                    validate_network)
+from .gates import (Network, RegisterLayout, _integer, apply_network_batch,
+                    network_to_text, validate_network)
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
 from .pipeline import (ExperimentConfig, ideal_distribution,
                        repetition_seeds, run_experiment)
@@ -172,8 +172,12 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     ``r2_slice`` to pick the plotted column, and writes its
     ``_gnuplot_files``: a script plotting exact, traced and post-selected
     series stacked, and their data, each distinct value formatted once.
-    Every format rounds probabilities to 12 significant digits.
+    Every format rounds probabilities to 12 significant digits, and refuses
+    an ``r2_slice`` that is not a column of the tables.
     """
+    q, width = ned.table.shape
+    if r2_slice is not None and not 0 <= _integer(r2_slice, "r2_slice") < width:
+        raise ValueError(f"r2_slice {r2_slice} outside 0..{width - 1}")
     if fmt == "gnuplot":
         if not out_path or r2_slice is None:
             raise ValueError("gnuplot output needs --out and --r2-slice")
@@ -199,7 +203,6 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     head, sep, r1_form, r2_form, ned_end, ed_end, tail, steps = _TEXT_FORMATS[fmt]
-    q, width = ned.table.shape
     columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
     chunk = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))  # first-register rows
     r2_texts = np.array([r2_form.format(r2) for r2 in columns], dtype=object)

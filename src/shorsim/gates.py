@@ -106,13 +106,12 @@ class Checkpoint(NamedTuple):
 @dataclass(frozen=True)
 class Network:
     """An ordered gate list plus checkpoint annotations; time runs left to
-    right, on an integer ``qubit_count`` of qubits.  The first checkpoint
-    with a position or mask that is not an integer, a position outside
-    ``0..len(gates)`` or below an earlier one, or a mask negative or not
-    below ``2**qubit_count``, is a ``ValueError`` when made; numpy integers
-    are kept as ints.  The properties below are built on first use and
-    cached on the instance; equality and hashing compare the three fields
-    only."""
+    right, on ``qubit_count`` qubits.  A negative width, and the first
+    checkpoint with a position or mask that is not an integer, a position
+    outside ``0..len(gates)`` or below an earlier one, or a mask negative or
+    not below ``2**qubit_count``, is a ``ValueError`` when made; numpy
+    integers are kept as ints.  The properties below are built on first use
+    and cached; equality and hashing compare the three fields only."""
 
     gates: tuple[tuple[int, int], ...]  # (control mask, target mask) pairs
     qubit_count: int
@@ -122,6 +121,8 @@ class Network:
                  checkpoints: Iterable[Checkpoint] = ()):
         object.__setattr__(self, "gates", tuple(gates))
         object.__setattr__(self, "qubit_count", width := _integer(qubit_count, "qubit_count"))
+        if width < 0:
+            raise ValueError(f"qubit_count {width} is negative")
         checked, last, count = [], 0, len(self.gates)
         for k, (position, mask) in enumerate(checkpoints):
             position = _integer(position, "position", f"checkpoint {k}")
@@ -304,9 +305,9 @@ def apply_masks(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray) -> None:
     wires touched and 18 MB with all 62, below a state's 32 bytes per
     component.
     """
+    moved = int(np.bitwise_or.reduce(tgt, initial=0))
+    before = _read_planes(comp, int(np.bitwise_or.reduce(ctrl, initial=moved)))
     controls, targets = memoryview(ctrl), memoryview(tgt)  # ints made one at a time
-    moved = reduce(or_, targets, 0)
-    before = _read_planes(comp, reduce(or_, controls, moved))
     after = _run_gates(list(before), controls, targets, (1 << len(comp)) - 1)
     _xor_planes(comp, ((w, after[w] ^ before[w]) for w in mask_bits(moved)
                        if after[w] != before[w]))
@@ -326,9 +327,9 @@ def decay_through(comp: np.ndarray, ctrl: np.ndarray, tgt: np.ndarray, qubit: in
     one XOR of the changed planes into a copy: a string not hit comes back
     as it was, so only the hit strings' planes change.
     """
+    moved = int(np.bitwise_or.reduce(tgt, initial=1 << qubit))
+    before = _read_planes(comp, int(np.bitwise_or.reduce(ctrl, initial=moved)))
     controls, targets = memoryview(ctrl), memoryview(tgt)
-    moved = reduce(or_, targets, 1 << qubit)
-    before = _read_planes(comp, reduce(or_, controls, moved))
     ones = (1 << len(comp)) - 1
     planes = _run_gates(list(before), controls, targets, ones)
     hit, planes[qubit] = planes[qubit], 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Network, _integer, apply_network_batch
+from .gates import MAX_WIDTH, Network, _integer, apply_network_batch
 
 
 def modpow(x: int, a: int, n: int) -> int:
@@ -132,13 +132,16 @@ def exhaustive_network_check(net: Network, semantic: Callable[[int], int],
     ``zero_wires`` must come back 0 and the ``set_wires`` must stay 1; when
     the output lives on different wires than the input, the input must
     additionally be preserved.  Returns every counterexample found.  A
-    domain value or a wire that is not an integer is a ``ValueError``.
+    domain value or wire not an integer, or a wire negative or past
+    ``MAX_WIDTH - 1``, is a ``ValueError`` before any gate runs.
     """
     values = np.array([_integer(v, "value") for v in domain], dtype=np.int64)
-    in_wires, zero_wires, set_wires = ([_integer(w, "wire") for w in wires]
-                                       for wires in (in_wires, zero_wires, set_wires))
     reads_back = out_wires is None
-    out_wires = in_wires if reads_back else [_integer(w, "wire") for w in out_wires]
+    in_wires, zero_wires, set_wires, out_wires = groups = [
+        [_integer(w, "wire") for w in wires]
+        for wires in (in_wires, zero_wires, set_wires, in_wires if reads_back else out_wires)]
+    if outside := [w for wires in groups for w in wires if not 0 <= w < MAX_WIDTH]:
+        raise ValueError(f"wire {outside[0]} outside 0..{MAX_WIDTH - 1}")
     if values.size == 0:
         return []
     start = _scatter(values, in_wires)

@@ -168,6 +168,12 @@ def composed_adder(y, reg, work, controls=()):
     return Network(gates + unwind[::-1], qubit_count)
 
 
+def adder_refusal(reg, work, controls=()):
+    """``build_adder``'s refusal of wires that repeat or hold a control."""
+    return (f"adder wires must be distinct and not controls, got reg={list(reg)}, "
+            f"work={list(work)}, controls={list(controls)}")
+
+
 def outcome(make):
     """The network a builder makes, or the text of its refusal."""
     try:
@@ -177,29 +183,49 @@ def outcome(make):
 
 
 class TestAdderRefusals:
-    """The adders refuse a wire once, as the column and swap builders
-    refused it one column at a time: the same inputs, the same text."""
+    """The adders check their wires once, by one rule: the register wires and
+    the scratch wires an adder uses are distinct, and none is a control.
+    A refusal names the lists as the adder was given them."""
 
     @pytest.mark.parametrize("make, message", [
         (lambda: build_adder(1, [0, 1, 2], [3, 3, 4, 5]),
-         "bit adder wires must be distinct, got [3, 0, 3]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1, 2], work=[3, 3, 4, 5], controls=[]"),
         (lambda: build_adder(1, [0, 1, 2], [3, 0, 4, 5]),
-         "bit adder wires must be distinct, got [3, 0, 0]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1, 2], work=[3, 0, 4, 5], controls=[]"),
         (lambda: build_adder(1, [0, 1], [2, 1, 4]),
-         "bit adder wires must be distinct, got [1, 1]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1], work=[2, 1, 4], controls=[]"),
         (lambda: build_adder(1, [0, 1], [2, 3, 1]),  # only un-rippling uses work[2]
-         "bit adder wires must be distinct, got [3, 1, 1]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1], work=[2, 3, 1], controls=[]"),
         (lambda: build_adder(1, [np.int64(0)], [np.int64(0), 1]),
-         "bit adder wires must be distinct, got [np.int64(0), np.int64(0)]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[np.int64(0)], work=[np.int64(0), 1], controls=[]"),
+        (lambda: build_adder(1, [0, 0], [1, 2, 3]),  # in no column together
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 0], work=[1, 2, 3], controls=[]"),
+        (lambda: build_adder(1, [0, 1], [2, 3, 4], controls=[0]),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1], work=[2, 3, 4], controls=[0]"),
+        (lambda: build_adder(1, [0, 1], (2, 3, 4, 5), controls=(6, 4)),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1], work=[2, 3, 4, 5], controls=[6, 4]"),
         (lambda: build_adder(1, [0, 0], [1.5, 2, 3]), "qubit=1.5 must be an integer"),
         (lambda: build_adder(1, [0, -1], [2, 3, 4]), "negative qubit index -1"),
         (lambda: build_adder(1, [0], [1, 2], [0.5]), "qubit=0.5 must be an integer"),
         (lambda: build_adder(4, [0, 1], [2, 3, 4]), "constant 4 does not fit in 2 bits"),
         (lambda: build_adder(1, [0, 1], [2, 3]), "adder on 2 wires needs 3 scratch wires"),
         (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4, 5, [0, *range(6, 12)]),
-         "bit adder wires must be distinct, got [0, 0, 6]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1, 2, 3, 4], work=[0, 6, 7, 8, 9, 10], controls=[]"),
         (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4, 5, [6, 7, 8, 9, 10, 4, 11]),
-         "bit adder wires must be distinct, got [10, 4, 4]"),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1, 2, 3, 4], work=[6, 7, 8, 9, 10, 4], controls=[]"),
+        (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4, 5, range(6, 13), [5]),
+         "adder wires must be distinct and not controls, "
+         "got reg=[0, 1, 2, 3, 4, 5], work=[6, 7, 8, 9, 10, 11, 12], controls=[5]"),
         (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4.5, 5, range(6, 13)),
          "qubit=4.5 must be an integer"),
         (lambda: build_bit_adder(1, [], 1, 1, 2),
@@ -209,22 +235,28 @@ class TestAdderRefusals:
         (lambda: build_bit_adder(1, [], 1, 1, None),
          "bit adder wires must be distinct, got [1, 1]"),
         (lambda: build_bit_adder(1, [0.5], 1, 2, 3), "qubit=0.5 must be an integer"),
-        (lambda: build_bit_adder(1, [], -1, 2, 3), "negative shift count"),
+        (lambda: build_bit_adder(1, [], -1, 2, 3), "negative qubit index -1"),
+        (lambda: controlled_swap([], 0, -1), "negative qubit index -1"),
     ], ids=["column", "column-carry", "top-column", "unwind-column", "numpy-named-as-given",
+            "register-repeat", "control-in-register", "control-in-work",
             "non-integer-first", "negative", "control", "constant", "scratch",
-            "mod-value-in-work", "mod-flag-in-work", "mod-flag", "bit-sum-keep",
-            "bit-sum-carry", "bit-top", "bit-control", "bit-negative"])
+            "mod-value-in-work", "mod-flag-in-work", "mod-flag-as-control", "mod-flag",
+            "bit-sum-keep", "bit-sum-carry", "bit-top", "bit-control", "bit-negative",
+            "swap-negative"])
     def test_refused_with_the_same_text(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
-    def test_a_repeat_outside_every_column_passes(self):
-        # work[2] is reg[0], but no column holds both
-        net = build_adder(1, [0, 1], [2, 3, 0])
-        assert net.gates == composed_adder(1, [0, 1], [2, 3, 0]).gates and net.gates
+    def test_a_repeat_outside_every_column_is_refused(self):
+        # work[2] is reg[0]: no column holds both, yet the adder is wrong
+        message = adder_refusal([0, 1], [2, 3, 0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_adder(1, [0, 1], [2, 3, 0])
         assert build_adder(0, [0, 0], [0, 1, 2]) == Network([], 3)  # nothing built
 
     def test_random_wires_as_the_composed_adder(self):
+        # the column and swap builders are the reference wherever the
+        # adder's wires are distinct and no control is one of them
         rng = np.random.default_rng(32)
         seen = set()
         for _ in range(2000):
@@ -235,11 +267,16 @@ class TestAdderRefusals:
                                    for size in (m, m + 1, int(rng.integers(0, 3))))
             y = int(rng.integers(0, 1 << m))
             got = outcome(lambda: build_adder(y, reg, work, controls))
-            assert got == outcome(lambda: composed_adder(y, reg, work, controls)), (
-                y, reg, work, controls)
+            wires = {*reg, *work}
+            valid = all(w in pick[:9] for w in [*reg, *work, *controls])
+            if y and valid and (len(wires) < 2 * m + 1 or wires & {*controls}):
+                assert got == adder_refusal(reg, work, controls)
+            else:
+                assert got == outcome(lambda: composed_adder(y, reg, work, controls)), (
+                    y, reg, work, controls)
             seen.add(got.split(", got")[0] if isinstance(got, str) else "network")
-        assert seen == {"network", "bit adder wires must be distinct", "negative qubit index -1",
-                        "qubit=1.5 must be an integer"}
+        assert seen == {"network", "adder wires must be distinct and not controls",
+                        "negative qubit index -1", "qubit=1.5 must be an integer"}
 
 
 class TestMultiplier:

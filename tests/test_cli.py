@@ -338,6 +338,21 @@ class TestEmitDistribution:
         script = (tmp_path / "plot.gp").read_text()
         assert "plot_ned.dat" in script and "multiplot" in script
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot"])
+    @pytest.mark.parametrize("r2_slice, message", [
+        (2, "r2_slice 2 outside 0..1"), (5, "r2_slice 5 outside 0..1"),
+        (-1, "r2_slice -1 outside 0..1"), (1.0, "r2_slice=1.0 must be an integer")],
+        ids=["width", "past", "negative", "float"])
+    def test_r2_slice_off_the_columns_refused(self, fmt, r2_slice, message, tmp_path):
+        # unchecked, csv and json wrote only their header, and gnuplot raised
+        # a raw IndexError or plotted the last column
+        ned, ed = make_pair()
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            emit_distribution(ned, ed, fmt, sink, r2_slice=r2_slice,
+                              out_path=str(tmp_path / "plot"))
+        assert sink.getvalue() == "" and not any(tmp_path.iterdir())
+
     def test_gnuplot_needs_slice_and_path(self, tmp_path, monkeypatch):
         ned, ed = make_pair()
         with pytest.raises(ValueError):

@@ -313,6 +313,15 @@ class TestOneValidator:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Network(gates, width, checkpoints)
 
+    def test_negative_width_refused_when_made(self):
+        # unchecked, this network validated as [] and compiled, and a rerun
+        # died in FusedBlock.apply unpacking a block with no gather
+        with pytest.raises(ValueError, match="^qubit_count -3 is negative$"):
+            Network([gate_masks([0], 1)], -3)
+        with pytest.raises(ValueError, match="^qubit_count -1 is negative$"):
+            concatenate([], -1)
+        assert Network([], 0).qubit_count == 0
+
     def test_checkpoint_not_of_integers_refused_when_made(self):
         # unchecked, a float position passed and a strict run() died slicing
         # the masks, a float mask raised a TypeError from >>, and a numpy

@@ -111,3 +111,20 @@ class TestExhaustiveChecker:
         bad = exhaustive_network_check(net, lambda v: v, range(2),
                                        in_wires=[0], zero_wires=[1])
         assert len(bad) == 2
+
+    @pytest.mark.parametrize("wires, message", [
+        (dict(in_wires=[0, 1], zero_wires=[64]), "wire 64 outside 0..61"),
+        (dict(in_wires=[-1]), "wire -1 outside 0..61"),
+        (dict(in_wires=[0], out_wires=[62]), "wire 62 outside 0..61"),
+        (dict(in_wires=[0], set_wires=[1, 70]), "wire 70 outside 0..61"),
+    ], ids=["zero-past-the-width", "in-negative", "out-past-the-width", "set-past-the-width"])
+    def test_wire_outside_the_basis_strings_refused_before_any_gate(self, wires, message,
+                                                                    monkeypatch):
+        # unchecked, the zero wire 64 passed vacuously (numpy's shift read 0)
+        # and the input wire -1 compared garbage
+        import shorsim.oracles as oracles
+        ran = []
+        monkeypatch.setattr(oracles, "apply_network_batch", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exhaustive_network_check(Network([], 2), lambda v: v, range(2), **wires)
+        assert ran == []
