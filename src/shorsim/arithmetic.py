@@ -14,9 +14,10 @@ The building blocks, smallest first:
 * the modular-exponentiation chain driving one multiplier per exponent bit.
 
 All builders take explicit wire lists of qubit indices so they compose
-freely (a non-integer argument, a negative wire and adder wires that repeat
-or hold a control are a ``ValueError``), and emit each gate as a (control
-mask, target mask) pair; the chain uses a :class:`~shorsim.gates.RegisterLayout`.
+freely (a non-integer argument, a negative wire, and adder, column or swap
+wires that repeat or hold a control are a ``ValueError``), and emit each
+gate as a (control mask, target mask) pair; the chain uses a
+:class:`~shorsim.gates.RegisterLayout`.
 Every block restores its scratch wires to 0 on in-domain inputs, which the
 exhaustive checker in :mod:`shorsim.oracles` verifies wire by wire.
 """
@@ -149,21 +150,31 @@ def build_bit_adder(const_bit: int, controls: Sequence[int], sum_wire: int,
     bit of ``sum_wire + keep_wire + const_bit``; ``keep_wire`` is preserved;
     ``carry_wire`` (which must enter as 0) receives the high bit.  Pass
     ``carry_wire=None`` for the cheaper top column that only needs the low
-    bit.  Everything is conditioned on ``controls``.
+    bit.  Everything is conditioned on ``controls``.  Wires that repeat or
+    hold a control are a ``ValueError`` naming the arguments as given.
     """
     const_bit = _integer(const_bit, "const_bit")
     column = [sum_wire, keep_wire] + ([carry_wire] if carry_wire is not None else [])
     bits = qubit_bits([_integer(wire, name) for wire, name
                        in zip(column, ("sum_wire", "keep_wire", "carry_wire"))])
-    if len(set(bits)) != len(bits):
-        raise ValueError(f"bit adder wires must be distinct, got {column}")
-    return _bit_adder(const_bit, qubit_mask(controls), *bits)
+    ctl, used = qubit_mask(controls), reduce(or_, bits)
+    if used.bit_count() < len(bits) or used & ctl:
+        raise ValueError(f"bit adder wires must be distinct and not controls, got "
+                         f"sum_wire={sum_wire!r}, keep_wire={keep_wire!r}, "
+                         f"carry_wire={carry_wire!r}, controls={list(controls)}")
+    return _bit_adder(const_bit, ctl, *bits)
 
 
 def controlled_swap(controls: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
-    """Exchange wires a and b; three NOTs, only the middle one controlled."""
-    a, b = qubit_bits([_integer(a, "a"), _integer(b, "b")])
-    return _swap(qubit_mask(controls), a, b)
+    """Exchange wires a and b; three NOTs, only the middle one controlled.
+    Wires a and b the same or a control are a ``ValueError`` naming the
+    arguments as given."""
+    bit_a, bit_b = qubit_bits([_integer(a, "a"), _integer(b, "b")])
+    ctl = qubit_mask(controls)
+    if bit_a == bit_b or (bit_a | bit_b) & ctl:
+        raise ValueError(f"swap wires must be distinct and not controls, got a={a!r}, "
+                         f"b={b!r}, controls={list(controls)}")
+    return _swap(ctl, bit_a, bit_b)
 
 
 def build_adder(y: int, reg: Sequence[int], work: Sequence[int],

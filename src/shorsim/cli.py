@@ -12,8 +12,7 @@ import numpy as np
 
 from .arithmetic import (ArithParams, ConfigError, ResourceReport, build_modexp,
                          gate_count_formula, qubit_count_formula)
-from .gates import (Network, RegisterLayout, _integer, apply_network_batch,
-                    network_to_text, validate_network)
+from .gates import Network, RegisterLayout, _integer, network_to_text, validate_network
 from .oracles import exhaustive_network_check, modpow, direct_outcome_table, folded_outcome_table
 from .pipeline import (ExperimentConfig, ideal_distribution,
                        repetition_seeds, run_experiment)
@@ -209,19 +208,17 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     sink.write(head)
     for a in range(0, q if columns else 0, chunk):
         b = min(a + chunk, q)
-        (ned_bits, ned_which), (ed_bits, ed_which) = (
-            _bit_patterns(table[a:b, columns].ravel()) for table in (ned.table, ed.table))
-        bits, where = np.unique(np.concatenate([ned_bits, ed_bits]), return_inverse=True)
+        bits, which = _bit_patterns(np.concatenate([ned.table[a:b, columns],
+                                                    ed.table[a:b, columns]]).ravel())
         texts = _texts(bits, steps)
+        which = which.reshape(2, b - a, len(columns))  # ned, then ed
         # each record's four pieces, each carrying the punctuation after it
         pieces = np.empty((b - a, len(columns), 4), dtype=object)
         pieces[..., 0] = np.array([sep + r1_form.format(r1) for r1 in range(a, b)],
                                   dtype=object)[:, None]
         pieces[..., 1] = r2_texts
-        for k, end, which in ((2, ned_end, where[:len(ned_bits)][ned_which]),
-                              (3, ed_end, where[len(ned_bits):][ed_which])):
-            pieces[..., k] = np.array([text + end for text in texts],
-                                      dtype=object)[which].reshape(b - a, len(columns))
+        for k, end, cells in ((2, ned_end, which[0]), (3, ed_end, which[1])):
+            pieces[..., k] = np.array([text + end for text in texts], dtype=object)[cells]
         if not a:  # no separator before the first record
             pieces[0, 0, 0] = r1_form.format(0)
         sink.write("".join(pieces.ravel().tolist()))
@@ -285,6 +282,9 @@ def _cmd_verify() -> int:
     """Run the oracle suite; exit 0 only if every check passes."""
     failures = 0
 
+    def fresh_copy(net: Network) -> Network:
+        return Network(net.gates, net.qubit_count, net.checkpoints)  # no masks compiled
+
     def check(name: str, ok: bool) -> None:
         nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -316,28 +316,32 @@ def _cmd_verify() -> int:
                                  rng.integers(0, 1 << net.qubit_count, 1000)])
         amp = np.full(len(values), len(values) ** -0.5, dtype=np.complex128)
         state = SparseState(net.qubit_count, 0, values, np.zeros_like(values), amp)
-        want = apply_network_batch(values, net)
-        fresh = Network(net.gates, net.qubit_count, net.checkpoints)  # no masks compiled
-        for name, which in (("plane", "from a fresh network's first run, on bit planes"),
-                            ("grouped", "from its second run, through its groups")):
-            out = run(state, fresh, NoiseSchedule([], StaticDecay(1.0))).comp
-            check(f"{name} pass equals apply_network_batch on a < q and 1,000 random "
+        want = values.copy()
+        for c, t in zip(*(masks.tolist() for masks in net.masks)):
+            want ^= ((want & c) == c) * t  # flip t where every control is set
+        # the check above compiled net's masks, so a run on it is a rerun
+        # through tables; a fresh network's first run builds none
+        for name, network, which in (
+                ("plane", fresh_copy(net), "from a fresh network's first run, on bit planes"),
+                ("grouped", net, "from a rerun of the checked network, through its groups")):
+            out = run(state, network, NoiseSchedule([], StaticDecay(1.0))).comp
+            check(f"{name} pass equals the gate-by-gate reference on a < q and 1,000 random "
                   f"basis strings, {which}, {instance}", np.array_equal(out, want))
         # seed 1: each rerun below fires events at block edges (3 at N=15, 6 at N=33)
         cfg = ExperimentConfig(n=n, x=x, q=q, seed=1)
         schedule = sample_schedule(cfg.n_events, layout.qubit_count,
                                    repetition_seeds(cfg)[0], cfg.law)
+        reruns = {}
         for watchdog, groups in (("off", "groups"), ("on", "groups"),
                                  ("strict", "checkpoint_groups")):
-            fresh, runs = Network(net.gates, net.qubit_count, net.checkpoints), []
-            for _ in range(2):
-                out = run(init_state(q, layout), fresh, schedule, watchdog)
-                runs.append((out.comp.tobytes(), out.env.tobytes(), out.amp.tobytes()))
+            first = run(init_state(q, layout), fresh_copy(net), schedule, watchdog)
+            again = reruns[watchdog] = run(init_state(q, layout), net, schedule, watchdog)
             check(f"{cfg.n_events}-event run, watchdog {watchdog}: a fresh network's first "
-                  f"run and its second, through its {groups}, give byte-equal states, "
-                  f"{instance}", runs[0] == runs[1])
-        state = fourier_first_register(run(init_state(q, layout), net, schedule,
-                                           cfg.watchdog), q, layout)
+                  f"run and a rerun of the checked network, through its {groups}, give "
+                  f"byte-equal states, {instance}",
+                  all(getattr(first, f).tobytes() == getattr(again, f).tobytes()
+                      for f in ("comp", "env", "amp")))
+        state = fourier_first_register(reruns[cfg.watchdog], q, layout)
         rep = run_experiment(cfg).repetitions[0]
         check("run_experiment's tables equal distribution_ned's and _ed's of the transformed "
               f"state, byte for byte, noisy run {instance} seed {cfg.seed}",

@@ -132,16 +132,18 @@ def exhaustive_network_check(net: Network, semantic: Callable[[int], int],
     ``zero_wires`` must come back 0 and the ``set_wires`` must stay 1; when
     the output lives on different wires than the input, the input must
     additionally be preserved.  Returns every counterexample found.  A
-    domain value or wire not an integer, or a wire negative or past
-    ``MAX_WIDTH - 1``, is a ``ValueError`` before any gate runs.
+    domain value or wire not an integer, or a wire outside the network's
+    ``0..qubit_count - 1`` (at most ``MAX_WIDTH - 1``), is a ``ValueError``
+    before any gate runs.
     """
     values = np.array([_integer(v, "value") for v in domain], dtype=np.int64)
     reads_back = out_wires is None
     in_wires, zero_wires, set_wires, out_wires = groups = [
         [_integer(w, "wire") for w in wires]
         for wires in (in_wires, zero_wires, set_wires, in_wires if reads_back else out_wires)]
-    if outside := [w for wires in groups for w in wires if not 0 <= w < MAX_WIDTH]:
-        raise ValueError(f"wire {outside[0]} outside 0..{MAX_WIDTH - 1}")
+    width = min(net.qubit_count, MAX_WIDTH)
+    if outside := [w for wires in groups for w in wires if not 0 <= w < width]:
+        raise ValueError(f"wire {outside[0]} outside 0..{width - 1}")
     if values.size == 0:
         return []
     start = _scatter(values, in_wires)

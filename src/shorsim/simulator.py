@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -27,9 +26,11 @@ NORM_TOL = 1e-10
 MAX_EVENTS = 63  # environment records are bit strings in an int64
 TABLE_CHUNK = 1 << 16  # elements per step of the table and norm passes
 # Dense elements from which the first-register transform splits its rows over
-# two threads (``_in_halves``).  Two- over one-thread time, median of 61 pairs
-# on a 2-vCPU Xeon VM: 1.03x at 1.3e5 elements, 0.84x at 2.7e5, 0.71x at
-# 1.1e6.  The table passes never split: they stream ``TABLE_CHUNK`` slices.
+# two threads (``_in_halves``).  Two- over one-thread time, medians of
+# alternating pairs on 2-vCPU Xeon VMs: 1.03x, 0.84x and 0.71x at 1.3e5, 2.7e5
+# and 1.1e6 elements (61 pairs); later 1.03x, 1.03x, 0.98x and 1.04x at 1.3e5,
+# 2.7e5, 1.1e6 and 3.9e6 (21 pairs, full rows of q = 130).  The table passes
+# never split: they stream ``TABLE_CHUNK`` slices.
 SPLIT_MIN = 1 << 18
 # Components a decay may leave: 32 bytes each in comp, env and amp, and a few
 # times that while an event splits the state and the tables group it.
@@ -484,19 +485,15 @@ def _slide(positions: list[int], events: Sequence[EventRecord],
 
 def _norm_squared(amp: np.ndarray) -> float:
     """The sum of |amp|^2 with no array the size of the state: the squared
-    parts of ``TABLE_CHUNK`` amplitudes at a time are summed pairwise in one
-    buffer, and those sums added with ``math.fsum``.  Not ``np.vdot``, whose
-    BLAS threads spin on after the call and take the transform worker's CPU,
-    nor ``np.einsum``, whose running sum drifted 4.6e-14 from ``math.fsum``
-    on noisy N=15 run states (this pass: 2.2e-16)."""
+    parts of ``TABLE_CHUNK`` amplitudes at a time are summed pairwise, and
+    those sums added with ``math.fsum``.  Not ``np.vdot``, whose BLAS
+    threads spin on after the call and take the transform worker's CPU, nor
+    ``np.einsum``, whose running sum drifted 4.6e-14 from ``math.fsum`` on
+    noisy N=15 run states (this pass: 2.2e-16)."""
     parts = np.ascontiguousarray(amp, dtype=np.complex128).view(np.float64)
     step = 2 * TABLE_CHUNK
-    squares = np.empty(min(len(parts), step))
-    sums = []
-    for lo in range(0, len(parts), step):
-        chunk = parts[lo:lo + step]
-        sums.append(np.square(chunk, out=squares[:len(chunk)]).sum())
-    return math.fsum(sums)
+    return math.fsum(np.square(parts[lo:lo + step]).sum()
+                     for lo in range(0, len(parts), step))
 
 
 def _check_norm(amp: np.ndarray, where: str) -> None:
@@ -507,13 +504,12 @@ def _check_norm(amp: np.ndarray, where: str) -> None:
 
 def _in_halves(count: int, elements: int, part: Callable[[int, int], None]) -> None:
     """``part(lo, hi)`` over 0..count, a pass over ``elements`` elements:
-    from ``SPLIT_MIN`` of them, in a process that may run on two or more
-    CPUs, ``part(count // 2, count)`` on a worker thread and ``part(0,
-    count // 2)`` here, both done before it returns or raises what either
-    raised; else one inline call, and no thread.  ``part`` writes only into
-    arrays made before the call: a thread's freed temporaries stay resident
-    in its malloc arena."""
-    if elements < SPLIT_MIN or _cpus() < 2:
+    from ``SPLIT_MIN`` of them, ``part(count // 2, count)`` on a worker
+    thread and ``part(0, count // 2)`` here, both done before it returns or
+    raises what either raised; else one inline call, and no thread.
+    ``part`` writes only into arrays made before the call: a thread's freed
+    temporaries stay resident in its malloc arena."""
+    if elements < SPLIT_MIN:
         part(0, count)
         return
     mid = count // 2
@@ -532,14 +528,6 @@ def _in_halves(count: int, elements: int, part: Callable[[int, int], None]) -> N
         worker.join()
     if raised:
         raise raised[0]
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _rows(state: SparseState, q: int, layout: RegisterLayout,
@@ -617,11 +605,9 @@ def fourier_first_register(state: SparseState, q: int,
     components are sorted by (rest, env, a) with ``np.lexsort``; each
     (rest, env) group is one row of a dense matrix, transformed in place by
     one FFT per row, and rows come out in ascending (rest, env) order.
-    From ``SPLIT_MIN`` (2^18)
-    dense elements, rows x q, where two threads took 0.84x one thread's
-    time, a process that may run on two or more CPUs does the upper half of
-    the rows on a worker thread; rows are independent FFTs, so the bytes do
-    not change.  A one-CPU process never starts the worker.
+    From ``SPLIT_MIN`` (2^18) dense elements, rows x q, the upper half of
+    the rows is done on a worker thread; rows are independent FFTs, so the
+    bytes do not change.
     """
     return _grouped_transform(state, q, layout, inverse=False)
 
@@ -668,9 +654,9 @@ def distribution_ned(state: SparseState, layout: RegisterLayout,
     """P(r1, r2) with scratch wires and environment traced out: |amp|^2
     added by cell into one zeroed table with ``np.add.at``, ``TABLE_CHUNK``
     components at a time, in element order as ``np.bincount`` adds them.
-    Each slice's cells are range-checked before they are added, and its
-    cells and weights go into buffers of one slice, so no array the size of
-    the state is made.  The pass runs in the calling thread."""
+    Each slice's cells are range-checked, then go with their weights into
+    buffers of one slice kept across the slices (the norm pass keeps none),
+    so no array the size of the state is made; all in the calling thread."""
     return Distribution(_tables(state, layout, q, False), "ned")
 
 

@@ -229,20 +229,42 @@ class TestAdderRefusals:
         (lambda: build_mod_adder(7, 15, [0, 1, 2, 3], 4.5, 5, range(6, 13)),
          "qubit=4.5 must be an integer"),
         (lambda: build_bit_adder(1, [], 1, 1, 2),
-         "bit adder wires must be distinct, got [1, 1, 2]"),
+         "bit adder wires must be distinct and not controls, "
+         "got sum_wire=1, keep_wire=1, carry_wire=2, controls=[]"),
         (lambda: build_bit_adder(1, [], 1, 2, 1),
-         "bit adder wires must be distinct, got [1, 2, 1]"),
+         "bit adder wires must be distinct and not controls, "
+         "got sum_wire=1, keep_wire=2, carry_wire=1, controls=[]"),
         (lambda: build_bit_adder(1, [], 1, 1, None),
-         "bit adder wires must be distinct, got [1, 1]"),
+         "bit adder wires must be distinct and not controls, "
+         "got sum_wire=1, keep_wire=1, carry_wire=None, controls=[]"),
+        (lambda: build_bit_adder(1, [2], 1, 2, 3),  # two cancelling gates unchecked
+         "bit adder wires must be distinct and not controls, "
+         "got sum_wire=1, keep_wire=2, carry_wire=3, controls=[2]"),
+        (lambda: build_bit_adder(1, (0, 3), 1, 2, 3),
+         "bit adder wires must be distinct and not controls, "
+         "got sum_wire=1, keep_wire=2, carry_wire=3, controls=[0, 3]"),
+        (lambda: build_bit_adder(0, [np.int64(1)], np.int64(1), 2, None),
+         "bit adder wires must be distinct and not controls, "
+         "got sum_wire=np.int64(1), keep_wire=2, carry_wire=None, controls=[np.int64(1)]"),
         (lambda: build_bit_adder(1, [0.5], 1, 2, 3), "qubit=0.5 must be an integer"),
         (lambda: build_bit_adder(1, [], -1, 2, 3), "negative qubit index -1"),
+        (lambda: controlled_swap([1], 1, 0),  # unchecked, the control folded into a gate
+         "swap wires must be distinct and not controls, got a=1, b=0, controls=[1]"),
+        (lambda: controlled_swap((3, 0), 1, 0),
+         "swap wires must be distinct and not controls, got a=1, b=0, controls=[3, 0]"),
+        (lambda: controlled_swap([2], 1, 1),  # unchecked, refused only by compile_masks
+         "swap wires must be distinct and not controls, got a=1, b=1, controls=[2]"),
+        (lambda: controlled_swap([], np.int64(4), 4),
+         "swap wires must be distinct and not controls, got a=np.int64(4), b=4, controls=[]"),
         (lambda: controlled_swap([], 0, -1), "negative qubit index -1"),
     ], ids=["column", "column-carry", "top-column", "unwind-column", "numpy-named-as-given",
             "register-repeat", "control-in-register", "control-in-work",
             "non-integer-first", "negative", "control", "constant", "scratch",
             "mod-value-in-work", "mod-flag-in-work", "mod-flag-as-control", "mod-flag",
-            "bit-sum-keep", "bit-sum-carry", "bit-top", "bit-control", "bit-negative",
-            "swap-negative"])
+            "bit-sum-keep", "bit-sum-carry", "bit-top", "bit-control-on-keep",
+            "bit-control-on-carry", "bit-numpy-named-as-given", "bit-control",
+            "bit-negative", "swap-control-on-a", "swap-control-on-b", "swap-repeat",
+            "swap-numpy-named-as-given", "swap-negative"])
     def test_refused_with_the_same_text(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from shorsim import Network, RegisterLayout, arithmetic, cli, oracles, pipeline, simulator
+from shorsim import RegisterLayout, arithmetic, cli, oracles, pipeline, simulator
 from shorsim.arithmetic import MAX_Q, build_modexp
 from shorsim.cli import emit_distribution, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
@@ -536,7 +536,7 @@ class TestMain:
         assert result.returncode == 0
         assert "FAIL" not in result.stdout
         plane = [line for line in result.stdout.splitlines() if "plane pass" in line]
-        assert [line.startswith("PASS  plane pass equals apply_network_batch")
+        assert [line.startswith("PASS  plane pass equals the gate-by-gate reference")
                 and "first run, on bit planes" in line for line in plane] == [True, True]
         assert plane[1].endswith("n=33 x=5 q=1100")  # 35 qubits: 5 gather bytes
         grouped = [line for line in result.stdout.splitlines() if "grouped pass" in line]
@@ -557,7 +557,8 @@ class TestMain:
     @pytest.mark.parametrize("n, x, q", [(15, 7, 130), (33, 5, 1100)])
     def test_verify_reruns_reach_the_edge_path(self, monkeypatch, n, x, q):
         # verify's byte-equal check of a first run and a rerun covers events
-        # fired at block edges only while its seed-1 schedule puts some there
+        # fired at block edges only while its seed-1 schedule puts some there;
+        # its reruns go through the network its exhaustive check compiled
         through, passes = simulator.decay_through, []
 
         def counted(*args):
@@ -569,11 +570,10 @@ class TestMain:
         cfg = pipeline.ExperimentConfig(n=n, x=x, q=q, seed=1)
         schedule = simulator.sample_schedule(cfg.n_events, layout.qubit_count,
                                              pipeline.repetition_seeds(cfg)[0], cfg.law)
+        net.masks  # compiled, so each run below is a rerun
         for watchdog in ("off", "on", "strict"):
-            fresh = Network(net.gates, net.qubit_count, net.checkpoints)
-            simulator.run(simulator.init_state(q, layout), fresh, schedule, watchdog)
             passes.clear()
-            simulator.run(simulator.init_state(q, layout), fresh, schedule, watchdog)
+            simulator.run(simulator.init_state(q, layout), net, schedule, watchdog)
             assert passes, watchdog
 
     def test_usage_error_on_unknown_flag(self):

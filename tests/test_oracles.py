@@ -113,15 +113,18 @@ class TestExhaustiveChecker:
         assert len(bad) == 2
 
     @pytest.mark.parametrize("wires, message", [
-        (dict(in_wires=[0, 1], zero_wires=[64]), "wire 64 outside 0..61"),
-        (dict(in_wires=[-1]), "wire -1 outside 0..61"),
-        (dict(in_wires=[0], out_wires=[62]), "wire 62 outside 0..61"),
-        (dict(in_wires=[0], set_wires=[1, 70]), "wire 70 outside 0..61"),
-    ], ids=["zero-past-the-width", "in-negative", "out-past-the-width", "set-past-the-width"])
+        (dict(in_wires=[0, 1], zero_wires=[64]), "wire 64 outside 0..1"),
+        (dict(in_wires=[-1]), "wire -1 outside 0..1"),
+        (dict(in_wires=[0], out_wires=[62]), "wire 62 outside 0..1"),
+        (dict(in_wires=[0], set_wires=[1, 70]), "wire 70 outside 0..1"),
+        (dict(in_wires=[0], zero_wires=[40, 50]), "wire 40 outside 0..1"),
+    ], ids=["zero-past-the-width", "in-negative", "out-past-the-width", "set-past-the-width",
+            "zero-past-the-network"])
     def test_wire_outside_the_basis_strings_refused_before_any_gate(self, wires, message,
                                                                     monkeypatch):
-        # unchecked, the zero wire 64 passed vacuously (numpy's shift read 0)
-        # and the input wire -1 compared garbage
+        # unchecked, the zero wire 64 passed vacuously (numpy's shift read 0),
+        # so did wire 40, below MAX_WIDTH but past the network, and the input
+        # wire -1 compared garbage
         import shorsim.oracles as oracles
         ran = []
         monkeypatch.setattr(oracles, "apply_network_batch", lambda *args: ran.append(args))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
 import subprocess
 import sys
@@ -1937,7 +1936,8 @@ def clean(state, layout):
 class TestStreamedTables:
     """distribution_ned and distribution_ed add each TABLE_CHUNK slice of the
     state into one table, byte for byte as the np.add.at reference over the
-    whole state, with buffers of one slice."""
+    whole state, with buffers of one slice; norm_squared streams the same
+    slices with no buffer kept between them, under the same memory bound."""
 
     @pytest.mark.parametrize("chunk", [None, 5], ids=["TABLE_CHUNK", "5"])
     def test_tables_match_the_reference_across_slices(self, monkeypatch, chunk):
@@ -1981,7 +1981,6 @@ class TestStreamedTables:
                 super().start()
         monkeypatch.setattr(threading, "Thread", Counted)
         monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
-        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
         layout = RegisterLayout.for_factoring(4, q=130)
         forward = fourier_first_register(rows_state(layout, 9, 130, seed=9), 130, layout)
         assert len(started) == 1  # the transform split
@@ -2056,7 +2055,7 @@ class TestNormSquared:
 @pytest.fixture(params=["split", "inline"])
 def split(request, monkeypatch):
     """The transform and table passes forced into two halves on two threads
-    (threshold 0, two CPUs) or forced inline; yields the threads started."""
+    (threshold 0) or forced inline; yields the threads started."""
     started = []
 
     class Counted(threading.Thread):
@@ -2066,7 +2065,6 @@ def split(request, monkeypatch):
     monkeypatch.setattr(threading, "Thread", Counted)
     if request.param == "split":
         monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
-        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
     else:
         monkeypatch.setattr(simulator, "SPLIT_MIN", sys.maxsize)
     yield started
@@ -2153,7 +2151,6 @@ class TestSplitPasses:
 
     def test_a_failure_in_the_worker_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
-        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
         layout = RegisterLayout.for_factoring(4, q=130)
         transform_rows = simulator._transform_rows
 
@@ -2169,7 +2166,6 @@ class TestSplitPasses:
 
     def test_the_caller_waits_for_the_worker_before_raising(self, monkeypatch):
         monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
-        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
         done = []
 
         def part(lo, hi):
@@ -2181,41 +2177,29 @@ class TestSplitPasses:
         assert isinstance(outcome["raised"], KeyError)
         assert done == [(5, 10)]
 
-    @pytest.mark.parametrize("cpus, splits", [(1, False), (2, True)])
-    def test_split_needs_the_threshold_and_two_cpus(self, monkeypatch, cpus, splits):
-        monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+    def test_split_needs_the_threshold(self):
         calls = []
         simulator._in_halves(10, simulator.SPLIT_MIN - 1, lambda lo, hi: calls.append((lo, hi)))
         assert calls == [(0, 10)]
         calls.clear()
         simulator._in_halves(10, simulator.SPLIT_MIN, lambda lo, hi: calls.append((lo, hi)))
-        assert sorted(calls) == ([(0, 5), (5, 10)] if splits else [(0, 10)])
+        assert sorted(calls) == [(0, 5), (5, 10)]
 
-    def test_no_thread_below_the_threshold_or_on_one_cpu(self):
-        if not hasattr(os, "sched_setaffinity"):
-            pytest.skip("no CPU affinity call on this platform")
+    def test_no_thread_below_the_threshold(self):
         # a fresh interpreter, so that nothing else has started a thread
         code = """
-import os, threading
-import numpy as np
-from shorsim import RegisterLayout, fourier_first_register, init_state, simulator
+import threading
+from shorsim import RegisterLayout, fourier_first_register, init_state
 started = []
 start = threading.Thread.start
 threading.Thread.start = lambda self: (started.append(self), start(self))[1]
 layout = RegisterLayout.for_factoring(4, q=130)
 fourier_first_register(init_state(130, layout), 130, layout)
-below = (len(started), threading.active_count())
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-rows = simulator.SPLIT_MIN // 130 + 1
-comp = np.arange(rows, dtype=np.int64) << layout.reg2.start
-state = simulator.SparseState(layout.qubit_count, 0, comp, np.zeros(rows, dtype=np.int64),
-                              np.full(rows, rows ** -0.5, dtype=np.complex128))
-assert len(fourier_first_register(state, 130, layout).amp) >= simulator.SPLIT_MIN
-print(*below, len(started), threading.active_count())
+print(len(started), threading.active_count())
 """
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, timeout=60)
-        assert result.stdout.split() == ["0", "1", "0", "1"], result.stderr
+        assert result.stdout.split() == ["0", "1"], result.stderr
 
 
 class TestIntegerQ:
