@@ -18,7 +18,7 @@ from .pipeline import (ExperimentConfig, ideal_distribution,
                        repetition_seeds, run_experiment)
 from .simulator import (ComponentBudgetError, Distribution,
                         ExponentialDecay, NoiseSchedule, SparseState, StaticDecay,
-                        distribution_ed, distribution_ned,
+                        distribution_ed, distribution_ned, outcome_tables,
                         fourier_first_register, init_state, run, sample_schedule)
 
 
@@ -341,12 +341,12 @@ def _cmd_verify() -> int:
                   f"byte-equal states, {instance}",
                   all(getattr(first, f).tobytes() == getattr(again, f).tobytes()
                       for f in ("comp", "env", "amp")))
+        ned, ed = outcome_tables(reruns[cfg.watchdog], layout, q)
         state = fourier_first_register(reruns[cfg.watchdog], q, layout)
-        rep = run_experiment(cfg).repetitions[0]
-        check("run_experiment's tables equal distribution_ned's and _ed's of the transformed "
-              f"state, byte for byte, noisy run {instance} seed {cfg.seed}",
-              rep.ned.table.tobytes() == distribution_ned(state, layout, q).table.tobytes()
-              and rep.ed.table.tobytes() == distribution_ed(state, layout, q).table.tobytes())
+        check(f"outcome_tables of the {cfg.watchdog} rerun equal distribution_ned's and _ed's "
+              f"of its transformed state, byte for byte, noisy run {instance} seed {cfg.seed}",
+              ned.table.tobytes() == distribution_ned(state, layout, q).table.tobytes()
+              and ed.table.tobytes() == distribution_ed(state, layout, q).table.tobytes())
     return 1 if failures else 0
 
 

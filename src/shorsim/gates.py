@@ -394,8 +394,11 @@ def _xor_planes(comp: np.ndarray, flips: Iterable[tuple[int, int]]) -> None:
 
 def apply_network_batch(values: Sequence[int] | np.ndarray, net: Network) -> np.ndarray:
     """Apply the network to many basis strings at once, gate by gate, into a new
-    int64 array; strings a ``MAX_WIDTH``-qubit ``SparseState`` refuses are a ``ValueError``."""
-    out = np.asarray(values) if len(values) else np.zeros(0, np.int64)  # [] is float
+    int64 array; values not 1-D, and strings a ``MAX_WIDTH``-qubit ``SparseState``
+    refuses, are a ``ValueError`` before any gate."""
+    if (out := np.asarray(values)).ndim != 1:
+        raise ValueError(f"values must be a 1-D array, not of shape {out.shape}")
+    out = out if len(out) else np.zeros(0, np.int64)  # [] is float
     _integers(out, "values", MAX_WIDTH)
     out = out.astype(np.int64)
     apply_masks(out, *net.masks)

@@ -16,10 +16,11 @@ import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
-from .gates import (MAX_WIDTH, FusedBlock, Network, RegisterLayout, _integer,
+from .gates import (MAX_WIDTH, Checkpoint, FusedBlock, Network, RegisterLayout, _integer,
                     _integers, apply_masks, decay_through)
 
 NORM_TOL = 1e-10
@@ -332,22 +333,28 @@ def event_records(net: Network, schedule: NoiseSchedule,
     return records
 
 
-def run(state: SparseState, net: Network, schedule: NoiseSchedule,
-        watchdog: str = "off", *, verify_norm: bool = False) -> SparseState:
-    """Evolve through the network with decay events interleaved.
+class Step(NamedTuple):
+    """A ``plan`` step: ``"gates"`` a..b-1 in one ``apply_masks`` call; the
+    ``"table"`` of block ``unit``, span a..b; ``"fire"`` the next event at b
+    on the state at a, carried through ``ctrl[a:b]`` if a < b, ``ctrl[b:a][::-1]``
+    if a > b; ``"project"`` onto strict checkpoint ``unit`` at a = b."""
 
-    Each event fires with the p1 of its ``event_records`` record, before
-    gate ``position`` or where it slides to.  ``watchdog='strict'`` also
-    projects each checkpoint's qubits onto 0 after the events there and
-    renormalizes, discarding detected-error branches; only a strict run
-    stops, or cuts its groups, at checkpoints.
+    kind: str
+    a: int
+    b: int
+    unit: FusedBlock | Checkpoint | None = None
 
-    A run that finds ``net.masks`` compiled is a rerun: the network ran
-    before (or went through ``apply_network_batch``) and, as a rule, will
-    run again.  A first run compiles, validates and caches the masks, and
+
+def plan(net: Network, records: Sequence[EventRecord], watchdog: str = "off") -> list[Step]:
+    """The steps ``run()`` takes on ``net`` now for these ``event_records``
+    in this watchdog mode; no amplitude enters them.  Each event fires
+    before gate ``position`` or where it slides to; strict checkpoints
+    project after the events at their position.  A network whose
+    ``net.masks`` are compiled is a rerun: it ran before (or went through
+    ``apply_network_batch``) and, as a rule, will run again.  A first run
     builds no table: the gates between stops, events and strict
-    checkpoints, are one ``apply_masks`` kernel call.  A rerun walks groups
-    of 14-wire blocks on at most 16 wires, built on the first rerun that
+    checkpoints, are one ``"gates"`` step.  A rerun walks groups of
+    14-wire blocks on at most 16 wires, built on the first rerun that
     walks them: ``net.groups``, or in strict mode ``net.checkpoint_groups``,
     also cut at every checkpoint position, as the blocks always are.  An
     event strictly inside a group or block first slides, in order, through
@@ -357,11 +364,74 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     checkpoints.  A group with no event left inside is one lookup, and one
     with an event inside walks its blocks (``parts``).  In a block with
     events inside, those bound for the start fire there, in order, each
-    carried back through the gates between (each gate is its own inverse;
-    ``decay_through``), then the table runs, then the rest fire at the
-    stop, carried back from it; of the splits that keep the events' order,
-    this one carries the fewest gates.  A rerun makes no kernel call.  The
-    output is bit-identical to a first run's.
+    carried back through the gates between (each gate is its own inverse),
+    then the table runs, then the rest fire at the stop, carried back from
+    it; of the splits that keep the events' order, this one carries the
+    fewest gates.  On a fresh network it reads neither ``net.masks`` nor
+    ``net.touches``, so the network's next run stays its first."""
+    strict = watchdog == "strict"
+    rerun = "masks" in vars(net)  # as above
+    units = (net.checkpoint_groups if strict else net.groups) if rerun else ()
+    total, steps = len(net.gates), []
+    positions = [rec.position for rec in records]  # where each event fires
+    checkpoints = net.checkpoints if strict else ()  # in order, as the network checked
+    ei = ci = 0
+
+    def settle(g: int) -> None:
+        """Fire the events, then project at the checkpoints, that sit before gate g."""
+        nonlocal ei, ci
+        while ei < len(records) and positions[ei] == g:
+            steps.append(Step("fire", g, g))
+            ei += 1
+        while ci < len(checkpoints) and checkpoints[ci].position == g:
+            steps.append(Step("project", g, g, checkpoints[ci]))
+            ci += 1
+
+    def walk(block: FusedBlock) -> None:
+        """Gates block.start..block.stop-1 with the events among them."""
+        nonlocal ei
+        start, stop = block.start, block.stop
+        settle(start)
+        end = split = bisect.bisect_left(positions, stop, ei)
+        if end > ei:
+            positions[ei:end], k = _slide(positions[ei:end], records[ei:end],
+                                          net.touches, start, stop)
+            split = ei + k  # the events before it go to the start
+            settle(start)  # the events slid to the start; its checkpoints have run
+        if ei == end or positions[ei] == stop:  # no event left inside
+            steps.append(Step("table", start, stop, block))
+        elif block.parts:
+            for part in block.parts:
+                walk(part)
+        else:
+            inside = bisect.bisect_left(positions, stop, split, end)  # short of the stop
+            steps.extend([*(Step("fire", start, pos) for pos in positions[ei:split]),
+                          Step("table", start, stop, block),
+                          *(Step("fire", stop, pos) for pos in positions[split:inside])])
+            ei = inside
+
+    for unit in units:
+        walk(unit)
+    a = total if rerun else 0  # a rerun's units ran every gate
+    settle(a)
+    while a < total:  # one kernel call between stops: events, strict checkpoints
+        stop = min([total, *positions[ei:ei + 1],
+                    *(chk.position for chk in checkpoints[ci:ci + 1])])
+        steps.append(Step("gates", a, stop))
+        settle(stop)
+        a = stop
+    return steps
+
+
+def run(state: SparseState, net: Network, schedule: NoiseSchedule,
+        watchdog: str = "off", *, verify_norm: bool = False) -> SparseState:
+    """Evolve through the network with decay events interleaved, by the
+    steps of ``plan(net, event_records(net, schedule, watchdog), watchdog)``.
+    Each event fires with the p1 of its record.  ``watchdog='strict'``
+    also projects each checkpoint's qubits onto 0 after the events there
+    and renormalizes, discarding detected-error branches; a checkpoint that
+    would keep no weight leaves the state unprojected.  A first run caches
+    ``net.masks``; whatever the plan, the output is bit-identical.
 
     Each of these is a ``ValueError`` before any gate, every time: a network
     that does not compile (``compile_masks``; a gate on more than 16 wires
@@ -370,8 +440,7 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     more than ``MAX_COMPONENTS`` components is a ``ComponentBudgetError``
     naming the event, before its split.  ``verify_norm`` checks the norm of
     the input state once the masks and any groups are built, and after
-    every decay event; gates and lookups only permute basis strings.
-    """
+    every decay event; gates and lookups only permute basis strings."""
     records = event_records(net, schedule, watchdog)
     if state.env_count + len(records) > MAX_EVENTS:
         raise ValueError(f"{state.env_count} recorded plus {len(records)} new "
@@ -383,78 +452,31 @@ def run(state: SparseState, net: Network, schedule: NoiseSchedule,
     if net.qubit_count > state.qubit_count:
         raise ValueError(f"network of {net.qubit_count} qubits is wider than "
                          f"the state's {state.qubit_count}")
-    rerun = "masks" in vars(net)  # as above
+    steps = plan(net, records, watchdog)
     ctrl, tgt = net.masks
-    strict = watchdog == "strict"
-    units = (net.checkpoint_groups if strict else net.groups) if rerun else ()
     if verify_norm:
         _check_norm(state.amp, "the input state")
-    total = len(net.gates)
-    comp = state.comp.astype(np.int64)  # a private contiguous copy
-    env = state.env.copy()
-    amp = state.amp.copy()
-
-    positions = [rec.position for rec in records]  # where each event fires
-    checkpoints = net.checkpoints if strict else ()  # in order, as the network checked
-    ei = ci = 0
-
-    def fire(*gates: np.ndarray) -> None:
-        """Split on the next event here, or carried back through ``gates`` (``_decay``)."""
-        nonlocal comp, env, amp, ei
-        ev = records[ei]
-        comp, env, amp = _decay(comp, env, amp, state.env_count + ei, ev.qubit, ev.p1,
-                                f"decay event at t={ev.time} on qubit {ev.qubit}", gates)
-        ei += 1
-        if verify_norm:
-            _check_norm(amp, f"decay event at t={ev.time}")
-
-    def settle(g: int) -> None:
-        """Fire the events, then project at the checkpoints, that sit before
-        gate g."""
-        nonlocal comp, env, amp, ci
-        while ei < len(records) and positions[ei] == g:
-            fire()
-        while ci < len(checkpoints) and checkpoints[ci].position == g:
-            keep = (comp & checkpoints[ci].mask) == 0
+    comp, env, amp = state.comp.astype(np.int64), state.env.copy(), state.amp.copy()  # copies
+    fired = enumerate(records, state.env_count)  # each event's record bit
+    for kind, a, b, unit in steps:
+        if kind == "gates":
+            apply_masks(comp, ctrl[a:b], tgt[a:b])
+        elif kind == "table":
+            unit.apply(comp)
+        elif kind == "fire":
+            bit, ev = next(fired)
+            gates = ((ctrl[a:b], tgt[a:b]) if a < b else
+                     (ctrl[b:a][::-1], tgt[b:a][::-1]) if a > b else ())
+            comp, env, amp = _decay(comp, env, amp, bit, ev.qubit, ev.p1,
+                                    f"decay event at t={ev.time} on qubit {ev.qubit}", gates)
+            if verify_norm:
+                _check_norm(amp, f"decay event at t={ev.time}")
+        else:  # "project"
+            keep = (comp & unit.mask) == 0
             weight = float(np.sum(np.abs(amp[keep]) ** 2))
             if weight > 0.0:
-                comp, env = comp[keep], env[keep]
-                amp = amp[keep] / math.sqrt(weight)
-            ci += 1
-
-    def walk(block: FusedBlock) -> None:
-        """Gates block.start..block.stop-1 with the events among them."""
-        start, stop = block.start, block.stop
-        settle(start)
-        end = split = bisect.bisect_left(positions, stop, ei)
-        if end > ei:
-            positions[ei:end], k = _slide(positions[ei:end], records[ei:end],
-                                          net.touches, start, stop)
-            split = ei + k  # the events before it go to the start
-            settle(start)  # the events slid to the start; its checkpoints have run
-        if ei == end or positions[ei] == stop:  # no event left inside
-            block.apply(comp)
-        elif block.parts:
-            for part in block.parts:
-                walk(part)
-        else:
-            while ei < split:  # at the start, through start..pos-1
-                fire(ctrl[start:positions[ei]], tgt[start:positions[ei]])
-            block.apply(comp)
-            while ei < end and positions[ei] < stop:  # at the stop, through stop-1..pos
-                fire(ctrl[positions[ei]:stop][::-1], tgt[positions[ei]:stop][::-1])
-
-    for unit in units:
-        walk(unit)
-    a = total if rerun else 0  # a rerun's units ran every gate
-    settle(a)
-    while a < total:  # one kernel call between stops: events, strict checkpoints
-        stop = min([total, *positions[ei:ei + 1],
-                    *(chk.position for chk in checkpoints[ci:ci + 1])])
-        apply_masks(comp, ctrl[a:stop], tgt[a:stop])
-        settle(stop)
-        a = stop
-    return SparseState(state.qubit_count, state.env_count + ei, comp, env, amp)
+                comp, env, amp = comp[keep], env[keep], amp[keep] / math.sqrt(weight)
+    return SparseState(state.qubit_count, state.env_count + len(records), comp, env, amp)
 
 
 def _slide(positions: list[int], events: Sequence[EventRecord],

@@ -553,28 +553,25 @@ class TestMain:
             for mode in ("off", "on", "strict")]
         assert ["through its checkpoint_groups" in line for line in again] == [
             False, False, True, False, False, True]
+        tables = [line for line in result.stdout.splitlines() if "outcome_tables" in line]
+        assert [line.startswith("PASS  outcome_tables of the on rerun equal distribution_ned's")
+                for line in tables] == [True, True]
 
     @pytest.mark.parametrize("n, x, q", [(15, 7, 130), (33, 5, 1100)])
-    def test_verify_reruns_reach_the_edge_path(self, monkeypatch, n, x, q):
+    def test_verify_reruns_reach_the_edge_path(self, n, x, q):
         # verify's byte-equal check of a first run and a rerun covers events
         # fired at block edges only while its seed-1 schedule puts some there;
         # its reruns go through the network its exhaustive check compiled
-        through, passes = simulator.decay_through, []
-
-        def counted(*args):
-            passes.append(args[3])
-            return through(*args)
-        monkeypatch.setattr(simulator, "decay_through", counted)
         layout = RegisterLayout.for_factoring(n.bit_length(), q=q)
         net = build_modexp(arithmetic.ArithParams.create(n, x, q), layout)
         cfg = pipeline.ExperimentConfig(n=n, x=x, q=q, seed=1)
         schedule = simulator.sample_schedule(cfg.n_events, layout.qubit_count,
                                              pipeline.repetition_seeds(cfg)[0], cfg.law)
-        net.masks  # compiled, so each run below is a rerun
+        net.masks  # compiled, so each plan below is a rerun's
         for watchdog in ("off", "on", "strict"):
-            passes.clear()
-            simulator.run(simulator.init_state(q, layout), net, schedule, watchdog)
-            assert passes, watchdog
+            steps = simulator.plan(net, simulator.event_records(net, schedule, watchdog),
+                                   watchdog)
+            assert [step for step in steps if step.kind == "fire" and step.a != step.b], watchdog
 
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")

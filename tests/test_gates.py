@@ -115,9 +115,14 @@ class TestApplyNetwork:
         ([2 ** 70], "values must hold integers, not object"),
         ([-1], "values must hold basis strings in 0..2**62 - 1"),
         ([0, 1 << 62], "values must hold basis strings in 0..2**62 - 1"),
-        (np.array([1 << 63], dtype=np.uint64), "values must hold basis strings in 0..2**62 - 1")],
+        (np.array([1 << 63], dtype=np.uint64), "values must hold basis strings in 0..2**62 - 1"),
+        # unchecked, a 2-D array died with a TypeError from int() of an
+        # array, and a scalar with one from len()
+        (np.array([[0, 1], [2, 3]]), "values must be a 1-D array, not of shape (2, 2)"),
+        (5, "values must be a 1-D array, not of shape ()"),
+        (np.array(5), "values must be a 1-D array, not of shape ()")],
         ids=["float", "float-array", "bool", "beyond-int64", "negative", "past-62-bits",
-             "uint64-top-bit"])
+             "uint64-top-bit", "2-d", "scalar", "0-d-array"])
     def test_strings_a_state_refuses_are_refused(self, values, message):
         # unchecked, the cast to int64 ran 3.7 as 3 and gave [1], and the
         # string -1 came out -3

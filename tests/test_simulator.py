@@ -251,16 +251,15 @@ class TestRun:
             assert record.p1 == pytest.approx(math.exp(-2.5 * event.time))
             assert record.p2 == pytest.approx(1 - record.p1)
 
-    def test_event_records_leave_the_next_run_a_first_run(self, factoring_15, gate_path):
+    def test_event_records_leave_the_next_run_a_first_run(self, factoring_15):
         _, layout, net = factoring_15
         net = fresh_copy(net)
         sched = sample_schedule(10, layout.qubit_count, 5, GAMMA)
         for mode in ("off", "on", "strict"):
-            event_records(net, sched, mode)
-        assert "masks" not in vars(net)
+            assert all(kind != "table" for kind, _, _ in planned(net, sched, mode))  # no lookup
+        assert not {"masks", "touches"} & vars(net).keys()
         run(init_state(130, layout), net, sched, "on")
         assert "masks" in vars(net) and "groups" not in vars(net)
-        assert all(isinstance(step, list) for step in gate_path)  # no lookup
 
 
 class TestRunBoundary:
@@ -508,6 +507,18 @@ class TestWatchdog:
                 else {(0b1, 0): math.sqrt(p1), (0b0, 1): math.sqrt(1.0 - p1)})
         assert "masks" in vars(net)
 
+    def test_strict_checkpoint_keeping_no_weight_leaves_the_state_unprojected(self):
+        # Gate 0 sets qubit 0 in the only component, so the checkpoint on
+        # qubit 0 at 1 keeps no weight: a strict first run and a rerun both
+        # plan its projection, and leave the state as the gates made it.
+        net = Network([gate_masks((), 0), gate_masks([0], 1)], 2, [Checkpoint.of(1, [0])])
+        sched = NoiseSchedule([], STATIC_HALF)
+        for _ in range(2):
+            assert ("project", 1, 1) in planned(net, sched, "strict")
+            out = run(single_component(2, 0b00), net, sched, "strict")
+            assert out.as_dict() == {(0b11, 0): 1.0}
+        assert "checkpoint_groups" in vars(net)
+
     def test_strict_mode_keeps_only_clean_scratch(self, factoring_15):
         _, layout, net = factoring_15
         sched = sample_schedule(10, layout.qubit_count, 5, STATIC_HALF)
@@ -601,38 +612,28 @@ def assert_rows_match_reference(state, net, sched, watchdog="off"):
 
 @pytest.fixture
 def gate_path(monkeypatch):
-    """The path run() takes, in order: each call of the single-gate kernel
-    as its list of (control, target) mask pairs, the network's own gate
-    form, each event carried through gates as ("fire", a tuple of the
-    pairs it is carried back through, in the order given), each table
-    lookup as ("table", start, stop), and each norm check as its label.
-    The kernel, the firings and the lookups still run, and the norm checks
-    still raise."""
+    """The calls run() makes, in order, each still made: a single-gate
+    kernel call as its list of (control, target) mask pairs, an event carried
+    through gates as ("fire", a tuple of those pairs in the order carried), a
+    lookup as ("table", start, stop) and a norm check as its label.  Only a
+    recorder shows where norm checks fall and what ran before a refusal."""
     path = []
-    kernel, fire, lookup, check = (simulator.apply_masks, simulator.decay_through,
-                                   gates.FusedBlock.apply, simulator._check_norm)
 
-    def gates_run(comp, ctrl, tgt):
-        path.append(list(zip(ctrl.tolist(), tgt.tolist())))
-        kernel(comp, ctrl, tgt)
+    def record(owner, name, step):
+        call = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: path.append(step(*args)) or call(*args))
 
-    def fired(comp, ctrl, tgt, qubit, hits_checked):
-        path.append(("fire", tuple(zip(ctrl.tolist(), tgt.tolist()))))
-        return fire(comp, ctrl, tgt, qubit, hits_checked)
-
-    def table_run(block, comp):
-        path.append(("table", block.start, block.stop))
-        lookup(block, comp)
-
-    def norm_checked(amp, label):
-        path.append(label)
-        check(amp, label)
-
-    monkeypatch.setattr(simulator, "apply_masks", gates_run)
-    monkeypatch.setattr(simulator, "decay_through", fired)
-    monkeypatch.setattr(gates.FusedBlock, "apply", table_run)
-    monkeypatch.setattr(simulator, "_check_norm", norm_checked)
+    record(simulator, "apply_masks", lambda comp, c, t: list(zip(c.tolist(), t.tolist())))
+    record(simulator, "decay_through",
+           lambda comp, c, t, *_: ("fire", tuple(zip(c.tolist(), t.tolist()))))
+    record(gates.FusedBlock, "apply", lambda block, comp: ("table", block.start, block.stop))
+    record(simulator, "_check_norm", lambda amp, label: label)
     return path
+
+
+def planned(net, sched, watchdog="off"):
+    """The plan of a run of ``net`` now, as (kind, a, b) triples."""
+    return [step[:3] for step in simulator.plan(net, event_records(net, sched, watchdog), watchdog)]
 
 
 def pinned_qubit(net, position):
@@ -659,29 +660,6 @@ def untouched_qubit(net, block):
     return (~wires & (wires + 1)).bit_length() - 1
 
 
-def first_run_path(net, events, watchdog="off"):
-    """The path of a first run of ``net`` with ``verify_norm``: the input
-    state's check, then one kernel call between consecutive stops, the event
-    positions and, in strict mode only, the checkpoint positions, each
-    followed by the checks of the events at its stop."""
-    total = len(net.gates)
-    positions = [min(math.ceil(ev.time * total), total) for ev in events]
-    checkpoints = net.checkpoints if watchdog == "strict" else ()
-    stops = sorted({0, *positions, *(chk.position for chk in checkpoints), total})
-    path = ["the input state"]
-    for a, b in zip(stops, stops[1:]):
-        path.append(list(net.gates[a:b]))
-        path += [f"decay event at t={ev.time}" for ev, pos in zip(events, positions)
-                 if pos == b]
-    return path
-
-
-def walked_groups(net, watchdog):
-    """The groups a rerun of ``net`` walks in this watchdog mode: those cut
-    at every checkpoint in strict mode, the others with it on or off."""
-    return net.checkpoint_groups if watchdog == "strict" else net.groups
-
-
 def lookups_but(net, *units):
     """The lookups of the network's groups and blocks, but those of ``units``."""
     skip = [(u.start, u.stop) for u in units]
@@ -689,11 +667,10 @@ def lookups_but(net, *units):
             if (u.start, u.stop) not in skip]
 
 
-def group_lookups(net, path, watchdog="off"):
-    """The lookups in ``path`` of the groups of several blocks that a rerun
-    of the network walks in this watchdog mode."""
-    wide = {("table", g.start, g.stop) for g in walked_groups(net, watchdog) if g.parts}
-    return [step for step in path if isinstance(step, tuple) and step in wide]
+def group_lookups(net, sched, watchdog="off"):
+    """The lookups of groups of several blocks in the plan of a run of ``net`` now."""
+    return [step for step in simulator.plan(net, event_records(net, sched, watchdog), watchdog)
+            if step.kind == "table" and step.unit.parts]
 
 
 def assert_groups_tile_and_cut(net, groups, cuts):
@@ -814,9 +791,11 @@ class TestFusedPass:
         run(init_state(130, layout), fresh_copy(net), sched, verify_norm=True)
         # a first run: one kernel call between stops, each event's check
         # right after the call that reaches it, and no other check
-        assert gate_path == first_run_path(net, sched.events)
-        assert [step for step in gate_path if isinstance(step, str)] == [
-            "the input state", *(f"decay event at t={ev.time}" for ev in sched.events)]
+        a, b, c = (math.ceil(ev.time * total) for ev in sched.events)
+        decays = [f"decay event at t={ev.time}" for ev in sched.events]
+        assert gate_path == ["the input state", list(net.gates[:a]), decays[0],
+                             list(net.gates[a:b]), decays[1], list(net.gates[b:c]),
+                             decays[2], list(net.gates[c:])]
 
     def test_norm_drift_detected_on_both_paths(self, factoring_15, gate_path,
                                                monkeypatch):
@@ -1139,8 +1118,7 @@ class TestEventBlocks:
                    for g in net.groups)
         return [b for b in longest if b.stop - b.start >= 20]
 
-    def test_each_block_fires_its_events_at_their_nearer_edges(self, factoring_15,
-                                                               gate_path):
+    def test_each_block_fires_its_events_at_their_nearer_edges(self, factoring_15):
         _, layout, net = factoring_15
         long = self.long_blocks(net)
         # the middle block's middle gate shares a qubit with the gate before
@@ -1152,14 +1130,10 @@ class TestEventBlocks:
                   for p in positions]
         events.append(event_at(slid.start + 5, len(net.gates),
                                untouched_qubit(net, group)))
-        assert_matches_reference(init_state(130, layout), net,
-                                 NoiseSchedule(events, GAMMA), "on",
-                                 verify_norm=True)
-        decays = [f"decay event at t={ev.time}" for ev in events]
+        sched = NoiseSchedule(events, GAMMA)
+        assert_matches_reference(init_state(130, layout), net, sched, "on", verify_norm=True)
+        steps = planned(net, sched, "on")
         free = lookups_but(net, near_start, near_end, middle, group)
-        first = net.gates[near_start.start:near_start.start + 1]
-        last = net.gates[near_end.stop - 1:near_end.stop]
-        halfway = net.gates[middle.start:mid]
         # each in its own group, the pinned events walk its blocks: the
         # first event fires at its block's start, carried back through one
         # gate, then the table; the second fires after the table, carried
@@ -1167,16 +1141,15 @@ class TestEventBlocks:
         # farther from the start than from the stop, so it fires at the
         # start, carried back through the gates before it; the last slides
         # to its group's start and is carried through no gate
-        assert [step for step in gate_path if step not in free] == [
-            "the input state",
-            ("fire", first), decays[0], ("table", near_start.start, near_start.stop),
-            ("table", near_end.start, near_end.stop), ("fire", last[::-1]), decays[1],
-            ("fire", halfway), decays[2], ("table", middle.start, middle.stop),
-            decays[3], ("table", group.start, group.stop)]
-        assert not [step for step in gate_path if isinstance(step, list)]  # no kernel call
+        assert [step for step in steps if step not in free] == [
+            ("fire", near_start.start, positions[0]),
+            ("table", near_start.start, near_start.stop),
+            ("table", near_end.start, near_end.stop), ("fire", near_end.stop, positions[1]),
+            ("fire", middle.start, mid), ("table", middle.start, middle.stop),
+            ("fire", group.start, group.start), ("table", group.start, group.stop)]
+        assert not [step for step in steps if step[0] == "gates"]  # no kernel call
 
-    def test_events_near_both_ends_leave_the_table_the_middle(self, factoring_15,
-                                                              gate_path):
+    def test_events_near_both_ends_leave_the_table_the_middle(self, factoring_15):
         # Two pinned events, two gates in from each end of one long block:
         # the first fires at the start, carried back through the head, the
         # table stands for the middle, and the second fires at the stop,
@@ -1185,16 +1158,12 @@ class TestEventBlocks:
         block = self.long_blocks(net)[6]
         positions = [block.start + 2, block.stop - 2]
         events = [event_at(p, len(net.gates), pinned_qubit(net, p)) for p in positions]
-        assert_matches_reference(init_state(130, layout), net,
-                                 NoiseSchedule(events, GAMMA), "on", verify_norm=True)
-        decays = [f"decay event at t={ev.time}" for ev in events]
-        head = net.gates[block.start:positions[0]]
-        tail = net.gates[positions[1]:block.stop]
-        assert len(head) == len(tail) == 2
+        sched = NoiseSchedule(events, GAMMA)
+        assert_matches_reference(init_state(130, layout), net, sched, "on", verify_norm=True)
         free = lookups_but(net, block)
-        assert [step for step in gate_path if step not in free] == [
-            "the input state", ("fire", head), decays[0],
-            ("table", block.start, block.stop), ("fire", tail[::-1]), decays[1]]
+        assert [step for step in planned(net, sched, "on") if step not in free] == [
+            ("fire", block.start, block.start + 2), ("table", block.start, block.stop),
+            ("fire", block.stop, block.stop - 2)]
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
@@ -1252,25 +1221,27 @@ class TestSlide:
     @pytest.mark.parametrize("n_events", [10, 20])
     @pytest.mark.parametrize("law", [GAMMA, STATIC_HALF], ids=["gamma", "p1"])
     @pytest.mark.parametrize("watchdog", ["off", "on", "strict"])
-    def test_random_schedules_n15(self, factoring_15, watchdog, law, n_events,
-                                  gate_path):
+    def test_random_schedules_n15(self, factoring_15, watchdog, law, n_events):
         # The first schedule is a first run of a fresh network, on bit
         # planes; the rest run again on one network, through its groups.
         _, layout, net = factoring_15
-        again = ran_before(net)
+        again, lookups = ran_before(net), []
         for seed, each in enumerate([fresh_copy(net)] + [again] * 9):
             sched = sample_schedule(n_events, layout.qubit_count, 500 + seed, law)
+            lookups += group_lookups(again, sched, watchdog) if seed else []
             assert_rows_match_reference(init_state(130, layout), each, sched, watchdog)
-        assert group_lookups(again, gate_path, watchdog)
+        assert lookups
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
-    def test_random_schedules_n21_n33(self, wide_instance, watchdog, gate_path):
+    def test_random_schedules_n21_n33(self, wide_instance, watchdog):
         q, layout, net = wide_instance
         net.masks  # as after a first run: each run walks the groups
+        lookups = []
         for seed in (4, 5):
             sched = sample_schedule(10, layout.qubit_count, seed, GAMMA)
+            lookups += group_lookups(net, sched, watchdog)
             assert_rows_match_reference(init_state(q, layout), net, sched, watchdog)
-        assert group_lookups(net, gate_path, watchdog)
+        assert lookups
 
     @pytest.mark.parametrize("seed", range(3))
     def test_slide_on_random_blocks(self, seed):
@@ -1324,8 +1295,7 @@ class TestSlide:
             sched = sample_schedule(10, layout.qubit_count, 300 + seed, StaticDecay(p1))
             assert_rows_match_reference(init_state(130, layout), net, sched, watchdog)
 
-    def test_events_on_qubits_beyond_the_network_run_no_single_gate(self, factoring_15,
-                                                                    gate_path):
+    def test_events_on_qubits_beyond_the_network_run_no_single_gate(self, factoring_15):
         _, layout, net = factoring_15
         width = layout.qubit_count + 4
         base = init_state(130, layout)
@@ -1337,14 +1307,15 @@ class TestSlide:
                   for k, b in enumerate(inner)]
         assert_matches_reference(state, net, NoiseSchedule(events, GAMMA), "on",
                                  verify_norm=True)
-        assert not [step for step in gate_path if isinstance(step, list)]
+        steps = planned(net, NoiseSchedule(events, GAMMA), "on")
+        assert not [step for step in steps if step[0] == "gates"]
+        assert all(a == b for kind, a, b in steps if kind == "fire")  # carried through none
         for seed in range(4):
             assert_rows_match_reference(state, net,
                                         sample_schedule(10, width, seed, STATIC_HALF))
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
-    def test_slid_to_a_checkpointed_start_fires_after_its_checkpoint(self, watchdog,
-                                                                     gate_path):
+    def test_slid_to_a_checkpointed_start_fires_after_its_checkpoint(self, watchdog):
         # Gate 0 sets qubit 1 in one of two components; the checkpoint on
         # qubit 1 at 1 starts the block 1..4, whose gates leave qubit 1 alone
         # up to gate 3.  The event before gate 2 fires at 1, after the
@@ -1359,12 +1330,12 @@ class TestSlide:
         _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
                                           watchdog, verify_norm=True)
         assert log[0].clock_origin == 0.25
-        assert gate_path == ["the input state", ("table", 0, 1),
-                             f"decay event at t={event.time}", ("table", 1, 4)]
+        assert planned(net, NoiseSchedule([event], GAMMA), watchdog) == [
+            ("table", 0, 1), *[("project", 1, 1)] * (watchdog == "strict"),
+            ("fire", 1, 1), ("table", 1, 4)]
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
-    def test_slid_to_a_checkpointed_stop_fires_before_its_checkpoint(self, watchdog,
-                                                                     gate_path):
+    def test_slid_to_a_checkpointed_stop_fires_before_its_checkpoint(self, watchdog):
         # Gate 0 sets qubit 1; the rest of the block 0..3 leaves it alone, and
         # the checkpoint on qubit 1 at 3 ends the block.  The event before
         # gate 2 fires at 3, before the checkpoint: 'on' counts from the
@@ -1378,12 +1349,12 @@ class TestSlide:
                                           NoiseSchedule([event], GAMMA), watchdog,
                                           verify_norm=True)
         assert log[0].clock_origin == 0.0
-        assert gate_path == ["the input state", ("table", 0, 3),
-                             f"decay event at t={event.time}", ("table", 3, 4)]
+        assert planned(net, NoiseSchedule([event], GAMMA), watchdog) == [
+            ("table", 0, 3), ("fire", 3, 3), *[("project", 3, 3)] * (watchdog == "strict"),
+            ("table", 3, 4)]
 
     @pytest.mark.parametrize("watchdog", ["on", "strict"])
-    def test_slides_across_a_checkpoint_on_its_qubit_only_when_not_strict(
-            self, watchdog, gate_path):
+    def test_slides_across_a_checkpoint_on_its_qubit_only_when_not_strict(self, watchdog):
         # No gate touches qubit 1, and the checkpoint on qubit 1 at 2 cuts
         # the blocks 0..2 and 2..5.  The event before gate 3 counts from that
         # checkpoint wherever it fires.  With the watchdog on, the one group
@@ -1400,15 +1371,14 @@ class TestSlide:
         _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
                                           watchdog, verify_norm=True)
         assert log[0].clock_origin == 0.4
-        decay = f"decay event at t={event.time}"
-        assert gate_path == {
-            "on": ["the input state", decay, ("table", 0, 5)],
-            "strict": ["the input state", ("table", 0, 2), decay, ("table", 2, 5)],
+        assert planned(net, NoiseSchedule([event], GAMMA), watchdog) == {
+            "on": [("fire", 0, 0), ("table", 0, 5)],
+            "strict": [("table", 0, 2), ("project", 2, 2), ("fire", 2, 2), ("table", 2, 5)],
         }[watchdog]
 
     @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
     def test_events_keep_their_order_when_only_the_earlier_reaches_the_stop(
-            self, watchdog, law, gate_path):
+            self, watchdog, law):
         # One block of six gates.  The event before gate 4 is on qubit 3,
         # which no gate touches, so it could fire at either end; the event
         # before gate 5 is on qubit 1, which only gate 5 touches, so it can
@@ -1422,12 +1392,11 @@ class TestSlide:
                                           NoiseSchedule(events, law), watchdog,
                                           verify_norm=True)
         assert [rec.qubit for rec in log] == [3, 1]
-        assert gate_path == ["the input state",
-                             *(f"decay event at t={ev.time}" for ev in events),
-                             ("table", 0, 6)]
+        assert planned(net, NoiseSchedule(events, law), watchdog) == [
+            ("fire", 0, 0), ("fire", 0, 0), ("table", 0, 6)]
 
     @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
-    def test_events_slide_apart_to_both_ends(self, watchdog, law, gate_path):
+    def test_events_slide_apart_to_both_ends(self, watchdog, law):
         # One block of six gates.  Only gate 1 touches qubit 1, so the event
         # before it can reach the start but not the stop; only gate 4 touches
         # qubit 2, so the event before gate 5 can reach the stop but not the
@@ -1439,10 +1408,10 @@ class TestSlide:
         events = [event_at(1, 6, 1), event_at(5, 6, 2)]
         assert_matches_reference(all_strings(3), net,
                                  NoiseSchedule(events, law), watchdog, verify_norm=True)
-        decays = [f"decay event at t={ev.time}" for ev in events]
-        assert gate_path == ["the input state", decays[0], ("table", 0, 6), decays[1]]
+        assert planned(net, NoiseSchedule(events, law), watchdog) == [
+            ("fire", 0, 0), ("table", 0, 6), ("fire", 6, 6)]
 
-    def test_each_event_fires_at_its_nearer_edge(self, gate_path):
+    def test_each_event_fires_at_its_nearer_edge(self):
         # One block of 20 gates, alternating X0 and CNOT 0->1, so every gate
         # touches qubit 0 and an event on it cannot slide.  Of the events
         # before gates 6, 12 and 13, the first fires at the start, carried
@@ -1450,18 +1419,12 @@ class TestSlide:
         # 7: 21 gates, where firing all three at the start would carry 31.
         net = Network([gate_masks([0], 1) if g % 2 else gate_masks((), 0)
                        for g in range(20)], 3)
-        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 20)]
-        run(all_strings(3), net, NoiseSchedule([], STATIC_HALF))  # the first run
-        gate_path.clear()
-        events = [event_at(p, 20, 0) for p in (6, 12, 13)]
-        assert_matches_reference(all_strings(3), net, NoiseSchedule(events, STATIC_HALF),
-                                 verify_norm=True)
-        decays = [f"decay event at t={ev.time}" for ev in events]
-        assert gate_path == [
-            "the input state", ("fire", net.gates[:6]), decays[0], ("table", 0, 20),
-            ("fire", net.gates[12:][::-1]), decays[1],
-            ("fire", net.gates[13:][::-1]), decays[2]]
-        assert sum(len(step[1]) for step in gate_path if step[0] == "fire") == 21
+        assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 20)]  # a rerun from here
+        sched = NoiseSchedule([event_at(p, 20, 0) for p in (6, 12, 13)], STATIC_HALF)
+        assert_matches_reference(all_strings(3), net, sched, verify_norm=True)
+        steps = planned(net, sched)
+        assert steps == [("fire", 0, 6), ("table", 0, 20), ("fire", 20, 12), ("fire", 20, 13)]
+        assert sum(abs(b - a) for kind, a, b in steps if kind == "fire") == 21
 
 
 class TestGroups:
@@ -1474,28 +1437,28 @@ class TestGroups:
     its blocks, its parts.  Every path agrees bit for bit with the chunked
     gate-by-gate reference."""
 
-    def test_first_run_builds_no_group(self, factoring_15, gate_path):
+    def test_first_run_builds_no_group(self, factoring_15):
         # a strict first run stops at every event and checkpoint position;
         # its second run builds the strict groups only
         _, layout, net = factoring_15
         net, total = fresh_copy(net), len(net.gates)
         sched = sample_schedule(10, layout.qubit_count, 7, GAMMA)
+        steps = planned(net, sched, "strict")
         assert_rows_match_reference(init_state(130, layout), net, sched, "strict")
         masks = vars(net)["masks"]
         assert not {"groups", "checkpoint_groups"} & vars(net).keys()
-        assert all(isinstance(step, list) for step in gate_path)  # no lookup
+        assert all(kind == "gates" or a == b for kind, a, b in steps)  # no lookup
         positions = {math.ceil(ev.time * total) for ev in sched.events}
         stops = {*positions, *(chk.position for chk in net.checkpoints)} - {0, total}
-        assert len(gate_path) == len(stops) + 1
-        gate_path.clear()
+        assert len([step for step in steps if step[0] == "gates"]) == len(stops) + 1
+        lookups = group_lookups(net, sched, "strict")
         assert_rows_match_reference(init_state(130, layout), net, sched, "strict")
         assert net.masks is masks and "checkpoint_groups" in vars(net)
         assert "groups" not in vars(net)
-        assert group_lookups(net, gate_path, "strict")
+        assert lookups
 
     @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("on", GAMMA)])
-    def test_first_run_stops_at_events_only(self, factoring_15, watchdog, law,
-                                            gate_path):
+    def test_first_run_stops_at_events_only(self, factoring_15, watchdog, law):
         # with the watchdog on or off a checkpoint does not act on the
         # state, so a first run makes one kernel call per distinct event
         # position inside the gate list, plus one
@@ -1506,13 +1469,14 @@ class TestGroups:
         events[3:5] = [DecayEvent((at - 0.5) / total, 2),  # two events before
                        DecayEvent((at - 0.25) / total, 14)]  # one gate
         sched = NoiseSchedule(events, law)
-        assert_rows_match_reference(init_state(130, layout), fresh_copy(net), sched,
-                                    watchdog)
+        fresh = fresh_copy(net)
+        steps = planned(fresh, sched, watchdog)
+        assert_rows_match_reference(init_state(130, layout), fresh, sched, watchdog)
         positions = {math.ceil(ev.time * total) for ev in events}
         assert len(positions) == 9 and all(0 < p < total for p in positions)
-        assert len(gate_path) == len(positions) + 1
-        assert gate_path == [step for step in first_run_path(net, events, watchdog)
-                             if isinstance(step, list)]
+        stops = sorted({0, *positions, total})
+        assert [step for step in steps if step[0] == "gates"] == [
+            ("gates", a, b) for a, b in zip(stops, stops[1:])]
 
     def test_groups_tile_the_gates_and_span_no_checkpoint(self, factoring_15,
                                                           wide_instance):
@@ -1524,16 +1488,15 @@ class TestGroups:
         for each in assert_group_sets(net):
             assert sum(1 for g in each if g.parts) > 100
 
-    def test_second_run_without_inner_events_is_one_lookup_per_group(
-            self, factoring_15, gate_path):
+    def test_second_run_without_inner_events_is_one_lookup_per_group(self, factoring_15):
         _, layout, net = factoring_15
         net, state = fresh_copy(net), init_state(130, layout)
         first = run(state, net, NoiseSchedule([], STATIC_HALF))
-        gate_path.clear()
+        steps = planned(net, NoiseSchedule([], STATIC_HALF))
         again = run(state, net, NoiseSchedule([], STATIC_HALF), verify_norm=True)
         groups, total = net.groups, len(net.gates)
         tables = [("table", g.start, g.stop) for g in groups]
-        assert gate_path == ["the input state", *tables]
+        assert steps == tables
         assert again.comp.tobytes() == first.comp.tobytes()
         assert np.array_equal(again.comp, apply_network_batch(state.comp, net))
         # events on group boundaries fire between the lookups; a strict
@@ -1543,20 +1506,24 @@ class TestGroups:
         tables = [("table", g.start, g.stop) for g in groups]
         events = [event_at(groups[k].start, total, qb)
                   for k, qb in ((3, 14), (11, 2), (40, 20))]
-        gate_path.clear()
         assert_matches_reference(state, net, NoiseSchedule(events, GAMMA), "strict",
                                  verify_norm=True)
-        decays = [f"decay event at t={ev.time}" for ev in events]
-        assert gate_path == ["the input state", *tables[:3], decays[0], *tables[3:11],
-                             decays[1], *tables[11:40], decays[2], *tables[40:]]
+        steps = planned(net, NoiseSchedule(events, GAMMA), "strict")
+        decays = [("fire", groups[k].start, groups[k].start) for k in (3, 11, 40)]
+        assert [step for step in steps if step[0] != "project"] == [
+            *tables[:3], decays[0], *tables[3:11], decays[1], *tables[11:40], decays[2],
+            *tables[40:]]
+        assert [step for step in steps if step[0] == "project"] == [
+            ("project", chk.position, chk.position) for chk in net.checkpoints]
 
     @pytest.mark.parametrize("watchdog, law", [
         ("off", STATIC_HALF), ("on", GAMMA), ("strict", GAMMA)])
     def test_event_on_a_qubit_the_group_never_touches_slides_out(
-            self, factoring_15, watchdog, law, gate_path):
+            self, factoring_15, watchdog, law):
         _, layout, net = factoring_15
         net = ran_before(net)
-        groups, total = walked_groups(net, watchdog), len(net.gates)
+        groups = net.checkpoint_groups if watchdog == "strict" else net.groups
+        total = len(net.gates)
         several = [k for k, g in enumerate(groups) if g.parts]
         i, j = several[1], several[4]
         # to its group's start: a qubit no gate of the group touches, from
@@ -1572,36 +1539,89 @@ class TestGroups:
         qubit, gate = min(last.items(), key=lambda item: item[1])
         assert groups[j].start < gate + 1 < groups[j].stop
         late = event_at(gate + 1, total, qubit)
-        events = [early, late]
-        assert_matches_reference(init_state(130, layout), net,
-                                 NoiseSchedule(events, law), watchdog, verify_norm=True)
+        sched = NoiseSchedule([early, late], law)
+        assert_matches_reference(init_state(130, layout), net, sched, watchdog,
+                                 verify_norm=True)
         tables = [("table", g.start, g.stop) for g in groups]
-        decays = [f"decay event at t={ev.time}" for ev in events]
-        assert gate_path == ["the input state", *tables[:i], decays[0],
-                             *tables[i:j + 1], decays[1], *tables[j + 1:]]
+        steps = [step for step in planned(net, sched, watchdog) if step[0] != "project"]
+        assert steps == [*tables[:i], ("fire", groups[i].start, groups[i].start),
+                         *tables[i:j + 1], ("fire", groups[j].stop, groups[j].stop),
+                         *tables[j + 1:]]
 
     @pytest.mark.parametrize("watchdog, law", [("off", STATIC_HALF), ("strict", GAMMA)])
-    def test_event_pinned_inside_a_group_runs_its_blocks(self, factoring_15,
-                                                         watchdog, law, gate_path):
+    def test_event_pinned_inside_a_group_runs_its_blocks(self, factoring_15, watchdog, law):
         _, layout, net = factoring_15
         net = ran_before(net)
-        groups, total = walked_groups(net, watchdog), len(net.gates)
+        groups = net.checkpoint_groups if watchdog == "strict" else net.groups
+        total = len(net.gates)
         k = [k for k, g in enumerate(groups) if g.parts][2]
         parts = groups[k].parts
         position = parts[1].start + 1
-        event = event_at(position, total, pinned_qubit(net, position))
-        assert_matches_reference(init_state(130, layout), net,
-                                 NoiseSchedule([event], law), watchdog, verify_norm=True)
+        sched = NoiseSchedule([event_at(position, total, pinned_qubit(net, position))], law)
+        assert_matches_reference(init_state(130, layout), net, sched, watchdog,
+                                 verify_norm=True)
         tables = [("table", g.start, g.stop) for g in groups]
-        gate = net.gates[parts[1].start:position]
         # the group's blocks: the first and last are lookups, and the event
         # fires at its block's start, carried back through one gate, then
         # the block's table
-        assert gate_path == ["the input state", *tables[:k],
-                             ("table", parts[0].start, parts[0].stop), ("fire", gate),
-                             f"decay event at t={event.time}",
-                             *(("table", p.start, p.stop) for p in parts[1:]),
-                             *tables[k + 1:]]
+        steps = [step for step in planned(net, sched, watchdog) if step[0] != "project"]
+        assert steps == [*tables[:k], ("table", parts[0].start, parts[0].stop),
+                         ("fire", parts[1].start, position),
+                         *(("table", p.start, p.stop) for p in parts[1:]), *tables[k + 1:]]
+
+
+def recorded(net, steps):
+    """What ``gate_path`` records of these plan steps: each kernel call,
+    each event carried through gates and each lookup."""
+    path = []
+    for kind, a, b, _ in steps:
+        if kind == "gates":
+            path.append(list(net.gates[a:b]))
+        elif kind == "table":
+            path.append(("table", a, b))
+        elif kind == "fire" and a != b:
+            path.append(("fire", net.gates[a:b] if a < b else net.gates[b:a][::-1]))
+    return path
+
+
+class TestPlan:
+    """``run()`` makes the calls its ``plan`` names, in order, which lets
+    every other path test read the plan."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["n15", "small0", "small1", "small2"])
+    def test_runs_make_the_calls_their_plans_name(self, factoring_15, gate_path, monkeypatch,
+                                                  seed):
+        # In each mode, on a fresh network: the first run, the rerun that
+        # builds the tables and a warm rerun, each on a random schedule; at
+        # N=15, and on random networks cut into many small blocks and groups.
+        rng = np.random.default_rng(seed)
+        if seed is None:
+            _, layout, net = factoring_15
+            state, most = init_state(130, layout), 20
+        else:
+            monkeypatch.setattr(gates, "FUSE_WIRES", 3)
+            monkeypatch.setattr(gates, "BLOCK_WIRES", 5)
+            width = int(rng.integers(5, 9))
+            gate_list = random_gates(rng, width, int(rng.integers(40, 80)))
+            net = Network(gate_list, width, [
+                Checkpoint.of(int(pos), rng.choice(width, size=2, replace=False).tolist())
+                for pos in sorted(rng.choice(len(gate_list) + 1, size=3, replace=False))])
+            state, most = all_strings(width), 8
+        seen = set()
+        for watchdog in ("off", "on", "strict"):
+            each = fresh_copy(net)
+            for law in (GAMMA, STATIC_HALF, GAMMA):  # first run, tables built, warm
+                sched = sample_schedule(int(rng.integers(0, most + 1)), state.qubit_count,
+                                        int(rng.integers(1 << 30)), law)
+                steps = simulator.plan(each, event_records(each, sched, watchdog), watchdog)
+                gate_path.clear()
+                run(state, each, sched, watchdog)
+                assert gate_path == recorded(each, steps)
+                assert [step.unit for step in steps if step.kind == "project"] == list(
+                    each.checkpoints if watchdog == "strict" else ())
+                seen |= {(kind, a == b) for kind, a, b, _ in steps}
+        assert {("gates", False), ("table", False), ("fire", True), ("fire", False),
+                ("project", True)} <= seen
 
 
 class TestFourier:
