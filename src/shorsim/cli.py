@@ -23,10 +23,27 @@ from .simulator import (ComponentBudgetError, Distribution,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A subparser per command, set as its namespace's ``parser`` to refuse with."""
     parser = argparse.ArgumentParser(prog="shorsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("run", help="simulate a factoring experiment")  # parse_config parses it
+    runp = sub.add_parser("run", help="simulate a factoring experiment")
+    add = runp.add_argument
+    add("--n", type=int, default=ExperimentConfig.n)
+    add("--x", default=str(ExperimentConfig.x))
+    add("--q", type=int, default=ExperimentConfig.q)
+    add("--events", type=int, default=ExperimentConfig.n_events)
+    laws = runp.add_mutually_exclusive_group()
+    laws.add_argument("--p1", type=float, default=None,
+                      help="time-independent persistence probability")
+    laws.add_argument("--gamma", type=float, default=ExperimentConfig.law.gamma,
+                      help="exponential decay rate (default %(default)s)")
+    add("--watchdog", choices=["on", "off", "strict"], default=ExperimentConfig.watchdog)
+    add("--seed", type=int, default=ExperimentConfig.seed)
+    add("--reps", type=int, default=ExperimentConfig.repetitions)
+    add("--r2-slice", type=int, default=None)
+    add("--out", default=None)
+    add("--format", choices=["csv", "json", "gnuplot"], default="csv")
 
     buildp = sub.add_parser("build", help="emit the exponentiation network")
     buildp.add_argument("--n", type=int, default=ExperimentConfig.n)
@@ -37,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the resource report as JSON instead: "
                         "formula and built qubit and gate counts")
 
-    sub.add_parser("verify", help="run the brute-force oracle suite")
+    for cmd in (runp, buildp, sub.add_parser("verify", help="run the brute-force oracle suite")):
+        cmd.set_defaults(parser=cmd)
     return parser
 
 
@@ -57,40 +75,35 @@ def _check_out(parser: argparse.ArgumentParser, paths: list[str | None]) -> None
             parser.error(f"--out: {path!r} is a directory")
 
 
-def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]:
-    """Turn `run` arguments into a config.
+def _out(path: str | None):
+    """The file ``--out`` names, opened for writing, or stdout if it names none."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
-    A value out of range is a usage error: a decay law that is not a
-    probability or a finite rate >= 0, whatever ``ExperimentConfig``
-    refuses, as ``--<flag>: <its message>``, an ``--r2-slice`` outside
-    ``0..2**L - 1``, ``--format gnuplot`` without both ``--r2-slice`` and a
-    non-empty ``--out``, an ``--out`` whose directory does not exist, and
-    an ``--out`` naming a directory, or for gnuplot a prefix one of whose
-    files is one.  A base sharing a factor with n passes, for the gcd
-    shortcut.  ``--x random`` draws the base from ``2..n-1`` with a
-    generator seeded by ``--seed``, once the config has accepted them.
-    """
+
+def parse_config(argv: list[str]) -> tuple[ExperimentConfig, argparse.Namespace]:
+    """Turn `run` arguments, with or without the leading ``"run"``, into a
+    config, through ``build_parser``'s ``run`` command.  A value out of range
+    is a usage error of that command: a decay law that is not a probability
+    or a finite rate >= 0, whatever ``ExperimentConfig`` refuses (as
+    ``--<flag>: <its message>``), an ``--r2-slice`` outside ``0..2**L - 1``,
+    ``--format gnuplot`` without ``--r2-slice`` and a non-empty ``--out``,
+    and an ``--out`` in a missing directory or naming one (for gnuplot, any
+    file of its prefix).  A base sharing a factor with n passes, for the gcd
+    shortcut; ``--x random`` draws the base from ``2..n-1``, seeded by
+    ``--seed``, once the config has accepted them."""
     argv = list(argv)
-    if argv and argv[0] == "run":
-        argv = argv[1:]
-    parser = argparse.ArgumentParser(prog="shorsim run")
-    add = parser.add_argument
-    add("--n", type=int, default=ExperimentConfig.n)
-    add("--x", default=str(ExperimentConfig.x))
-    add("--q", type=int, default=ExperimentConfig.q)
-    add("--events", type=int, default=ExperimentConfig.n_events)
-    laws = parser.add_mutually_exclusive_group()
-    laws.add_argument("--p1", type=float, default=None,
-                     help="time-independent persistence probability")
-    laws.add_argument("--gamma", type=float, default=ExperimentConfig.law.gamma,
-                     help="exponential decay rate (default %(default)s)")
-    add("--watchdog", choices=["on", "off", "strict"], default=ExperimentConfig.watchdog)
-    add("--seed", type=int, default=ExperimentConfig.seed)
-    add("--reps", type=int, default=ExperimentConfig.repetitions)
-    add("--r2-slice", type=int, default=None)
-    add("--out", default=None)
-    add("--format", choices=["csv", "json", "gnuplot"], default="csv")
-    args = parser.parse_args(argv)
+    return _parse(argv if argv[:1] == ["run"] else ["run", *argv])
+
+
+def _parse(argv: list[str]) -> tuple[ExperimentConfig | None, argparse.Namespace]:
+    """The command line parsed, what its command does not take refused by that
+    command's parser, and for ``run`` the config ``parse_config`` makes (else None)."""
+    args, extra = build_parser().parse_known_args(argv)
+    parser = args.parser
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.command != "run":
+        return None, args
     try:
         law = StaticDecay(args.p1) if args.p1 is not None else ExponentialDecay(args.gamma)
     except ValueError as err:
@@ -147,62 +160,31 @@ def _texts(bits: np.ndarray, steps: tuple) -> list[str]:
     return texts
 
 
-def _number_texts(values: np.ndarray, steps: tuple) -> list[str]:
-    """The text of each value, made once per distinct bit pattern."""
-    bits, which = _bit_patterns(values)
-    texts = _texts(bits, steps)
-    return [texts[i] for i in which.tolist()]
+def _column(ned: Distribution, r2_slice) -> int:
+    """``r2_slice`` as a column of the tables; anything else is a ``ValueError``."""
+    width = ned.table.shape[1]
+    if not 0 <= (column := _integer(r2_slice, "r2_slice")) < width:
+        raise ValueError(f"r2_slice {r2_slice} outside 0..{width - 1}")
+    return column
 
 
 def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
-                      exact: np.ndarray | None = None,
-                      r2_slice: int | None = None,
-                      out_path: str | None = None) -> None:
-    """Write the outcome tables in one of the plot-ready formats.
-
-    csv/json go to ``sink``, formatted and written ``CSV_CHUNK_ROWS`` rows
-    at a time (whole first-register rows), so memory stays bounded whatever
-    q is; json is a list of records, the bytes ``json.dump`` gives.  A
-    chunk is one join of text pieces with no per-record template: each
+                      r2_slice: int | None = None) -> None:
+    """Write the outcome tables to ``sink`` as csv or json (the bytes
+    ``json.dump`` gives), every column or column ``r2_slice`` only, at 12
+    significant digits, ``CSV_CHUNK_ROWS`` rows at a time (whole
+    first-register rows), so memory stays bounded whatever q is.  A chunk is
+    one join of text pieces, with no per-record template: each
     first-register text repeated per column, the second-register texts made
-    once, and the probability texts, each piece carrying the punctuation
-    after it; a bit pattern found in either table is formatted once per
-    chunk.  gnuplot needs a non-empty ``out_path`` as a file prefix and
-    ``r2_slice`` to pick the plotted column, and writes its
-    ``_gnuplot_files``: a script plotting exact, traced and post-selected
-    series stacked, and their data, each distinct value formatted once.
-    Every format rounds probabilities to 12 significant digits, and refuses
-    an ``r2_slice`` that is not a column of the tables.
-    """
+    once, and the probability texts, each carrying the punctuation after it;
+    a bit pattern in either table is formatted once per chunk.  An
+    ``r2_slice`` not a column of the tables, and any other format, is a
+    ``ValueError`` before anything is written."""
     q, width = ned.table.shape
-    if r2_slice is not None and not 0 <= _integer(r2_slice, "r2_slice") < width:
-        raise ValueError(f"r2_slice {r2_slice} outside 0..{width - 1}")
-    if fmt == "gnuplot":
-        if not out_path or r2_slice is None:
-            raise ValueError("gnuplot output needs --out and --r2-slice")
-        files = _gnuplot_files(out_path)
-        series = {"ned": ned.table[:, r2_slice], "ed": ed.table[:, r2_slice]}
-        if exact is not None:
-            series = {"exact": exact[:, r2_slice], **series}
-        for name, column in series.items():
-            with open(files[name], "w") as fh:
-                fh.write("".join(map("{} {}\n".format, range(len(column)),
-                                     _number_texts(column, (_TWELVE_DIGITS,)))))
-        with open(files["gp"], "w") as fh:
-            fh.write(f"set terminal pngcairo size 800,{300 * len(series)}\n"
-                     f"set output \"{Path(out_path)}.png\"\n"
-                     f"set multiplot layout {len(series)},1\n"
-                     f"set xlabel \"first register\"\n")
-            for name in series:
-                fh.write(f"set ylabel \"P\"\n"
-                         f"plot \"{files[name]}\" with impulses "
-                         f"title \"{name}\"\n")
-            fh.write("unset multiplot\n")
-        return
+    columns = list(range(width)) if r2_slice is None else [_column(ned, r2_slice)]
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     head, sep, r1_form, r2_form, ned_end, ed_end, tail, steps = _TEXT_FORMATS[fmt]
-    columns = [r2 for r2 in range(width) if r2_slice in (None, r2)]
     chunk = max(1, CSV_CHUNK_ROWS // max(1, len(columns)))  # first-register rows
     r2_texts = np.array([r2_form.format(r2) for r2 in columns], dtype=object)
     sink.write(head)
@@ -225,6 +207,31 @@ def emit_distribution(ned: Distribution, ed: Distribution, fmt: str, sink,
     sink.write(tail)
 
 
+def emit_gnuplot(ned: Distribution, ed: Distribution, exact: np.ndarray, r2_slice: int,
+                 prefix: str) -> None:
+    """Write column ``r2_slice`` of the exact, traced and post-selected tables
+    to the ``_gnuplot_files`` of ``prefix``: a ``.dat`` file per series, each
+    distinct value formatted once at 12 significant digits, and a script
+    plotting the three stacked.  ``emit_distribution``'s ``r2_slice`` refusal
+    and an empty prefix are a ``ValueError`` before any file is written."""
+    column = _column(ned, r2_slice)
+    if not prefix:
+        raise ValueError("gnuplot output needs a non-empty file prefix")
+    files = _gnuplot_files(prefix)
+    series = {"exact": exact, "ned": ned.table, "ed": ed.table}
+    for name, table in series.items():
+        bits, which = _bit_patterns(table[:, column])
+        texts = _texts(bits, (_TWELVE_DIGITS,))  # each distinct value once
+        with open(files[name], "w") as fh:
+            fh.write("".join(map("{} {}\n".format, range(len(table)),
+                                 map(texts.__getitem__, which.tolist()))))
+    with open(files["gp"], "w") as fh:
+        fh.write(f'set terminal pngcairo size 800,900\nset output "{Path(prefix)}.png"\n'
+                 'set multiplot layout 3,1\nset xlabel "first register"\n'
+                 + "".join(f'set ylabel "P"\nplot "{files[name]}" with impulses title "{name}"\n'
+                           for name in series) + "unset multiplot\n")
+
+
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     """Run the experiment and emit its tables; a run whose state would pass
     ``simulator.MAX_COMPONENTS`` exits 1 with its one-line reason."""
@@ -237,23 +244,21 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         ned = Distribution(np.mean([r.ned.table for r in report.repetitions], axis=0), "ned")
         ed = Distribution(np.mean([r.ed.table for r in report.repetitions], axis=0), "ed")
         if args.format == "gnuplot":
-            exact = ideal_distribution(cfg.n, report.x, cfg.q).table
-            emit_distribution(ned, ed, "gnuplot", None, exact=exact,
-                              r2_slice=args.r2_slice, out_path=args.out)
+            emit_gnuplot(ned, ed, ideal_distribution(cfg.n, report.x, cfg.q).table,
+                         args.r2_slice, args.out)
         else:
-            with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-                emit_distribution(ned, ed, args.format, fh, r2_slice=args.r2_slice)
+            with _out(args.out) as fh:
+                emit_distribution(ned, ed, args.format, fh, args.r2_slice)
     print(report.to_json(), file=sys.stderr)
     return 0
 
 
-def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Emit the network, or its resource report; an instance that ``run``
-    refuses is a usage error, and so is a base sharing a factor with n.
-    Without ``--q``, q is n^2, and a default q out of range names ``--n``.
-    An ``--out`` whose directory does not exist, or that names a
-    directory, is a usage error too."""
-    _check_out(parser, [args.out])
+def _cmd_build(args: argparse.Namespace) -> int:
+    """Emit the network, or its resource report, through ``--out``'s file or
+    stdout; a usage error of ``build`` is an instance that ``run`` refuses,
+    a base sharing a factor with n, and an ``--out`` that ``run`` refuses.
+    Without ``--q``, q is n^2, and a default q out of range names ``--n``."""
+    _check_out(args.parser, [args.out])
     q = args.q if args.q is not None else args.n * args.n
     try:
         params = ArithParams.create(args.n, args.x, q)
@@ -261,20 +266,17 @@ def _cmd_build(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         flag, message = err.field, str(err)
         if flag == "q" and args.q is None:
             flag, message = "n", f"the default q = n^2 is out of range ({message}); pass --q"
-        parser.error(f"--{flag}: {message}")
+        args.parser.error(f"--{flag}: {message}")
     layout = RegisterLayout.for_factoring(params.bits, q=params.q)
     net = build_modexp(params, layout)
-    if args.report:
-        report = ResourceReport(qubit_count_formula(params.bits), len(net.gates),
-                                gate_count_formula(params.bits)).as_dict()
-        report["qubits_built"] = layout.qubit_count
-        text = json.dumps(report, sort_keys=True) + "\n"
-    else:
-        text = network_to_text(net)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _out(args.out) as fh:
+        if args.report:
+            report = ResourceReport(qubit_count_formula(params.bits), len(net.gates),
+                                    gate_count_formula(params.bits)).as_dict()
+            report["qubits_built"] = layout.qubit_count
+            fh.write(json.dumps(report, sort_keys=True) + "\n")
+        else:
+            fh.write(network_to_text(net))
     return 0
 
 
@@ -351,14 +353,11 @@ def _cmd_verify() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "run":
-        cfg, args = parse_config(argv)
+    cfg, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    if args.command == "run":
         return _cmd_run(cfg, args)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     if args.command == "build":
-        return _cmd_build(parser, args)
+        return _cmd_build(args)
     return _cmd_verify()
 
 

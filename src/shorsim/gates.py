@@ -9,11 +9,12 @@ the least significant bit.
 """
 from __future__ import annotations
 
+import struct
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, groupby
+from itertools import chain, groupby, starmap
 from operator import index, or_
 from typing import NamedTuple
 
@@ -248,16 +249,42 @@ class RegisterLayout:
         return qubit_mask(self.work_qubits)
 
 
+_MASK_PAIR = struct.Struct("=qq")  # a gate's (control mask, target mask) as int64s
+
+
+def _pair_problems(gates: Sequence) -> list[str]:
+    """``gate {i}: ...`` for each gate that is not a pair of masks that
+    ``operator.index`` takes (ints, numpy integers), in order."""
+    problems = []
+    for i, gate in enumerate(gates):
+        try:
+            control, target = gate
+        except (TypeError, ValueError):  # not iterable, or not two items
+            problems.append(f"gate {i}: {gate!r} is not a (control mask, target mask) pair")
+            continue
+        try:
+            _integer(control, "control mask", f"gate {i}")
+            _integer(target, "target mask", f"gate {i}")
+        except ValueError as err:
+            problems.append(str(err))
+    return problems
+
+
 def _checked_masks(net: Network) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The gate masks as two int64 arrays, and every problem of the gates, all
     checked at once: a target not one bit or among the controls, a mask not
     below ``2**qubit_count`` (at most ``2**MAX_WIDTH``), a gate on more than
-    ``BLOCK_WIRES`` wires."""
-    width, count = net.qubit_count, len(net.gates)
-    try:
-        flat = np.fromiter(chain.from_iterable(net.gates), np.int64, 2 * count)
-    except OverflowError:  # a mask beyond int64; the checks below name it
-        flat = np.array(list(chain.from_iterable(net.gates)), dtype=object)
+    ``BLOCK_WIRES`` wires.  A network with a gate that is not a pair of
+    integers (``_pair_problems``) reports those gates alone, and no masks."""
+    width, gates, count = net.qubit_count, net.gates, len(net.gates)
+    try:  # struct refuses a gate that is not two integers, or a mask beyond int64
+        flat = np.fromiter(starmap(_MASK_PAIR.pack, gates), np.dtype("V16"), count).view(np.int64)
+    except (struct.error, TypeError):
+        if problems := _pair_problems(gates):
+            empty = np.zeros(0, np.int64)
+            return empty, empty, problems
+        # a mask beyond int64, as an int; the checks below name it
+        flat = np.array(list(map(index, chain.from_iterable(gates))), dtype=object)
     ctrl, tgt = flat.reshape(count, 2).T.copy()
     if width > MAX_WIDTH:
         return ctrl, tgt, [f"networks wider than {MAX_WIDTH} qubits are not supported"]
@@ -570,10 +597,11 @@ def _spans(wires: np.ndarray, cuts: set[int], limit: int) -> list[tuple[int, int
 
 
 def validate_network(net: Network, layout: RegisterLayout | None = None) -> list[str]:
-    """Every problem of the gates, those ``net.masks`` raises the first of,
-    and a layout of another width (a network checks its checkpoints, and a
-    layout its roles, when made); an empty list means the network is well
-    formed and can be fused."""
+    """Every problem of the gates, those ``net.masks`` raises the first of
+    (only the gates that are not pairs of integers, if any are not), and a
+    layout of another width (a network checks its checkpoints, and a layout
+    its roles, when made); an empty list means the network is well formed
+    and can be fused."""
     problems = _checked_masks(net)[2]
     if layout is not None and layout.qubit_count != net.qubit_count:
         problems.append(f"layout has {layout.qubit_count} qubits, "
@@ -596,9 +624,10 @@ def concatenate(nets: Sequence[Network], qubit_count: int | None = None) -> Netw
 
 
 def network_to_text(net: Network) -> str:
-    """Serialize to the line format ``T <target> <control>...`` / ``CHK <pos> <qubit>...``."""
+    """Serialize to the line format ``T <target> <control>...`` / ``CHK <pos> <qubit>...``;
+    a network that ``compile_masks`` refuses is its ``ValueError``."""
     lines = [f"T {t.bit_length() - 1} {' '.join(map(str, mask_bits(c)))}".rstrip()
-             for c, t in net.gates]
+             for c, t in zip(*(masks.tolist() for masks in compile_masks(net)))]
     lines.extend(f"CHK {c.position} {' '.join(map(str, c.qubits))}".rstrip()
                  for c in net.checkpoints)
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import pytest
 
 from shorsim import RegisterLayout, arithmetic, cli, oracles, pipeline, simulator
 from shorsim.arithmetic import MAX_Q, build_modexp
-from shorsim.cli import emit_distribution, main, parse_config
+from shorsim.cli import emit_distribution, emit_gnuplot, main, parse_config
 from shorsim.simulator import Distribution, ExponentialDecay, StaticDecay
 
 
@@ -330,13 +330,15 @@ class TestEmitDistribution:
         ned.table[:, 0] = [0.0, -0.0, 5e-324, 0.0]  # repeated, both zeros, subnormal
         exact = np.full((4, 2), 0.125)
         prefix = tmp_path / "plot"
-        emit_distribution(ned, ed, "gnuplot", None, exact=exact, r2_slice=0,
-                          out_path=str(prefix))
+        emit_gnuplot(ned, ed, exact, 0, str(prefix))
         for name, table in (("exact", exact), ("ned", ned.table), ("ed", ed.table)):
             assert (tmp_path / f"plot_{name}.dat").read_text() == "".join(
                 f"{r1} {p:.12g}\n" for r1, p in enumerate(table[:, 0]))
-        script = (tmp_path / "plot.gp").read_text()
-        assert "plot_ned.dat" in script and "multiplot" in script
+        assert (tmp_path / "plot.gp").read_text() == (
+            f'set terminal pngcairo size 800,900\nset output "{prefix}.png"\n'
+            'set multiplot layout 3,1\nset xlabel "first register"\n' + "".join(
+                f'set ylabel "P"\nplot "{prefix}_{name}.dat" with impulses title "{name}"\n'
+                for name in ("exact", "ned", "ed")) + "unset multiplot\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot"])
     @pytest.mark.parametrize("r2_slice, message", [
@@ -349,19 +351,25 @@ class TestEmitDistribution:
         ned, ed = make_pair()
         sink = io.StringIO()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            emit_distribution(ned, ed, fmt, sink, r2_slice=r2_slice,
-                              out_path=str(tmp_path / "plot"))
+            if fmt == "gnuplot":
+                emit_gnuplot(ned, ed, ned.table, r2_slice, str(tmp_path / "plot"))
+            else:
+                emit_distribution(ned, ed, fmt, sink, r2_slice=r2_slice)
         assert sink.getvalue() == "" and not any(tmp_path.iterdir())
 
     def test_gnuplot_needs_slice_and_path(self, tmp_path, monkeypatch):
+        # the exact table, the slice and the prefix are emit_gnuplot's
+        # parameters, and emit_distribution writes csv and json only
         ned, ed = make_pair()
-        with pytest.raises(ValueError):
-            emit_distribution(ned, ed, "gnuplot", None)
+        with pytest.raises(ValueError, match="^unknown format 'gnuplot'$"):
+            emit_distribution(ned, ed, "gnuplot", io.StringIO())
+        with pytest.raises(ValueError, match="^r2_slice=None must be an integer$"):
+            emit_gnuplot(ned, ed, ned.table, None, str(tmp_path / "plot"))
         # "" is stdout for csv and json; as a gnuplot prefix it would write
         # ".gp" and "_ned.dat" into the working directory
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="needs --out and --r2-slice"):
-            emit_distribution(ned, ed, "gnuplot", None, r2_slice=0, out_path="")
+        with pytest.raises(ValueError, match="^gnuplot output needs a non-empty file prefix$"):
+            emit_gnuplot(ned, ed, ned.table, 0, "")
         assert not any(tmp_path.iterdir())
 
 
@@ -491,7 +499,9 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["build", *argv])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"shorsim: error: {text}"
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: shorsim build [-h] ")
+        assert err[-1] == f"shorsim build: error: {text}"
 
     def test_build_default_q_out_of_range_names_n(self, capsys):
         for n, q in ((257, 66049), (262145, 68720001025)):
@@ -499,7 +509,7 @@ class TestMain:
                 main(["build", "--n", str(n), "--x", "3"])
             assert exc.value.code == 2
             assert capsys.readouterr().err.splitlines()[-1] == (
-                "shorsim: error: --n: the default q = n^2 is out of range "
+                "shorsim build: error: --n: the default q = n^2 is out of range "
                 f"(q must lie in 2..65536, got {q}); pass --q")
 
     def test_default_run_never_imports_numpy_ma(self, tmp_path):
@@ -576,3 +586,13 @@ class TestMain:
     def test_usage_error_on_unknown_flag(self):
         result = self.run_cli("run", "--frequency", "9")
         assert result.returncode != 0
+
+    @pytest.mark.parametrize("command", ["run", "build", "verify"])
+    def test_unknown_flag_is_refused_by_its_command(self, command, capsys):
+        # under the command's usage, as its own refusals are
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--frequency", "9"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: shorsim {command} [-h]")
+        assert err[-1] == f"shorsim {command}: error: unrecognized arguments: --frequency 9"

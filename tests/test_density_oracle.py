@@ -6,7 +6,8 @@ permutation of basis strings and a strict checkpoint into a projection
 followed by renormalisation.  The oracle evolves rho = |psi><psi| by these
 maps alone: it places events, reads clocks and applies gates by itself,
 sharing no code with the run's decay, slides, edge passes, plan or event
-records.
+records.  The outcome tables are checked against the diagonal of rho after
+the first register's Fourier transform, built as a matrix.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from shorsim import Network, gates, run, sample_schedule
+from shorsim import Network, RegisterLayout, gates, run, sample_schedule
 from shorsim.gates import Checkpoint, gate_masks
-from shorsim.simulator import ExponentialDecay, SparseState, StaticDecay
+from shorsim.simulator import (ExponentialDecay, SparseState, StaticDecay, distribution_ed,
+                               distribution_ned, fourier_first_register, outcome_tables)
 
 
 def damp(rho, qubit, p1):
@@ -122,3 +124,79 @@ def test_runs_match_the_density_matrix_oracle(seed, monkeypatch):
                 got = reduced(run(state, net, sched, watchdog))
                 want = oracle(psi, net, sched, watchdog)
                 assert np.max(np.abs(got - want)) <= 1e-12, (watchdog, sched)
+
+
+# 7 wires: a 3-wire first register, 2 second-register wires, 2 scratch wires
+TABLE_LAYOUT = RegisterLayout(range(0, 3), range(3, 5), range(5, 5), range(5, 5), 5, 6)
+
+
+def oracle_tables(rho, layout, q):
+    """ned and ed from the diagonal of (F x I) rho (F x I)^dagger, F the size-q
+    Fourier transform of the first register, F|a> = sum_c exp(2 pi i a c / q)
+    |c> / sqrt(q): ned its sum over all but (r1, r2), ed the same over the
+    strings whose scratch wires read 0."""
+    strings = np.arange(len(rho))
+    a = strings >> layout.reg1.start & (1 << len(layout.reg1)) - 1
+    ok = a < q
+    u = np.zeros(rho.shape, dtype=complex)
+    for c in range(q):
+        u[strings[ok] + ((c - a[ok]) << layout.reg1.start), strings[ok]] = (
+            np.exp(2j * np.pi * a[ok] * c / q) / math.sqrt(q))
+    diagonal = np.einsum("ik,ik->i", u @ rho, u.conj()).real
+    width = 1 << len(layout.reg2)
+    cells = a * width + (strings >> layout.reg2.start & width - 1)
+    clean = ok & (strings & layout.work_mask() == 0)
+    return (np.bincount(cells[ok], diagonal[ok], q * width).reshape(q, width),
+            np.bincount(cells[clean], diagonal[clean], q * width).reshape(q, width))
+
+
+def table_case(rng, layout):
+    """A q in 5..8, a network of 1-29 gates on the layout whose targets lie
+    outside the first register, so every first-register value stays below
+    q, 0-2 checkpoints on the scratch wires, and a random pure input on
+    some strings with a first-register value below q."""
+    q, width = int(rng.integers(5, 9)), layout.qubit_count
+    targets = range(layout.reg1.stop, width)
+    gate_list = []
+    for _ in range(int(rng.integers(1, 30))):
+        target = int(rng.choice(targets))
+        controls = rng.choice([w for w in range(width) if w != target],
+                              size=int(rng.integers(0, 3)), replace=False)
+        gate_list.append(gate_masks(controls.tolist(), target))
+    checkpoints = [Checkpoint.of(int(pos), layout.work_qubits)
+                   for pos in np.sort(rng.integers(0, len(gate_list) + 1, int(rng.integers(3))))]
+    strings = np.arange(1 << width)
+    support = strings[(strings & (1 << len(layout.reg1)) - 1 < q)
+                      & (rng.random(1 << width) < 0.3)]
+    support = support if len(support) else np.array([0])
+    amp = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    amp /= np.linalg.norm(amp)
+    psi = np.zeros(1 << width, dtype=complex)
+    psi[support] = amp
+    state = SparseState(width, 0, support, np.zeros_like(support), amp)
+    return q, gate_list, checkpoints, state, psi
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_tables_match_the_density_matrix_oracle(seed):
+    # outcome_tables of each run, and distribution_ned's and _ed's of its
+    # transformed state, against the oracle's rho; each mode runs a fresh
+    # network twice, the first run and the rerun, each on its own schedule
+    layout, rng = TABLE_LAYOUT, np.random.default_rng(seed)
+    laws = [StaticDecay(0.0), StaticDecay(0.3), ExponentialDecay(2.5)]
+    for _ in range(3):
+        q, gate_list, checkpoints, state, psi = table_case(rng, layout)
+        for watchdog in ("off", "on", "strict"):
+            net = Network(gate_list, layout.qubit_count, checkpoints)
+            for _ in range(2):
+                law = laws[int(rng.integers(len(laws)))]
+                sched = sample_schedule(int(rng.integers(1, 6)), layout.qubit_count,
+                                        int(rng.integers(1 << 30)), law)
+                out = run(state, net, sched, watchdog)
+                want = oracle_tables(oracle(psi, net, sched, watchdog), layout, q)
+                transformed = fourier_first_register(out, q, layout)
+                got = [d.table for d in outcome_tables(out, layout, q)]
+                for tables in (got, [distribution_ned(transformed, layout, q).table,
+                                     distribution_ed(transformed, layout, q).table]):
+                    for table, oracle_table in zip(tables, want):
+                        assert np.max(np.abs(table - oracle_table)) <= 1e-12, (watchdog, sched)

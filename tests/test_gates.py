@@ -291,14 +291,26 @@ class TestOneValidator:
          "gate 1: touches 17 wires; a fused block holds at most 16"),
         (Network([gate_masks(range(1, 16), 0), (0, 1 << 20)], 18),
          "gate 1: touches qubit 20 outside width 18"),
+        # gates that are not pairs of integers: a third mask, a float or a
+        # digit string must not run as a truncated or parsed pair
+        (Network([(1, 2, 3)], 4), "gate 0: (1, 2, 3) is not a (control mask, target mask) pair"),
+        (Network([(0, 1), (2,)], 4), "gate 1: (2,) is not a (control mask, target mask) pair"),
+        (Network([None], 4), "gate 0: None is not a (control mask, target mask) pair"),
+        (Network([(2.5, 4)], 4), "gate 0: the control mask must be an integer"),
+        (Network([("1", 2)], 4), "gate 0: the control mask must be an integer"),
+        (Network([(0, 1), (1 << 70, 2.0)], 4), "gate 1: the target mask must be an integer"),
     ], ids=["wide", "beyond-int64", "negative", "two-targets", "no-target",
-            "target-control", "width", "seventeen-wires", "sixteen-wires-pass"])
+            "target-control", "width", "seventeen-wires", "sixteen-wires-pass",
+            "three-masks", "one-mask", "none", "float-mask", "string-mask",
+            "float-beside-beyond-int64"])
     def test_compiling_raises_the_first_reported_problem(self, net, message):
         assert validate_network(net) == [message]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             net.masks
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             apply_network_batch([0], net)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network_to_text(net)
         assert "masks" not in vars(net)
 
     @pytest.mark.parametrize("gates, width, checkpoints, message", [

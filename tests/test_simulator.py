@@ -542,10 +542,29 @@ def event_at(position, total, qubit):
     return DecayEvent((position - 0.5) / total, qubit)
 
 
+def reference_decay(state, qubit, p1):
+    """The decay split in plain numpy, sharing no code with run()'s: every
+    component, the hit ones weighted sqrt(p1) (dropped if p1 is 0), then
+    unless p1 is 1 each hit one with its qubit cleared and the new record
+    bit set, weighted sqrt(1 - p1); the float operations of run()'s split,
+    in its order."""
+    bit = np.int64(1 << qubit)
+    hit = (state.comp & bit) != 0
+    amp = state.amp.copy()
+    amp[hit] *= math.sqrt(p1)
+    keep = ~hit if p1 == 0.0 else np.ones(len(hit), dtype=bool)
+    comp, env, amp = state.comp[keep], state.env[keep], amp[keep]
+    if p1 < 1.0:
+        comp = np.concatenate([comp, state.comp[hit] ^ bit])
+        env = np.concatenate([env, state.env[hit] | np.int64(1 << state.env_count)])
+        amp = np.concatenate([amp, state.amp[hit] * math.sqrt(1.0 - p1)])
+    return SparseState(state.qubit_count, state.env_count + 1, comp, env, amp)
+
+
 def chunked_reference(state, net, sched, watchdog="off"):
     """run() rebuilt from apply_network_batch on the gates between stops and
-    apply_decay at each event, sharing none of run()'s event placement,
-    settling or clock handling.  At each event or checkpoint position the
+    reference_decay at each event, sharing none of run()'s event placement,
+    settling, clock handling or decay split.  At each event or checkpoint position the
     events fire first, each with p1 from the law and its qubit's clock;
     then each checkpoint resets its qubits' clocks ('on', 'strict') and,
     in 'strict', projects them onto 0 and renormalises.  Returns the final
@@ -568,7 +587,7 @@ def chunked_reference(state, net, sched, watchdog="off"):
                 origin = float(clocks[ev.qubit])
                 p1 = sched.law.persist_probability(ev.time, origin)
                 log.append(EventRecord(ev.time, ev.qubit, pos, p1, 1.0 - p1, origin))
-                state = apply_decay(state, ev.qubit, p1)
+                state = reference_decay(state, ev.qubit, p1)
         for chk in net.checkpoints:
             if chk.position != stop or watchdog == "off":
                 continue
