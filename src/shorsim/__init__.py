@@ -12,10 +12,8 @@ from .oracles import (exhaustive_network_check, modpow, multiplicative_order,
 from .pipeline import (ExperimentConfig, FactorReport, continued_fraction_order,
                        extract_factors, ideal_distribution, run_experiment)
 from .simulator import (DecayEvent, Distribution, ExponentialDecay,
-                        NoiseSchedule, SparseState, StaticDecay, apply_decay,
-                        distribution_ed, distribution_ned, dump_state,
-                        event_records, fourier_first_register, init_state,
-                        inverse_fourier_first_register, outcome_tables, run,
-                        sample_schedule)
+                        NoiseSchedule, SparseState, StaticDecay, distribution_ed,
+                        distribution_ned, event_records, fourier_first_register,
+                        init_state, outcome_tables, run, sample_schedule)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

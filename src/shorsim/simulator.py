@@ -48,14 +48,14 @@ class SparseState:
 
     ``env_count`` is the number of decay interactions so far; environment
     records are integers whose bit j stores the outcome of event j.  Each
-    (comp, env) key appears at most once; the first-register transforms
-    raise ``ValueError`` on a repeated key.  A ``qubit_count`` or
-    ``env_count`` that is not an integer (numpy integers become Python
-    ints), a ``qubit_count`` outside ``0..MAX_WIDTH``, an ``env_count``
-    outside ``0..MAX_EVENTS``, ``comp``, ``env`` and ``amp`` that are not
-    1-D arrays of one length, non-integer ``comp`` or ``env``, or a
-    ``comp`` value outside ``0..2**qubit_count - 1`` are a ``ValueError``
-    when the state is made.
+    (comp, env) key appears at most once; the first-register transform and
+    the outcome tables raise ``ValueError`` on a repeated key.  A
+    ``qubit_count`` or ``env_count`` that is not an integer (numpy integers
+    become Python ints), a ``qubit_count`` outside ``0..MAX_WIDTH``, an
+    ``env_count`` outside ``0..MAX_EVENTS``, ``comp``, ``env`` and ``amp``
+    that are not 1-D arrays of one length, non-integer ``comp`` or ``env``,
+    or a ``comp`` value outside ``0..2**qubit_count - 1`` are a
+    ``ValueError`` when the state is made.
     """
 
     qubit_count: int
@@ -84,19 +84,6 @@ class SparseState:
 
     def norm_squared(self) -> float:
         return _norm_squared(self.amp)
-
-    def as_dict(self) -> dict[tuple[int, int], complex]:
-        return {(int(c), int(e)): complex(a)
-                for c, e, a in zip(self.comp, self.env, self.amp)}
-
-    @classmethod
-    def from_dict(cls, qubit_count: int, env_count: int,
-                  amplitudes: dict[tuple[int, int], complex]) -> SparseState:
-        keys = sorted(amplitudes)
-        comp = np.array([k[0] for k in keys], dtype=np.int64)
-        env = np.array([k[1] for k in keys], dtype=np.int64)
-        amp = np.array([amplitudes[k] for k in keys], dtype=np.complex128)
-        return cls(qubit_count, env_count, comp, env, amp)
 
 
 @dataclass(frozen=True)
@@ -234,16 +221,23 @@ def sample_schedule(n_events: int, n_qubits: int, seed: int,
     return NoiseSchedule(events, law)
 
 
-def init_state(q: int, layout: RegisterLayout) -> SparseState:
-    """Uniform superposition of all exponents a < q, everything else 0; a q
-    that is not an integer, below 2 or past the first register is a
-    ``ValueError``."""
+def _first_register_q(q: int, layout: RegisterLayout) -> int:
+    """q as a Python int; one that is not an integer, or past the first
+    register, is a ``ValueError``."""
     q = _integer(q, "q")
-    if q < 2:
-        raise ValueError("q must be at least 2")
     if q > (1 << len(layout.reg1)):
         raise ValueError(f"q={q} does not fit in the {len(layout.reg1)}-qubit "
                          "first register")
+    return q
+
+
+def init_state(q: int, layout: RegisterLayout) -> SparseState:
+    """Uniform superposition of all exponents a < q, everything else 0; a q
+    that is not an integer, past the first register or below 2 is a
+    ``ValueError``."""
+    q = _first_register_q(q, layout)
+    if q < 2:
+        raise ValueError("q must be at least 2")
     comp = np.arange(q, dtype=np.int64) << layout.reg1.start
     env = np.zeros(q, dtype=np.int64)
     amp = np.full(q, 1.0 / math.sqrt(q), dtype=np.complex128)
@@ -283,28 +277,6 @@ def _decay(comp: np.ndarray, env: np.ndarray, amp: np.ndarray, env_index: int,
         parts.append((decayed, env[hit] | np.int64(1 << env_index),
                       amp[hit] * math.sqrt(1.0 - p1)))
     return tuple(map(np.concatenate, zip(*parts)))
-
-
-def apply_decay(state: SparseState, qubit: int, p1: float) -> SparseState:
-    """One sudden interaction with a fresh environment qubit.
-
-    Components with the computer qubit at 1 split into a persisting branch
-    (weight sqrt(p1), environment bit 0) and a decayed branch with the qubit
-    flipped to 0 (weight sqrt(1 - p1), environment bit 1).  Components
-    already in the ground state are untouched apart from the record growing
-    by one 0 bit.  A qubit that is not an integer or lies outside the state,
-    and a p1 outside [0, 1], is a ``ValueError``, and a split that would
-    leave more than ``MAX_COMPONENTS`` components is a
-    ``ComponentBudgetError`` (a ``ValueError``) before any array is made;
-    ``run()`` makes these checks and this step (``_decay``) for each event.
-    """
-    qubit = _integer(qubit, "qubit")
-    if not 0 <= qubit < state.qubit_count:
-        raise ValueError(f"qubit {qubit} outside state width {state.qubit_count}")
-    if state.env_count >= MAX_EVENTS:
-        raise ValueError(f"the environment record holds at most {MAX_EVENTS} events")
-    return SparseState(state.qubit_count, state.env_count + 1, *_decay(
-        state.comp, state.env, state.amp, state.env_count, qubit, p1, f"decay on qubit {qubit}"))
 
 
 def event_records(net: Network, schedule: NoiseSchedule,
@@ -582,23 +554,31 @@ def _rows(state: SparseState, q: int, layout: RegisterLayout,
 
 
 def _transform_rows(dense: np.ndarray, rows: slice, row: np.ndarray, a: np.ndarray,
-                    amp: np.ndarray, q: int, inverse: bool) -> None:
+                    amp: np.ndarray, q: int) -> None:
     """Place each amplitude at (row, a) of the zeroed matrix ``dense``, all
     of them in its ``rows``, and transform those rows in place."""
     # Keys are unique, so a plain scatter places each amplitude.
     dense[row, a] = amp
     block = dense[rows]
-    if inverse:
-        np.fft.fft(block, axis=1, out=block)
-        block /= math.sqrt(q)
-    else:
-        np.fft.ifft(block, axis=1, out=block)
-        block *= math.sqrt(q)
+    np.fft.ifft(block, axis=1, out=block)
+    block *= math.sqrt(q)
 
 
-def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
-                       inverse: bool) -> SparseState:
-    q = _integer(q, "q")
+def fourier_first_register(state: SparseState, q: int,
+                           layout: RegisterLayout) -> SparseState:
+    """Size-q Fourier transform of the first register.
+
+    For every fixed (rest-of-computer, environment) the amplitudes over a
+    become (1/sqrt q) * sum_a exp(2 pi i a c / q) A(a).  All first-register
+    values must be below q, q must fit in the first register, and (comp,
+    env) keys must be unique.  The components are sorted by (rest, env, a)
+    with ``np.lexsort``; each (rest, env) group is one row of a dense
+    matrix, transformed in place by one FFT per row, and rows come out in
+    ascending (rest, env) order.  From ``SPLIT_MIN`` (2^18) dense elements,
+    rows x q, the upper half of the rows is done on a worker thread; rows
+    are independent FFTs, so the bytes do not change.
+    """
+    q = _first_register_q(q, layout)
     rest, env, row, a, amp = _rows(state, q, layout)
     rows = len(rest)
     dense = np.zeros((rows, q), dtype=np.complex128)
@@ -609,7 +589,7 @@ def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
     def part(lo: int, hi: int) -> None:
         first, last = np.searchsorted(row, (lo, hi))
         _transform_rows(dense, slice(lo, hi), row[first:last], a[first:last],
-                        amp[first:last], q, inverse)
+                        amp[first:last], q)
         np.bitwise_or(rest[lo:hi, None], columns, out=comp[lo:hi])
         envs[lo:hi] = env[lo:hi, None]
     _in_halves(rows, rows * q, part)
@@ -617,32 +597,9 @@ def _grouped_transform(state: SparseState, q: int, layout: RegisterLayout,
                        envs.ravel(), dense.ravel())
 
 
-def fourier_first_register(state: SparseState, q: int,
-                           layout: RegisterLayout) -> SparseState:
-    """Size-q Fourier transform of the first register.
-
-    For every fixed (rest-of-computer, environment) the amplitudes over a
-    become (1/sqrt q) * sum_a exp(2 pi i a c / q) A(a).  All first-register
-    values must be below q, and (comp, env) keys must be unique.  The
-    components are sorted by (rest, env, a) with ``np.lexsort``; each
-    (rest, env) group is one row of a dense matrix, transformed in place by
-    one FFT per row, and rows come out in ascending (rest, env) order.
-    From ``SPLIT_MIN`` (2^18) dense elements, rows x q, the upper half of
-    the rows is done on a worker thread; rows are independent FFTs, so the
-    bytes do not change.
-    """
-    return _grouped_transform(state, q, layout, inverse=False)
-
-
-def inverse_fourier_first_register(state: SparseState, q: int,
-                                   layout: RegisterLayout) -> SparseState:
-    """Inverse of ``fourier_first_register``, under the same conditions."""
-    return _grouped_transform(state, q, layout, inverse=True)
-
-
 def _tables(state: SparseState, layout: RegisterLayout, q: int,
             ed: bool) -> np.ndarray:
-    q = _integer(q, "q")
+    q = _first_register_q(q, layout)
     width = 1 << len(layout.reg2)
     work = np.int64(layout.work_mask())
     table = np.zeros(q * width)
@@ -678,7 +635,9 @@ def distribution_ned(state: SparseState, layout: RegisterLayout,
     components at a time, in element order as ``np.bincount`` adds them.
     Each slice's cells are range-checked, then go with their weights into
     buffers of one slice kept across the slices (the norm pass keeps none),
-    so no array the size of the state is made; all in the calling thread."""
+    so no array the size of the state is made; all in the calling thread.
+    A q that is not an integer, or past the first register, is a
+    ``ValueError``."""
     return Distribution(_tables(state, layout, q, False), "ned")
 
 
@@ -707,7 +666,7 @@ def outcome_tables(state: SparseState, layout: RegisterLayout,
     ``distribution_ned`` adds them; the ed table takes only the rows whose
     scratch wires are clean.  Raises what the transform raises.
     """
-    q = _integer(q, "q")
+    q = _first_register_q(q, layout)
     rest, _, row, a, amp = _rows(state, q, layout)
     width = 1 << len(layout.reg2)
     r2 = (rest >> layout.reg2.start) & (width - 1)
@@ -721,7 +680,7 @@ def outcome_tables(state: SparseState, layout: RegisterLayout,
         block = slice(first, first + step)
         dense = np.zeros((len(r2[block]), q), dtype=np.complex128)
         _transform_rows(dense, slice(None), row[lo:hi] - first, a[lo:hi],
-                        amp[lo:hi], q, False)
+                        amp[lo:hi], q)
         weights = np.abs(dense)
         del dense  # freed before the cells and the ed copies are made
         weights *= weights
@@ -733,18 +692,3 @@ def outcome_tables(state: SparseState, layout: RegisterLayout,
     return (Distribution(ned.reshape(q, width), "ned"),
             Distribution(ed.reshape(q, width), "ed"))
 
-
-def dump_state(state: SparseState) -> str:
-    """Deterministic text snapshot: ``<computer-bits> <env-bits> <re> <im>``.
-
-    Bit strings are most-significant-first; a lone ``-`` stands in for the
-    environment record while no decay event has happened yet.  Lines are
-    sorted lexicographically so snapshots diff cleanly.
-    """
-    lines = []
-    for c, e, a in zip(state.comp, state.env, state.amp):
-        cbits = format(int(c), f"0{state.qubit_count}b")
-        ebits = format(int(e), f"0{state.env_count}b") if state.env_count else "-"
-        re, im = a.real + 0.0, a.imag + 0.0  # fold -0.0 for stable snapshots
-        lines.append(f"{cbits} {ebits} {re:.17g} {im:.17g}")
-    return "\n".join(sorted(lines)) + "\n"

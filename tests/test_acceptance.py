@@ -13,13 +13,13 @@ import pytest
 from shorsim import (ArithParams, ExperimentConfig, RegisterLayout,
                      build_adder, build_controlled_multiplier, build_mod_adder,
                      build_modexp, distribution_ed, distribution_ned,
-                     fourier_first_register, init_state,
-                     inverse_fourier_first_register, resource_estimate, run,
+                     fourier_first_register, init_state, resource_estimate, run,
                      run_experiment, sample_schedule)
 from shorsim.oracles import (exhaustive_network_check, direct_outcome_table,
                              outcome_table_oracle, folded_outcome_table)
-from shorsim.simulator import (ExponentialDecay, NoiseSchedule, SparseState,
-                               StaticDecay)
+from shorsim.simulator import ExponentialDecay, NoiseSchedule, StaticDecay
+
+from reference import as_dict, from_dict, reference_transform
 
 COPRIME_BASES = [2, 4, 7, 8, 11, 13, 14]
 PEAK_CENTERS = (0.0, 32.5, 65.0, 97.5)
@@ -221,12 +221,11 @@ def test_criterion_8_oracle_self_consistency():
         for c, e in zip(comp, env):
             amps[(int(c), int(e))] = complex(rng.normal(), rng.normal())
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        state = SparseState.from_dict(layout.qubit_count, 4,
-                                      {k: a / norm for k, a in amps.items()})
-        back = inverse_fourier_first_register(
-            fourier_first_register(state, 130, layout), 130, layout)
-        rebuilt = back.as_dict()
-        for key, amp in state.as_dict().items():
+        state = from_dict(layout.qubit_count, 4, {k: a / norm for k, a in amps.items()})
+        back = reference_transform(fourier_first_register(state, 130, layout), 130, layout,
+                                   inverse=True)
+        rebuilt = as_dict(back)
+        for key, amp in as_dict(state).items():
             worst_rt = max(worst_rt, abs(rebuilt[key] - amp))
 
     ok = worst <= 1e-12 and worst_rt <= 1e-10

@@ -8,16 +8,16 @@ import pytest
 
 import shorsim
 from shorsim import (ArithParams, DecayEvent, ExperimentConfig, Network, NoiseSchedule,
-                     RegisterLayout, SparseState, StaticDecay, apply_decay, apply_network,
+                     RegisterLayout, SparseState, StaticDecay, apply_network,
                      apply_network_batch, build_adder, build_bit_adder,
                      build_controlled_multiplier, build_mod_adder, concatenate,
                      continued_fraction_order, controlled_swap, distribution_ed,
                      distribution_ned, exhaustive_network_check, extract_factors,
                      fourier_first_register, gate_count_formula, gate_masks,
-                     ideal_distribution, init_state, inverse_fourier_first_register,
-                     mod_inverse, modpow, multiplicative_order, network_from_text,
-                     network_to_text, outcome_table_oracle, outcome_tables,
-                     resource_estimate, sample_schedule, validate_network)
+                     ideal_distribution, init_state, mod_inverse, modpow,
+                     multiplicative_order, network_from_text, network_to_text,
+                     outcome_table_oracle, outcome_tables, resource_estimate,
+                     sample_schedule, validate_network)
 from shorsim.gates import (MAX_WIDTH, Checkpoint, _extract, apply_masks, decay_through,
                            mask_bits)
 from shorsim.oracles import direct_outcome_table, folded_outcome_table
@@ -465,16 +465,11 @@ NON_INTEGER_ROWS = [
                  id="schedule-qubit"),
     pytest.param(sample_schedule, lambda: sample_schedule(2.0, 26, 0, StaticDecay(0.5)),
                  "n_events=2.0 must be an integer", id="sample-schedule"),
-    pytest.param(apply_decay, lambda: apply_decay(first_state(), 1.5, 0.5),
-                 "qubit=1.5 must be an integer", id="apply-decay"),
     pytest.param(init_state, lambda: init_state(130.5, FACTORING),
                  "q=130.5 must be an integer", id="init-state"),
     pytest.param(fourier_first_register,
                  lambda: fourier_first_register(first_state(), 130.0, FACTORING),
                  "q=130.0 must be an integer", id="fourier"),
-    pytest.param(inverse_fourier_first_register,
-                 lambda: inverse_fourier_first_register(first_state(), 130.0, FACTORING),
-                 "q=130.0 must be an integer", id="inverse-fourier"),
     pytest.param(distribution_ned, lambda: distribution_ned(first_state(), FACTORING, 130.0),
                  "q=130.0 must be an integer", id="ned"),
     pytest.param(distribution_ed, lambda: distribution_ed(first_state(), FACTORING, 130.0),
@@ -532,7 +527,6 @@ EXEMPT = {
     "StaticDecay": "takes a real number, refused in test_simulator.py's TestDecayLaws",
     "ExponentialDecay": "takes a real number, refused in test_simulator.py's TestDecayLaws",
     "build_modexp": "takes an ArithParams and a RegisterLayout, both checked when made",
-    "dump_state": "takes a SparseState only",
     "event_records": "takes a Network, a NoiseSchedule and a mode name",
     "run": "takes a SparseState, a Network, a NoiseSchedule and a mode name",
     "run_experiment": "takes an ExperimentConfig, checked when made",

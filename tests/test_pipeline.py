@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from shorsim import (ExperimentConfig, continued_fraction_order,
-                     extract_factors, ideal_distribution, run_experiment)
+                     extract_factors, ideal_distribution, pipeline, run_experiment)
 from shorsim.cli import parse_config
 from shorsim.oracles import (direct_outcome_table, folded_outcome_table,
                              outcome_table_oracle)
-from shorsim.pipeline import ConfigError, convergents
+from shorsim.pipeline import ConfigError, convergents, repetition_seeds
 from shorsim.simulator import Distribution, StaticDecay
 
 
@@ -289,3 +289,37 @@ class TestRunExperiment:
         assert len(report.repetitions) == 2
         for rep in report.repetitions:
             assert np.all(rep.ed.table <= rep.ned.table + 1e-15)
+
+    def test_ed_sampling_draws_from_the_ed_table(self):
+        # Each repetition draws its samples with a generator of its own seed
+        # from its table, normalised; at this seed both repetitions' ned
+        # tables would give other samples.
+        cfg = ExperimentConfig(n=15, x=7, q=16, n_events=3,
+                               law=StaticDecay(0.5), watchdog="on", seed=1,
+                               repetitions=2, samples=20, sample_from="ed")
+        report = run_experiment(cfg)
+
+        def draws(table, seed):
+            flat = table.ravel()
+            picks = np.random.default_rng(seed).choice(flat.size, size=cfg.samples,
+                                                       p=flat / flat.sum())
+            return [divmod(int(p), table.shape[1]) for p in picks]
+        for rep, seed in zip(report.repetitions, repetition_seeds(cfg), strict=True):
+            got = [(s.c, s.r2) for s in rep.samples]
+            assert got == draws(rep.ed.table, seed)
+            assert got != draws(rep.ned.table, seed)
+
+    def test_tied_orders_go_to_the_smaller(self, monkeypatch):
+        # Every c != 0 verifies the true order (the convergent 0/1 lets the
+        # multiple scan try each m < n), so two repetitions never verify
+        # different orders; here the first verifies 8, the second 4, once
+        # each, and the report takes the smaller.
+        orders = iter([8, 4])
+        monkeypatch.setattr(pipeline, "continued_fraction_order",
+                            lambda c, q, n, x: (next(orders), []))
+        cfg = ExperimentConfig(n=15, x=7, q=130, n_events=0, seed=1,
+                               repetitions=2, samples=1)
+        report = run_experiment(cfg)
+        assert [rep.order for rep in report.repetitions] == [8, 4]
+        assert report.stats["orders_seen"] == {8: 1, 4: 1}
+        assert report.order == 4

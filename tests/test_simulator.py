@@ -13,18 +13,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shorsim import (ArithParams, Network, RegisterLayout, apply_decay, apply_network,
+from shorsim import (ArithParams, Network, RegisterLayout, apply_network,
                      apply_network_batch, build_modexp, distribution_ed,
-                     distribution_ned, dump_state, event_records,
-                     fourier_first_register, gates, init_state,
-                     inverse_fourier_first_register, network_from_text,
-                     outcome_tables, run, sample_schedule, simulator,
-                     validate_network)
+                     distribution_ned, event_records, fourier_first_register,
+                     gates, init_state, network_from_text, outcome_tables, run,
+                     sample_schedule, simulator, validate_network)
 from shorsim.gates import MAX_WIDTH, Checkpoint, compile_masks, gate_masks, mask_bits
 from shorsim.oracles import exhaustive_network_check, modpow, outcome_table_oracle
 from shorsim.simulator import (MAX_EVENTS, DecayEvent, EventRecord,
                                ExponentialDecay, NoiseSchedule, SparseState,
                                StaticDecay)
+
+from reference import as_dict, from_dict, reference_transform
 
 STATIC_HALF = StaticDecay(0.5)
 GAMMA = ExponentialDecay(2.5)
@@ -82,63 +82,65 @@ class TestInitState:
             init_state(257, layout)
 
 
+def decay_once(state, qubit, p1):
+    """One event on ``qubit`` with persistence ``p1``, through run() on a
+    gate-free network, where it fires at position 0."""
+    sched = NoiseSchedule([DecayEvent(0.5, qubit)], StaticDecay(p1))
+    return run(state, Network([], state.qubit_count), sched)
+
+
 class TestApplyDecay:
+    """The decay split of one event, as run() makes it."""
+
     def test_excited_qubit_splits_evenly(self):
         state = single_component(2, 0b01)
-        out = apply_decay(state, 0, 0.5)
+        out = decay_once(state, 0, 0.5)
         assert out.component_count == 2
         assert out.env_count == 1
-        got = out.as_dict()
+        got = as_dict(out)
         assert got[(0b01, 0)] == pytest.approx(1 / math.sqrt(2))
         assert got[(0b00, 1)] == pytest.approx(1 / math.sqrt(2))
 
     def test_ground_qubit_untouched(self):
         state = single_component(2, 0b10)
-        out = apply_decay(state, 0, 0.3)
+        out = decay_once(state, 0, 0.3)
         assert out.component_count == 1
-        assert out.as_dict() == {(0b10, 0): 1.0}
+        assert as_dict(out) == {(0b10, 0): 1.0}
         assert out.env_count == 1
 
     def test_certain_persistence_only_widens_record(self):
         state = single_component(2, 0b01)
-        out = apply_decay(state, 0, 1.0)
+        out = decay_once(state, 0, 1.0)
         assert out.component_count == 1
-        assert out.as_dict() == {(0b01, 0): 1.0}
+        assert as_dict(out) == {(0b01, 0): 1.0}
         assert out.env_count == 1
 
     def test_certain_decay_moves_all_weight(self):
         state = single_component(1, 0b1)
-        out = apply_decay(state, 0, 0.0)
-        assert out.as_dict() == {(0b0, 1): 1.0}
+        out = decay_once(state, 0, 0.0)
+        assert as_dict(out) == {(0b0, 1): 1.0}
 
     def test_norm_preserved(self):
         state = single_component(3, 0b111, amp=1.0)
-        out = apply_decay(apply_decay(state, 0, 0.3), 2, 0.8)
+        out = decay_once(decay_once(state, 0, 0.3), 2, 0.8)
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
     def test_full_environment_record_rejected(self):
         state = single_component(1, 0b1, env_count=MAX_EVENTS)
-        with pytest.raises(ValueError, match="at most 63"):
-            apply_decay(state, 0, 0.5)
+        with pytest.raises(ValueError, match="63 recorded plus 1 new decay events "
+                                             "exceed the limit of 63"):
+            decay_once(state, 0, 0.5)
 
     @pytest.mark.parametrize("p1", [1.5, -0.1, math.nan])
     def test_probability_outside_the_unit_interval_rejected(self, p1):
+        # StaticDecay refuses these itself; a law that does not is held to
+        # [0, 1] at the split
+        class Loose:
+            def persist_probability(self, time, last_reset):
+                return p1
+        sched = NoiseSchedule([DecayEvent(0.5, 0)], Loose())
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            apply_decay(single_component(1, 0b1), 0, p1)
-
-    @pytest.mark.parametrize("qubit", [1.5, 1.0, "1", None])
-    def test_non_integer_qubit_refused(self, qubit):
-        # unchecked, 1.5 passed the width check and died in 1 << qubit
-        with pytest.raises(ValueError, match=re.escape(
-                f"qubit={qubit!r} must be an integer")):
-            apply_decay(single_component(2, 0b11), qubit, 0.5)
-
-    def test_numpy_integer_qubit_gives_the_same_bytes(self):
-        state = all_strings(3)
-        for qubit in (np.int64(1), np.uint8(1)):
-            got, want = apply_decay(state, qubit, 0.3), apply_decay(state, 1, 0.3)
-            for a, b in ((got.comp, want.comp), (got.env, want.env), (got.amp, want.amp)):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            run(single_component(1, 0b1), Network([], 1), sched)
 
 
 class TestDecayLaws:
@@ -194,7 +196,7 @@ class TestDecayLaws:
 
     def test_run_checks_each_event_probability(self):
         # a law object that does not check itself still cannot split with
-        # p1 > 1: run() and apply_decay share the check
+        # p1 > 1: the split checks it
         class Loose:
             def persist_probability(self, time, last_reset):
                 return 1.5
@@ -209,7 +211,7 @@ class TestRun:
         final = run(init_state(130, layout), net, NoiseSchedule([], STATIC_HALF))
         assert final.component_count == 130
         expected = 1.0 / math.sqrt(130)
-        for (comp, env), amp in final.as_dict().items():
+        for (comp, env), amp in as_dict(final).items():
             a = comp & 0xFF
             r2 = (comp >> layout.reg2.start) & 0xF
             work = comp >> layout.mult_work.start
@@ -225,8 +227,7 @@ class TestRun:
         assert noisy.env_count == 1
         assert np.all(noisy.env == 0)
         assert sorted(noisy.comp) == sorted(ideal.comp)
-        assert noisy.as_dict() == {(c, 0): a
-                                   for (c, _), a in ideal.as_dict().items()}
+        assert as_dict(noisy) == {(c, 0): a for (c, _), a in as_dict(ideal).items()}
 
     def test_ten_events_bound_and_norm(self, factoring_15):
         _, layout, net = factoring_15
@@ -308,14 +309,14 @@ class TestRunBoundary:
 
     @pytest.mark.parametrize("width", [-1, MAX_WIDTH + 1, 70])
     def test_state_width_outside_a_mask_refused_when_made(self, width):
-        # unchecked, a 70-qubit state took an event on qubit 65, and both
-        # run() and apply_decay overflowed int64 inside the split
+        # unchecked, a 70-qubit state took an event on qubit 65, and run()
+        # overflowed int64 inside the split
         with pytest.raises(ValueError, match=f"^state width {width} outside 0..62$"):
             single_component(width, 0)
 
     @pytest.mark.parametrize("env_count", [-1, MAX_EVENTS + 1])
     def test_env_count_outside_the_record_refused_when_made(self, env_count):
-        # unchecked, apply_decay on env_count=-1 died with "negative shift
+        # unchecked, a decay on env_count=-1 died with "negative shift
         # count" inside the split
         with pytest.raises(ValueError, match=f"^env_count={env_count} outside 0..63$"):
             single_component(2, 0, env_count=env_count)
@@ -347,8 +348,8 @@ class TestRunBoundary:
 
     @pytest.mark.parametrize("value", [8, -1, 4])
     def test_strings_outside_the_width_refused_when_made(self, value):
-        # unchecked, dump_state printed 1000 and -1 for a 2-qubit state, and
-        # apply_decay split the string -1 into -1 and -3
+        # unchecked, a decay split the string -1 of a 2-qubit state into -1
+        # and -3
         with pytest.raises(ValueError, match="^" + re.escape(
                 "comp must hold basis strings in 0..2**2 - 1") + "$"):
             SparseState(2, 0, np.array([0, value]), np.zeros(2, dtype=np.int64),
@@ -363,14 +364,14 @@ class TestRunBoundary:
                             np.full(2, 0.5 ** 0.5, dtype=np.complex128))
         net = Network([gate_masks([0], 1)], 2)
         out = run(state, net, NoiseSchedule([DecayEvent(0.5, 0)], STATIC_HALF))
-        assert sorted(out.as_dict()) == [(0, 0), (0, 3), (1, 1)]
+        assert sorted(as_dict(out)) == [(0, 0), (0, 3), (1, 1)]
 
     def test_widest_state_decays_on_its_top_qubit(self):
         state = single_component(MAX_WIDTH, 1 << 61)
         net = Network([gate_masks([61], 0)], MAX_WIDTH)
         out = run(state, net, NoiseSchedule([DecayEvent(0.5, 61)], STATIC_HALF))
-        assert sorted(out.as_dict()) == [(1, 1), (1 << 61 | 1, 0)]
-        assert sorted(apply_decay(state, 61, 0.5).as_dict()) == [(0, 1), (1 << 61, 0)]
+        assert sorted(as_dict(out)) == [(1, 1), (1 << 61 | 1, 0)]
+        assert sorted(as_dict(decay_once(state, 61, 0.5))) == [(0, 1), (1 << 61, 0)]
 
     def test_component_budget_refused_before_the_split(self, monkeypatch, gate_path):
         # Of 16 strings the event on qubit 0 hits 8: p1=0.5 leaves 24
@@ -385,10 +386,6 @@ class TestRunBoundary:
                 verify_norm=True)
         # a first run: gate 0 runs up to the event, and nothing after it
         assert gate_path == ["the input state", list(net.gates[:1])]
-        with pytest.raises(simulator.ComponentBudgetError,
-                           match="^decay on qubit 0 would leave 24 components, "
-                                 "past the budget of 23$"):
-            apply_decay(all_strings(4), 0, 0.5)
         for p1 in (0.0, 1.0):
             out = run(all_strings(4), net, NoiseSchedule([event], StaticDecay(p1)))
             assert out.component_count == 16
@@ -502,7 +499,7 @@ class TestWatchdog:
             EventRecord(0.5, 0, 0, p1, 1.0 - p1, 0.0)]
         for _ in range(2):
             out = run(single_component(1, 0b1), net, sched, watchdog)
-            assert out.as_dict() == pytest.approx(
+            assert as_dict(out) == pytest.approx(
                 {(0b0, 1): 1.0} if watchdog == "strict"
                 else {(0b1, 0): math.sqrt(p1), (0b0, 1): math.sqrt(1.0 - p1)})
         assert "masks" in vars(net)
@@ -516,7 +513,7 @@ class TestWatchdog:
         for _ in range(2):
             assert ("project", 1, 1) in planned(net, sched, "strict")
             out = run(single_component(2, 0b00), net, sched, "strict")
-            assert out.as_dict() == {(0b11, 0): 1.0}
+            assert as_dict(out) == {(0b11, 0): 1.0}
         assert "checkpoint_groups" in vars(net)
 
     def test_strict_mode_keeps_only_clean_scratch(self, factoring_15):
@@ -604,23 +601,32 @@ def chunked_reference(state, net, sched, watchdog="off"):
     return state, log
 
 
+def sorted_rows(state):
+    """The state's widths, then comp, env and amp sorted by (comp, env), the
+    amplitudes with -0.0 parts folded into 0.0: equal for two states that
+    hold the same amplitudes exactly in whatever row order."""
+    order = np.lexsort((state.env, state.comp))
+    return (state.qubit_count, state.env_count, state.comp[order].tolist(),
+            state.env[order].tolist(), (state.amp[order] + 0.0).tolist())
+
+
 def assert_matches_reference(state, net, sched, watchdog="off", **kw):
-    """run() equals the chunked reference: snapshot byte for byte, and
+    """run() equals the chunked reference: ``sorted_rows`` exactly, and
     event_records the reference's records, with positions and clock
     origins."""
     out = run(state, net, sched, watchdog, **kw)
-    got = (dump_state(out), event_records(net, sched, watchdog))
+    got = (sorted_rows(out), event_records(net, sched, watchdog))
     want, want_log = chunked_reference(state, net, sched, watchdog)
-    assert got == (dump_state(want), want_log)
+    assert got == (sorted_rows(want), want_log)
     return got
 
 
 def assert_rows_match_reference(state, net, sched, watchdog="off"):
     """run() equals the chunked reference row for row: comp, env and amp
-    byte for byte and in the same order, which makes the snapshots
-    byte-equal too, and event_records the reference's records, with
-    positions and clock origins.  It formats no snapshot, so it is the
-    cheaper check on large states."""
+    byte for byte and in the same order, which makes ``sorted_rows`` equal
+    too, and event_records the reference's records, with positions and
+    clock origins.  It sorts nothing, so it is the cheaper check on large
+    states."""
     out = run(state, net, sched, watchdog)
     want, want_log = chunked_reference(state, net, sched, watchdog)
     assert event_records(net, sched, watchdog) == want_log
@@ -864,6 +870,17 @@ class TestFusedPass:
                            match="norm drifted to .* after the input state$"):
             run(state, net, sched, verify_norm=True)
         assert gate_path == ["the input state"]
+
+    def test_norm_checked_to_its_tolerance(self):
+        # |amp| 1 + 1e-9 puts the squared norm 2e-9 from 1, past NORM_TOL
+        # (1e-10); 1 + 1e-12 stays inside it, and so does each decay
+        sched = NoiseSchedule([DecayEvent(0.5, 0)], STATIC_HALF)
+        with pytest.raises(AssertionError, match="norm drifted to .* after the input state$"):
+            run(single_component(1, 0b1, amp=1 + 1e-9), Network([], 1), sched,
+                verify_norm=True)
+        out = run(single_component(1, 0b1, amp=1 + 1e-12), Network([], 1), sched,
+                  verify_norm=True)
+        assert out.component_count == 2
 
     def test_first_run_builds_the_blocks(self, factoring_15):
         # the first run builds the masks the blocks are cut from; the blocks
@@ -1220,9 +1237,9 @@ class TestEventBlocks:
             EventRecord(0.25, 1, 1, p1, 1.0 - p1, 0.0),
             EventRecord(0.75, 1, 2, later, 1.0 - later, 0.5)]
         if watchdog == "strict":
-            assert out.as_dict() == {(0b01, 1): 1.0}
+            assert as_dict(out) == {(0b01, 1): 1.0}
         else:
-            assert out.as_dict() == pytest.approx(
+            assert as_dict(out) == pytest.approx(
                 {(0b11, 0): math.sqrt(p1 * later),
                  (0b01, 0b10): math.sqrt(p1 * (1.0 - later)),
                  (0b01, 1): math.sqrt(1.0 - p1)})
@@ -1343,8 +1360,7 @@ class TestSlide:
         net = Network([gate_masks((), 1), gate_masks((), 0), gate_masks([0], 2),
                        gate_masks((), 1)], 3, [Checkpoint.of(1, [1])])
         assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 1), (1, 4)]
-        state = SparseState.from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5,
-                                             (0b010, 0): 0.5 ** 0.5})
+        state = from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5, (0b010, 0): 0.5 ** 0.5})
         event = event_at(2, 4, 1)
         _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
                                           watchdog, verify_norm=True)
@@ -1384,8 +1400,7 @@ class TestSlide:
             [gate_masks((), 0), gate_masks([0], 2), gate_masks((), 2),
              gate_masks([2], 0), gate_masks((), 0)], 3, [Checkpoint.of(2, [1])]))
         assert [(b.start, b.stop) for b in blocks_of(net)] == [(0, 2), (2, 5)]
-        state = SparseState.from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5,
-                                             (0b011, 0): 0.5 ** 0.5})
+        state = from_dict(3, 0, {(0b000, 0): 0.5 ** 0.5, (0b011, 0): 0.5 ** 0.5})
         event = event_at(3, 5, 1)
         _, log = assert_matches_reference(state, net, NoiseSchedule([event], GAMMA),
                                           watchdog, verify_norm=True)
@@ -1651,7 +1666,7 @@ class TestFourier:
         layout = self.small_layout()
         state = init_state(8, layout)
         out = fourier_first_register(state, 8, layout)
-        got = {key: amp for key, amp in out.as_dict().items()
+        got = {key: amp for key, amp in as_dict(out).items()
                if abs(amp) > 1e-12}
         assert got == {(0, 0): pytest.approx(1.0)}
 
@@ -1675,10 +1690,10 @@ class TestFourier:
                 amps[(int(c), int(e))] = amps.get((int(c), int(e)), 0) + a
             norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
             amps = {k: a / norm for k, a in amps.items()}
-            state = SparseState.from_dict(layout.qubit_count, 2, amps)
-            back = inverse_fourier_first_register(
-                fourier_first_register(state, 8, layout), 8, layout)
-            rebuilt = back.as_dict()
+            state = from_dict(layout.qubit_count, 2, amps)
+            back = reference_transform(fourier_first_register(state, 8, layout), 8, layout,
+                                       inverse=True)
+            rebuilt = as_dict(back)
             for key, amp in amps.items():
                 assert rebuilt[key] == pytest.approx(amp, abs=1e-10)
 
@@ -1695,9 +1710,8 @@ class TestFourier:
                             np.array([3, 5, 3], dtype=np.int64),
                             np.array([1, 1, 1], dtype=np.int64),
                             np.full(3, 3 ** -0.5, dtype=np.complex128))
-        for transform in (fourier_first_register, inverse_fourier_first_register):
-            with pytest.raises(ValueError, match="repeated"):
-                transform(state, 8, layout)
+        with pytest.raises(ValueError, match="repeated"):
+            fourier_first_register(state, 8, layout)
         state.env[2] = 0  # the same basis string under another record is fine
         fourier_first_register(state, 8, layout)
 
@@ -1739,27 +1753,6 @@ class TestDistributions:
 
 
 
-def reference_transform(state, q, layout, inverse):
-    """The grouped DFT built on np.unique and np.add.at."""
-    shift = layout.reg1.start
-    r1_mask = np.int64(layout.reg1_mask())
-    a = (state.comp & r1_mask) >> shift
-    rest = state.comp & ~r1_mask
-    keys = np.stack([rest, state.env], axis=1)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    dense = np.zeros((len(uniq), q), dtype=np.complex128)
-    np.add.at(dense, (inv, a), state.amp)
-    if inverse:
-        out = np.fft.fft(dense, axis=1) / math.sqrt(q)
-    else:
-        out = np.fft.ifft(dense, axis=1) * math.sqrt(q)
-    comp = (uniq[:, 0][:, None] | (np.arange(q, dtype=np.int64) << shift)).ravel()
-    env = np.repeat(uniq[:, 1], q)
-    return SparseState(state.qubit_count, state.env_count, comp, env,
-                       out.ravel())
-
-
 def reference_table(state, layout, q, select):
     """The outcome table built on np.add.at."""
     r1 = (state.comp >> layout.reg1.start) & ((1 << len(layout.reg1)) - 1)
@@ -1779,11 +1772,9 @@ def assert_same_bytes(got, want):
 
 
 def assert_kernels_match_reference(state, layout, q):
-    """Forward and inverse DFT state arrays and both tables, byte for byte."""
+    """The DFT state arrays and both tables, byte for byte."""
     forward = fourier_first_register(state, q, layout)
-    assert_same_bytes(forward, reference_transform(state, q, layout, False))
-    assert_same_bytes(inverse_fourier_first_register(forward, q, layout),
-                      reference_transform(forward, q, layout, True))
+    assert_same_bytes(forward, reference_transform(state, q, layout, inverse=False))
     keep = (forward.comp & np.int64(layout.work_mask())) == 0
     for table, select in ((distribution_ned(forward, layout, q).table, None),
                           (distribution_ed(forward, layout, q).table, keep)):
@@ -1821,7 +1812,7 @@ class TestKernelsAgainstReference:
             amps[key] = complex(rng.normal(), rng.normal())
         for a in range(q):  # a group of signed zeros keeps its sign bits
             amps[(a | 7 << 3, 2)] = complex(-0.0, -0.0)
-        state = SparseState.from_dict(layout.qubit_count, 3, amps)
+        state = from_dict(layout.qubit_count, 3, amps)
         assert_kernels_match_reference(state, layout, q)
 
     def test_empty_state(self):
@@ -2150,7 +2141,7 @@ class TestSplitPasses:
         layout = RegisterLayout.for_factoring(2, q=8)
         amps = {(a | 7 << 3, 2): complex(-0.0, -0.0) for a in range(5)}
         amps[(1 | 2 << 3, 0)] = 0.5 + 0.5j
-        state = SparseState.from_dict(layout.qubit_count, 3, amps)
+        state = from_dict(layout.qubit_count, 3, amps)
         assert_kernels_match_reference(state, layout, 5)
         assert_tables_match_reference(state, layout, 5)
 
@@ -2180,9 +2171,8 @@ class TestSplitPasses:
         with pytest.raises(ValueError, match="^repeated \\(comp, env\\) key in the sparse state$"):
             fourier_first_register(repeated, 8, layout)
         beyond = single_component(layout.qubit_count, 7)
-        for call in (fourier_first_register, inverse_fourier_first_register):
-            with pytest.raises(ValueError, match="^component with first-register value >= q$"):
-                call(beyond, 4, layout)
+        with pytest.raises(ValueError, match="^component with first-register value >= q$"):
+            fourier_first_register(beyond, 4, layout)
         # Both are refused before any row is transformed.  A good state on
         # the same path splits, as the fixture checks; the table passes,
         # which never split, are checked in TestStreamedTables.
@@ -2245,18 +2235,32 @@ class TestIntegerQ:
     @pytest.mark.parametrize("call, text", [
         (lambda layout, state: init_state(130.5, layout), "q=130.5"),
         (lambda layout, state: fourier_first_register(state, 130.0, layout), "q=130.0"),
-        (lambda layout, state: inverse_fourier_first_register(state, 130.0, layout),
-         "q=130.0"),
         (lambda layout, state: distribution_ned(state, layout, 130.0), "q=130.0"),
         (lambda layout, state: distribution_ed(state, layout, 130.0), "q=130.0"),
         (lambda layout, state: outcome_tables(state, layout, 130.0), "q=130.0")],
-        ids=["init_state", "fourier_first_register", "inverse_fourier_first_register",
-             "distribution_ned", "distribution_ed", "outcome_tables"])
+        ids=["init_state", "fourier_first_register", "distribution_ned",
+             "distribution_ed", "outcome_tables"])
     def test_non_integer_q_refused(self, call, text):
         # unchecked, numpy or range raised a TypeError deep inside
         layout = RegisterLayout.for_factoring(4, q=130)
         with pytest.raises(ValueError, match=f"^{re.escape(text)} must be an integer$"):
             call(layout, init_state(130, layout))
+
+    @pytest.mark.parametrize("call", [
+        lambda layout, state: init_state(10, layout),
+        lambda layout, state: fourier_first_register(state, 10, layout),
+        lambda layout, state: distribution_ned(state, layout, 10),
+        lambda layout, state: distribution_ed(state, layout, 10),
+        lambda layout, state: outcome_tables(state, layout, 10)],
+        ids=["init_state", "fourier_first_register", "distribution_ned",
+             "distribution_ed", "outcome_tables"])
+    def test_q_past_the_first_register_refused(self, call):
+        # unchecked, the transform wrote the columns c >= 8 into the second
+        # register's wires, and its ned table missed outcome_tables' by 0.045
+        layout = RegisterLayout.for_factoring(2, q=8)
+        with pytest.raises(ValueError, match="^q=10 does not fit in the 3-qubit "
+                                             "first register$"):
+            call(layout, init_state(8, layout))
 
     def test_numpy_integer_q_passes(self, factoring_15):
         _, layout, net = factoring_15
@@ -2265,8 +2269,6 @@ class TestIntegerQ:
         assert state.amp.tobytes() == run(init_state(130, layout), net, sched).amp.tobytes()
         forward = fourier_first_register(state, np.int64(130), layout)
         assert_same_bytes(forward, fourier_first_register(state, 130, layout))
-        assert_same_bytes(inverse_fourier_first_register(forward, np.int64(130), layout),
-                          inverse_fourier_first_register(forward, 130, layout))
         for call in (distribution_ned, distribution_ed):
             assert (call(forward, layout, np.int64(130)).table.tobytes()
                     == call(forward, layout, 130).table.tobytes())
@@ -2368,16 +2370,3 @@ class TestSampleSchedule:
         with pytest.raises(ValueError):
             NoiseSchedule([DecayEvent(1.0, 0)], STATIC_HALF)
 
-
-class TestSnapshot:
-    def test_exact_format(self):
-        state = SparseState(3, 2,
-                            np.array([0b101, 0b001], dtype=np.int64),
-                            np.array([0b10, 0b01], dtype=np.int64),
-                            np.array([0.5, -0.5j], dtype=np.complex128))
-        assert dump_state(state) == ("001 01 0 -0.5\n"
-                                     "101 10 0.5 0\n")
-
-    def test_no_events_marker(self):
-        state = single_component(2, 0b10)
-        assert dump_state(state) == "10 - 1 0\n"
